@@ -141,12 +141,14 @@ type benchRecord struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// CommittedPerOp is the simulated committed-transaction count of one
-	// measurement window: identical across shard counts within one fabric,
+	// measurement window: identical across worker counts within one fabric,
 	// or the kernel's determinism contract is broken.
 	CommittedPerOp float64 `json:"committed_per_op"`
 	// WindowsPerOp / WakeupsPerOp are the kernel's synchronization-round
-	// and per-shard barrier-crossing counts of one measurement window
-	// (deterministic virtual-time quantities; 0 at shards=1).
+	// and per-partition window-entry counts of one measurement window
+	// (deterministic virtual-time quantities, the same at every worker
+	// count; captures from before the partitioned default read 0 at
+	// shards=1).
 	WindowsPerOp float64 `json:"windows_per_op,omitempty"`
 	WakeupsPerOp float64 `json:"wakeups_per_op,omitempty"`
 }

@@ -26,13 +26,14 @@
 // -latscale additionally fans every geometry across interconnect latency
 // scales (0.5 = a wire twice as fast).
 //
-// -shards N spreads each deployment's islands over N kernel event shards
-// (1 = the classic sequential kernel, -1 = min(islands, GOMAXPROCS), 0 =
-// auto). The fingerprint is independent of the setting — CI diffs a
-// -shards 1 against a -shards 4 run to prove it. -celltimes lines carry
-// the shard setting, and -baseline FILE (a saved -celltimes stderr
-// capture, typically recorded at -shards 1) adds per-cell speedup factors
-// against that recording.
+// -shards N runs each deployment's event windows on N kernel worker
+// goroutines (1 = all on the cell's own goroutine, -1 = min(islands,
+// GOMAXPROCS), 0 = auto). Every deployment gives each island its own event
+// partition at any setting; the flag only spends host cores. The
+// fingerprint is independent of it — CI diffs a -shards 1 against a
+// -shards 4 run to prove it. -celltimes lines carry the setting, and
+// -baseline FILE (a saved -celltimes stderr capture, typically recorded at
+// -shards 1) adds per-cell speedup factors against that recording.
 //
 // -store DIR memoizes experiment cells in a persistent content-addressed
 // result store: a warm rerun of the same probe serves every cell from the
@@ -64,7 +65,7 @@ func main() {
 	geometry := flag.String("geometry", "", "comma-separated machine geometries sockets:cores:LLC-MB[:fabric] (e.g. 16:4:12,8:10:30:ring) to sweep ad hoc")
 	latscale := flag.String("latscale", "", "comma-separated interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
 	parallel := flag.Int("parallel", 0, "concurrently-run experiment cells (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "kernel event shards per deployment (0 = auto, 1 = sequential kernel, -1 = min(islands, GOMAXPROCS))")
+	shards := flag.Int("shards", 0, "kernel worker goroutines per deployment (0 = auto, 1 = none beyond the cell's own, -1 = min(islands, GOMAXPROCS)); islands always get one event partition each")
 	progress := flag.Bool("progress", false, "report per-cell experiment progress on stderr")
 	celltimes := flag.Bool("celltimes", false, "report per-cell wall-clock on stderr (the accounting behind cell cost hints)")
 	baseline := flag.String("baseline", "", "saved -celltimes capture to compute per-cell speedups against (implies -celltimes)")
@@ -200,7 +201,7 @@ func main() {
 // probeDeployments runs reference deployments spanning the interesting
 // configuration corners (shared-everything, islands, fine-grained; reads and
 // writes; local and multisite) and prints the raw kernel/measurement numbers.
-// The shard setting flows into each deployment, so a -shards diff covers the
+// The worker setting flows into each deployment, so a -shards diff covers the
 // raw kernel event counts too, not just the experiment tables.
 func probeDeployments(seed int64, shards int) {
 	machine := islands.QuadSocket()

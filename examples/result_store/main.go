@@ -53,7 +53,7 @@ func main() {
 	study.Run(opt).Fingerprint(&cold)
 	fmt.Printf("cold run:  %d hits, %d misses (%d cells archived)\n", hits, misses, store.Len())
 
-	// Warm: same cells, different parallelism and kernel sharding — both
+	// Warm: same cells, different parallelism and kernel worker count — both
 	// wall-clock-only knobs, excluded from the keys — so every cell is
 	// served from the archive without simulating.
 	hits, misses = 0, 0

@@ -47,34 +47,24 @@ func scalingGeometryOn(fabric string) harness.Geometry {
 	return g
 }
 
-// ShardCounts returns the shard-count ladder ShardedScaling is swept over:
-// powers of two from the sequential kernel up to one shard per island,
-// regardless of host core count — on a single-CPU machine the multi-shard
-// points still run (the workers serialize) and still produce bit-identical
-// simulations; only the wall-clock speedup needs real cores.
+// ShardCounts returns the kernel worker-count ladder ShardedScaling is swept
+// over (core.Config.Shards): powers of two from the default inline kernel —
+// one goroutine running all 16 island partitions — up to one worker per
+// island, regardless of host core count. On a single-CPU machine the
+// multi-worker points still run (the workers serialize) and still produce
+// bit-identical simulations; only the wall-clock speedup needs real cores.
 func ShardCounts() []int {
 	return []int{1, 2, 4, 8, 16}
 }
 
-// LightThink is the client think time of the sub-saturated benchmark
-// variants: ~12x the unix-socket cross-wire floor, so each worker's event
-// stream has gaps a dozen global-min windows wide — the regime where
-// distance-aware per-shard limits jump a gap in one barrier round instead of
-// one round per lookahead.
-const LightThink = 200 * sim.Microsecond
-
 // scalingCell builds and starts one scaling-benchmark deployment: 16
 // per-socket islands on the named fabric, the paper's read-10 microbenchmark
-// at 20% multisite, with the given kernel shard count. globalMin selects the
-// windowing-policy ablation (pre-matrix single global window); think > 0
-// sub-saturates the cell with client think time.
-func scalingCell(fabric string, shards int, globalMin bool, think sim.Time) *core.Deployment {
+// at 20% multisite, with the given kernel worker count.
+func scalingCell(fabric string, shards int) *core.Deployment {
 	m := scalingGeometryOn(fabric).Machine()
 	cfg := core.DefaultConfig(m, 16, 240000)
 	cfg.Seed = 42
 	cfg.Shards = shards
-	cfg.GlobalMinLookahead = globalMin
-	cfg.ThinkTime = think
 	d := core.NewDeployment(cfg)
 	d.Start(workload.NewMicro(workload.MicroConfig{
 		Table: 1, GlobalRows: 240000, RowsPerTxn: 10, PctMultisite: 0.2,
@@ -85,37 +75,25 @@ func scalingCell(fabric string, shards int, globalMin bool, think sim.Time) *cor
 
 // ShardedScaling measures one full deployment cell — build, load, run the
 // quick measurement window, tear down — on the scaling geometry's
-// fully-connected fabric with the given kernel shard count. Equivalent to
+// fully-connected fabric with the given kernel worker count. Equivalent to
 // ShardedScalingOn(b, "full", shards); kept under its historical name so
 // BENCH_<rev>.json records stay comparable across revisions.
 func ShardedScaling(b *testing.B, shards int) { ShardedScalingOn(b, "full", shards) }
 
 // ShardedScalingOn is ShardedScaling on the named fabric. The
 // committed-transaction count is reported as a benchmark metric; it must be
-// identical at every shard count within one fabric (the kernel's determinism
-// contract), so a BENCH json is self-checking. windows/op reports the
-// kernel's global synchronization rounds and wakeups/op the per-shard
-// barrier crossings — the overhead the distance-aware lookahead matrix
-// shrinks on high-diameter fabrics (see Kernel.Wakeups for why the round
-// count itself is a policy invariant under saturation).
+// identical at every worker count within one fabric (the kernel's
+// determinism contract), so a BENCH json is self-checking. windows/op
+// reports the kernel's synchronization rounds and wakeups/op the
+// per-partition window entries — the overhead the distance-aware lookahead
+// matrix shrinks on high-diameter fabrics (see Kernel.Wakeups for why the
+// round count itself is a policy invariant under saturation); both depend on
+// the fabric only, never on the worker count.
 func ShardedScalingOn(b *testing.B, fabric string, shards int) {
-	shardedScalingCell(b, fabric, shards, 0)
-}
-
-// ShardedLightLoad is the sub-saturated companion of ShardedScalingOn: the
-// same cell with LightThink of client think time per transaction. This is
-// the regime the distance-aware lookahead matrix targets — sparse event
-// streams on a high-diameter fabric — and the windows/op and wakeups/op
-// metrics show the reduction directly.
-func ShardedLightLoad(b *testing.B, fabric string, shards int) {
-	shardedScalingCell(b, fabric, shards, LightThink)
-}
-
-func shardedScalingCell(b *testing.B, fabric string, shards int, think sim.Time) {
 	b.ReportAllocs()
 	var committed, windows, wakeups uint64
 	for i := 0; i < b.N; i++ {
-		d := scalingCell(fabric, shards, false, think)
+		d := scalingCell(fabric, shards)
 		res := d.Run(500*sim.Microsecond, 3*sim.Millisecond)
 		windows = d.Kernel.Windows()
 		wakeups = d.Kernel.Wakeups()
@@ -126,19 +104,4 @@ func shardedScalingCell(b *testing.B, fabric string, shards int, think sim.Time)
 	b.ReportMetric(float64(windows), "windows/op")
 	b.ReportMetric(float64(wakeups), "wakeups/op")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// WindowCount runs one scaling cell (untimed, think of client think time)
-// and returns the kernel's synchronization counters and the committed
-// transactions, under the distance-aware lookahead matrix or the global-min
-// ablation. The two policies must commit identically — windowing never
-// changes results — so the pair is both the barrier-reduction measurement
-// and a determinism check.
-func WindowCount(fabric string, shards int, globalMin bool, think sim.Time) (windows, wakeups, committed uint64) {
-	d := scalingCell(fabric, shards, globalMin, think)
-	res := d.Run(500*sim.Microsecond, 3*sim.Millisecond)
-	windows = d.Kernel.Windows()
-	wakeups = d.Kernel.Wakeups()
-	d.Close()
-	return windows, wakeups, res.Committed
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkShardedScaling sweeps the shared benchmark body over the shard
+// BenchmarkShardedScaling sweeps the shared benchmark body over the worker
 // ladder on the fully-connected fabric; `islandsbench -benchjson` runs the
 // same body per count and writes the machine-readable record.
 func BenchmarkShardedScaling(b *testing.B) {
@@ -16,7 +16,7 @@ func BenchmarkShardedScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedScalingFabric sweeps fabric x shard count, exposing the
+// BenchmarkShardedScalingFabric sweeps fabric x worker count, exposing the
 // windows/op metric on the fabrics where the distance-aware lookahead matrix
 // actually has distances to exploit (ring, torus).
 func BenchmarkShardedScalingFabric(b *testing.B) {
@@ -31,7 +31,7 @@ func BenchmarkShardedScalingFabric(b *testing.B) {
 
 // TestShardedScalingDeterministic pins the benchmark's self-check outside
 // the bench runner: one window of the scaling cell commits the same
-// transaction count at 1 shard and at the full ladder width.
+// transaction count inline and at the full ladder width.
 func TestShardedScalingDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 64-core scaling cell twice")
@@ -42,59 +42,6 @@ func TestShardedScalingDeterministic(t *testing.T) {
 	}
 	max := ShardCounts()[len(ShardCounts())-1]
 	if a, b := committed(1), committed(max); a != b || a == 0 {
-		t.Fatalf("committed/op: %d at 1 shard, %d at %d shards; want equal and nonzero", a, b, max)
-	}
-}
-
-// TestWindowReduction pins the tentpole's perf claim on the sub-saturated
-// cell: on ring and torus the distance-aware lookahead matrix must run
-// strictly fewer barrier rounds and per-shard wakeups than the global-min
-// ablation, while committing the same transactions. Every count here is a
-// deterministic virtual-time quantity (independent of host parallelism), so
-// strict inequality is an exact, reproducible measurement, and the logged
-// percentages are the numbers DESIGN.md cites. On the saturated cell the
-// round count is a policy invariant (steady-state advance = min cycle mean =
-// min entry for a symmetric matrix; see Kernel.Windows), so there the matrix
-// is only required never to exceed the ablation.
-func TestWindowReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs twelve 64-core scaling cells")
-	}
-	const shards = 16
-	for _, fabric := range Fabrics() {
-		// Saturated: no regression allowed, reduction not expected.
-		wM, kM, cM := WindowCount(fabric, shards, false, 0)
-		wG, kG, cG := WindowCount(fabric, shards, true, 0)
-		if cM != cG || cM == 0 {
-			t.Errorf("%s saturated: committed diverged: matrix=%d globalmin=%d", fabric, cM, cG)
-		}
-		if wM > wG || kM > kG {
-			t.Errorf("%s saturated: matrix windows=%d wakeups=%d exceed global-min windows=%d wakeups=%d",
-				fabric, wM, kM, wG, kG)
-		}
-		t.Logf("%s saturated: windows %d vs %d, wakeups %d vs %d, committed=%d",
-			fabric, wM, wG, kM, kG, cM)
-
-		// Sub-saturated: the matrix's target regime.
-		wM, kM, cM = WindowCount(fabric, shards, false, LightThink)
-		wG, kG, cG = WindowCount(fabric, shards, true, LightThink)
-		if cM != cG || cM == 0 {
-			t.Errorf("%s light: committed diverged: matrix=%d globalmin=%d", fabric, cM, cG)
-		}
-		if wM > wG || kM > kG {
-			t.Errorf("%s light: matrix windows=%d wakeups=%d exceed global-min windows=%d wakeups=%d",
-				fabric, wM, kM, wG, kG)
-		}
-		if fabric != "full" {
-			if wM >= wG {
-				t.Errorf("%s light: matrix windows %d not strictly below global-min %d", fabric, wM, wG)
-			}
-			if kM >= kG {
-				t.Errorf("%s light: matrix wakeups %d not strictly below global-min %d", fabric, kM, kG)
-			}
-		}
-		t.Logf("%s light: windows %d vs %d (%.1f%% reduction), wakeups %d vs %d (%.1f%% reduction), committed=%d",
-			fabric, wM, wG, 100*(1-float64(wM)/float64(wG)),
-			kM, kG, 100*(1-float64(kM)/float64(kG)), cM)
+		t.Fatalf("committed/op: %d inline, %d at %d workers; want equal and nonzero", a, b, max)
 	}
 }

@@ -107,9 +107,9 @@ type Config struct {
 	// ThinkTime inserts client think time between each worker's
 	// transactions (closed loop with think). 0 keeps every worker
 	// back-to-back — the saturated default. Sub-saturated cells are where
-	// the sharded kernel's distance-aware windows pay off: event streams
-	// with gaps wider than the minimum lookahead let far shards jump a gap
-	// in one window instead of one barrier round per lookahead.
+	// the kernel's distance-aware windows pay off: event streams with gaps
+	// wider than the minimum lookahead let far islands jump a gap in one
+	// window instead of one synchronization round per lookahead.
 	ThinkTime sim.Time
 
 	// Faults schedules deterministic fault injection (island crashes,
@@ -119,31 +119,30 @@ type Config struct {
 	// replay. See the fault package for the determinism contract.
 	Faults *fault.Plan
 
-	// Shards selects how many kernel event shards the deployment's islands
-	// are spread over (conservative parallel simulation):
+	// Shards selects how many host goroutines execute the simulation — a
+	// wall-clock knob only. The kernel always gives every island its own
+	// event partition (heap, clock, mailbox) and advances the partitions in
+	// conservative lookahead windows; Shards is the number of workers that
+	// run a window's runnable partitions:
 	//
-	//	 0 or 1 — single shard (classic sequential kernel);
-	//	>1      — that many shards, clamped to the island count;
+	//	 0 or 1 — the calling goroutine runs them in island order; no
+	//	          goroutine is started (the default);
+	//	>1      — that many workers, clamped to the island count;
 	//	-1      — auto: min(islands, GOMAXPROCS).
 	//
-	// Sharding requires >= 2 islands, disjoint per-instance core sets (OS
-	// placement can double cores up), and a memory-mapped disk (the HDD
-	// array is a machine-shared device); ineligible configs silently run on
-	// one shard. Results are bit-identical at every shard count: the kernel
-	// keys events by (timestamp, island domain, domain-local sequence), a
-	// mapping-invariant order, and the minimum cross-island wire latency of
-	// the interconnect model is the conservative lookahead that makes
-	// windowed parallel execution safe. The ISLANDS_FORCE_SHARDS environment
-	// variable, when set, overrides this field (CI race legs force sharding
-	// on without plumbing flags through every test).
+	// Partitioning requires >= 2 islands, disjoint per-instance core sets
+	// (OS placement can double cores up), and a memory-mapped disk (the HDD
+	// array is a machine-shared device); ineligible configs run on a single
+	// partition, where the worker count is moot. Results are bit-identical
+	// at every setting, partitioned or not: the kernel keys events by
+	// (timestamp, island domain, domain-local sequence), an order that
+	// depends on neither the partition layout nor the goroutine that ran
+	// the event, and the cross-island wire latencies of the interconnect
+	// model are the conservative lookahead that makes windowed execution
+	// safe. The ISLANDS_FORCE_SHARDS environment variable, when set,
+	// overrides this field (CI race legs force several workers on without
+	// plumbing flags through every test).
 	Shards int
-
-	// GlobalMinLookahead is a measurement ablation: run multi-shard kernels
-	// under the pre-matrix windowing policy (one global window over the
-	// minimum scalar lookahead) instead of the distance-aware per-shard-pair
-	// windows. Results are bit-identical either way; only the barrier count
-	// and wall-clock differ. Benchmarks flip it to quantify the reduction.
-	GlobalMinLookahead bool
 
 	Seed int64
 }
@@ -172,7 +171,7 @@ type Deployment struct {
 
 	// Disk is the machine-shared device, set only for DiskHDD; with the
 	// default memory-mapped disks each instance owns a private device (a
-	// crash-isolated, shard-local resource).
+	// crash-isolated, partition-local resource).
 	Disk *storage.Disk
 
 	// Injector drives the deployment's fault plan; nil for healthy runs.
@@ -183,7 +182,15 @@ type Deployment struct {
 }
 
 // NewDeployment builds instances, loads data, and wires the network.
-func NewDeployment(cfg Config) *Deployment {
+func NewDeployment(cfg Config) *Deployment { return newDeployment(cfg, true) }
+
+// NewSinglePartitionDeployment is NewDeployment with every island on one
+// event partition — the classic one-heap kernel, which ineligible configs
+// (see Config.Shards) get anyway. It exists as the reference that tests
+// compare the partitioned default against; results are bit-identical.
+func NewSinglePartitionDeployment(cfg Config) *Deployment { return newDeployment(cfg, false) }
+
+func newDeployment(cfg Config, partitioned bool) *Deployment {
 	if cfg.Machine == nil {
 		panic("core: config needs a machine")
 	}
@@ -201,13 +208,10 @@ func NewDeployment(cfg Config) *Deployment {
 	}
 	n := len(parts)
 
-	shards := resolveShards(cfg, parts)
-	var k *sim.Kernel
-	if shards > 1 {
-		k = sim.NewShardedMatrix(crossWireMatrix(cfg, parts, shards))
-		k.SetGlobalMinWindows(cfg.GlobalMinLookahead)
-	} else {
-		k = sim.NewKernel()
+	k := sim.NewKernel()
+	if partitioned && partitionable(cfg, parts) {
+		k = sim.NewShardedMatrix(crossWireMatrix(cfg, parts))
+		k.SetWorkers(resolveWorkers(cfg, n))
 	}
 	model := mem.NewModel(cfg.Machine)
 	net := ipc.NewNetwork[engine.Msg](k, cfg.Machine, cfg.Mechanism)
@@ -221,19 +225,19 @@ func NewDeployment(cfg Config) *Deployment {
 
 	// The HDD array is one machine-shared device; memory-mapped disks are
 	// per-instance (engine.NewInstance makes one when opts.Disk is nil), so
-	// every disk resource is local to its island's shard.
+	// every disk resource is local to its island's partition.
 	var disk *storage.Disk
 	if cfg.Disk == DiskHDD {
 		disk = storage.HDDArray()
 	}
 
 	d := &Deployment{Cfg: cfg, Kernel: k, Model: model, Net: net, Part: part, Disk: disk}
-	// One determinism domain per island, in island order, regardless of the
-	// shard count — identical domain ids at shards=1 and shards=n are what
-	// make the runs bit-identical. Islands round-robin over shards.
+	// One determinism domain per island, in island order, whatever the
+	// partition layout — identical domain ids on one partition and on n are
+	// what make the runs bit-identical. Island i runs on partition i.
 	d.domains = make([]*sim.Domain, n)
 	for i := 0; i < n; i++ {
-		d.domains[i] = k.NewDomain(i % shards)
+		d.domains[i] = k.NewDomain(i % k.Shards())
 	}
 	for i := 0; i < n; i++ {
 		specs := make([]engine.TableSpec, 0, len(cfg.Tables))
@@ -290,25 +294,16 @@ var forcedShards = sync.OnceValue(func() int {
 	return n
 })
 
-// resolveShards turns Config.Shards (plus the ISLANDS_FORCE_SHARDS
-// override) into a concrete shard count for this deployment, applying the
-// eligibility rules documented on Config.Shards.
-func resolveShards(cfg Config, parts [][]topology.CoreID) int {
-	want := cfg.Shards
-	if f := forcedShards(); f != 0 {
-		want = f
-	}
-	if want == 0 || want == 1 {
-		return 1
-	}
-	n := len(parts)
-	if n < 2 {
-		return 1
+// partitionable applies the eligibility rules documented on Config.Shards:
+// whether every island can own a private event partition.
+func partitionable(cfg Config, parts [][]topology.CoreID) bool {
+	if len(parts) < 2 {
+		return false
 	}
 	if cfg.Disk == DiskHDD {
 		// The HDD array is one machine-shared queueing resource; its waiters
-		// would cross shard boundaries.
-		return 1
+		// would cross partition boundaries.
+		return false
 	}
 	// Placement may double a core up across instances (PlacementOS draws
 	// with replacement, InstanceCores is caller-provided); shared cores mean
@@ -317,41 +312,45 @@ func resolveShards(cfg Config, parts [][]topology.CoreID) int {
 	for i, cores := range parts {
 		for _, c := range cores {
 			if prev, ok := seen[c]; ok && prev != i {
-				return 1
+				return false
 			}
 			seen[c] = i
 		}
 	}
+	return true
+}
+
+// resolveWorkers turns Config.Shards (plus the ISLANDS_FORCE_SHARDS
+// override) into the worker count of a partitioned kernel over the given
+// number of islands.
+func resolveWorkers(cfg Config, islands int) int {
+	want := cfg.Shards
+	if f := forcedShards(); f != 0 {
+		want = f
+	}
 	if want < 0 {
 		want = runtime.GOMAXPROCS(0)
 	}
-	if want > n {
-		want = n
-	}
-	if want < 1 {
-		want = 1
-	}
-	return want
+	return max(1, min(want, islands))
 }
 
-// crossWireMatrix computes the kernel's per-shard-pair conservative
-// lookahead matrix from the interconnect model: entry [s][t] is the minimum
-// delivery latency of any message from an island on shard s to an island on
-// shard t (islands round-robin over shards, i -> i%shards, matching the
-// domain mapping below). Any two instances with cores on one socket bound
-// their pair by the same-socket handoff; otherwise the fabric's
+// crossWireMatrix computes the kernel's per-partition-pair conservative
+// lookahead matrix from the interconnect model: entry [i][j] is the minimum
+// delivery latency of any message from island i to island j (island i runs
+// on partition i). Any two instances with cores on one socket bound their
+// pair by the same-socket handoff; otherwise the fabric's
 // LatencyScale-scaled wire term, minimized over the instances' socket hop
 // distances, applies — precomputed as one dense socket table so the island
 // scan is lookups, not repeated scaling arithmetic.
 //
-// This is Chandy–Misra distance-based lookahead: shard pairs whose islands
-// are far apart on the fabric (ring antipodes, torus corners) declare wide
-// floors, which the kernel's windowing turns into wider windows and fewer
-// barriers than the old single global minimum. A fault plan that can speed
-// links up (LinkDegrade Factor < 1) shrinks every floor by its worst-case
-// delivery scale, keeping the floors sound under injection. Entries are
-// always positive.
-func crossWireMatrix(cfg Config, parts [][]topology.CoreID, shards int) [][]sim.Time {
+// This is Chandy–Misra distance-based lookahead: islands that are far apart
+// on the fabric (ring antipodes, torus corners) declare wide floors, which
+// the kernel's windowing turns into wider windows and fewer rounds than a
+// single global minimum would. A fault plan that can speed links up
+// (LinkDegrade Factor < 1) shrinks every floor by its worst-case delivery
+// scale, keeping the floors sound under injection. Entries are always
+// positive.
+func crossWireMatrix(cfg Config, parts [][]topology.CoreID) [][]sim.Time {
 	m := cfg.Machine
 	costs := ipc.CostsFor(cfg.Mechanism)
 	wire := m.CrossTable(costs.WireSameSocket, costs.WireCrossBase, costs.WireCrossPerHop)
@@ -362,15 +361,15 @@ func crossWireMatrix(cfg Config, parts [][]topology.CoreID, shards int) [][]sim.
 		scale = cfg.Faults.MinDeliveryScale()
 	}
 
-	la := make([][]sim.Time, shards)
-	for s := range la {
-		la[s] = make([]sim.Time, shards)
+	la := make([][]sim.Time, len(parts))
+	for i := range la {
+		la[i] = make([]sim.Time, len(parts))
 	}
 	n := m.SocketCount
-	for i := 0; i < len(parts); i++ {
-		for j := 0; j < len(parts); j++ {
-			if i == j || i%shards == j%shards {
-				continue // same island or same shard: no cross-shard channel
+	for i := range parts {
+		for j := range parts {
+			if i == j {
+				continue
 			}
 			floor := sim.Time(0)
 			for _, a := range parts[i] {
@@ -381,7 +380,7 @@ func crossWireMatrix(cfg Config, parts [][]topology.CoreID, shards int) [][]sim.
 				}
 			}
 			if floor <= 0 {
-				panic("core: cross-island wire latency must be positive for sharding")
+				panic("core: cross-island wire latency must be positive for partitioning")
 			}
 			if scale < 1 {
 				// Truncate exactly as ipc.Send scales a degraded delivery, so
@@ -390,9 +389,7 @@ func crossWireMatrix(cfg Config, parts [][]topology.CoreID, shards int) [][]sim.
 					floor = 1
 				}
 			}
-			if cur := la[i%shards][j%shards]; cur == 0 || floor < cur {
-				la[i%shards][j%shards] = floor
-			}
+			la[i][j] = floor
 		}
 	}
 	return la
@@ -403,8 +400,7 @@ func crossWireMatrix(cfg Config, parts [][]topology.CoreID, shards int) [][]sim.
 // islands plus the sender's clock), and its crash events drive the instance
 // crash/recover/reopen lifecycle on the crashed island's own domain. Fault
 // injection consumes RNG state only inside drop windows — one private
-// stream per sender island, so draws stay on the owning shard at every
-// shard count.
+// stream per sender island, so draws stay on the owning partition.
 func (d *Deployment) wireFaults(parts [][]topology.CoreID) {
 	inj, err := fault.NewInjector(d.domains, d.Cfg.Seed+0x0F, d.Cfg.Faults)
 	if err != nil {

@@ -156,7 +156,10 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 			}
 		}()
 	}
+	// The coordinator's Txn never leaves this frame, so every return —
+	// committed, aborted or abandoned to a crash — may recycle it.
 	txn := in.newTxn(ctx, ts, false)
+	defer in.putTxn(txn)
 
 	// Split operations into the local part and per-participant parts.
 	s := in.getCoordScratch()
@@ -424,6 +427,7 @@ func (in *Instance) handleWork(ctx *exec.Ctx, m Msg) {
 	}
 	if err != nil {
 		txn.abortLocal(ctx)
+		in.putTxn(txn)
 		if in.epoch != epoch {
 			return // crashed during rollback: token and reply are moot
 		}
@@ -437,6 +441,7 @@ func (in *Instance) handleWork(ctx *exec.Ctx, m Msg) {
 		// Read-only: release now, vote read-only in the reply.
 		in.Stats.SubReadOnly++
 		txn.releaseReadOnly(ctx)
+		in.putTxn(txn)
 		if in.epoch != epoch {
 			return
 		}
@@ -479,6 +484,7 @@ func (in *Instance) expirePending(ctx *exec.Ctx, ts uint64, txn *Txn) {
 	if txn.holdsToken {
 		in.serial.Release()
 	}
+	in.putTxn(txn)
 }
 
 // handleCtrl processes 2PC control traffic on a control thread. In fault
@@ -520,6 +526,7 @@ func (in *Instance) handleCtrl(ctx *exec.Ctx, m Msg) {
 		if txn.holdsToken && in.epoch == epoch {
 			in.serial.Release()
 		}
+		in.putTxn(txn)
 
 	case msgAbort:
 		txn := in.pending[m.Txn]
@@ -541,6 +548,7 @@ func (in *Instance) handleCtrl(ctx *exec.Ctx, m Msg) {
 		if txn.holdsToken {
 			in.serial.Release()
 		}
+		in.putTxn(txn)
 
 	case msgExpire:
 		// Self-scheduled orphan GC (fault mode only): if the attempt it was

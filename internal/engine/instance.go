@@ -169,6 +169,11 @@ type Instance struct {
 	// coordinator attempt; recycled, so the steady state allocates nothing.
 	coordFree *coordScratch
 
+	// txnFree is the free list of finished attempts' Txns (see putTxn), so
+	// undo logs and image arenas are grown once per concurrently-live
+	// attempt, not once per attempt.
+	txnFree *Txn
+
 	Stats Stats
 }
 

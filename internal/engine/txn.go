@@ -27,6 +27,8 @@ type Txn struct {
 	// growing buffer per transaction instead of one allocation per updated
 	// row.
 	undoBuf []byte
+
+	next *Txn // free-list link
 }
 
 // saveBefore copies a before-image into the transaction's undo arena.
@@ -44,13 +46,34 @@ type undoEntry struct {
 	insert bool
 }
 
-// newTxn begins a transaction attempt and charges begin bookkeeping.
+// newTxn begins a transaction attempt and charges begin bookkeeping. The
+// Txn comes off the instance free list when one is there (procs of one
+// instance run strictly one at a time, so no locking is needed).
 func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 	prev := ctx.Bucket(exec.BXct)
 	ctx.Charge(CostBegin)
 	ctx.WriteLine(&in.txnLine)
 	ctx.Bucket(prev)
-	return &Txn{TS: ts, in: in, subordinate: subordinate}
+	t := in.txnFree
+	if t == nil {
+		t = &Txn{in: in}
+	} else {
+		in.txnFree = t.next
+		t.next = nil
+	}
+	t.TS, t.subordinate = ts, subordinate
+	return t
+}
+
+// putTxn recycles a finished attempt's Txn, keeping the capacity of its undo
+// log and image arena for the next attempt. Call it only once commit, abort
+// or the read-only release is done with the undo log and nothing else — a
+// pending registration, a handler still running — references t. The images
+// it handed to wal.Append are not a reference: Append deep-copies them under
+// Retain and otherwise reads only their length.
+func (in *Instance) putTxn(t *Txn) {
+	*t = Txn{in: in, undo: t.undo[:0], undoBuf: t.undoBuf[:0], next: in.txnFree}
+	in.txnFree = t
 }
 
 // apply executes one already-localized operation.
@@ -273,5 +296,5 @@ func (t *Txn) abortLocal(ctx *exec.Ctx) {
 		in.wal.Append(ctx, wal.Record{Type: wal.RecAbort, Txn: t.TS})
 	}
 	in.locks.ReleaseAll(ctx, t.TS)
-	t.undo = nil
+	t.undo = t.undo[:0]
 }

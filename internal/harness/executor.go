@@ -59,10 +59,11 @@ func (p *Plan) Execute(opt Options) *Result {
 		workers = n
 	}
 
-	// Auto sharding: intra-cell kernel shards and cell-level workers compete
-	// for the same CPUs, so by default a cell's deployment shards only when
-	// cells run one at a time. Explicit opt.Shards settings pass through to
-	// every cell's core.Config untouched.
+	// Auto kernel workers: intra-cell kernel workers and cell-level workers
+	// compete for the same CPUs, so by default a cell's deployment runs its
+	// windows on extra goroutines only when cells run one at a time.
+	// Explicit opt.Shards settings pass through to every cell's core.Config
+	// untouched.
 	if opt.Shards == 0 {
 		if workers > 1 {
 			opt.Shards = 1

@@ -50,7 +50,7 @@ func runMicro(m *topology.Machine, instances int, rows int64, mc workload.MicroC
 	localOnly bool, opt Options, tweak func(*core.Config)) core.Measurement {
 
 	cfg, mc := microConfig(m, instances, rows, mc, localOnly, opt, tweak)
-	d := core.NewDeployment(cfg)
+	d := opt.deploy(cfg)
 	defer d.Close()
 	d.Start(workload.NewMicro(mc, d.Part))
 	warmup, window := windows(opt)
@@ -66,7 +66,7 @@ func runTPCC(m *topology.Machine, s TPCCSpec, opt Options,
 	instanceCores [][]topology.CoreID) core.Measurement {
 
 	cfg, mix := tpccConfig(m, s, opt, instanceCores)
-	d := core.NewDeployment(cfg)
+	d := opt.deploy(cfg)
 	defer d.Close()
 	d.Start(workload.NewMix(mix, d.Part))
 	warmup, window := windows(opt)
@@ -127,7 +127,7 @@ func sourceConfig(s SourceSpec, opt Options) core.Config {
 // and measures it — the open-ended sibling of runMicro/runTPCC.
 func runSource(s SourceSpec, opt Options) core.Measurement {
 	cfg := sourceConfig(s, opt)
-	d := core.NewDeployment(cfg)
+	d := opt.deploy(cfg)
 	defer d.Close()
 	d.Start(s.Source(d, opt))
 	warmup, window := windows(opt)

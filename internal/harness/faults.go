@@ -77,7 +77,7 @@ func FaultCell(name string, s FaultSpec, emits ...Emit) Cell {
 		Run: func(opt Options) Metrics {
 			opt.Seed += s.SeedDelta
 			cfg, mc, warmup, window, n := faultConfig(s, opt)
-			d := core.NewDeployment(cfg)
+			d := opt.deploy(cfg)
 			defer d.Close()
 			d.Start(workload.NewMicro(mc, d.Part))
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"islands/internal/core"
 	"islands/internal/resultstore"
 )
 
@@ -33,15 +34,17 @@ type Options struct {
 	// so every setting produces identical tables; parallelism only changes
 	// wall-clock time.
 	Parallel int
-	// Shards selects the kernel shard count inside each cell's deployment
-	// (core.Config.Shards): >1 spreads a cell's islands over that many event
-	// shards, -1 lets the kernel pick min(islands, GOMAXPROCS), 1 forces the
-	// classic single-shard kernel. 0 (the default) is auto: shard only when
-	// cells run one at a time (the executor resolves it to -1 for
-	// sequential dispatch and 1 when cell-level parallelism already
-	// saturates the cores — the two parallelism levels compete for the same
-	// CPUs). Tables are bit-identical at every setting; like Parallel, this
-	// only moves wall-clock time.
+	// Shards selects the kernel worker count inside each cell's deployment
+	// (core.Config.Shards). Every deployment gives each island its own
+	// event partition regardless; this is how many goroutines run a
+	// window's partitions: >1 that many, -1 lets the kernel pick
+	// min(islands, GOMAXPROCS), 1 runs them all on the cell's own goroutine.
+	// 0 (the default) is auto: spend spare cores on windows only when cells
+	// run one at a time (the executor resolves it to -1 for sequential
+	// dispatch and 1 when cell-level parallelism already saturates the
+	// cores — the two parallelism levels compete for the same CPUs). Tables
+	// are bit-identical at every setting; like Parallel, this only moves
+	// wall-clock time.
 	Shards int
 	// Progress, when non-nil, is called by the executor after each cell
 	// completes (never concurrently): the experiment id, the finished
@@ -68,6 +71,20 @@ type Options struct {
 	// is serialized with the other callbacks and called before CellTime,
 	// so a CellTime observer can attribute the wall-clock it receives.
 	CellCache func(exp, cell string, hit bool)
+
+	// singlePartition builds every cell's deployment on the classic
+	// one-heap kernel (core.NewSinglePartitionDeployment). Only this
+	// package's tests can set it: it is the reference the partitioned
+	// default is pinned against, not a mode.
+	singlePartition bool
+}
+
+// deploy builds a cell's deployment.
+func (o Options) deploy(cfg core.Config) *core.Deployment {
+	if o.singlePartition {
+		return core.NewSinglePartitionDeployment(cfg)
+	}
+	return core.NewDeployment(cfg)
 }
 
 // Table is one printable result grid.

@@ -86,15 +86,13 @@ func keyOptions(h *resultstore.Hasher, opt Options) {
 }
 
 // keyConfig hashes a fully built deployment config by deep reflection,
-// canonicalized over the knobs that cannot affect results: the kernel
-// shard count (bit-identical at every setting, pinned by
-// TestShardedMatchesUnsharded) and the windowing-policy ablation (a
-// wall-clock-only measurement knob). Everything else — machine, tables,
+// canonicalized over the one knob that cannot affect results: the kernel
+// worker count (bit-identical at every setting, pinned by
+// TestShardedMatchesUnsharded). Everything else — machine, tables,
 // placement, WAL, disk, faults, seed — lands in the key, automatically
 // including any field added to core.Config later.
 func keyConfig(h *resultstore.Hasher, cfg core.Config) {
 	cfg.Shards = 0
-	cfg.GlobalMinLookahead = false
 	h.Value(cfg)
 }
 

@@ -216,14 +216,14 @@ func runFig14Cell(machine *topology.Machine, n int, size int64, write bool, p fl
 	cfg := core.DefaultConfig(machine, n, size)
 	cfg.LocalOnly = p == 0
 	cfg.Seed = opt.Seed
-	// DiskHDD keeps the deployment on one shard (the array is a
+	// DiskHDD keeps the deployment on one event partition (the array is a
 	// machine-shared device), but the setting flows through so eligibility
-	// lives in one place — core.resolveShards.
+	// lives in one place — core.NewDeployment.
 	cfg.Shards = opt.Shards
 	cfg.Disk = core.DiskHDD
 	cfg.BufferPoolPagesTotal = bpPages
 	cfg.Prewarm = true
-	d := core.NewDeployment(cfg)
+	d := opt.deploy(cfg)
 	defer d.Close()
 	d.Start(workload.NewMicro(workload.MicroConfig{
 		Table: 1, GlobalRows: size, RowsPerTxn: 2, Write: write, PctMultisite: p,

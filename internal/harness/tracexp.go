@@ -77,7 +77,7 @@ func RecordTPCC(s TPCCSpec, opt Options) *trace.Trace {
 		Shards:    opt.Shards,
 		Tables:    decls,
 	}
-	d := core.NewDeployment(cfg)
+	d := opt.deploy(cfg)
 	defer d.Close()
 	mix := workload.NewMix(workload.MixConfig{
 		Warehouses:    s.Warehouses,

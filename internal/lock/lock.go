@@ -168,10 +168,11 @@ type Manager struct {
 	// instances).
 	Enabled bool
 
-	buckets [bucketCount]bucket
-	held    map[uint64]*ownerLocks
-	free    []*ownerLocks // recycled held sets (allocation-free steady state)
-	lines   []*mem.Line   // ReleaseAll scratch
+	buckets   [bucketCount]bucket
+	held      map[uint64]*ownerLocks
+	free      []*ownerLocks // recycled held sets (allocation-free steady state)
+	freeHeads []*head       // recycled lock heads, granted/waiters capacity kept
+	lines     []*mem.Line   // ReleaseAll scratch
 
 	// condemned marks a manager whose instance crashed: every waiter has
 	// been aborted and every new request dies immediately. The replacement
@@ -263,7 +264,12 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 
 	h := b.heads[key]
 	if h == nil {
-		h = &head{}
+		if n := len(m.freeHeads) - 1; n >= 0 {
+			h = m.freeHeads[n]
+			m.freeHeads = m.freeHeads[:n]
+		} else {
+			h = &head{}
+		}
 		b.heads[key] = h
 	}
 
@@ -414,7 +420,11 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 		}
 		m.dispatch(h)
 		if len(h.granted) == 0 && len(h.waiters) == 0 {
+			// Nobody holds or awaits the key, so nothing references the
+			// head: a waiter keeps its head alive until it is granted, and
+			// a grant until it is released.
 			delete(b.heads, hl.key)
+			m.freeHeads = append(m.freeHeads, h)
 		}
 	}
 	delete(m.held, owner)

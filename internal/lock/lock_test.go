@@ -318,3 +318,27 @@ func TestWaitTimeAccounting(t *testing.T) {
 		t.Errorf("WaitTime = %v", m.WaitTime)
 	}
 }
+
+// TestSteadyStateAcquireReleaseAllocatesNothing guards the free lists:
+// ReleaseAll deletes every head the transaction emptied, so each Acquire of
+// the next transaction creates its head anew — from recycled heads, grant
+// arrays and held set.
+func TestSteadyStateAcquireReleaseAllocatesNothing(t *testing.T) {
+	m := NewManager(true)
+	run(t, func(p *sim.Proc, ctx *exec.Ctx) {
+		owner := uint64(0)
+		txn := func() {
+			owner++
+			for i := int64(0); i < 10; i++ {
+				if err := m.Acquire(ctx, owner, Key{Space: 1, ID: i}, X); err != nil {
+					t.Fatalf("acquire: %v", err)
+				}
+			}
+			m.ReleaseAll(ctx, owner)
+		}
+		txn() // warm the free lists and the bucket maps
+		if allocs := testing.AllocsPerRun(100, txn); allocs != 0 {
+			t.Errorf("10 x Acquire + ReleaseAll allocates %v objects per transaction, want 0", allocs)
+		}
+	})
+}

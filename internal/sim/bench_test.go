@@ -122,3 +122,35 @@ func BenchmarkPushAfter(b *testing.B) {
 	k.Run()
 	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkCrossPartitionDelivery measures a message bouncing between two
+// event partitions on the default inline kernel: PushAfterFrom parks the
+// value in the destination queue's cross-partition slot table and posts a
+// pre-bound event to the destination's mailbox, the next window folds it
+// into the heap, and delivery releases the slot. Must report 0 allocs/op.
+func BenchmarkCrossPartitionDelivery(b *testing.B) {
+	const la = 100
+	k := NewSharded(2, la)
+	defer k.Close()
+	var doms [2]*Domain
+	var queues [2]*Queue[int]
+	for i := range doms {
+		doms[i] = k.NewDomain(i)
+		queues[i] = NewQueueIn[int](doms[i])
+	}
+	for i := range doms {
+		i := i
+		doms[i].Spawn("bounce", func(p *Proc) {
+			for n := i; n < b.N; n += 2 {
+				if n > 0 {
+					queues[i].Pop(p)
+				}
+				queues[1-i].PushAfterFrom(doms[i], la, n)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
+}

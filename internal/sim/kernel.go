@@ -118,11 +118,13 @@ const (
 	maxHorizon Time = math.MaxInt64
 )
 
-// shard is one independently-advancing slice of the timeline: a clock, an
-// event heap, and an inbound mailbox for events scheduled by domains living
-// on other shards. A single-shard kernel is exactly the classic sequential
-// kernel; a multi-shard kernel runs each shard's events on its own goroutine
-// between conservative synchronization barriers (see parallel.go).
+// shard is one event partition: an independently-advancing slice of the
+// timeline with its own clock, event heap, and inbound mailbox for events
+// scheduled by domains living on other partitions. A single-shard kernel is
+// exactly the classic sequential kernel; a multi-shard kernel advances its
+// partitions window by window between conservative synchronization points
+// (see parallel.go). Partitions are independent of host goroutines: by
+// default the caller's goroutine runs every partition's window in turn.
 type shard struct {
 	k  *Kernel
 	id int
@@ -131,9 +133,9 @@ type shard struct {
 
 	// horizon bounds the kernel-context fast path: a Proc may consume
 	// virtual time inline (without parking in the heap and handing control
-	// to the event loop) only up to this timestamp. Run lifts it to
-	// maxHorizon; RunUntil(t) sets it to t; windowed parallel execution pins
-	// it to the window's limit; single Step calls pin it to noHorizon so
+	// to the event loop) only up to this timestamp. Every window pins it to
+	// the partition's window limit (on a single-shard kernel that is the
+	// Run/RunUntil bound itself); single Step calls pin it to noHorizon so
 	// exactly one event runs.
 	horizon Time
 
@@ -141,14 +143,15 @@ type shard struct {
 	nEvents uint64
 
 	// inbox receives events scheduled cross-shard, already carrying their
-	// final (at, dom, seq) keys; the coordinator folds them into the heap at
-	// window barriers, which is safe because conservative lookahead
-	// guarantees they are due no earlier than the next window.
+	// final (at, dom, seq) keys; the coordinator folds them into the heap
+	// between windows, which is safe because conservative lookahead
+	// guarantees they are due no earlier than the next window. inMu also
+	// guards the cross-partition slot tables of the shard's queues.
 	inMu  sync.Mutex
 	inbox []event
 
-	// Worker-goroutine plumbing; nil until a multi-shard run starts.
-	limit    chan Time
+	// panicked holds a panic captured while a worker goroutine ran this
+	// shard's window, until the coordinator re-raises it.
 	panicked any
 }
 
@@ -172,8 +175,8 @@ func (sh *shard) step() bool {
 }
 
 // dispatch executes one popped event. Proc panics and kernel-context
-// callback panics both unwind through here into Step/Run (on a worker
-// goroutine they are captured and re-raised at the window barrier).
+// callback panics both unwind through here into Step/Run (with several
+// workers they are captured and re-raised when the window's workers join).
 func (sh *shard) dispatch(e *event) {
 	switch {
 	case e.proc != nil:
@@ -190,20 +193,14 @@ func (sh *shard) dispatch(e *event) {
 	}
 }
 
-// Kernel owns the virtual clocks, the event shards, and all Procs.
-// A single-shard kernel (NewKernel) is not safe for concurrent use; the
-// simulation itself provides all the concurrency that is being modeled. A
-// multi-shard kernel (NewSharded) runs its shards concurrently internally,
-// but its public methods must still be called from one driver goroutine.
+// Kernel owns the virtual clocks, the event shards, and all Procs. It is
+// not safe for concurrent use: the simulation itself provides all the
+// concurrency that is being modeled, and public methods must be called from
+// one driver goroutine. Only a kernel given more than one worker
+// (SetWorkers) runs shards concurrently, internally, inside Run/RunUntil.
 type Kernel struct {
 	shards  []*shard
 	domains []*Domain
-
-	// la is the scalar conservative lookahead: the minimum virtual delay of
-	// any cross-shard delivery, over every declared shard pair. It survives
-	// as the back-compat Lookahead() accessor and the floor reported in
-	// panic messages; window computation uses the pairwise matrices below.
-	la Time
 
 	// laPair is the dense shards x shards matrix of direct delivery floors:
 	// laPair[i*n+j] is the minimum delay of any PushAfterFrom whose
@@ -218,24 +215,28 @@ type Kernel struct {
 	laPair []Time
 	laDist []Time
 
-	// mins/limits are per-window scratch (next-event time and window limit
-	// per shard); windows counts synchronization windows executed and
-	// wakeups counts per-shard barrier crossings (the sum of released
-	// shards over all windows) — the synchronization work that
-	// distance-aware lookahead exists to reduce. globalWindows forces the
-	// pre-matrix windowing policy (one global window [m, m+min(la)) for
-	// every shard) as a measurable ablation.
-	mins          []Time
-	limits        []Time
-	windows       uint64
-	wakeups       uint64
-	globalWindows bool
+	// mins is per-window scratch (every shard's next-event time) and
+	// runnable the shards released into the current window, in index order;
+	// windows counts synchronization windows executed and wakeups counts
+	// per-shard window entries (the sum of released shards over all
+	// windows) — the synchronization work that distance-aware lookahead
+	// exists to reduce.
+	mins     []Time
+	runnable []*shard
+	windows  uint64
+	wakeups  uint64
 
 	procMu sync.Mutex
 	procs  []*Proc
 
-	workersOn bool
-	wg        sync.WaitGroup
+	// Worker plumbing (parallel.go). workers is how many goroutines execute
+	// a window's runnable shards, the caller's included; start[w-1] feeds
+	// helper goroutine w one token per window it has work in, and is empty
+	// until the first multi-worker window.
+	workers int
+	start   []chan struct{}
+	joined  sync.WaitGroup // helpers still inside the current window
+	exited  sync.WaitGroup // helpers that have not returned yet
 }
 
 // noChannel marks a shard pair with no declared delivery channel: no
@@ -254,16 +255,17 @@ func addClamp(a, b Time) Time {
 // NewKernel returns an empty single-shard kernel at virtual time zero.
 func NewKernel() *Kernel { return NewSharded(1, 0) }
 
-// NewSharded returns a kernel with the given number of event shards and a
-// uniform conservative lookahead. Lookahead must be positive when
-// shards > 1: it is the floor under every cross-shard delivery delay
-// (PushAfterFrom panics on anything shorter), and the window width that lets
-// shards advance without waiting on each other. Domains created with
-// NewDomain choose their shard; determinism is independent of that mapping,
-// so NewSharded(1, la) and NewSharded(n, la) produce bit-identical
-// simulations. Deployments that know their topology's distance structure
-// should prefer NewShardedMatrix: per-pair floors widen windows for shards
-// whose nearest neighbors are far apart.
+// NewSharded returns a kernel with the given number of event shards
+// (partitions) and a uniform conservative lookahead. Lookahead must be
+// positive when shards > 1: it is the floor under every cross-shard delivery
+// delay (PushAfterFrom panics on anything shorter), and the window width
+// that lets shards advance without waiting on each other. Domains created
+// with NewDomain choose their shard; determinism is independent of that
+// mapping and of the worker count (SetWorkers), so NewSharded(1, la) and
+// NewSharded(n, la) produce bit-identical simulations. Deployments that know
+// their topology's distance structure should prefer NewShardedMatrix:
+// per-pair floors widen windows for shards whose nearest neighbors are far
+// apart.
 func NewSharded(shards int, lookahead Time) *Kernel {
 	if shards < 1 {
 		panic("sim: kernel needs >= 1 shard")
@@ -319,9 +321,6 @@ func NewShardedMatrix(la [][]Time) *Kernel {
 				k.laPair[i*n+j] = noChannel
 			default:
 				k.laPair[i*n+j] = v
-				if k.la == 0 || v < k.la {
-					k.la = v
-				}
 			}
 		}
 	}
@@ -349,16 +348,29 @@ func NewShardedMatrix(la [][]Time) *Kernel {
 		}
 	}
 	k.mins = make([]Time, n)
-	k.limits = make([]Time, n)
+	k.runnable = make([]*shard, 0, n)
+	k.workers = 1
 	return k
 }
 
+// SetWorkers sets how many host goroutines execute the runnable shards of
+// each window: 1 (the default) runs them in index order on the goroutine
+// that called Run/RunUntil and starts no goroutine at all; n > 1 deals them
+// to n workers in contiguous blocks, clamped to the shard count and to 64 —
+// the caller plus n-1 helper goroutines that live until Close. The
+// simulation is bit-identical at every worker count: shards inside their
+// windows are causally independent, and event keys never depend on which
+// goroutine ran them. Only wall-clock time changes. Call while the kernel is
+// idle.
+func (k *Kernel) SetWorkers(n int) {
+	k.workers = max(1, min(n, len(k.shards), 64))
+}
+
+// Workers returns the worker count set by SetWorkers (1 by default).
+func (k *Kernel) Workers() int { return k.workers }
+
 // Shards returns the number of event shards.
 func (k *Kernel) Shards() int { return len(k.shards) }
-
-// Lookahead returns the minimum conservative lookahead over all declared
-// shard pairs (0 for single-shard kernels built by NewKernel).
-func (k *Kernel) Lookahead() Time { return k.la }
 
 // LookaheadTo returns the conservative lookahead of the from->to shard
 // channel, or 0 when the pair has no declared channel (or from == to).
@@ -370,9 +382,9 @@ func (k *Kernel) LookaheadTo(from, to int) Time {
 	return v
 }
 
-// Windows returns the number of synchronization windows (global barrier
-// rounds) executed by multi-shard runs so far. Always 0 on a single-shard
-// kernel.
+// Windows returns the number of synchronization windows executed so far;
+// the count depends on the shard layout, never on the worker count. A
+// single-shard kernel runs one window per Run/RunUntil call that found work.
 //
 // Under a saturated workload on a symmetric fabric the round count is a
 // policy invariant: the steady-state virtual-time advance per round equals
@@ -382,28 +394,19 @@ func (k *Kernel) LookaheadTo(from, to int) Time {
 // windows actually shrink is Wakeups.
 func (k *Kernel) Windows() uint64 { return k.windows }
 
-// Wakeups returns the total number of per-shard barrier crossings — the sum
+// Wakeups returns the total number of per-shard window entries — the sum
 // over windows of shards released into that window. This is the real cost of
-// conservative synchronization (channel send + goroutine wakeup + WaitGroup
-// join per released shard, cache-warming its heap each round). Under the
-// distance-aware matrix, shards whose window limits run far beyond their
-// neighbors execute in wide bursts and sit out the rounds in between; under
-// the global-min policy every shard with any runnable event is woken every
-// round. Always 0 on a single-shard kernel.
+// conservative synchronization (re-entering a shard's event loop, and
+// cache-warming its heap, once per round). Under the distance-aware matrix,
+// shards whose window limits run far beyond their neighbors execute in wide
+// bursts and sit out the rounds in between; under a uniform minimum
+// lookahead every shard with any runnable event is released every round.
 func (k *Kernel) Wakeups() uint64 { return k.wakeups }
 
-// SetGlobalMinWindows toggles the windowing-policy ablation: when on, every
-// window is the classic global [m, m+min(la)) over the minimum scalar
-// lookahead, regardless of the pair matrix — the policy distance-aware
-// windows replaced. Results are bit-identical either way (window boundaries
-// never affect event keys); only the barrier count and wall-clock change.
-// Benchmarks use it to quantify the reduction.
-func (k *Kernel) SetGlobalMinWindows(on bool) { k.globalWindows = on }
-
-// Now returns the current virtual time. Between Run/RunUntil calls every
-// shard's clock agrees; while a multi-shard window is executing, per-shard
-// clocks diverge within the window and Proc.Now/Domain.Now are the
-// authoritative local clocks.
+// Now returns the current virtual time. After RunUntil every shard's clock
+// agrees; while a multi-shard window is executing, per-shard clocks diverge
+// within the window and Proc.Now/Domain.Now are the authoritative local
+// clocks.
 func (k *Kernel) Now() Time { return k.shards[0].now }
 
 func (k *Kernel) maxNow() Time {
@@ -455,61 +458,52 @@ func (k *Kernel) After(d Time, fn func()) { k.domains[0].After(d, fn) }
 // Procs woken by the event park in the heap for any further time they
 // consume, so repeated Step calls interleave exactly like Run. On a
 // multi-shard kernel the globally-earliest event (by its canonical key)
-// runs, sequentially.
+// runs.
 func (k *Kernel) Step() bool {
-	if len(k.shards) > 1 {
-		return k.stepSharded()
+	k.drainInboxes()
+	var best *shard
+	for _, sh := range k.shards {
+		if sh.heap.empty() {
+			continue
+		}
+		if best == nil || sh.heap.ev[0].before(&best.heap.ev[0]) {
+			best = sh
+		}
 	}
-	sh := k.shards[0]
-	sh.horizon = noHorizon
-	return sh.step()
+	if best == nil {
+		return false
+	}
+	best.horizon = noHorizon
+	return best.step()
 }
 
 // Run executes events until the timeline is empty. Procs parked on empty
 // queues or condition variables do not keep the simulation alive.
-func (k *Kernel) Run() {
-	if len(k.shards) > 1 {
-		k.runSharded()
-		return
-	}
-	sh := k.shards[0]
-	sh.horizon = maxHorizon
-	for sh.step() {
-	}
-	sh.horizon = noHorizon
-}
+func (k *Kernel) Run() { k.runWindows(maxHorizon) }
 
-// RunUntil executes events with timestamps <= t and then advances the clock
-// to exactly t (every shard's clock, on a multi-shard kernel).
+// RunUntil executes events with timestamps <= t and then advances every
+// shard's clock to exactly t.
 func (k *Kernel) RunUntil(t Time) {
-	if len(k.shards) > 1 {
-		k.runUntilSharded(t)
-		return
-	}
-	sh := k.shards[0]
-	sh.horizon = t
-	for !sh.heap.empty() && sh.heap.ev[0].at <= t {
-		sh.step()
-	}
-	sh.horizon = noHorizon
-	if sh.now < t {
-		sh.now = t
+	k.runWindows(t)
+	for _, sh := range k.shards {
+		if sh.now < t {
+			sh.now = t
+		}
 	}
 }
 
 // RunFor executes events for d of virtual time from now.
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.maxNow() + d) }
 
-// Close kills every live Proc so their coroutines exit, and stops any shard
-// worker goroutines. The kernel must be idle (called from outside Run). A
-// closed kernel must not be reused.
+// Close kills every live Proc so their coroutines exit, and stops any
+// helper goroutines, returning once they have exited. The kernel must be
+// idle (called from outside Run). A closed kernel must not be reused.
 func (k *Kernel) Close() {
-	if k.workersOn {
-		k.workersOn = false
-		for _, sh := range k.shards {
-			close(sh.limit)
-		}
+	for _, c := range k.start {
+		close(c)
 	}
+	k.exited.Wait()
+	k.start = nil
 	k.procMu.Lock()
 	procs := k.procs
 	k.procs = nil

@@ -6,10 +6,11 @@ import "fmt"
 // Pop blocks the calling Proc until an item is available. PushAfter models
 // delivery latency (e.g. a message crossing the interconnect).
 //
-// A queue is owned by a domain (NewQueueIn); its consumers and same-shard
-// producers run on that domain's shard. Producers on *other* shards must use
-// PushAfterFrom, which routes through the destination shard's inbound
-// mailbox under the kernel's conservative lookahead.
+// A queue is owned by a domain (NewQueueIn); its consumers and
+// same-partition producers run on that domain's event partition. Producers
+// on *other* partitions must use PushAfterFrom, which routes through the
+// destination partition's inbound mailbox under the kernel's conservative
+// lookahead.
 //
 // A queue can alternatively feed a kernel-context consumer registered with
 // PopFunc: items are then handed to the callback synchronously at delivery
@@ -21,12 +22,17 @@ type Queue[T any] struct {
 	waiters fifo[*Proc]
 	popFn   func(T)
 
-	// Deferred-delivery buffer for PushAfter: values park in slots, and the
-	// timeline holds one pre-bound (deliver, slot) event per pending value,
-	// so a delayed push costs no per-event closure allocation.
-	deliver   func(uint32)
-	slots     []T
-	freeSlots []uint32
+	// Deferred-delivery buffers: values park in slots, and the timeline
+	// holds one pre-bound (deliver, slot) event per pending value, so a
+	// delayed push costs no per-event closure allocation. local serves
+	// producers on the queue's own partition and is touched by that
+	// partition alone; cross serves producers on other partitions, which may
+	// run on other goroutines, so it is only touched under the owning
+	// partition's inbox mutex.
+	deliver      func(uint32)
+	local        slotTable[T]
+	deliverCross func(uint32)
+	cross        slotTable[T]
 
 	// Pushes and Pops count completed operations; MaxDepth tracks the
 	// high-water mark of queued items (a congestion probe).
@@ -45,10 +51,36 @@ func NewQueueIn[T any](d *Domain) *Queue[T] {
 	return &Queue[T]{dom: d}
 }
 
+// slotTable parks values awaiting deferred delivery; released slots are
+// reused, so a steady stream of deliveries allocates nothing.
+type slotTable[T any] struct {
+	vals []T
+	free []uint32
+}
+
+func (t *slotTable[T]) put(v T) uint32 {
+	if n := len(t.free) - 1; n >= 0 {
+		slot := t.free[n]
+		t.free = t.free[:n]
+		t.vals[slot] = v
+		return slot
+	}
+	t.vals = append(t.vals, v)
+	return uint32(len(t.vals) - 1)
+}
+
+func (t *slotTable[T]) take(slot uint32) T {
+	v := t.vals[slot]
+	var zero T
+	t.vals[slot] = zero
+	t.free = append(t.free, slot)
+	return v
+}
+
 // Push enqueues v immediately and wakes one waiting Proc, if any.
 // It never blocks, so it may be called from kernel-context functions.
 // With a PopFunc registered, v is handed to the consumer instead.
-// Must be called from the owning domain's shard.
+// Must be called from the owning domain's partition.
 func (q *Queue[T]) Push(v T) {
 	q.Pushes++
 	if q.popFn != nil {
@@ -66,7 +98,7 @@ func (q *Queue[T]) Push(v T) {
 }
 
 // PushAfter enqueues v after d of virtual time has passed, keyed by the
-// queue's own domain. Must be called from the owning domain's shard.
+// queue's own domain. Must be called from the owning domain's partition.
 func (q *Queue[T]) PushAfter(d Time, v T) {
 	q.pushAfterKeyed(q.dom, d, v)
 }
@@ -75,14 +107,17 @@ func (q *Queue[T]) PushAfter(d Time, v T) {
 // scheduling domain src — the one whose activity causes the delivery (a
 // message's sender). The (at, src, srcSeq) key is assigned here, at schedule
 // time, so delivery order is identical whether src and the queue share a
-// shard or not.
+// partition or not.
 //
-// When src lives on a different shard than the queue's owner, the event is
-// routed through the destination shard's inbound mailbox; dur must then be
-// at least the conservative lookahead declared for that shard pair, or the
-// delivery could land inside the destination's current execution window and
-// break determinism — that is a topology-wiring bug, and PushAfterFrom
-// panics loudly rather than silently corrupting the timeline.
+// When src lives on a different partition than the queue's owner, the event
+// is routed through the destination partition's inbound mailbox; dur must
+// then be at least the conservative lookahead declared for that partition
+// pair, or the delivery could land inside the destination's current
+// execution window and break determinism — that is a topology-wiring bug,
+// and PushAfterFrom panics loudly rather than silently corrupting the
+// timeline. The value parks in the queue's cross-partition slot table and
+// the mailbox entry is a pre-bound (deliverCross, slot) event, so the
+// steady state allocates nothing per message.
 func (q *Queue[T]) PushAfterFrom(src *Domain, dur Time, v T) {
 	dst := q.dom.sh
 	if src.sh == dst {
@@ -103,8 +138,12 @@ func (q *Queue[T]) PushAfterFrom(src *Domain, dur Time, v T) {
 				"(same-island traffic belongs on a single shard)", dur, src.sh.id, dst.id, floor))
 	}
 	src.seq++
-	e := event{at: src.sh.now + dur, dom: src.id, seq: src.seq, fn: func() { q.Push(v) }}
+	e := event{at: src.sh.now + dur, dom: src.id, seq: src.seq}
 	dst.inMu.Lock()
+	if q.deliverCross == nil {
+		q.deliverCross = q.deliverCrossSlot
+	}
+	e.fnArg, e.arg = q.deliverCross, q.cross.put(v)
 	dst.inbox = append(dst.inbox, e)
 	dst.inMu.Unlock()
 }
@@ -113,23 +152,18 @@ func (q *Queue[T]) pushAfterKeyed(src *Domain, d Time, v T) {
 	if q.deliver == nil {
 		q.deliver = q.deliverSlot
 	}
-	var slot uint32
-	if n := len(q.freeSlots) - 1; n >= 0 {
-		slot = q.freeSlots[n]
-		q.freeSlots = q.freeSlots[:n]
-		q.slots[slot] = v
-	} else {
-		slot = uint32(len(q.slots))
-		q.slots = append(q.slots, v)
-	}
-	src.scheduleArg(q.dom.sh.now+d, q.deliver, slot)
+	src.scheduleArg(q.dom.sh.now+d, q.deliver, q.local.put(v))
 }
 
-func (q *Queue[T]) deliverSlot(slot uint32) {
-	v := q.slots[slot]
-	var zero T
-	q.slots[slot] = zero
-	q.freeSlots = append(q.freeSlots, slot)
+func (q *Queue[T]) deliverSlot(slot uint32) { q.Push(q.local.take(slot)) }
+
+// deliverCrossSlot runs on the queue's own partition; senders on other
+// partitions may be reserving slots concurrently, hence the mutex.
+func (q *Queue[T]) deliverCrossSlot(slot uint32) {
+	sh := q.dom.sh
+	sh.inMu.Lock()
+	v := q.cross.take(slot)
+	sh.inMu.Unlock()
 	q.Push(v)
 }
 
