@@ -499,8 +499,17 @@ func (d *Deployment) Start(src engine.RequestSource) {
 	}
 }
 
-// Close tears down the simulation (kills all threads).
-func (d *Deployment) Close() { d.Kernel.Close() }
+// Close tears down the simulation: it kills all threads, then — nothing can
+// touch a page any more — releases every instance's page memory for the next
+// deployment to reuse. The instances' storage is unusable afterwards; read
+// whatever you need (buffer-pool counters, SumRowVersions) before closing.
+// Closing twice is harmless.
+func (d *Deployment) Close() {
+	d.Kernel.Close()
+	for _, in := range d.Instances {
+		in.Close()
+	}
+}
 
 // Label returns the paper's configuration label, e.g. "24ISL" or "1ISL".
 func (d *Deployment) Label() string {

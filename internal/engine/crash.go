@@ -84,7 +84,10 @@ func (in *Instance) Restore() sim.Time {
 
 	// Fresh storage, freshly loaded tables — the same bring-up as
 	// NewInstance. The buffer pool starts cold: the post-recovery cache-miss
-	// burst is part of the measured recovery dip.
+	// burst is part of the measured recovery dip. The crashed store is
+	// dropped, not Released: threads of the dead epoch may still hold its
+	// pages until they notice the epoch change, so its chunks must not
+	// reach another store — the garbage collector takes them.
 	in.store = storage.NewPageStore()
 	in.tables = make(map[storage.TableID]*tableState)
 	for _, spec := range in.opts.Tables {

@@ -322,3 +322,108 @@ func TestConflictingUpdatesSerializeViaWaitDie(t *testing.T) {
 	})
 	k.RunFor(100 * sim.Microsecond)
 }
+
+// soloInstance builds one instance of 2400 rows on the first `workers` cores
+// of the quad-socket machine, with tweak applied to the default options.
+func soloInstance(k *sim.Kernel, workers int, tweak func(*Options)) *Instance {
+	topo := topology.QuadSocket()
+	opts := DefaultOptions(TableSpec{ID: 1, Name: "rows", RowBytes: 250, LocalRows: 2400})
+	tweak(&opts)
+	in := NewInstance(k, topo, mem.NewModel(topo), ipc.NewNetwork[Msg](k, topo, ipc.UnixSocket),
+		0, topology.IslandPartition(topo, 1)[0][:workers], rangePart{instances: 1, rows: 2400}, nil, opts)
+	in.Connect([]*Instance{in})
+	return in
+}
+
+// TestSumRowVersionsIsReadOnly: on a dirtied table that is partly resident,
+// partly evicted to retained images and partly never touched, the snapshot
+// sum moves no storage counter and fetches no page, and equals what the
+// fetch-everything implementation it replaced computes.
+func TestSumRowVersionsIsReadOnly(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	in := soloInstance(k, 2, func(o *Options) {
+		o.BufferPoolPages = 16 // of 78: most dirtied pages get evicted
+	})
+	var reqs []Request
+	for key := int64(0); key < 1800; key += 37 { // leaves the table's tail untouched
+		reqs = append(reqs, Request{Ops: []Op{{Table: 1, Key: key, Kind: OpUpdate}, {Table: 1, Key: key + 1, Kind: OpRead}}})
+	}
+	in.StartWorkersOnly(newFixedSource(reqs...))
+	k.RunFor(3 * sim.Millisecond)
+
+	type counters struct {
+		synthesized, restored, hits, misses, evictions, writeBacks uint64
+		images, resident                                           int
+	}
+	snap := func() counters {
+		return counters{in.store.Synthesized, in.store.Restored, in.bp.Hits, in.bp.Misses,
+			in.bp.Evictions, in.bp.DirtyWriteBacks, in.store.ImageCount(), in.bp.Resident()}
+	}
+	before := snap()
+	if before.images == 0 || before.resident != 16 || in.Stats.RowsCommitted == 0 {
+		t.Fatalf("setup: %d images, %d resident, %d rows committed; want evicted dirty pages and a full pool",
+			before.images, before.resident, in.Stats.RowsCommitted)
+	}
+	got := in.SumRowVersions()
+	if after := snap(); after != before {
+		t.Errorf("SumRowVersions moved storage state:\n before %+v\n after  %+v", before, after)
+	}
+
+	// The old implementation: fetch every non-resident page and read every row.
+	var want uint64
+	def := in.TableDef(1)
+	for no := int64(0); no < def.NumPages(); no++ {
+		id := storage.PageID{Table: 1, No: no}
+		pg := in.bp.Peek(id)
+		if pg == nil {
+			pg = in.store.Fetch(id)
+		}
+		for s := 0; s < pg.NumSlots(); s++ {
+			if row, ok := pg.Get(uint16(s)); ok {
+				want += storage.RowVersion(row)
+			}
+		}
+	}
+	if got != want || got < in.Stats.RowsCommitted {
+		t.Errorf("SumRowVersions = %d, fetch-everything sum = %d, rows committed = %d", got, want, in.Stats.RowsCommitted)
+	}
+}
+
+// TestRestoreKeepsCrashedStoreOutOfThePool: threads of the dead epoch may
+// still hold pages of the crashed store, so Restore must leave its chunks to
+// the garbage collector; only Close releases, and only the live store.
+func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	in := soloInstance(k, 1, func(o *Options) { o.Wal.Retain = true })
+	in.EnableFaultMode()
+	in.StartWorkersOnly(newFixedSource(Request{Ops: []Op{{Table: 1, Key: 5, Kind: OpUpdate}}}))
+	k.RunFor(sim.Millisecond)
+
+	crashed := in.store
+	held := crashed.Fetch(storage.PageID{Table: 1, No: 3}) // a page a dead-epoch thread still holds
+	in.Crash()
+	in.Restore()
+	in.Reopen()
+	if in.store == crashed {
+		t.Fatal("Restore kept the crashed store")
+	}
+	if row, ok := held.Get(0); !ok || storage.RowKey(row) != 3*in.TableDef(1).RowsPerPage() {
+		t.Error("page of the crashed store became unreadable after Restore")
+	}
+	if crashed.Tables() != 1 {
+		t.Error("Restore released the crashed store")
+	}
+	in.Close()
+	in.Close()
+	if in.store != nil || in.bp != nil {
+		t.Error("Close kept the storage references")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SumRowVersions after Close did not panic")
+		}
+	}()
+	in.SumRowVersions()
+}

@@ -301,8 +301,10 @@ func (in *Instance) Locks() *lock.Manager { return in.locks }
 func (in *Instance) WorkingSet() *mem.WorkingSet { return &in.ws }
 
 // SumRowVersions sums the row version counters of every table, reading the
-// current buffer-pool state without consuming any virtual time: a
-// consistent instantaneous snapshot. With strict two-phase locking, at any
+// current buffer-pool and page-store state without consuming any virtual
+// time and without changing either (no page is fetched, no row synthesized,
+// no counter moves): a consistent instantaneous snapshot. A page that is
+// neither resident nor retained as a dirty image holds only version-0 rows. With strict two-phase locking, at any
 // instant the machine-wide sum equals the machine-wide committed row
 // updates plus the bumps of in-flight transactions (at most one transaction
 // per worker thread): the atomicity invariant used by failure-injection
@@ -311,18 +313,28 @@ func (in *Instance) SumRowVersions() uint64 {
 	var sum uint64
 	for _, ts := range in.sortedTables() {
 		for no := int64(0); no < ts.def.NumPages(); no++ {
-			pg := in.bp.Peek(storage.PageID{Table: ts.def.ID, No: no})
-			if pg == nil {
-				pg = in.store.Fetch(storage.PageID{Table: ts.def.ID, No: no})
-			}
-			for s := 0; s < pg.NumSlots(); s++ {
-				if row, ok := pg.Get(uint16(s)); ok {
-					sum += storage.RowVersion(row)
-				}
+			id := storage.PageID{Table: ts.def.ID, No: no}
+			if pg := in.bp.Peek(id); pg != nil {
+				sum += pg.RowVersionSum()
+			} else {
+				sum += in.store.RetainedRowVersionSum(id)
 			}
 		}
 	}
 	return sum
+}
+
+// Close hands the instance's page memory back to the process-wide chunk
+// pool and drops the buffer pool and page store, so a later Fix, Peek or
+// SumRowVersions panics instead of reading memory another deployment now
+// owns. The caller guarantees no thread of the instance will run again
+// (core.Deployment.Close kills them first). Closing twice is harmless.
+func (in *Instance) Close() {
+	if in.store == nil {
+		return
+	}
+	in.store.Release()
+	in.store, in.bp = nil, nil
 }
 
 func (in *Instance) sortedTables() []*tableState {

@@ -208,7 +208,8 @@ func (t *Txn) insertRow(ctx *exec.Ctx, ts *tableState) error {
 	rid := want
 	row, ok := pg.Get(want.Slot)
 	if ok && storage.RowKey(row) == key {
-		// Freshly synthesized page already materialized the row.
+		// The page was formatted after NumRows grew, so it already has a
+		// slot for the key; Get just synthesized the row.
 	} else {
 		// The scratch is used strictly synchronously: Insert copies it into
 		// the page before any virtual time can pass, and row then aliases

@@ -332,3 +332,33 @@ func BenchmarkStudyDispatch(b *testing.B) {
 		noopStudy(64).Run(opt)
 	}
 }
+
+// TestPrewarmedCellMatchesGolden pins one Prewarm-ed cell (Figure 14 is the
+// only experiment that prewarms its buffer pools) to its line of the golden
+// fingerprint, so the check survives -short: prewarmed pages are formatted
+// like any missed page and must behave exactly as when they were synthesized
+// in full.
+func TestPrewarmedCellMatchesGolden(t *testing.T) {
+	const line = "fig14/update, 0% multisite/24ISL/0.24M = "
+	golden, err := os.ReadFile("testdata/quick_fingerprint_seed42.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(golden), line)
+	if !ok {
+		t.Fatalf("golden has no line %q", line)
+	}
+	want, _, _ := strings.Cut(rest, "\n")
+
+	opt := Options{Quick: true, Seed: 42}
+	for _, c := range studyFig14(opt).Cells {
+		if c.Name != "fig14/update/p=0%/24ISL/rows=0.24M" {
+			continue
+		}
+		if got := fmt.Sprintf("%.9g", c.Emits[0].Metric(c.Run(opt))); got != want {
+			t.Errorf("%s = %s KTps, golden says %s", c.Name, got, want)
+		}
+		return
+	}
+	t.Fatal("fig14 has no such cell")
+}

@@ -27,8 +27,11 @@ type BufferPool struct {
 	disk     *Disk
 	capacity int
 
-	frames map[PageID]*frame
-	ring   []*frame
+	// frames indexes the cached pages by packed page id (see frameKey);
+	// the per-frame state (pins, ref bit, loading, waiters) lives in the
+	// Page itself, so a miss allocates one object and Unfix needs no probe.
+	frames map[uint64]*Page
+	ring   []*Page
 	hand   int
 
 	bucketLines [bucketLineCount]mem.Line
@@ -36,12 +39,14 @@ type BufferPool struct {
 	Hits, Misses, Evictions, DirtyWriteBacks uint64
 }
 
-type frame struct {
-	page    *Page
-	pins    int
-	ref     bool
-	loading bool
-	waiters []*sim.Proc
+// frameKey packs a page id into one word, which keeps the frame table on
+// the runtime's fast 64-bit map path: 40 bits of page number (8 PB of
+// pages) under 24 bits of table id.
+func frameKey(id PageID) uint64 {
+	if uint64(id.No)>>40 != 0 || uint32(id.Table)>>24 != 0 {
+		panic("storage: page id out of range: " + id.String())
+	}
+	return uint64(id.Table)<<40 | uint64(id.No)
 }
 
 // NewBufferPool builds a pool of `capacity` pages over store, performing
@@ -54,7 +59,7 @@ func NewBufferPool(store *PageStore, disk *Disk, capacity int) *BufferPool {
 		store:    store,
 		disk:     disk,
 		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
+		frames:   make(map[uint64]*Page, capacity),
 	}
 }
 
@@ -76,29 +81,31 @@ func (bp *BufferPool) bucketLine(id PageID) *mem.Line {
 // after), so two threads missing on the same page produce one frame: the
 // second waits for the first's I/O, as with a real pool's I/O latch.
 func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
-	if f, ok := bp.frames[id]; ok {
+	key := frameKey(id)
+	if p, ok := bp.frames[key]; ok {
 		bp.Hits++
-		f.pins++
-		f.ref = true
+		p.pins++
+		p.ref = true
 		ctx.Charge(CostFixCPU)
 		ctx.WriteLine(bp.bucketLine(id))
-		if f.loading {
+		if p.loading {
 			prev := ctx.Bucket(exec.BIO)
 			ctx.Block(func() {
-				for f.loading {
-					f.waiters = append(f.waiters, ctx.P)
+				for p.loading {
+					p.waiters = append(p.waiters, ctx.P)
 					ctx.P.Park()
 				}
 			})
 			ctx.Bucket(prev)
 		}
-		return f.page
+		return p
 	}
 	bp.Misses++
-	// Reserve the frame before any time passes.
-	f := &frame{pins: 1, ref: true, loading: true}
-	bp.frames[id] = f
-	bp.ring = append(bp.ring, f)
+	// Reserve the frame before any time passes; the page's contents arrive
+	// after the I/O (loading guards them).
+	p := &Page{ID: id, pins: 1, ref: true, loading: true}
+	bp.frames[key] = p
+	bp.ring = append(bp.ring, p)
 	if len(bp.frames) > bp.capacity {
 		bp.evict(ctx)
 	}
@@ -107,26 +114,25 @@ func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
 	prev := ctx.Bucket(exec.BIO)
 	bp.disk.Read(ctx)
 	ctx.Bucket(prev)
-	f.page = bp.store.Fetch(id)
-	f.loading = false
-	for _, w := range f.waiters {
+	bp.store.fetchInto(p)
+	p.loading = false
+	for _, w := range p.waiters {
 		w.Unpark()
 	}
-	f.waiters = nil
-	return f.page
+	p.waiters = nil
+	return p
 }
 
 // Unfix unpins the page; dirty marks it modified.
 func (bp *BufferPool) Unfix(ctx *exec.Ctx, p *Page, dirty bool) {
 	ctx.Charge(CostUnfixCPU)
-	f, ok := bp.frames[p.ID]
-	if !ok || f.pins <= 0 {
+	if p.pins <= 0 {
 		panic("storage: Unfix of page that is not fixed: " + p.ID.String())
 	}
 	if dirty {
-		f.page.Dirty = true
+		p.Dirty = true
 	}
-	f.pins--
+	p.pins--
 }
 
 // evict selects a clock victim and removes it from the table atomically;
@@ -139,27 +145,27 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 			break
 		}
 		bp.hand %= len(bp.ring)
-		f := bp.ring[bp.hand]
-		if f.pins > 0 || f.loading {
+		p := bp.ring[bp.hand]
+		if p.pins > 0 || p.loading {
 			bp.hand++
 			continue
 		}
-		if f.ref {
-			f.ref = false
+		if p.ref {
+			p.ref = false
 			bp.hand++
 			continue
 		}
 		// Victim found: unhook, persist image, then pay for the write.
 		bp.Evictions++
-		delete(bp.frames, f.page.ID)
+		delete(bp.frames, frameKey(p.ID))
 		bp.ring = append(bp.ring[:bp.hand], bp.ring[bp.hand+1:]...)
-		dirty := f.page.Dirty
+		dirty := p.Dirty
 		if dirty {
 			bp.DirtyWriteBacks++
-			bp.store.WriteBack(f.page)
-			f.page.Dirty = false
+			bp.store.WriteBack(p)
+			p.Dirty = false
 		}
-		bp.store.Recycle(f.page)
+		bp.store.Recycle(p)
 		if dirty {
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
@@ -173,8 +179,8 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 // Peek returns the cached page for id without pinning, charging, or
 // faulting it in; nil when not resident. Diagnostic use only.
 func (bp *BufferPool) Peek(id PageID) *Page {
-	if f, ok := bp.frames[id]; ok && !f.loading {
-		return f.page
+	if p, ok := bp.frames[frameKey(id)]; ok && !p.loading {
+		return p
 	}
 	return nil
 }
@@ -191,12 +197,12 @@ func (bp *BufferPool) Prewarm(slack int) {
 	for _, t := range bp.store.SortedTables() {
 		for no := int64(0); no < t.NumPages() && budget > 0; no++ {
 			id := PageID{Table: t.ID, No: no}
-			if _, ok := bp.frames[id]; ok {
+			if _, ok := bp.frames[frameKey(id)]; ok {
 				continue
 			}
-			f := &frame{page: bp.store.Fetch(id)}
-			bp.frames[id] = f
-			bp.ring = append(bp.ring, f)
+			p := bp.store.Fetch(id)
+			bp.frames[frameKey(id)] = p
+			bp.ring = append(bp.ring, p)
 			budget--
 		}
 	}
@@ -205,14 +211,14 @@ func (bp *BufferPool) Prewarm(slack int) {
 // FlushAll writes back every dirty page (used at orderly shutdown and in
 // recovery tests).
 func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
-	for _, f := range bp.ring {
-		if f.page.Dirty {
+	for _, p := range bp.ring {
+		if p.Dirty {
 			bp.DirtyWriteBacks++
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
 			ctx.Bucket(prev)
-			bp.store.WriteBack(f.page)
-			f.page.Dirty = false
+			bp.store.WriteBack(p)
+			p.Dirty = false
 		}
 	}
 }

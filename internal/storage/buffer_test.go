@@ -10,7 +10,7 @@ import (
 )
 
 // withCtx runs fn inside a simulated thread with a fresh exec context.
-func withCtx(t *testing.T, fn func(ctx *exec.Ctx)) {
+func withCtx(t testing.TB, fn func(ctx *exec.Ctx)) {
 	t.Helper()
 	k := sim.NewKernel()
 	defer k.Close()

@@ -1,0 +1,381 @@
+package storage
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"islands/internal/exec"
+)
+
+// The tests in this file pin the invariant behind lazy rows and the
+// unzeroed, recycled arena: no byte of a page is read before Page.format,
+// the filled bitmap or materialize says it was written. They make stale
+// contents loud by poisoning every pooled chunk first.
+
+const poison = 0xA5
+
+// poisonedStore returns a store over tabs whose first chunk comes out of the
+// process-wide pool overwritten with the poison byte: a scratch store makes
+// sure the pool holds a chunk, then every pooled chunk is poisoned.
+func poisonedStore(t *testing.T, tabs ...*Table) *PageStore {
+	t.Helper()
+	scratch := NewPageStore()
+	scratch.newPageData()
+	scratch.Release()
+
+	chunkPool.Lock()
+	for _, c := range chunkPool.free {
+		for i := range c {
+			c[i] = poison
+		}
+	}
+	chunkPool.Unlock()
+
+	s := NewPageStore()
+	for _, tab := range tabs {
+		s.AddTable(tab)
+	}
+	t.Cleanup(s.Release)
+	return s
+}
+
+// lazyTables are the geometries the issue names: the smallest row (408
+// slots, every bitmap word in use), the benchmark's 250-byte row, and a
+// wide row with a large free gap; each ends in a short last page.
+func lazyTables() []*Table {
+	return []*Table{
+		{ID: 1, Name: "min", RowBytes: 16, NumRows: 3*408 + 5},
+		{ID: 2, Name: "rows", RowBytes: 250, NumRows: 3*31 + 7},
+		{ID: 3, Name: "wide", RowBytes: 655, NumRows: 3*12 + 1},
+	}
+}
+
+func bumped(row []byte) []byte {
+	out := append([]byte(nil), row...)
+	BumpRowVersion(out)
+	return out
+}
+
+// TestLazyPageOverPoisonedArena: whatever order a page is read, updated and
+// imaged in, its image equals the eager synthesis with the same updates —
+// header pad, every row and the free gap — although the buffer started as
+// poison.
+func TestLazyPageOverPoisonedArena(t *testing.T) {
+	type op func(t *testing.T, p, ref *Page)
+	getSubset := func(t *testing.T, p, ref *Page) {
+		for s := 0; s < p.NumSlots(); s += 3 {
+			got, ok := p.Get(uint16(s))
+			want, _ := ref.Get(uint16(s))
+			if !ok || !bytes.Equal(got, want) {
+				t.Fatalf("slot %d: lazy row differs from eager row", s)
+			}
+		}
+	}
+	update := func(t *testing.T, p, ref *Page) {
+		// Slots both inside and outside the Get subset, first and last.
+		for _, s := range []int{0, 1, 3, p.NumSlots() - 1} {
+			if s >= p.NumSlots() {
+				continue
+			}
+			row, _ := ref.Get(uint16(s))
+			after := bumped(row)
+			if !p.Update(uint16(s), after) || !ref.Update(uint16(s), after) {
+				t.Fatal("update refused")
+			}
+		}
+	}
+	image := func(t *testing.T, p, ref *Page) {
+		if !bytes.Equal(p.Image(), ref.Image()) {
+			t.Fatal("image differs from eager synthesis")
+		}
+	}
+	orders := map[string][]op{
+		"image":            {image},
+		"get-image":        {getSubset, image},
+		"update-image":     {update, image},
+		"get-update-image": {getSubset, update, image},
+		"update-get-image": {update, getSubset, image},
+		"get-image-update": {getSubset, image, update, image},
+		"update-image-get": {update, image, getSubset, image},
+		"image-get-update": {image, getSubset, update, image},
+		"image-update-get": {image, update, getSubset, image},
+	}
+	for _, tab := range lazyTables() {
+		for name, ops := range orders {
+			t.Run(tab.Name+"/"+name, func(t *testing.T) {
+				s := poisonedStore(t, tab)
+				for no := int64(0); no < tab.NumPages(); no++ {
+					p := s.Fetch(PageID{Table: tab.ID, No: no})
+					off, _ := p.slot(p.NumSlots() - 1)
+					if p.lazy == nil || p.data[off] != poison || p.data[p.freeOff()] != poison {
+						t.Fatal("fetched page is not lazy over poison: the test would prove nothing")
+					}
+					ref := tab.SynthesizePage(no)
+					for _, o := range ops {
+						o(t, p, ref)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRecycledBufferIsRedefined: an evicted page's buffer goes to the next
+// miss with its old rows still in it; the new page must not show them.
+func TestRecycledBufferIsRedefined(t *testing.T) {
+	tab := lazyTables()[1]
+	s := poisonedStore(t, tab)
+	a := s.Fetch(PageID{Table: tab.ID, No: 0})
+	a.materialize()
+	buf := &a.data[0]
+	s.Recycle(a)
+	b := s.Fetch(PageID{Table: tab.ID, No: tab.NumPages() - 1}) // short page: stale rows beyond its last slot
+	if &b.data[0] != buf {
+		t.Fatal("recycled buffer was not reused")
+	}
+	if !bytes.Equal(b.Image(), tab.SynthesizePage(tab.NumPages()-1).Image()) {
+		t.Error("page over a recycled buffer differs from eager synthesis")
+	}
+}
+
+// TestLazyPageMatchesEagerReference drives a lazy page and an eagerly
+// materialized reference through the same random operations and demands
+// identical results at every step.
+func TestLazyPageMatchesEagerReference(t *testing.T) {
+	for _, tab := range lazyTables() {
+		for seed := int64(0); seed < 20; seed++ {
+			s := poisonedStore(t, tab)
+			rng := rand.New(rand.NewSource(seed))
+			no := rng.Int63n(tab.NumPages())
+			if seed%4 == 0 {
+				no = tab.NumPages() - 1 // the short page
+			}
+			id := PageID{Table: tab.ID, No: no}
+			lazy, ref := s.Fetch(id), tab.SynthesizePage(no)
+			fail := func(step int, format string, args ...any) {
+				t.Fatalf("%s seed %d step %d: %s", tab.Name, seed, step, fmt.Sprintf(format, args...))
+			}
+			for step := 0; step < 400; step++ {
+				slot := uint16(rng.Intn(lazy.NumSlots() + 2))
+				switch rng.Intn(12) {
+				case 0, 1, 2, 3:
+					got, ok := lazy.Get(slot)
+					want, wok := ref.Get(slot)
+					if ok != wok || !bytes.Equal(got, want) {
+						fail(step, "Get(%d) = %x,%v want %x,%v", slot, got, ok, want, wok)
+					}
+				case 4, 5, 6:
+					rec := make([]byte, tab.RowBytes)
+					rng.Read(rec)
+					if got, want := lazy.Update(slot, rec), ref.Update(slot, rec); got != want {
+						fail(step, "Update(%d) = %v want %v", slot, got, want)
+					}
+				case 7:
+					// Row-sized records refill holes; short ones fit the gap
+					// of even the 408-slot page.
+					rec := make([]byte, []int{tab.RowBytes, 2 + rng.Intn(10)}[rng.Intn(2)])
+					rng.Read(rec)
+					got, ok := lazy.Insert(rec)
+					want, wok := ref.Insert(rec)
+					if got != want || ok != wok {
+						fail(step, "Insert = %d,%v want %d,%v", got, ok, want, wok)
+					}
+				case 8:
+					if got, want := lazy.Delete(slot), ref.Delete(slot); got != want {
+						fail(step, "Delete(%d) = %v want %v", slot, got, want)
+					}
+				case 9:
+					if !bytes.Equal(lazy.Image(), ref.Image()) {
+						fail(step, "Image differs")
+					}
+				case 10:
+					if got, want := lazy.RowVersionSum(), ref.RowVersionSum(); got != want {
+						fail(step, "RowVersionSum = %d want %d", got, want)
+					}
+				case 11:
+					lazy, ref = LoadPage(id, lazy.Image()), LoadPage(id, ref.Image())
+				}
+				if lazy.NumSlots() != ref.NumSlots() || lazy.FreeSpace() != ref.FreeSpace() || lazy.Dirty != ref.Dirty {
+					fail(step, "slots/free/dirty = %d/%d/%v want %d/%d/%v", lazy.NumSlots(), lazy.FreeSpace(),
+						lazy.Dirty, ref.NumSlots(), ref.FreeSpace(), ref.Dirty)
+				}
+			}
+			if !bytes.Equal(lazy.Image(), ref.Image()) {
+				t.Fatalf("%s seed %d: final image differs", tab.Name, seed)
+			}
+		}
+	}
+}
+
+// TestHalfFilledDirtyPageRoundTrip evicts a dirty page of which only some
+// rows were ever touched, and reads all of it back from the retained image.
+func TestHalfFilledDirtyPageRoundTrip(t *testing.T) {
+	withCtx(t, func(ctx *exec.Ctx) {
+		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 10000}
+		store := poisonedStore(t, tab)
+		bp := NewBufferPool(store, MMapDisk(), 4)
+		id := PageID{Table: tab.ID, No: 0}
+		ref := tab.SynthesizePage(0)
+
+		p := bp.Fix(ctx, id)
+		for s := 0; s < p.NumSlots()/2; s++ {
+			row, _ := p.Get(uint16(s))
+			if s%2 == 0 {
+				after := bumped(row)
+				p.Update(uint16(s), after)
+				ref.Update(uint16(s), after)
+			}
+		}
+		// An update of a row that was never read.
+		last := uint16(p.NumSlots() - 1)
+		row, _ := ref.Get(last)
+		after := bumped(row)
+		p.Update(last, after)
+		ref.Update(last, after)
+		bp.Unfix(ctx, p, true)
+
+		for no := int64(1); no <= 8; no++ {
+			q := bp.Fix(ctx, PageID{Table: tab.ID, No: no})
+			bp.Unfix(ctx, q, false)
+		}
+		if bp.Peek(id) != nil || bp.DirtyWriteBacks != 1 || store.ImageCount() != 1 {
+			t.Fatalf("page 0 not written back: resident=%v writebacks=%d images=%d",
+				bp.Peek(id) != nil, bp.DirtyWriteBacks, store.ImageCount())
+		}
+
+		p = bp.Fix(ctx, id)
+		defer bp.Unfix(ctx, p, false)
+		if store.Restored != 1 {
+			t.Errorf("Restored = %d, want 1", store.Restored)
+		}
+		for s := 0; s < ref.NumSlots(); s++ {
+			got, ok := p.Get(uint16(s))
+			want, _ := ref.Get(uint16(s))
+			if !ok || !bytes.Equal(got, want) {
+				t.Errorf("slot %d differs after the round trip", s)
+			}
+		}
+		if !bytes.Equal(p.Image(), ref.Image()) {
+			t.Error("restored image differs from the eager reference")
+		}
+	})
+}
+
+// TestPrewarmStaysLazy: prewarming counts one synthesis per page, as it
+// always did, and synthesizes no row.
+func TestPrewarmStaysLazy(t *testing.T) {
+	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 10000}
+	store := poisonedStore(t, tab)
+	bp := NewBufferPool(store, MMapDisk(), 40)
+	bp.Prewarm(8)
+	if store.Synthesized != 32 || store.Restored != 0 || bp.Resident() != 32 {
+		t.Errorf("synthesized=%d restored=%d resident=%d, want 32, 0, 32",
+			store.Synthesized, store.Restored, bp.Resident())
+	}
+	if bp.Hits+bp.Misses != 0 {
+		t.Errorf("prewarm moved the hit/miss counters: %d/%d", bp.Hits, bp.Misses)
+	}
+	for no := int64(0); no < 32; no++ {
+		p := bp.Peek(PageID{Table: tab.ID, No: no})
+		if p == nil || p.lazy == nil || p.filled != [filledWords]uint64{} {
+			t.Fatalf("page %d: prewarm synthesized rows", no)
+		}
+	}
+}
+
+// TestReleasedStorePanics: a store whose chunks went back to the pool must
+// refuse to hand out pages.
+func TestReleasedStorePanics(t *testing.T) {
+	tab := lazyTables()[1]
+	s := NewPageStore()
+	s.AddTable(tab)
+	s.Fetch(PageID{Table: tab.ID, No: 0})
+	s.Release()
+	s.Release() // idempotent: nothing left to hand back
+	defer func() {
+		if recover() == nil {
+			t.Error("Fetch from a released store did not panic")
+		}
+	}()
+	s.Fetch(PageID{Table: tab.ID, No: 1})
+}
+
+// TestChunksReturnToPoolOnce: Release hands every chunk back exactly once.
+func TestChunksReturnToPoolOnce(t *testing.T) {
+	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 10000}
+	pooled := func() int {
+		chunkPool.Lock()
+		defer chunkPool.Unlock()
+		return len(chunkPool.free)
+	}
+	s := NewPageStore()
+	s.AddTable(tab)
+	before := pooled()
+	for no := int64(0); no < 2*arenaChunkPages+1; no++ {
+		s.Fetch(PageID{Table: tab.ID, No: no})
+	}
+	taken := len(s.chunks)
+	if taken != 3 {
+		t.Fatalf("store holds %d chunks, want 3", taken)
+	}
+	held := pooled()
+	s.Release()
+	s.Release()
+	if got := pooled(); got != held+taken || got < before {
+		t.Errorf("pool went %d -> %d -> %d chunks around a store of %d", before, held, got, taken)
+	}
+	seen := map[*byte]bool{}
+	chunkPool.Lock()
+	for _, c := range chunkPool.free {
+		if seen[&c[0]] {
+			t.Error("a chunk is in the pool twice")
+		}
+		seen[&c[0]] = true
+	}
+	chunkPool.Unlock()
+}
+
+// benchMisses drives b.N buffer-pool misses through a warm pool — every
+// miss evicts a clean page and takes over its recycled buffer, so the store
+// never reaches for a new chunk — and applies touch to each missed page.
+func benchMisses(b *testing.B, touch func(p *Page)) {
+	withCtx(b, func(ctx *exec.Ctx) {
+		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 31 * 4096}
+		store := NewPageStore()
+		defer store.Release()
+		store.AddTable(tab)
+		bp := NewBufferPool(store, MMapDisk(), 64)
+		miss := func(i int) {
+			p := bp.Fix(ctx, PageID{Table: tab.ID, No: int64(i) % tab.NumPages()})
+			touch(p)
+			bp.Unfix(ctx, p, false)
+		}
+		for i := 0; i < 256; i++ { // warm: pool full, ring and frame table grown
+			miss(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			miss(256 + i)
+		}
+	})
+}
+
+var benchSink int
+
+// BenchmarkFetchFirstTouch is what a transaction pays for a cold page: miss,
+// read one row, unfix. The only allocation is the Page (CI gates on it).
+func BenchmarkFetchFirstTouch(b *testing.B) {
+	benchMisses(b, func(p *Page) {
+		row, _ := p.Get(7)
+		benchSink += len(row)
+	})
+}
+
+// BenchmarkFetchMaterialize is the full price of a page — miss, then every
+// row synthesized and the image copied — which only a dirty eviction pays.
+func BenchmarkFetchMaterialize(b *testing.B) {
+	benchMisses(b, func(p *Page) { benchSink += len(p.Image()) })
+}

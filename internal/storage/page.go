@@ -10,6 +10,7 @@ import (
 
 	"islands/internal/latch"
 	"islands/internal/mem"
+	"islands/internal/sim"
 )
 
 // PageSize is the size of a database page in bytes (Shore-MT default).
@@ -20,6 +21,14 @@ const pageHeaderSize = 16
 
 // slotSize is one slot directory entry: offset(2) length(2).
 const slotSize = 4
+
+// minRowBytes is the smallest table row (key + version, see SynthesizeRow);
+// it bounds the slots of a synthesized page and so the filled bitmap.
+const minRowBytes = 16
+
+// filledWords sizes Page.filled for the most slots a synthesized page can
+// have (408 rows of minRowBytes).
+const filledWords = ((PageSize-pageHeaderSize)/(minRowBytes+slotSize) + 63) / 64
 
 // TableID identifies a table within a deployment.
 type TableID int32
@@ -55,37 +64,105 @@ type Page struct {
 	data     []byte
 	holes    int  // deleted slots available for reuse
 	ownsData bool // buffer came from the store's arena (see PageStore.Recycle)
+
+	// Lazy synthesis state. A page synthesized from its table definition is
+	// formatted over an arbitrary, unzeroed buffer: only the header and the
+	// slot directory are written. While lazy is non-nil, the row at slot i
+	// holds defined bytes only once bit i of filled is set (Get synthesizes
+	// it, Update overwrites it), and the free gap between the last row and
+	// the slot directory is undefined; materialize defines everything that
+	// is left and clears lazy. No byte of data is read before format, the
+	// bitmap or materialize says it was written — the invariant that lets
+	// the store recycle buffers without clearing them.
+	lazy     *Table
+	firstKey int64 // key of slot 0 while lazy
+	filled   [filledWords]uint64
+
+	// Buffer-pool frame state, owned by the BufferPool caching the page.
+	pins    int
+	ref     bool
+	loading bool
+	waiters []*sim.Proc
 }
 
 // NewPage returns an empty formatted page.
 func NewPage(id PageID) *Page {
-	return newPageWithData(id, make([]byte, PageSize))
-}
-
-// newPageWithData formats a page over a caller-provided (zeroed) buffer,
-// letting the store hand out arena-allocated buffers.
-func newPageWithData(id PageID, data []byte) *Page {
-	p := &Page{ID: id, data: data}
+	p := &Page{ID: id, data: make([]byte, PageSize)}
 	p.setFreeOff(pageHeaderSize)
 	return p
 }
 
+// format lays out page no of table t over p.data, whose prior contents are
+// arbitrary: the full header and one slot directory entry per row. The rows
+// themselves stay unsynthesized (see Page.lazy).
+func (p *Page) format(t *Table, no int64) {
+	lo, hi := t.KeyRangeOfPage(no)
+	n := int(hi - lo)
+	clear(p.data[:pageHeaderSize])
+	off := pageHeaderSize
+	for i := 0; i < n; i++ {
+		p.setSlot(i, off, t.RowBytes)
+		off += t.RowBytes
+	}
+	p.setNSlots(n)
+	p.setFreeOff(off)
+	p.lazy, p.firstKey = t, lo
+}
+
+// unfilled reports whether the row at slot of a lazy page is still
+// undefined; always false once the page is materialized.
+func (p *Page) unfilled(slot int) bool {
+	return p.lazy != nil && p.filled[slot>>6]&(1<<(slot&63)) == 0
+}
+
+func (p *Page) setFilled(slot int) { p.filled[slot>>6] |= 1 << (slot & 63) }
+
+// fill synthesizes the row at slot of a lazy page.
+func (p *Page) fill(slot int) {
+	off := pageHeaderSize + slot*p.lazy.RowBytes
+	p.lazy.SynthesizeRow(p.firstKey+int64(slot), p.data[off:off+p.lazy.RowBytes])
+	p.setFilled(slot)
+}
+
+// materialize defines every byte of a lazy page that is still undefined —
+// the unsynthesized rows and the free gap — and ends the lazy state. Every
+// operation that reads or moves bytes beyond a single row calls it first.
+func (p *Page) materialize() {
+	if p.lazy == nil {
+		return
+	}
+	n := p.nSlots()
+	for i := 0; i < n; i++ {
+		if p.unfilled(i) {
+			p.fill(i)
+		}
+	}
+	clear(p.data[p.freeOff() : PageSize-n*slotSize])
+	p.lazy = nil
+}
+
 // LoadPage wraps an existing image (from the backing store) as a page.
 func LoadPage(id PageID, img []byte) *Page {
+	p := &Page{ID: id}
+	p.load(img)
+	return p
+}
+
+func (p *Page) load(img []byte) {
 	if len(img) != PageSize {
 		panic("storage: page image has wrong size")
 	}
-	p := &Page{ID: id, data: img}
+	p.data = img
 	for i := 0; i < p.nSlots(); i++ {
 		if _, length := p.slot(i); length == 0 {
 			p.holes++
 		}
 	}
-	return p
 }
 
 // Image returns a copy of the page bytes for the backing store.
 func (p *Page) Image() []byte {
+	p.materialize()
 	img := make([]byte, PageSize)
 	copy(img, p.data)
 	return img
@@ -129,6 +206,7 @@ func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
 	if len(rec) < 2 || len(rec) > PageSize {
 		return 0, false
 	}
+	p.materialize()
 	// Reuse a deleted slot when the record fits in its hole; the hole's
 	// capacity is stored in its first two bytes (see Delete). The hole
 	// counter lets the common hole-free page skip the directory scan.
@@ -172,6 +250,9 @@ func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
 	if length == 0 {
 		return nil, false
 	}
+	if p.unfilled(int(slot)) {
+		p.fill(int(slot))
+	}
 	return p.data[off : off+length], true
 }
 
@@ -186,6 +267,9 @@ func (p *Page) Update(slot uint16, rec []byte) bool {
 		return false
 	}
 	copy(p.data[off:off+length], rec)
+	if p.lazy != nil {
+		p.setFilled(int(slot))
+	}
 	p.Dirty = true
 	return true
 }
@@ -199,6 +283,7 @@ func (p *Page) Delete(slot uint16) bool {
 	if length == 0 {
 		return false
 	}
+	p.materialize()
 	// Remember the hole capacity in the hole itself, mark deleted with
 	// length 0 so Get refuses the slot but Insert can reuse the space.
 	binary.LittleEndian.PutUint16(p.data[off:off+2], uint16(length))
@@ -206,4 +291,18 @@ func (p *Page) Delete(slot uint16) bool {
 	p.holes++
 	p.Dirty = true
 	return true
+}
+
+// RowVersionSum sums the version counters of the page's rows and leaves the
+// page untouched: a row not yet synthesized has version 0 by definition.
+func (p *Page) RowVersionSum() uint64 {
+	var sum uint64
+	for i, n := 0, p.nSlots(); i < n; i++ {
+		off, length := p.slot(i)
+		if length == 0 || p.unfilled(i) {
+			continue
+		}
+		sum += RowVersion(p.data[off : off+length])
+	}
+	return sum
 }

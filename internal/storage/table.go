@@ -71,8 +71,8 @@ var rampWords = func() [PageSize / 8]uint64 {
 //
 // The filler byte at position i is pattern+byte(i); it is produced eight
 // bytes at a time with a SWAR carryless byte add over the precomputed ramp,
-// because row synthesis is the hottest storage loop (every page miss fills a
-// page of rows).
+// because row synthesis is the hottest storage loop (every first read of a
+// row runs it).
 func (t *Table) SynthesizeRow(key int64, buf []byte) {
 	if len(buf) != t.RowBytes {
 		panic("storage: SynthesizeRow buffer size mismatch")
@@ -96,29 +96,14 @@ func (t *Table) SynthesizeRow(key int64, buf []byte) {
 	}
 }
 
-// SynthesizePage builds the initial image of page no.
+// SynthesizePage builds the complete initial image of page no: every row
+// synthesized, every byte defined. The buffer pool's miss path does the same
+// formatting but leaves the rows to first touch (see PageStore.Fetch).
 func (t *Table) SynthesizePage(no int64) *Page {
-	p := NewPage(PageID{Table: t.ID, No: no})
-	t.fillPage(p, no)
+	p := &Page{ID: PageID{Table: t.ID, No: no}, data: make([]byte, PageSize)}
+	p.format(t, no)
+	p.materialize()
 	return p
-}
-
-// fillPage synthesizes rows directly into the page buffer and writes the
-// slot directory in one pass — no per-row staging buffer and no slot-reuse
-// scans, which made page synthesis quadratic in rows per page.
-func (t *Table) fillPage(p *Page, no int64) {
-	lo, hi := t.KeyRangeOfPage(no)
-	off := pageHeaderSize
-	n := 0
-	for key := lo; key < hi; key++ {
-		t.SynthesizeRow(key, p.data[off:off+t.RowBytes])
-		p.setSlot(n, off, t.RowBytes)
-		n++
-		off += t.RowBytes
-	}
-	p.setNSlots(n)
-	p.setFreeOff(off)
-	p.Dirty = false
 }
 
 // RowKey extracts the key from a row image.
