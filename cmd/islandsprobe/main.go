@@ -14,8 +14,7 @@
 //	islandsprobe -list
 //	islandsprobe [-seed N] [-experiments | -only fig2,fig9,...] [-full]
 //	             [-seeds N] [-geometry S:C:LLC[:fabric],...] [-latscale 0.5,1,2]
-//	             [-parallel N] [-shards N] [-progress] [-celltimes] [-baseline FILE]
-//	             [-store DIR]
+//	             [-parallel N] [-shards N] [-progress] [-celltimes] [-store DIR]
 //
 // -seeds N replicates every cell of the selected experiments over N seeds
 // through the study API's Seeds wrapper, doubling each table's columns
@@ -31,9 +30,7 @@
 // GOMAXPROCS), 0 = auto). Every deployment gives each island its own event
 // partition at any setting; the flag only spends host cores. The
 // fingerprint is independent of it — CI diffs a -shards 1 against a
-// -shards 4 run to prove it. -celltimes lines carry the setting, and
-// -baseline FILE (a saved -celltimes stderr capture, typically recorded at
-// -shards 1) adds per-cell speedup factors against that recording.
+// -shards 4 run to prove it. -celltimes lines carry the setting.
 //
 // -store DIR memoizes experiment cells in a persistent content-addressed
 // result store: a warm rerun of the same probe serves every cell from the
@@ -48,6 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -55,41 +53,48 @@ import (
 	"islands"
 )
 
-func main() {
-	seed := flag.Int64("seed", 42, "workload and placement seed")
-	experiments := flag.Bool("experiments", false, "also fingerprint every quick-mode experiment (slow)")
-	only := flag.String("only", "", "comma-separated experiment ids to fingerprint (implies -experiments)")
-	list := flag.Bool("list", false, "print id, ref and title of every registered experiment and exit")
-	full := flag.Bool("full", false, "fingerprint the full-mode sweeps instead of quick mode (very slow; implies -experiments)")
-	seeds := flag.Int("seeds", 1, "replicate every study cell over N seeds and add mean ±σ columns (implies -experiments unless -geometry is given)")
-	geometry := flag.String("geometry", "", "comma-separated machine geometries sockets:cores:LLC-MB[:fabric] (e.g. 16:4:12,8:10:30:ring) to sweep ad hoc")
-	latscale := flag.String("latscale", "", "comma-separated interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
-	parallel := flag.Int("parallel", 0, "concurrently-run experiment cells (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "kernel worker goroutines per deployment (0 = auto, 1 = none beyond the cell's own, -1 = min(islands, GOMAXPROCS)); islands always get one event partition each")
-	progress := flag.Bool("progress", false, "report per-cell experiment progress on stderr")
-	celltimes := flag.Bool("celltimes", false, "report per-cell wall-clock on stderr (the accounting behind cell cost hints)")
-	baseline := flag.String("baseline", "", "saved -celltimes capture to compute per-cell speedups against (implies -celltimes)")
-	storeDir := flag.String("store", "", "result-store directory (created if missing): memoize experiment cells across runs")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters: it returns the exit
+// status (2 for a usage error, which leaves stdout empty).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("islandsprobe", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 42, "workload and placement seed")
+	experiments := fs.Bool("experiments", false, "also fingerprint every quick-mode experiment (slow)")
+	only := fs.String("only", "", "comma-separated experiment ids to fingerprint (implies -experiments)")
+	list := fs.Bool("list", false, "print id, ref and title of every registered experiment and exit")
+	full := fs.Bool("full", false, "fingerprint the full-mode sweeps instead of quick mode (very slow; implies -experiments)")
+	seeds := fs.Int("seeds", 1, "replicate every study cell over N seeds and add mean ±σ columns (implies -experiments unless -geometry is given)")
+	geometry := fs.String("geometry", "", "comma-separated machine geometries sockets:cores:LLC-MB[:fabric] (e.g. 16:4:12,8:10:30:ring) to sweep ad hoc")
+	latscale := fs.String("latscale", "", "comma-separated interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
+	parallel := fs.Int("parallel", 0, "concurrently-run experiment cells (0 = GOMAXPROCS, 1 = sequential)")
+	shards := fs.Int("shards", 0, "kernel worker goroutines per deployment (0 = auto, 1 = none beyond the cell's own, -1 = min(islands, GOMAXPROCS)); islands always get one event partition each")
+	progress := fs.Bool("progress", false, "report per-cell experiment progress on stderr")
+	celltimes := fs.Bool("celltimes", false, "report per-cell wall-clock on stderr (the accounting behind cell cost hints)")
+	storeDir := fs.String("store", "", "result-store directory (created if missing): memoize experiment cells across runs")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		// The testbed machines first, with their socket fabric and mean hop
 		// count: fabric sweeps (the fabric experiment, -geometry S:C:LLC:ring)
 		// are identifiable from the listing by exactly these two numbers.
-		fmt.Println("machines:")
+		fmt.Fprintln(stdout, "machines:")
 		for _, m := range []*islands.Machine{islands.QuadSocket(), islands.OctoSocket()} {
-			fmt.Printf("  %-12s %ds x %dc  interconnect=%-10s mean hops %.2f\n",
+			fmt.Fprintf(stdout, "  %-12s %ds x %dc  interconnect=%-10s mean hops %.2f\n",
 				m.Name, m.SocketCount, m.CoresPerSocket, m.Interconnect.Name, m.MeanHops())
 		}
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range islands.Experiments() {
-			fmt.Printf("  %-8s %-12s %s\n", e.ID, e.Ref, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %-12s %s\n", e.ID, e.Ref, e.Title)
 		}
-		return
+		return 0
 	}
 	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "islandsprobe: -seeds must be >= 1")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "islandsprobe: -seeds must be >= 1")
+		return 2
 	}
 	// Validate -geometry and -only before any simulation runs: a malformed
 	// flag must not leave partial fingerprint output on stdout.
@@ -98,19 +103,19 @@ func main() {
 		var err error
 		geos, err = islands.ParseGeometries(*geometry)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "islandsprobe: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
+			return 2
 		}
 	}
 	if *latscale != "" {
 		if geos == nil {
-			fmt.Fprintln(os.Stderr, "islandsprobe: -latscale scopes to a machine sweep; give -geometry too")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "islandsprobe: -latscale scopes to a machine sweep; give -geometry too")
+			return 2
 		}
 		scales, err := islands.ParseLatencyScales(*latscale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "islandsprobe: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
+			return 2
 		}
 		var fanned []islands.Geometry
 		for _, g := range geos {
@@ -123,15 +128,15 @@ func main() {
 		var err error
 		selected, err = parseOnly(*only)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "islandsprobe: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
+			return 2
 		}
 	}
 
 	opt := islands.ExperimentOptions{Quick: !*full, Seed: *seed, Parallel: *parallel, Shards: *shards}
 	if *progress {
 		opt.Progress = func(exp, cell string, done, total int) {
-			fmt.Fprintf(os.Stderr, "%s: %d/%d cells (%s)\n", exp, done, total, cell)
+			fmt.Fprintf(stderr, "%s: %d/%d cells (%s)\n", exp, done, total, cell)
 		}
 	}
 	// hits/misses and lastHit are written by the CellCache callback and read
@@ -142,8 +147,8 @@ func main() {
 	if *storeDir != "" {
 		store, err := islands.OpenResultStore(*storeDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "islandsprobe: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
+			return 2
 		}
 		defer store.Close()
 		opt.Store = store
@@ -156,16 +161,9 @@ func main() {
 			lastHit = hit
 		}
 	}
-	if *celltimes || *baseline != "" {
-		base, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "islandsprobe: %v\n", err)
-			os.Exit(2)
-		}
+	if *celltimes {
 		opt.CellTime = func(exp, cell string, elapsed time.Duration) {
 			line := fmt.Sprintf("celltime %s shards=%d %.3fs", cell, *shards, elapsed.Seconds())
-			// The cache token rides after the seconds field, which older
-			// -baseline parsers stop at.
 			if opt.Store != nil {
 				if lastHit {
 					line += " cache=hit"
@@ -173,29 +171,27 @@ func main() {
 					line += " cache=miss"
 				}
 			}
-			if ref, ok := base[cell]; ok && elapsed > 0 {
-				line += fmt.Sprintf(" speedup=%.2fx", ref.Seconds()/elapsed.Seconds())
-			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(stderr, line)
 		}
 	}
 	if opt.Store != nil {
 		defer func() {
-			fmt.Fprintf(os.Stderr, "store: hits=%d misses=%d\n", hits, misses)
+			fmt.Fprintf(stderr, "store: hits=%d misses=%d\n", hits, misses)
 		}()
 	}
 
-	probeDeployments(*seed, *shards)
+	probeDeployments(stdout, *seed, *shards)
 	if geos != nil {
-		runStudy(geometryStudy(geos), *seeds, opt)
+		runStudy(stdout, geometryStudy(geos), *seeds, opt)
 	}
 	// Asking for seed replication without naming any study means "all
 	// experiments": -seeds alone must never be silently ignored. When
 	// -geometry already consumed it, though, don't drag every registered
 	// experiment into what the user scoped to a machine sweep.
 	if *experiments || *full || selected != nil || (*seeds > 1 && geos == nil) {
-		probeExperiments(selected, *seeds, opt)
+		probeExperiments(stdout, selected, *seeds, opt)
 	}
+	return 0
 }
 
 // probeDeployments runs reference deployments spanning the interesting
@@ -203,7 +199,7 @@ func main() {
 // writes; local and multisite) and prints the raw kernel/measurement numbers.
 // The worker setting flows into each deployment, so a -shards diff covers the
 // raw kernel event counts too, not just the experiment tables.
-func probeDeployments(seed int64, shards int) {
+func probeDeployments(w io.Writer, seed int64, shards int) {
 	machine := islands.QuadSocket()
 	cases := []struct {
 		name      string
@@ -227,47 +223,10 @@ func probeDeployments(seed int64, shards int) {
 		d := islands.NewDeployment(cfg)
 		d.Start(islands.NewMicroWorkload(mc, d))
 		m := d.Run(500*islands.Microsecond, 3*islands.Millisecond)
-		fmt.Printf("deployment %-22s events=%d committed=%d tps=%.6f\n",
+		fmt.Fprintf(w, "deployment %-22s events=%d committed=%d tps=%.6f\n",
 			c.name, d.Kernel.Events(), m.Committed, m.ThroughputTPS)
 		d.Close()
 	}
-}
-
-// loadBaseline parses a saved -celltimes stderr capture into cell -> elapsed.
-// Lines look like "celltime fig8/24ISL shards=1 0.412s"; the shards field is
-// optional (older captures) and anything after the seconds field is ignored.
-// An empty path returns an empty map (no speedup reporting).
-func loadBaseline(path string) (map[string]time.Duration, error) {
-	base := map[string]time.Duration{}
-	if path == "" {
-		return base, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("-baseline: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 3 || f[0] != "celltime" {
-			continue
-		}
-		cell := f[1]
-		for _, tok := range f[2:] {
-			if strings.HasPrefix(tok, "shards=") || strings.HasPrefix(tok, "speedup=") {
-				continue
-			}
-			d, err := time.ParseDuration(tok)
-			if err != nil {
-				return nil, fmt.Errorf("-baseline: bad elapsed %q on line %q", tok, line)
-			}
-			base[cell] = d
-			break
-		}
-	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("-baseline: no celltime lines in %s", path)
-	}
-	return base, nil
 }
 
 // parseOnly validates a comma-separated -only list against the registry;
@@ -299,22 +258,22 @@ func parseOnly(s string) (map[string]bool, error) {
 // full float precision (every registered experiment when selected is nil).
 // Progress and cell times (when requested) go to stderr so the fingerprint
 // on stdout stays byte-comparable.
-func probeExperiments(selected map[string]bool, seeds int, opt islands.ExperimentOptions) {
+func probeExperiments(w io.Writer, selected map[string]bool, seeds int, opt islands.ExperimentOptions) {
 	for _, e := range islands.Experiments() {
 		if selected != nil && !selected[e.ID] {
 			continue
 		}
-		runStudy(e.Study(opt), seeds, opt)
+		runStudy(w, e.Study(opt), seeds, opt)
 	}
 }
 
 // runStudy executes a study (seed-replicated when seeds > 1) and prints its
-// fingerprint lines on stdout.
-func runStudy(st *islands.Study, seeds int, opt islands.ExperimentOptions) {
+// fingerprint lines on w.
+func runStudy(w io.Writer, st *islands.Study, seeds int, opt islands.ExperimentOptions) {
 	if seeds > 1 {
 		st = st.Seeds(seeds)
 	}
-	st.Run(opt).Fingerprint(os.Stdout)
+	st.Run(opt).Fingerprint(w)
 }
 
 // geometryStudy builds the ad-hoc machine sweep for -geometry out of the

@@ -31,7 +31,8 @@ func dispatchOrder(cells []Cell, st *resultstore.Store) []int {
 	return order
 }
 
-// Execute runs the plan's cells and assembles the result.
+// Run executes the study's cells and assembles a fresh Result (the tables
+// are cloned, so one Study may be run many times, and concurrently).
 //
 // Cell execution order is unspecified: opt.Parallel workers (default
 // runtime.GOMAXPROCS) pull cells from a shared dispatch order (longest
@@ -40,12 +41,15 @@ func dispatchOrder(cells []Cell, st *resultstore.Store) []int {
 // emits are applied in declaration order after every cell finished, and
 // Finalize runs last — so a parallel run is cell-for-cell identical to a
 // sequential one (TestParallelMatchesSequential asserts this for every
-// registered experiment). The executor also measures each cell's wall-clock
-// and reports it through opt.CellTime; under opt.Store the wall-clocks are
-// persisted as learned dispatch hints and cell results are memoized by
-// content-addressed key, so a warm run serves hits without simulating.
-func (p *Plan) Execute(opt Options) *Result {
-	n := len(p.Cells)
+// registered experiment; the determinism contract of DESIGN.md). The
+// executor also measures each cell's wall-clock and reports it through
+// opt.CellTime; under opt.Store the wall-clocks are persisted as learned
+// dispatch hints and cell results are memoized by content-addressed key, so
+// a warm run serves hits without simulating.
+func (s *Study) Run(opt Options) *Result {
+	res := &Result{ID: s.ID, Title: s.Title, Ref: s.Ref,
+		Notes: s.Notes, Tables: cloneTables(s.Tables)}
+	n := len(s.Cells)
 	metrics := make([]Metrics, n)
 
 	workers := opt.Parallel
@@ -84,22 +88,22 @@ func (p *Plan) Execute(opt Options) *Result {
 		mu.Lock()
 		done++
 		if opt.CellCache != nil {
-			opt.CellCache(p.Result.ID, p.Cells[i].Name, hit)
+			opt.CellCache(s.ID, s.Cells[i].Name, hit)
 		}
 		if opt.CellTime != nil {
-			opt.CellTime(p.Result.ID, p.Cells[i].Name, elapsed)
+			opt.CellTime(s.ID, s.Cells[i].Name, elapsed)
 		}
 		if opt.Progress != nil {
-			opt.Progress(p.Result.ID, p.Cells[i].Name, done, n)
+			opt.Progress(s.ID, s.Cells[i].Name, done, n)
 		}
 		mu.Unlock()
 	}
 
 	runCell := func(i int) {
 		start := time.Now()
-		c := &p.Cells[i]
+		c := &s.Cells[i]
 		if opt.Store != nil {
-			k := cellKey(p.Result.ID, c, opt)
+			k := cellKey(s.ID, c, opt)
 			if _, ok := opt.Store.Get(k, &metrics[i]); ok {
 				report(i, time.Since(start), true)
 				return
@@ -120,11 +124,11 @@ func (p *Plan) Execute(opt Options) *Result {
 	}
 
 	if workers <= 1 {
-		for i := range p.Cells {
+		for i := range s.Cells {
 			runCell(i)
 		}
 	} else {
-		order := dispatchOrder(p.Cells, opt.Store)
+		order := dispatchOrder(s.Cells, opt.Store)
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -143,13 +147,13 @@ func (p *Plan) Execute(opt Options) *Result {
 		wg.Wait()
 	}
 
-	for i := range p.Cells {
-		for _, e := range p.Cells[i].Emits {
-			p.Result.Tables[e.Table].Set(e.Row, e.Col, e.Metric(metrics[i]))
+	for i := range s.Cells {
+		for _, e := range s.Cells[i].Emits {
+			res.Tables[e.Table].Set(e.Row, e.Col, e.Metric(metrics[i]))
 		}
 	}
-	if p.Finalize != nil {
-		p.Finalize(p.Result, metrics)
+	if s.Finalize != nil {
+		s.Finalize(res, metrics)
 	}
-	return p.Result
+	return res
 }

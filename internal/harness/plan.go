@@ -9,15 +9,13 @@ import (
 )
 
 // The plan layer turns each experiment from an imperative nested loop into
-// declarative data. A Plan is a named set of Cells plus the (still empty)
-// Result tables they fill; each Cell is one fully self-contained
+// declarative data: a Study (study.go) is a named set of Cells plus the
+// (still empty) tables they fill; each Cell is one fully self-contained
 // simulation — it constructs its own machine model, kernel, deployment,
 // workload generator and RNGs from the cell spec and the run's seed — and
 // carries the table coordinates its metrics land in. Because cells share
-// no mutable state, the executor (executor.go) may run them in any order,
-// or concurrently, and assemble an identical Result every time. Studies
-// (study.go) are the declarative carrier users and experiments build;
-// Plan is the executor's private input, assembled fresh by Study.Run.
+// no mutable state, the executor (Study.Run, executor.go) may run them in
+// any order, or concurrently, and assemble an identical Result every time.
 
 // Metrics is what one cell's simulation produced. Deployment cells fill M;
 // cells that measure a scalar outside a deployment (the Section 3 counter
@@ -31,7 +29,7 @@ type Metrics struct {
 	Series []core.Measurement
 }
 
-// Emit wires one value of a cell's metrics to one table cell of the plan's
+// Emit wires one value of a cell's metrics to one table cell of the study's
 // result: Tables[Table].Values[Row][Col] = Metric(metrics).
 type Emit struct {
 	Table int
@@ -48,7 +46,7 @@ type Emit struct {
 type Cell struct {
 	// Name identifies the cell in progress reports, e.g. "fig12/update/FG/24".
 	Name string
-	// CostHint ranks the cell's expected wall-clock against its plan
+	// CostHint ranks the cell's expected wall-clock against its study
 	// siblings (0 = typical). The parallel executor dispatches
 	// higher-hinted cells first, so known-long cells — fig14's disk-bound
 	// points, fig3's forced-full windows — do not start last and stretch
@@ -57,7 +55,7 @@ type Cell struct {
 	CostHint float64
 	// Run simulates the cell under the given options. Implementations must
 	// build every piece of state they touch (the executor may invoke cells
-	// of one plan concurrently from multiple goroutines).
+	// of one study concurrently from multiple goroutines).
 	Run func(opt Options) Metrics
 	// Key, when non-nil, writes the cell's semantic identity — everything
 	// Run's simulation consumes — into the hasher, for the persistent
@@ -65,24 +63,12 @@ type Cell struct {
 	// transforms Run applies (seed deltas, forced-full mode) and hash the
 	// same configs Run builds, so two cells with equal keys are guaranteed
 	// to produce bit-identical Metrics. Cells with a nil Key still cache,
-	// under a positional key over (plan ID, cell name, options) — sound for
+	// under a positional key over (study ID, cell name, options) — sound for
 	// cells whose behavior is a pure function of the code, which the code
 	// fingerprint in every key covers.
 	Key func(opt Options, h *resultstore.Hasher)
 	// Emits maps the cell's metrics onto result tables.
 	Emits []Emit
-}
-
-// Plan is a declarative experiment: cells plus the tables they fill.
-type Plan struct {
-	// Result carries ID/title/notes and the pre-shaped tables; the executor
-	// writes the emitted values into it.
-	Result *Result
-	Cells  []Cell
-	// Finalize, when non-nil, runs after all cells completed and all emits
-	// were applied; it computes derived values that need more than one
-	// cell's metrics (ratios, mean/stddev over seed replicas).
-	Finalize func(res *Result, metrics []Metrics)
 }
 
 // TPSEmit emits throughput in KTps — the most common table value.

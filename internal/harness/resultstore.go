@@ -15,11 +15,10 @@ import (
 //
 // A cell's key hashes everything its simulation consumes — the machine
 // (geometry, interconnect hop matrix, latency scale), the built core.Config
-// (canonicalized: the kernel shard count and windowing-policy ablation are
-// zeroed, because results are bit-identical at every setting), the workload
-// spec, the effective seed and the effective quick/short mode — so a record
-// written by a sequential single-shard run serves a parallel four-shard run
-// of the same cell. Cells built from opaque closures (ScalarCell, raw
+// (canonicalized: the kernel worker count is zeroed, because results are
+// bit-identical at every setting), the workload spec, the effective seed
+// and the effective quick/short mode — so a record written by a sequential
+// inline run serves a parallel four-worker run of the same cell. Cells built from opaque closures (ScalarCell, raw
 // Cells) have no spec to hash; they fall back to positional keys over
 // (study ID, cell name, options), which is sound for the registered
 // experiments because a registered cell's behavior is a pure function of
@@ -110,6 +109,6 @@ func hintFor(st *resultstore.Store, c *Cell) float64 {
 	return c.CostHint
 }
 
-// storeElapsed is the threshold under which a cell's wall-clock is not
+// minHintElapsed is the threshold under which a cell's wall-clock is not
 // worth a hint record (cache hits and trivial cells).
 const minHintElapsed = 100 * time.Microsecond

@@ -8,17 +8,16 @@ import (
 	"islands/internal/topology"
 )
 
-// The Study layer is the public face of the plan layer (plan.go): a Study
-// is a named, self-describing grid of cells plus the result tables they
-// fill, built by composable helpers — MicroCell/TPCCCell/ScalarCell for
-// the cells, Grid for cross products, Seeds for seed-replicated error
-// bars, Machines for hypothetical-geometry sweeps — and executed by the
-// deterministic parallel executor (executor.go) via Run. The registered
-// experiments are Studies too (registry in harness.go), so a downstream
-// user composes new scenarios out of exactly the pieces the paper's
-// reproductions are made of. The islands facade re-exports everything
-// here; nothing in a Study's surface leaks types a facade user cannot
-// name.
+// A Study is a named, self-describing grid of cells (plan.go) plus the
+// result tables they fill, built by composable helpers —
+// MicroCell/TPCCCell/ScalarCell for the cells, Grid for cross products,
+// Seeds for seed-replicated error bars, Machines for hypothetical-geometry
+// sweeps — and executed by the deterministic parallel executor, Study.Run
+// (executor.go). The registered experiments are Studies too (registry in
+// harness.go), so a downstream user composes new scenarios out of exactly
+// the pieces the paper's reproductions are made of. The islands facade
+// re-exports everything here; nothing in a Study's surface leaks types a
+// facade user cannot name.
 
 // Study is a declarative experiment a user can compose and run: metadata,
 // the output tables, the cells that fill them, and an optional Finalize
@@ -41,21 +40,6 @@ type Study struct {
 	// were applied; it computes derived values that need more than one
 	// cell's metrics (ratios, mean/stddev over replicas).
 	Finalize func(res *Result, metrics []Metrics)
-}
-
-// Run executes the study's cells on the parallel executor and assembles
-// the result. Results are bit-identical at every opt.Parallel setting:
-// cells are dispatched to workers in cost-hint order but metrics are
-// stored by cell index, emits apply in declaration order, and Finalize
-// runs last (the determinism contract of DESIGN.md).
-func (s *Study) Run(opt Options) *Result {
-	p := &Plan{
-		Result: &Result{ID: s.ID, Title: s.Title, Ref: s.Ref,
-			Notes: s.Notes, Tables: cloneTables(s.Tables)},
-		Cells:    s.Cells,
-		Finalize: s.Finalize,
-	}
-	return p.Execute(opt)
 }
 
 // cloneTables deep-copies the table shapes and any preset values.

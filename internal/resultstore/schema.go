@@ -6,17 +6,16 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strconv"
 	"strings"
 )
 
 // The archive format is self-describing: each file header carries a schema
 // string derived from the payload's Go type, and every record's value bytes
-// are encoded by walking that schema. Two codecs share the grammar — a
-// typed one (reflection over the live Go type, used by Store.Get/Put) and a
-// generic one (a parsed schema tree over Value nodes, used by
-// DecodeArchive and the fuzz target) — so an archive written by a build
-// whose structs have since changed is still fully decodable.
+// are encoded by walking that type. One codec reads and writes it —
+// reflection over the live Go type (appendTyped/decodeTyped, used by
+// Store.Open/Get/Put). The schema string is never parsed: SchemaOf derives
+// it, its hash names the cells file, and Open byte-compares it against the
+// header, so bytes written from a different payload shape are never decoded.
 //
 // Schema grammar (no whitespace):
 //
@@ -53,8 +52,7 @@ func SchemaOf(proto any) (string, error) {
 	return b.String(), nil
 }
 
-// maxSchemaDepth bounds schema nesting in both derivation and parsing; a
-// fuzz input of a thousand '[' must not recurse unboundedly.
+// maxSchemaDepth bounds the nesting of a payload type.
 const maxSchemaDepth = 32
 
 func schemaOfType(b *strings.Builder, t reflect.Type, depth int) error {
@@ -94,8 +92,8 @@ func schemaOfType(b *strings.Builder, t reflect.Type, depth int) error {
 		return schemaOfType(b, t.Elem(), depth+1)
 	case reflect.Array:
 		// Zero-length arrays (like empty structs below) are rejected: a
-		// value that encodes to zero bytes would let the generic decoder do
-		// unbounded work on bounded input.
+		// value that encodes to zero bytes would break the bound decodeTyped
+		// puts on a slice count (every element costs at least one byte).
 		if t.Len() == 0 {
 			return fmt.Errorf("resultstore: cannot archive zero-length array %s", t)
 		}
@@ -126,97 +124,6 @@ func schemaOfType(b *strings.Builder, t reflect.Type, depth int) error {
 	}
 	return nil
 }
-
-// schemaNode is one parsed node of a schema string — the generic codec's
-// type system.
-type schemaNode struct {
-	kind   string // "bool","i8".."i64","u8".."u64","f32","f64","str","slice","array","struct"
-	arrLen int    // array length
-	elem   *schemaNode
-	fields []schemaField
-}
-
-type schemaField struct {
-	name string
-	node *schemaNode
-}
-
-// parseSchema parses a schema string (strictly: what SchemaOf emits, with
-// no normalization, so parse/unparse is the identity).
-func parseSchema(s string) (*schemaNode, error) {
-	n, rest, err := parseNode(s, 0)
-	if err != nil {
-		return nil, err
-	}
-	if rest != "" {
-		return nil, fmt.Errorf("resultstore: trailing schema text %q", rest)
-	}
-	return n, nil
-}
-
-func parseNode(s string, depth int) (*schemaNode, string, error) {
-	if depth > maxSchemaDepth {
-		return nil, "", fmt.Errorf("resultstore: schema nests deeper than %d", maxSchemaDepth)
-	}
-	if s == "" {
-		return nil, "", errors.New("resultstore: empty schema")
-	}
-	for _, k := range [...]string{"bool", "i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f32", "f64", "str"} {
-		if strings.HasPrefix(s, k) {
-			return &schemaNode{kind: k}, s[len(k):], nil
-		}
-	}
-	switch s[0] {
-	case '[':
-		end := strings.IndexByte(s, ']')
-		if end < 0 {
-			return nil, "", errors.New("resultstore: unterminated '[' in schema")
-		}
-		elem, rest, err := parseNode(s[end+1:], depth+1)
-		if err != nil {
-			return nil, "", err
-		}
-		if end == 1 {
-			return &schemaNode{kind: "slice", elem: elem}, rest, nil
-		}
-		n, err := strconv.Atoi(s[1:end])
-		if err != nil || n <= 0 {
-			// Zero-length arrays are rejected (mirroring SchemaOf): their
-			// elements would encode to zero bytes and unbound decode work.
-			return nil, "", fmt.Errorf("resultstore: bad array length %q in schema", s[1:end])
-		}
-		return &schemaNode{kind: "array", arrLen: n, elem: elem}, rest, nil
-	case '{':
-		node := &schemaNode{kind: "struct"}
-		s = s[1:]
-		for {
-			colon := strings.IndexByte(s, ':')
-			if colon <= 0 {
-				return nil, "", errors.New("resultstore: struct field missing name in schema")
-			}
-			name := s[:colon]
-			if strings.ContainsAny(name, "{}[];") {
-				return nil, "", fmt.Errorf("resultstore: bad field name %q in schema", name)
-			}
-			sub, rest, err := parseNode(s[colon+1:], depth+1)
-			if err != nil {
-				return nil, "", err
-			}
-			node.fields = append(node.fields, schemaField{name, sub})
-			if strings.HasPrefix(rest, ";") {
-				s = rest[1:]
-				continue
-			}
-			if strings.HasPrefix(rest, "}") {
-				return node, rest[1:], nil
-			}
-			return nil, "", errors.New("resultstore: unterminated struct in schema")
-		}
-	}
-	return nil, "", fmt.Errorf("resultstore: unrecognized schema at %q", s)
-}
-
-// --- typed codec (reflection over the live payload type) ---
 
 // appendTyped encodes v per the grammar. v's type must be one SchemaOf
 // accepts (Store.Open verified that once).

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -53,8 +54,9 @@ type cellEntry struct {
 
 // Open opens (creating if needed) the store under dir for payloads of
 // proto's type. The payload type must be plain exported data (SchemaOf).
-// A cells file whose tail was cut mid-append — a crashed run — is truncated
-// back to its last whole record; everything before it is served.
+// A log whose tail was cut mid-append — a crashed run — is truncated back
+// to its last whole record and everything before it is served; one cut
+// inside its header is started again. Any other header is an error.
 func Open(dir string, proto any) (*Store, error) {
 	schema, err := SchemaOf(proto)
 	if err != nil {
@@ -91,9 +93,9 @@ func cellsHeader(schema string) []byte {
 	return append(h, schema...)
 }
 
-// openLog opens one append-only record log: verify (or write) the header,
-// replay whole records through load, truncate a partial tail so later
-// appends extend a clean log.
+// openLog opens one append-only record log: replay what is there, cut the
+// file back to its clean prefix so later appends extend a clean log, and
+// write the header when the log has yet to be started.
 func (s *Store) openLog(path string, header []byte, load func(payload []byte) error) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -104,29 +106,10 @@ func (s *Store) openLog(path string, header []byte, load func(payload []byte) er
 		f.Close()
 		return nil, err
 	}
-	if len(data) == 0 {
-		if _, err := f.Write(header); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return f, nil
-	}
-	if len(data) < len(header) || string(data[:len(header)]) != string(header) {
+	good, ok := replayLog(data, header, load)
+	if !ok {
 		f.Close()
 		return nil, fmt.Errorf("resultstore: %s has a foreign header (not this store's format/schema)", path)
-	}
-	good := len(header)
-	rest := data[good:]
-	for len(rest) > 0 {
-		payload, next, err := decodeBytes(rest)
-		if err != nil {
-			break // partial tail: an interrupted append
-		}
-		if err := load(payload); err != nil {
-			break
-		}
-		rest = next
-		good = len(data) - len(rest)
 	}
 	if good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {
@@ -134,11 +117,41 @@ func (s *Store) openLog(path string, header []byte, load func(payload []byte) er
 			return nil, err
 		}
 	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
+	if good == 0 {
+		_, err = f.Write(header)
+	} else {
+		_, err = f.Seek(int64(good), 0)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return f, nil
+}
+
+// replayLog feeds the whole records of one log file's bytes through load and
+// returns the length of the clean prefix: the header plus every record before
+// the first that is cut short or that load rejects (an interrupted append).
+// A clean prefix of 0 means the log has yet to be started: data is empty, or
+// a strict prefix of the header — a create interrupted before the header
+// reached the disk, after which no record can follow, so starting again loses
+// nothing. Bytes that are neither belong to another format or schema: !ok.
+func replayLog(data, header []byte, load func(payload []byte) error) (good int, ok bool) {
+	if len(data) < len(header) && bytes.HasPrefix(header, data) {
+		return 0, true
+	}
+	if !bytes.HasPrefix(data, header) {
+		return 0, false
+	}
+	rest := data[len(header):]
+	for len(rest) > 0 {
+		payload, next, err := decodeBytes(rest)
+		if err != nil || load(payload) != nil {
+			break
+		}
+		rest = next
+	}
+	return len(data) - len(rest), true
 }
 
 func (s *Store) loadCellRecord(payload []byte) error {

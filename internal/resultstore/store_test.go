@@ -1,11 +1,13 @@
 package resultstore
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -69,20 +71,17 @@ func TestSchemaOf(t *testing.T) {
 	if s != want {
 		t.Fatalf("schema:\n got %s\nwant %s", s, want)
 	}
-	if _, err := parseSchema(s); err != nil {
-		t.Fatalf("own schema does not parse: %v", err)
-	}
 }
 
 func TestSchemaOfRejects(t *testing.T) {
 	cases := []any{
-		struct{ P *int }{},                  // pointer
-		struct{ M map[string]int }{},        // map
-		struct{ F func() }{},                // func
-		struct{ E struct{} }{},              // empty struct
-		struct{ A [0]int }{},                // zero-length array
-		measurementLike{},                   // unexported field
-		struct{ I any }{},                   // interface
+		struct{ P *int }{},           // pointer
+		struct{ M map[string]int }{}, // map
+		struct{ F func() }{},         // func
+		struct{ E struct{} }{},       // empty struct
+		struct{ A [0]int }{},         // zero-length array
+		measurementLike{},            // unexported field
+		struct{ I any }{},            // interface
 	}
 	for _, c := range cases {
 		if _, err := SchemaOf(c); err == nil {
@@ -232,6 +231,83 @@ func TestStoreTruncatedTailIsDropped(t *testing.T) {
 	}
 }
 
+// testLog is one of the two log files Open keeps under a directory for
+// Metrics payloads: where it lives and the header it must start with.
+type testLog struct {
+	path   string
+	header []byte
+}
+
+func testLogs(t testing.TB, dir string) [2]testLog {
+	t.Helper()
+	schema, err := SchemaOf(Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(schema))
+	return [2]testLog{
+		{filepath.Join(dir, "cells-"+hex.EncodeToString(sum[:8])+".isr"), cellsHeader(schema)},
+		{filepath.Join(dir, "celltimes.isr"), []byte(hintsMagic)},
+	}
+}
+
+// A crash between creating a log and finishing its header leaves a strict
+// prefix of the header on disk. That is an interrupted create, not a foreign
+// file: Open must start the log again and then serve it normally.
+func TestStoreRepairsPartialHeader(t *testing.T) {
+	var k Key
+	k[0] = 9
+	for i, ref := range testLogs(t, "") {
+		for n := 1; n < len(ref.header); n++ {
+			dir := t.TempDir()
+			log := testLogs(t, dir)[i]
+			if err := os.WriteFile(log.path, log.header[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, Metrics{})
+			if err != nil {
+				t.Fatalf("log %d cut at %d header bytes: %v", i, n, err)
+			}
+			if err := s.Put(k, "cell/a", sampleMetrics(), time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutHint("cell/a", time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			s, err = Open(dir, Metrics{})
+			if err != nil {
+				t.Fatalf("log %d cut at %d header bytes, reopen: %v", i, n, err)
+			}
+			var out Metrics
+			if _, ok := s.Get(k, &out); !ok || !reflect.DeepEqual(out, sampleMetrics()) {
+				t.Fatalf("log %d cut at %d header bytes: Get after repair ok=%v", i, n, ok)
+			}
+			if _, ok := s.Hint("cell/a"); !ok {
+				t.Fatalf("log %d cut at %d header bytes: hint lost after repair", i, n)
+			}
+			s.Close()
+		}
+
+		// A whole header's worth of bytes that are not the header is foreign:
+		// Open refuses it and leaves it alone.
+		dir := t.TempDir()
+		log := testLogs(t, dir)[i]
+		bad := append([]byte(nil), log.header...)
+		bad[0] ^= 0x20
+		if err := os.WriteFile(log.path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, Metrics{}); err == nil {
+			s.Close()
+			t.Fatalf("log %d: Open accepted a wrong-magic header", i)
+		}
+		if got, _ := os.ReadFile(log.path); !bytes.Equal(got, bad) {
+			t.Fatalf("log %d: Open rewrote a foreign file", i)
+		}
+	}
+}
+
 func TestStoreSchemaChangeRotatesFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Metrics{})
@@ -292,58 +368,6 @@ func TestPutHintSkipsSmallRefresh(t *testing.T) {
 	}
 	if d, _ := s.Hint("c"); d != 2*time.Second {
 		t.Fatalf("large refresh should be recorded, got %v", d)
-	}
-}
-
-func TestGenericDecodeMatchesTyped(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Metrics{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := sampleMetrics()
-	var k Key
-	k[0] = 3
-	if err := s.Put(k, "cell/x", in, 42*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	files, _ := filepath.Glob(filepath.Join(dir, "cells-*.isr"))
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := DecodeArchive(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Records) != 1 {
-		t.Fatalf("records = %d, want 1", len(a.Records))
-	}
-	rec := a.Records[0]
-	if rec.Key != k || rec.Name != "cell/x" || rec.ElapsedNS != uint64(42*time.Millisecond) {
-		t.Fatalf("record header: %+v", rec)
-	}
-	if !strings.Contains(a.Schema, "Committed:u64") {
-		t.Fatalf("schema not self-describing: %s", a.Schema)
-	}
-	// The generic Value tree carries the float bits exactly.
-	// Metrics fields: [0]=M [1]=Value [2]=Series; M fields: Window, Inner, TPS, Avail.
-	if got := rec.Value.Elems[1].Bits; got != math.Float64bits(math.Pi) {
-		t.Fatalf("Value bits = %x, want pi bits", got)
-	}
-	if got := rec.Value.Elems[0].Elems[2].Bits; got != math.Float64bits(in.M.TPS) {
-		t.Fatalf("TPS bits = %x", got)
-	}
-
-	// Re-encode and compare byte-for-byte with the original file.
-	out, err := a.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != string(data) {
-		t.Fatal("generic re-encode is not byte-identical to the file")
 	}
 }
 
