@@ -172,7 +172,8 @@ type Manager struct {
 	held      map[uint64]*ownerLocks
 	free      []*ownerLocks // recycled held sets (allocation-free steady state)
 	freeHeads []*head       // recycled lock heads, granted/waiters capacity kept
-	lines     []*mem.Line   // ReleaseAll scratch
+	freeReqs  []*waitReq    // recycled wait requests (see Acquire)
+	lineBufs  [][]*mem.Line // ReleaseAll scratch, one buffer per concurrent call
 
 	// condemned marks a manager whose instance crashed: every waiter has
 	// been aborted and every new request dies immediately. The replacement
@@ -299,23 +300,35 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 	}
 
 	m.Waits++
-	req := &waitReq{owner: owner, mode: want, proc: ctx.P}
+	var req *waitReq
+	if n := len(m.freeReqs) - 1; n >= 0 {
+		req = m.freeReqs[n]
+		m.freeReqs = m.freeReqs[:n]
+	} else {
+		req = new(waitReq)
+	}
+	*req = waitReq{owner: owner, mode: want, proc: ctx.P}
+	h.waiters = append(h.waiters, req)
 	if holds {
 		// Upgrades go to the front: the owner already holds the object and
 		// blocks everyone behind it anyway.
-		h.waiters = append([]*waitReq{req}, h.waiters...)
-	} else {
-		h.waiters = append(h.waiters, req)
+		copy(h.waiters[1:], h.waiters)
+		h.waiters[0] = req
 	}
 	chargeAcquire(ctx, b)
 	t0 := ctx.P.Now()
-	ctx.Block(func() {
+	ctx.Block(func() { // does not escape: no allocation
 		for !req.granted && !req.died {
 			ctx.P.Park()
 		}
 	})
 	m.WaitTime += ctx.P.Now() - t0
-	if req.died {
+	// The request is ours alone again: dispatch took it off the head before
+	// granting it, and Condemn emptied the heads and finished with its list
+	// before any condemned waiter could resume.
+	died := req.died
+	m.freeReqs = append(m.freeReqs, req)
+	if died {
 		m.Dies++
 		return ErrDie
 	}
@@ -401,13 +414,15 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 	prev := ctx.Bucket(exec.BLock)
 	defer ctx.Bucket(prev)
 	// Bookkeeping first (atomic), in acquisition order, then pay the
-	// per-lock release costs. The scratch is detached from the manager for
-	// the duration of the call: the charge loop consumes virtual time, so a
+	// per-lock release costs. The scratch is taken off the manager for the
+	// duration of the call: the charge loop consumes virtual time, so a
 	// concurrently releasing transaction can re-enter ReleaseAll and must
 	// not reuse this call's backing array.
-	lines := m.lines
-	m.lines = nil
-	lines = lines[:0]
+	var lines []*mem.Line
+	if n := len(m.lineBufs) - 1; n >= 0 {
+		lines = m.lineBufs[n][:0]
+		m.lineBufs = m.lineBufs[:n]
+	}
 	for _, hl := range hm.locks {
 		b := m.bucketOf(hl.key)
 		lines = append(lines, &b.line)
@@ -434,7 +449,7 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 		ctx.WriteLine(line)
 		ctx.Charge(CostReleaseCPU)
 	}
-	m.lines = lines[:0] // reattach (a concurrent releaser's buffer may lose)
+	m.lineBufs = append(m.lineBufs, lines)
 }
 
 // dispatch grants the maximal FIFO prefix of compatible waiters.
@@ -451,7 +466,11 @@ func (m *Manager) dispatch(h *head) {
 		if !ok {
 			return
 		}
-		h.waiters = h.waiters[1:]
+		// Shift down rather than reslice, so the head keeps its capacity
+		// through recycling.
+		n := copy(h.waiters, h.waiters[1:])
+		h.waiters[n] = nil
+		h.waiters = h.waiters[:n]
 		// Provisional grant so the next waiter's compatibility check sees
 		// it; replaces the owner's old entry when this is an upgrade.
 		addGrant(h, w.owner, w.mode)

@@ -322,23 +322,78 @@ func TestWaitTimeAccounting(t *testing.T) {
 // TestSteadyStateAcquireReleaseAllocatesNothing guards the free lists:
 // ReleaseAll deletes every head the transaction emptied, so each Acquire of
 // the next transaction creates its head anew — from recycled heads, grant
-// arrays and held set.
+// arrays and held set. A second round adds a partner holding what the
+// transaction wants, so it parks twice — once queued at the back, once as an
+// upgrade at the front — on recycled wait requests and waiter arrays.
 func TestSteadyStateAcquireReleaseAllocatesNothing(t *testing.T) {
 	m := NewManager(true)
-	run(t, func(p *sim.Proc, ctx *exec.Ctx) {
-		owner := uint64(0)
-		txn := func() {
-			owner++
-			for i := int64(0); i < 10; i++ {
-				if err := m.Acquire(ctx, owner, Key{Space: 1, ID: i}, X); err != nil {
-					t.Fatalf("acquire: %v", err)
+	const cycle = 10000 // virtual ns per conflict round; both threads re-align on it
+	hot, shared := Key{Space: 2, ID: 1}, Key{Space: 2, ID: 2}
+	stop := false
+	run(t,
+		func(p *sim.Proc, ctx *exec.Ctx) {
+			owner := uint64(0) // always older than the partner: waits, never dies
+			txn := func() {
+				owner++
+				for i := int64(0); i < 10; i++ {
+					if err := m.Acquire(ctx, owner, Key{Space: 1, ID: i}, X); err != nil {
+						t.Fatalf("acquire: %v", err)
+					}
 				}
+				m.ReleaseAll(ctx, owner)
 			}
-			m.ReleaseAll(ctx, owner)
-		}
-		txn() // warm the free lists and the bucket maps
-		if allocs := testing.AllocsPerRun(100, txn); allocs != 0 {
-			t.Errorf("10 x Acquire + ReleaseAll allocates %v objects per transaction, want 0", allocs)
-		}
-	})
+			txn() // warm the free lists and the bucket maps
+			if allocs := testing.AllocsPerRun(100, txn); allocs != 0 {
+				t.Errorf("10 x Acquire + ReleaseAll allocates %v objects per transaction, want 0", allocs)
+			}
+
+			conflict := func() {
+				owner++
+				p.Advance(cycle/4 - p.Now()%cycle) // the partner took its locks at the cycle's start
+				for _, step := range []struct {
+					key  Key
+					mode Mode
+				}{{shared, S}, {hot, X}, {shared, X}} {
+					if err := m.Acquire(ctx, owner, step.key, step.mode); err != nil {
+						t.Fatalf("acquire %v %v: %v", step.key, step.mode, err)
+					}
+				}
+				m.ReleaseAll(ctx, owner)
+				p.Advance(cycle - p.Now()%cycle)
+			}
+			p.Advance(cycle - p.Now()%cycle)
+			conflict() // warm: first wait requests, waiter arrays
+			conflict()
+			waits := m.Waits
+			const rounds = 50
+			if allocs := testing.AllocsPerRun(rounds, conflict); allocs != 0 {
+				t.Errorf("a transaction that waits twice allocates %v objects, want 0", allocs)
+			}
+			// AllocsPerRun runs one warm-up call besides the counted ones.
+			if got := m.Waits - waits; got != 2*(rounds+1) || m.Dies != 0 {
+				t.Errorf("%d waits and %d dies over %d rounds; every round must wait twice", got, m.Dies, rounds+1)
+			}
+			stop = true
+		},
+		func(p *sim.Proc, ctx *exec.Ctx) {
+			// The partner: from the start of each cycle it holds hot in X, to
+			// the middle, and shared in S, to the three-quarter mark, as two
+			// transactions younger than any of the first thread's. hot makes
+			// that thread queue at the back; shared, which it holds in S
+			// itself by then, makes its upgrade to X queue at the front.
+			owner := uint64(1) << 40
+			for !stop {
+				owner += 2
+				p.Advance(cycle - p.Now()%cycle)
+				if m.Acquire(ctx, owner, hot, X) != nil || m.Acquire(ctx, owner+1, shared, S) != nil {
+					t.Error("partner could not take its locks")
+					return
+				}
+				p.Advance(cycle / 2)
+				m.ReleaseAll(ctx, owner)
+				p.Advance(cycle / 4)
+				m.ReleaseAll(ctx, owner+1)
+			}
+		},
+	)
 }

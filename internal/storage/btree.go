@@ -22,20 +22,60 @@ const (
 // Deletion is lazy (keys are removed from leaves without rebalancing),
 // matching the common production choice; structure invariants still hold
 // and are verified by CheckInvariants in tests.
+//
+// A leaf has two forms. BulkLoadRange builds dense leaves: the keys are
+// first..first+count-1 and the RID of key k is locate(k), so the leaf stores
+// neither array and a probe of it is arithmetic — no load beyond the node
+// itself. A dense leaf is exactly the explicit leaf BulkLoad would have built
+// over the same keys; the first Insert or Delete that reaches one expands it
+// into that explicit leaf, for good, and then runs the ordinary code, so tree
+// shape, split points, node visits and charges never depend on the form.
 type BTree struct {
 	order  int
 	root   *bnode
 	height int
 	size   int
+	locate func(key int64) RID // BulkLoadRange's rid function; resolves dense leaves
 }
 
+// bnode's first fields are the ones a probe reads (the line is touched on
+// every visit), so a visit to a dense leaf stays on one host cache line.
 type bnode struct {
 	line     mem.Line
 	leaf     bool
+	count    int64 // > 0: dense leaf of keys first..first+count-1, keys and rids nil
+	first    int64
 	keys     []int64
 	children []*bnode // inner nodes
-	rids     []RID    // leaf nodes
+	rids     []RID    // explicit leaves
 	next     *bnode   // leaf chain
+}
+
+func (n *bnode) dense() bool { return n.count > 0 }
+
+// size returns the number of keys a leaf holds.
+func (n *bnode) size() int {
+	if n.dense() {
+		return int(n.count)
+	}
+	return len(n.keys)
+}
+
+// expand turns a dense leaf into the explicit leaf it stands for, with the
+// exactly-sized arrays BulkLoad builds. Every mutation of a leaf calls it
+// first; an explicit leaf is never made dense again.
+func (t *BTree) expand(n *bnode) {
+	if !n.dense() {
+		return
+	}
+	n.keys = make([]int64, n.count)
+	n.rids = make([]RID, n.count)
+	for i := range n.keys {
+		k := n.first + int64(i)
+		n.keys[i] = k
+		n.rids[i] = t.locate(k)
+	}
+	n.count, n.first = 0, 0
 }
 
 // NewBTree returns an empty tree with the given order (max keys per node);
@@ -75,6 +115,12 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 		n = n.children[childIndex(n.keys, key)]
 	}
 	t.touch(ctx, n, false)
+	if n.dense() {
+		if uint64(key-n.first) < uint64(n.count) {
+			return t.locate(key), true
+		}
+		return RID{}, false
+	}
 	i := lowerBound(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
 		return n.rids[i], true
@@ -134,6 +180,7 @@ func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
 func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted int64, right *bnode, added bool) {
 	if n.leaf {
 		t.touch(ctx, n, true)
+		t.expand(n)
 		i := lowerBound(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			n.rids[i] = rid
@@ -193,6 +240,7 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 		n = n.children[childIndex(n.keys, key)]
 	}
 	t.touch(ctx, n, true)
+	t.expand(n)
 	i := lowerBound(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
 		return false
@@ -213,6 +261,20 @@ func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) b
 	}
 	for n != nil {
 		t.touch(ctx, n, false)
+		if n.dense() {
+			// Bounds are read once, as range reads the slice header once.
+			k, end := n.first, n.first+n.count
+			if k < lo {
+				k = lo
+			}
+			for ; k < end; k++ {
+				if k > hi || !fn(k, t.locate(k)) {
+					return
+				}
+			}
+			n = n.next
+			continue
+		}
 		for i, k := range n.keys {
 			if k < lo {
 				continue
@@ -231,19 +293,41 @@ func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) b
 // BulkLoad builds the tree from keys that MUST be sorted ascending, with the
 // given leaf fill fraction (0 < fill <= 1, e.g. 0.9). It replaces the tree's
 // contents and is the fast path for loading a partition at deployment time.
+//
+// Its leaves are explicit: it is the reference the dense form is tested
+// against.
 func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
-	t.bulkLoad(int64(len(keys)), func(i int64) int64 { return keys[i] }, rid, fill)
+	t.locate = nil
+	t.bulkLoad(int64(len(keys)), fill, func(i, end int64) *bnode {
+		leaf := &bnode{
+			leaf: true,
+			keys: make([]int64, end-i),
+			rids: make([]RID, end-i),
+		}
+		copy(leaf.keys, keys[i:end])
+		for j, k := range leaf.keys {
+			leaf.rids[j] = rid(k)
+		}
+		return leaf
+	})
 }
 
-// BulkLoadRange bulk-loads the dense key range [0, n) without materializing
-// a key slice — the common case of loading a freshly partitioned table,
-// where a 240K-row partition would otherwise allocate (and immediately
-// discard) megabytes of sequential keys per instance.
+// BulkLoadRange bulk-loads the dense key range [0, n) — the common case of
+// loading a freshly partitioned table — as dense leaves (see BTree): one
+// node per leaf and no key or RID arrays, where a 240K-row partition would
+// otherwise allocate, fill and then miss on megabytes of sequential keys per
+// instance. rid must be a pure function of the key; the tree keeps it and
+// calls it whenever a dense leaf is probed, scanned or expanded.
 func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
-	t.bulkLoad(n, func(i int64) int64 { return i }, rid, fill)
+	t.locate = rid
+	t.bulkLoad(n, fill, func(i, end int64) *bnode {
+		return &bnode{leaf: true, first: i, count: end - i}
+	})
 }
 
-func (t *BTree) bulkLoad(n int64, keyAt func(int64) int64, rid func(key int64) RID, fill float64) {
+// bulkLoad builds the tree over key positions [0, n); newLeaf makes the leaf
+// for positions [i, end).
+func (t *BTree) bulkLoad(n int64, fill float64, newLeaf func(i, end int64) *bnode) {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
 	}
@@ -257,23 +341,13 @@ func (t *BTree) bulkLoad(n int64, keyAt func(int64) int64, rid func(key int64) R
 		t.height = 1
 		return
 	}
-	// Build leaves with exactly-sized slices.
 	leaves := make([]*bnode, 0, (n+per-1)/per)
 	for i := int64(0); i < n; i += per {
 		end := i + per
 		if end > n {
 			end = n
 		}
-		leaf := &bnode{
-			leaf: true,
-			keys: make([]int64, end-i),
-			rids: make([]RID, end-i),
-		}
-		for j := i; j < end; j++ {
-			k := keyAt(j)
-			leaf.keys[j-i] = k
-			leaf.rids[j-i] = rid(k)
-		}
+		leaf := newLeaf(i, end)
 		if len(leaves) > 0 {
 			leaves[len(leaves)-1].next = leaf
 		}
@@ -310,12 +384,18 @@ func leftmostKey(n *bnode) int64 {
 	for !n.leaf {
 		n = n.children[0]
 	}
+	if n.dense() {
+		return n.first
+	}
 	return n.keys[0]
 }
 
 // CheckInvariants verifies structural invariants: sorted keys, uniform leaf
-// depth, separator correctness, child counts, and leaf-chain order. It
-// returns a description of the first violation, or "".
+// depth, separator correctness, child counts and leaf-chain order. A dense
+// leaf is validated as it stands, never expanded: its form must be consistent
+// (a positive count, no explicit arrays, a locate function to resolve it) and
+// its implied keys must obey the same bounds and chain order. It returns a
+// description of the first violation, or "".
 func (t *BTree) CheckInvariants() string {
 	depths := map[int]bool{}
 	var prevLeafMax *int64
@@ -326,11 +406,29 @@ func (t *BTree) CheckInvariants() string {
 				return "keys out of order"
 			}
 		}
-		for _, k := range n.keys {
-			if lo != nil && k < *lo {
+		// The smallest and largest key bound every key of the node.
+		minKey, maxKey, any := int64(0), int64(0), len(n.keys) > 0
+		if any {
+			minKey, maxKey = n.keys[0], n.keys[len(n.keys)-1]
+		}
+		if n.count != 0 {
+			switch {
+			case !n.leaf:
+				return "inner node marked dense"
+			case n.count < 0:
+				return "dense leaf with negative count"
+			case n.keys != nil || n.rids != nil:
+				return "dense leaf carries explicit arrays"
+			case t.locate == nil:
+				return "dense leaf in a tree without a locate function"
+			}
+			minKey, maxKey, any = n.first, n.first+n.count-1, true
+		}
+		if any {
+			if lo != nil && minKey < *lo {
 				return "key below subtree bound"
 			}
-			if hi != nil && k >= *hi {
+			if hi != nil && maxKey >= *hi {
 				return "key above subtree bound"
 			}
 		}
@@ -342,12 +440,11 @@ func (t *BTree) CheckInvariants() string {
 			if len(n.keys) != len(n.rids) {
 				return "leaf keys/rids mismatch"
 			}
-			for _, k := range n.keys {
-				k := k
-				if prevLeafMax != nil && k <= *prevLeafMax {
+			if any {
+				if prevLeafMax != nil && minKey <= *prevLeafMax {
 					return "leaf chain out of order"
 				}
-				prevLeafMax = &k
+				prevLeafMax = &maxKey
 			}
 			return ""
 		}
@@ -382,7 +479,7 @@ func (t *BTree) CheckInvariants() string {
 	}
 	count := 0
 	for ; n != nil; n = n.next {
-		count += len(n.keys)
+		count += n.size()
 	}
 	if count != t.size {
 		return "leaf chain count disagrees with size"

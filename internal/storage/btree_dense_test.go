@@ -1,0 +1,329 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"islands/internal/exec"
+	"islands/internal/mem"
+	"islands/internal/sim"
+	"islands/internal/topology"
+)
+
+// The tests in this file pin the invariant behind dense leaves: a tree built
+// by BulkLoadRange is, to every caller and to the simulated machine, the tree
+// BulkLoad builds over the same keys. They drive both through one script and
+// compare after every step.
+
+// treeUnderTest is one tree with its own memory model and two contexts on
+// cores of different sockets; ops alternate between them, so which node an
+// op visits, and in which order, shows in the coherence statistics.
+type treeUnderTest struct {
+	bt    *BTree
+	model *mem.Model
+	ctx   [2]*exec.Ctx
+}
+
+func newTreeUnderTest(p *sim.Proc, order int) *treeUnderTest {
+	topo := topology.QuadSocket()
+	u := &treeUnderTest{bt: NewBTree(order), model: mem.NewModel(topo)}
+	for i, core := range []topology.CoreID{0, topology.CoreID(topo.NumCores() - 1)} {
+		u.ctx[i] = exec.New(p, core, u.model, nil)
+		u.ctx[i].BD = &exec.Breakdown{}
+	}
+	return u
+}
+
+// denseLeaves counts the leaves still in dense form.
+func (t *BTree) denseLeaves() int {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	dense := 0
+	for ; n != nil; n = n.next {
+		if n.dense() {
+			dense++
+		}
+	}
+	return dense
+}
+
+type rangeHit struct {
+	key int64
+	rid RID
+}
+
+// runBTreeScript interprets script as a tree geometry followed by operations
+// and applies every operation to a BulkLoadRange-built tree and to a
+// BulkLoad-built reference, failing on the first difference in results,
+// Size, Height, virtual time charged, memory statistics or invariants.
+func runBTreeScript(t testing.TB, script []byte) {
+	t.Helper()
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	order := 4 + next()%9               // 4..12: small nodes, many splits
+	rows := int64(next()<<2 | next()&3) // 0..1023
+	fill := []float64{0.9, 0.5, 1}[next()%3]
+
+	k := sim.NewKernel()
+	defer k.Close()
+	k.Spawn("script", func(p *sim.Proc) {
+		dense, ref := newTreeUnderTest(p, order), newTreeUnderTest(p, order)
+		dense.bt.BulkLoadRange(rows, ridFor, fill)
+		ref.bt.BulkLoad(genKeys(int(rows), func(i int) int64 { return int64(i) }), ridFor, fill)
+		leaves := dense.bt.denseLeaves()
+		if rows > 0 && (leaves == 0 || ref.bt.denseLeaves() != 0) {
+			t.Fatalf("BulkLoadRange built %d dense leaves, BulkLoad %d", leaves, ref.bt.denseLeaves())
+		}
+
+		// key draws from just below the loaded range to well past it, so
+		// scripts hit misses on both sides, every leaf, and appends.
+		key := func() int64 { return int64(next()<<8|next())%(rows+48) - 4 }
+		for step := 0; len(script) > 0; step++ {
+			op, core := next(), 0
+			if op&0x80 != 0 {
+				core = 1
+			}
+			var got, want string
+			var spent [2]sim.Time
+			for i, u := range []*treeUnderTest{dense, ref} {
+				saved := script // both trees consume the same operands
+				ctx := u.ctx[core]
+				t0 := p.Now()
+				var out string
+				switch op & 0x7f % 8 {
+				case 0, 1, 2:
+					rid, ok := u.bt.Search(ctx, key())
+					out = fmt.Sprintf("search %v %v", rid, ok)
+				case 3:
+					// The RID the loader would have given: a redo re-insert.
+					k := key()
+					out = fmt.Sprintf("insert %v", u.bt.Insert(ctx, k, ridFor(k)))
+				case 4:
+					// A RID the loader would not have given.
+					k := key()
+					out = fmt.Sprintf("insert %v", u.bt.Insert(ctx, k, RID{Page: PageID{Table: 9, No: k}, Slot: uint16(step)}))
+				case 5:
+					out = fmt.Sprintf("delete %v", u.bt.Delete(ctx, key()))
+				case 6:
+					// Append past everything, as the TPC-C insert tables do.
+					k := rows + 48 + int64(step)
+					out = fmt.Sprintf("append %v", u.bt.Insert(ctx, k, ridFor(k)))
+				case 7:
+					lo, limit := key(), next()%40
+					hi := lo + int64(next())
+					var hits []rangeHit
+					u.bt.Range(ctx, lo, hi, func(k int64, rid RID) bool {
+						hits = append(hits, rangeHit{k, rid})
+						return len(hits) < limit
+					})
+					out = fmt.Sprintf("range %v", hits)
+				}
+				spent[i] = p.Now() - t0
+				if i == 0 {
+					got, script = out, saved
+				} else {
+					want = out
+				}
+			}
+			fail := func(format string, args ...any) {
+				t.Fatalf("order %d rows %d fill %v step %d op %#x: %s", order, rows, fill, step, op, fmt.Sprintf(format, args...))
+			}
+			if got != want {
+				fail("dense tree says %q, reference %q", got, want)
+			}
+			if dense.bt.Size() != ref.bt.Size() || dense.bt.Height() != ref.bt.Height() {
+				fail("size/height %d/%d, reference %d/%d", dense.bt.Size(), dense.bt.Height(), ref.bt.Size(), ref.bt.Height())
+			}
+			if spent[0] != spent[1] {
+				fail("charged %v, reference %v", spent[0], spent[1])
+			}
+			if ds, rs := dense.model.TotalStats(nil), ref.model.TotalStats(nil); ds != rs {
+				fail("memory statistics\n%+v, reference\n%+v", ds, rs)
+			}
+			if msg := dense.bt.CheckInvariants(); msg != "" {
+				fail("dense tree invariant: %s", msg)
+			}
+			if msg := ref.bt.CheckInvariants(); msg != "" {
+				fail("reference invariant: %s", msg)
+			}
+			if n := dense.bt.denseLeaves(); n > leaves {
+				fail("dense leaves grew %d -> %d: a mutated leaf was re-compressed", leaves, n)
+			} else {
+				leaves = n
+			}
+		}
+
+		// Whatever the script did, both trees hold the same mapping.
+		var all [2][]rangeHit
+		for i, u := range []*treeUnderTest{dense, ref} {
+			u.bt.Range(nil, -1<<62, 1<<62, func(k int64, rid RID) bool {
+				all[i] = append(all[i], rangeHit{k, rid})
+				return true
+			})
+		}
+		if fmt.Sprint(all[0]) != fmt.Sprint(all[1]) || len(all[0]) != dense.bt.Size() {
+			t.Fatalf("order %d rows %d: final contents differ from the reference", order, rows)
+		}
+		for _, h := range all[1] {
+			if rid, ok := dense.bt.Search(nil, h.key); !ok || rid != h.rid {
+				t.Fatalf("order %d rows %d: Search(%d) = %v,%v want %v", order, rows, h.key, rid, ok, h.rid)
+			}
+		}
+	})
+	k.Run()
+}
+
+// TestDenseLeavesMatchExplicitReference runs random scripts of every length
+// from read-only probes of an untouched tree to enough mutations to expand
+// and split most leaves.
+func TestDenseLeavesMatchExplicitReference(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 4+rng.Intn(600))
+		rng.Read(script)
+		if seed%5 == 0 {
+			// Mostly reads: most leaves stay dense to the end.
+			for i := 4; i < len(script); i += 3 {
+				script[i] &^= 0x7f
+			}
+		}
+		runBTreeScript(t, script)
+	}
+}
+
+// TestDenseLeafUntouchedByReads: Search and Range expand nothing; the first
+// mutation of a leaf expands that leaf and no other.
+func TestDenseLeafUntouchedByReads(t *testing.T) {
+	bt := NewBTree(8)
+	bt.BulkLoadRange(700, ridFor, 0.9)
+	leaves := bt.denseLeaves()
+	if leaves != 100 {
+		t.Fatalf("%d dense leaves, want 100", leaves)
+	}
+	for k := int64(-3); k < 705; k++ {
+		rid, ok := bt.Search(nil, k)
+		if want := k >= 0 && k < 700; ok != want || (ok && rid != ridFor(k)) {
+			t.Fatalf("Search(%d) = %v,%v", k, rid, ok)
+		}
+	}
+	n := int64(95)
+	bt.Range(nil, 95, 612, func(k int64, rid RID) bool {
+		if k != n || rid != ridFor(k) {
+			t.Fatalf("Range yielded %d,%v want %d", k, rid, n)
+		}
+		n++
+		return true
+	})
+	if n != 613 || bt.denseLeaves() != leaves {
+		t.Fatalf("Range ended at %d with %d dense leaves left of %d", n, bt.denseLeaves(), leaves)
+	}
+	bt.Delete(nil, 350)
+	bt.Insert(nil, 350, ridFor(350))
+	bt.Insert(nil, 0, ridFor(0)) // a replace that changes nothing still expands
+	if got := bt.denseLeaves(); got != leaves-2 {
+		t.Errorf("%d dense leaves after mutating two, want %d", got, leaves-2)
+	}
+	if msg := bt.CheckInvariants(); msg != "" {
+		t.Error(msg)
+	}
+}
+
+// TestCheckInvariantsRejectsBrokenDenseLeaves corrupts dense leaves in the
+// ways CheckInvariants claims to catch.
+func TestCheckInvariantsRejectsBrokenDenseLeaves(t *testing.T) {
+	firstLeaf := func(bt *BTree) *bnode {
+		n := bt.root
+		for !n.leaf {
+			n = n.children[0]
+		}
+		return n
+	}
+	for name, corrupt := range map[string]func(bt *BTree){
+		"skipped expand":    func(bt *BTree) { n := firstLeaf(bt); n.keys, n.rids = []int64{0}, []RID{{}} },
+		"negative count":    func(bt *BTree) { firstLeaf(bt).count = -1 },
+		"no locate":         func(bt *BTree) { bt.locate = nil },
+		"beyond separator":  func(bt *BTree) { firstLeaf(bt).count++ },
+		"chain overlap":     func(bt *BTree) { firstLeaf(bt).next.first-- },
+		"size disagreement": func(bt *BTree) { n := firstLeaf(bt); n.first++; n.count-- },
+		"dense inner node":  func(bt *BTree) { bt.root.count = 3 },
+	} {
+		bt := NewBTree(8)
+		bt.BulkLoadRange(200, ridFor, 0.9)
+		if msg := bt.CheckInvariants(); msg != "" {
+			t.Fatalf("fresh tree: %s", msg)
+		}
+		corrupt(bt)
+		if bt.CheckInvariants() == "" {
+			t.Errorf("%s: not detected", name)
+		}
+	}
+}
+
+// FuzzBTreeOps feeds runBTreeScript whatever the fuzzer finds.
+func FuzzBTreeOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{4, 50, 1, 0, 3, 0, 20, 5, 0, 20, 0x87, 0, 0, 30, 255, 6, 0, 0, 21})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		script := make([]byte, 200)
+		rng.Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 2000 {
+			script = script[:2000] // bound one execution; longer adds nothing
+		}
+		runBTreeScript(t, script)
+	})
+}
+
+// BenchmarkBTreeSearchDense probes a range-loaded, never-mutated index of
+// the benchmark's table size at random: arithmetic in the leaf, no
+// allocation (CI gates on it).
+func BenchmarkBTreeSearchDense(b *testing.B) {
+	withCtx(b, func(ctx *exec.Ctx) {
+		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 100000}
+		bt := NewBTree(DefaultBTreeOrder)
+		bt.BulkLoadRange(tab.NumRows, tab.Locate, 0.9)
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]int64, 1<<16)
+		for i := range keys {
+			keys[i] = rng.Int63n(tab.NumRows)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rid, ok := bt.Search(ctx, keys[i&(len(keys)-1)])
+			if !ok {
+				b.Fatal("key missing")
+			}
+			benchSink += int(rid.Slot)
+		}
+	})
+}
+
+// BenchmarkBulkLoadRange loads the same index; allocs/leaf is the number to
+// watch — one node per leaf and no arrays (plus the inner levels' share).
+func BenchmarkBulkLoadRange(b *testing.B) {
+	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 100000}
+	fill := 0.9
+	per := int64(float64(DefaultBTreeOrder) * fill)
+	leaves := (tab.NumRows + per - 1) / per
+	load := func() { NewBTree(DefaultBTreeOrder).BulkLoadRange(tab.NumRows, tab.Locate, fill) }
+	allocs := testing.AllocsPerRun(3, load)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+	b.ReportMetric(allocs/float64(leaves), "allocs/leaf")
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"testing"
 
 	"islands/internal/exec"
@@ -185,6 +186,39 @@ func TestDiskStats(t *testing.T) {
 		d.Write(ctx)
 		if d.Reads != 1 || d.Writes != 1 {
 			t.Error("disk op counters wrong")
+		}
+	})
+}
+
+// BenchmarkFixHit is the resident-page path of every row access: probe the
+// frame directory, pin, read one (already synthesized) row, unpin — over
+// enough pages, in random order, that the host's cache holds neither the
+// frames nor the rows. It must not allocate (CI gates on it).
+func BenchmarkFixHit(b *testing.B) {
+	withCtx(b, func(ctx *exec.Ctx) {
+		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 31 * 4096}
+		store := NewPageStore()
+		defer store.Release()
+		store.AddTable(tab)
+		bp := NewBufferPool(store, MMapDisk(), int(tab.NumPages()))
+		bp.Prewarm(0)
+		rng := rand.New(rand.NewSource(1))
+		rids := make([]RID, 1<<16)
+		for i := range rids {
+			rids[i] = tab.Locate(rng.Int63n(tab.NumRows))
+			bp.Peek(rids[i].Page).Get(rids[i].Slot) // first touch synthesizes; not this benchmark's subject
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rid := rids[i&(len(rids)-1)]
+			p := bp.Fix(ctx, rid.Page)
+			row, _ := p.Get(rid.Slot)
+			benchSink += len(row)
+			bp.Unfix(ctx, p, false)
+		}
+		if bp.Misses != 0 {
+			b.Fatalf("%d misses in a prewarmed pool", bp.Misses)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -86,6 +87,18 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 			}
 		}
 	}
+	// Get, which never reads the directory of a lazy page, returns exactly
+	// the bytes the directory points at.
+	getViaDirectory := func(t *testing.T, p, ref *Page) {
+		for s := 0; s < p.NumSlots(); s++ {
+			off, length := p.dirSlot(s)
+			got, ok := p.Get(uint16(s))
+			want, _ := ref.Get(uint16(s))
+			if !ok || len(got) != length || &got[0] != &p.data[off] || !bytes.Equal(got, want) {
+				t.Fatalf("slot %d: Get does not return the directory's bytes", s)
+			}
+		}
+	}
 	image := func(t *testing.T, p, ref *Page) {
 		if !bytes.Equal(p.Image(), ref.Image()) {
 			t.Fatal("image differs from eager synthesis")
@@ -93,6 +106,8 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 	}
 	orders := map[string][]op{
 		"image":            {image},
+		"directory-image":  {getViaDirectory, image},
+		"update-directory": {update, getViaDirectory, image},
 		"get-image":        {getSubset, image},
 		"update-image":     {update, image},
 		"get-update-image": {getSubset, update, image},
@@ -115,9 +130,30 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 					ref := tab.SynthesizePage(no)
 					for _, o := range ops {
 						o(t, p, ref)
+						checkSlotArithmetic(t, p)
 					}
 				}
 			})
+		}
+	}
+}
+
+// checkSlotArithmetic holds a page to the two things its struct claims about
+// its buffer: the slot count equals the header word, and, while the page is
+// lazy, every slot resolved by arithmetic is the slot directory's entry. It
+// reads no row, so it leaves a lazy page as lazy as it found it.
+func checkSlotArithmetic(t *testing.T, p *Page) {
+	t.Helper()
+	if header := int(binary.LittleEndian.Uint16(p.data[0:2])); p.slots != header {
+		t.Fatalf("struct says %d slots, page header %d", p.slots, header)
+	}
+	if p.lazy == nil {
+		return
+	}
+	for i := 0; i < p.slots; i++ {
+		off, length := p.slot(i)
+		if dirOff, dirLen := p.dirSlot(i); off != dirOff || length != dirLen {
+			t.Fatalf("slot %d: arithmetic says %d+%d, directory %d+%d", i, off, length, dirOff, dirLen)
 		}
 	}
 }
@@ -197,13 +233,19 @@ func TestLazyPageMatchesEagerReference(t *testing.T) {
 				case 11:
 					lazy, ref = LoadPage(id, lazy.Image()), LoadPage(id, ref.Image())
 				}
+				checkSlotArithmetic(t, lazy)
+				checkSlotArithmetic(t, ref)
 				if lazy.NumSlots() != ref.NumSlots() || lazy.FreeSpace() != ref.FreeSpace() || lazy.Dirty != ref.Dirty {
 					fail(step, "slots/free/dirty = %d/%d/%v want %d/%d/%v", lazy.NumSlots(), lazy.FreeSpace(),
 						lazy.Dirty, ref.NumSlots(), ref.FreeSpace(), ref.Dirty)
 				}
 			}
-			if !bytes.Equal(lazy.Image(), ref.Image()) {
+			img := lazy.Image()
+			if !bytes.Equal(img, ref.Image()) {
 				t.Fatalf("%s seed %d: final image differs", tab.Name, seed)
+			}
+			if header := int(binary.LittleEndian.Uint16(img[0:2])); lazy.slots != header {
+				t.Fatalf("%s seed %d: struct says %d slots, image header %d", tab.Name, seed, lazy.slots, header)
 			}
 		}
 	}

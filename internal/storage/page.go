@@ -54,16 +54,19 @@ type RID struct {
 // HeaderLine is the coherence-tracked proxy for the page's hot metadata
 // (header word, latch word): every fix/latch of the page touches it, so
 // cross-core sharing of pages shows up in the memory model.
+//
+// The fields are ordered for the host's cache, not for reading: what a
+// buffer-pool hit followed by Get touches comes first — on 64-bit hosts the
+// struct is 256 bytes, an allocation class of its own, so its first 64 bytes
+// are one cache line — then HeaderLine; the path reads one word of filled
+// while the page is lazy and goes to the 8 KB buffer only for the row itself.
+// TestPageHitPathLeadsTheStruct pins the order.
 type Page struct {
-	ID         PageID
-	HeaderLine mem.Line
-	Latch      latch.RW
-	Dirty      bool
-	PageLSN    uint64
+	data []byte
 
-	data     []byte
-	holes    int  // deleted slots available for reuse
-	ownsData bool // buffer came from the store's arena (see PageStore.Recycle)
+	// slots mirrors the slot count in the buffer's header word (setNSlots
+	// writes both), so bounds checks never read the buffer.
+	slots int
 
 	// Lazy synthesis state. A page synthesized from its table definition is
 	// formatted over an arbitrary, unzeroed buffer: only the header and the
@@ -74,15 +77,30 @@ type Page struct {
 	// is left and clears lazy. No byte of data is read before format, the
 	// bitmap or materialize says it was written — the invariant that lets
 	// the store recycle buffers without clearing them.
+	//
+	// A lazy page's slot directory is exactly what format wrote — slot i is
+	// RowBytes long at pageHeaderSize + i*RowBytes — because every operation
+	// that changes a directory entry (Insert, Delete) materializes first. So
+	// slot resolves a lazy page's slots by that arithmetic and leaves the
+	// directory, at the far end of the buffer, unread.
 	lazy     *Table
 	firstKey int64 // key of slot 0 while lazy
-	filled   [filledWords]uint64
 
 	// Buffer-pool frame state, owned by the BufferPool caching the page.
 	pins    int
 	ref     bool
 	loading bool
+
+	Dirty      bool
+	ownsData   bool // buffer came from the store's arena (see PageStore.Recycle)
+	HeaderLine mem.Line
+
+	ID      PageID
+	PageLSN uint64
+	holes   int // deleted slots available for reuse
 	waiters []*sim.Proc
+	filled  [filledWords]uint64
+	Latch   latch.RW
 }
 
 // NewPage returns an empty formatted page.
@@ -119,8 +137,8 @@ func (p *Page) setFilled(slot int) { p.filled[slot>>6] |= 1 << (slot & 63) }
 
 // fill synthesizes the row at slot of a lazy page.
 func (p *Page) fill(slot int) {
-	off := pageHeaderSize + slot*p.lazy.RowBytes
-	p.lazy.SynthesizeRow(p.firstKey+int64(slot), p.data[off:off+p.lazy.RowBytes])
+	off, length := p.slot(slot)
+	p.lazy.SynthesizeRow(p.firstKey+int64(slot), p.data[off:off+length])
 	p.setFilled(slot)
 }
 
@@ -131,7 +149,7 @@ func (p *Page) materialize() {
 	if p.lazy == nil {
 		return
 	}
-	n := p.nSlots()
+	n := p.slots
 	for i := 0; i < n; i++ {
 		if p.unfilled(i) {
 			p.fill(i)
@@ -153,7 +171,8 @@ func (p *Page) load(img []byte) {
 		panic("storage: page image has wrong size")
 	}
 	p.data = img
-	for i := 0; i < p.nSlots(); i++ {
+	p.slots = int(binary.LittleEndian.Uint16(img[0:2]))
+	for i := 0; i < p.slots; i++ {
 		if _, length := p.slot(i); length == 0 {
 			p.holes++
 		}
@@ -168,14 +187,29 @@ func (p *Page) Image() []byte {
 	return img
 }
 
-func (p *Page) nSlots() int      { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
-func (p *Page) setNSlots(n int)  { binary.LittleEndian.PutUint16(p.data[0:2], uint16(n)) }
+// setNSlots sets the slot count, in the struct and in the on-page header
+// (which Image persists and load reads back).
+func (p *Page) setNSlots(n int) {
+	p.slots = n
+	binary.LittleEndian.PutUint16(p.data[0:2], uint16(n))
+}
 func (p *Page) freeOff() int     { return int(binary.LittleEndian.Uint16(p.data[2:4])) }
 func (p *Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.data[2:4], uint16(o)) }
 
 func (p *Page) slotPos(i int) int { return PageSize - (i+1)*slotSize }
 
+// slot returns the offset and length of slot i, which must be < p.slots:
+// by format's arithmetic while the page is lazy (see Page.lazy), from the
+// slot directory otherwise.
 func (p *Page) slot(i int) (off, length int) {
+	if t := p.lazy; t != nil {
+		return pageHeaderSize + i*t.RowBytes, t.RowBytes
+	}
+	return p.dirSlot(i)
+}
+
+// dirSlot reads slot i's entry from the slot directory.
+func (p *Page) dirSlot(i int) (off, length int) {
 	pos := p.slotPos(i)
 	return int(binary.LittleEndian.Uint16(p.data[pos : pos+2])),
 		int(binary.LittleEndian.Uint16(p.data[pos+2 : pos+4]))
@@ -188,11 +222,11 @@ func (p *Page) setSlot(i, off, length int) {
 }
 
 // NumSlots returns the number of slot directory entries (including deleted).
-func (p *Page) NumSlots() int { return p.nSlots() }
+func (p *Page) NumSlots() int { return p.slots }
 
 // FreeSpace returns the bytes available for a new record plus its slot.
 func (p *Page) FreeSpace() int {
-	free := PageSize - p.nSlots()*slotSize - p.freeOff() - slotSize
+	free := PageSize - p.slots*slotSize - p.freeOff() - slotSize
 	if free < 0 {
 		return 0
 	}
@@ -211,7 +245,7 @@ func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
 	// capacity is stored in its first two bytes (see Delete). The hole
 	// counter lets the common hole-free page skip the directory scan.
 	if p.holes > 0 {
-		for i := 0; i < p.nSlots(); i++ {
+		for i := 0; i < p.slots; i++ {
 			off, length := p.slot(i)
 			if length != 0 {
 				continue
@@ -227,11 +261,11 @@ func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
 		}
 	}
 	off := p.freeOff()
-	if PageSize-p.nSlots()*slotSize-off < len(rec)+slotSize {
+	if PageSize-p.slots*slotSize-off < len(rec)+slotSize {
 		return 0, false
 	}
 	copy(p.data[off:off+len(rec)], rec)
-	n := p.nSlots()
+	n := p.slots
 	p.setSlot(n, off, len(rec))
 	p.setNSlots(n + 1)
 	p.setFreeOff(off + len(rec))
@@ -243,7 +277,7 @@ func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
 // slots. The returned slice aliases page memory: callers must copy if they
 // retain it.
 func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
-	if int(slot) >= p.nSlots() {
+	if int(slot) >= p.slots {
 		return nil, false
 	}
 	off, length := p.slot(int(slot))
@@ -259,7 +293,7 @@ func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
 // Update overwrites the record at slot in place. The new record must have
 // the same length (fixed-width tables); ok is false otherwise.
 func (p *Page) Update(slot uint16, rec []byte) bool {
-	if int(slot) >= p.nSlots() {
+	if int(slot) >= p.slots {
 		return false
 	}
 	off, length := p.slot(int(slot))
@@ -276,7 +310,7 @@ func (p *Page) Update(slot uint16, rec []byte) bool {
 
 // Delete removes the record at slot, leaving a reusable hole.
 func (p *Page) Delete(slot uint16) bool {
-	if int(slot) >= p.nSlots() {
+	if int(slot) >= p.slots {
 		return false
 	}
 	off, length := p.slot(int(slot))
@@ -297,7 +331,7 @@ func (p *Page) Delete(slot uint16) bool {
 // page untouched: a row not yet synthesized has version 0 by definition.
 func (p *Page) RowVersionSum() uint64 {
 	var sum uint64
-	for i, n := 0, p.nSlots(); i < n; i++ {
+	for i, n := 0, p.slots; i < n; i++ {
 		off, length := p.slot(i)
 		if length == 0 || p.unfilled(i) {
 			continue

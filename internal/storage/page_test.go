@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func rec(n int, fill byte) []byte {
@@ -216,5 +217,30 @@ func TestRowVersionBump(t *testing.T) {
 	}
 	if RowKey(buf) != 5 {
 		t.Error("bump corrupted key")
+	}
+}
+
+// TestPageHitPathLeadsTheStruct pins the field order Page documents: what a
+// buffer-pool hit and a Get read sits in the struct's first 64 bytes, ahead
+// of the filled bitmap and the latch, and the struct fills its 256-byte
+// allocation class exactly (so the runtime aligns it to host cache lines).
+func TestPageHitPathLeadsTheStruct(t *testing.T) {
+	var p Page
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit hosts")
+	}
+	for name, off := range map[string]uintptr{
+		"data": unsafe.Offsetof(p.data), "slots": unsafe.Offsetof(p.slots), "lazy": unsafe.Offsetof(p.lazy),
+		"pins": unsafe.Offsetof(p.pins), "ref": unsafe.Offsetof(p.ref), "loading": unsafe.Offsetof(p.loading),
+	} {
+		if off >= 64 {
+			t.Errorf("Page.%s at offset %d: off the leading cache line", name, off)
+		}
+	}
+	if line := unsafe.Offsetof(p.HeaderLine); line >= unsafe.Offsetof(p.filled) || line >= unsafe.Offsetof(p.Latch) {
+		t.Errorf("Page.HeaderLine at offset %d: behind the bitmap or the latch", line)
+	}
+	if size := unsafe.Sizeof(p); size != 256 {
+		t.Errorf("Page is %d bytes, want 256", size)
 	}
 }

@@ -170,7 +170,7 @@ func (s *PageStore) RetainedRowVersionSum(id PageID) uint64 {
 	if !ok {
 		return 0
 	}
-	return (&Page{data: img}).RowVersionSum()
+	return LoadPage(id, img).RowVersionSum()
 }
 
 // ImageCount returns how many dirty-evicted page images are retained.

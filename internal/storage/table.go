@@ -13,15 +13,24 @@ import (
 type Table struct {
 	ID       TableID
 	Name     string
-	RowBytes int
+	RowBytes int // fixed once any method has been called
 	NumRows  int64
+
+	perPage int64 // RowsPerPage, computed on first use
 }
 
 // RowsPerPage returns how many rows fit a page.
 func (t *Table) RowsPerPage() int64 {
-	per := int64((PageSize - pageHeaderSize) / (t.RowBytes + slotSize))
+	if t.perPage == 0 {
+		t.perPage = rowsPerPage(t.RowBytes)
+	}
+	return t.perPage
+}
+
+func rowsPerPage(rowBytes int) int64 {
+	per := int64((PageSize - pageHeaderSize) / (rowBytes + slotSize))
 	if per < 1 {
-		panic(fmt.Sprintf("storage: row of %d bytes does not fit a page", t.RowBytes))
+		panic(fmt.Sprintf("storage: row of %d bytes does not fit a page", rowBytes))
 	}
 	return per
 }
