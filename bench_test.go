@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of "OLTP on Hardware
-// Islands" (one benchmark per experiment; quick-mode sweeps), plus ablation
-// benchmarks for the design choices called out in DESIGN.md.
+// Islands" (BenchmarkExperiment/<id>, one sub-benchmark per registered
+// experiment; quick-mode sweeps), plus ablation benchmarks for the design
+// choices called out in DESIGN.md.
 //
 // Experiment benchmarks report the headline series as custom metrics, so
 // `go test -bench . -benchmem` doubles as a regression harness for the
@@ -18,18 +19,19 @@ import (
 // the full sweeps.
 var benchOpts = islands.ExperimentOptions{Quick: true, Seed: 42}
 
-// runExperiment executes one reproduction per benchmark iteration and
-// reports the first table's first row as metrics.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := islands.RunExperiment(id, benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportHeadline(b, res)
-		}
+// BenchmarkExperiment runs every registered reproduction, one per
+// sub-benchmark iteration, and reports the first table's first row as
+// metrics: `-bench=BenchmarkExperiment/fig12` selects one.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range islands.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := e.Run(benchOpts)
+				if i == 0 {
+					reportHeadline(b, res)
+				}
+			}
+		})
 	}
 }
 
@@ -55,19 +57,6 @@ func sanitize(s string) string {
 	}
 	return string(out)
 }
-
-func BenchmarkFig2Counters(b *testing.B)         { runExperiment(b, "fig2") }
-func BenchmarkTable1CounterScaling(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkFig3PaymentPlacement(b *testing.B) { runExperiment(b, "fig3") }
-func BenchmarkFig6IPC(b *testing.B)              { runExperiment(b, "fig6") }
-func BenchmarkFig7TPCCLocal(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkFig8Microarch(b *testing.B)        { runExperiment(b, "fig8") }
-func BenchmarkFig9MultisiteSweep(b *testing.B)   { runExperiment(b, "fig9") }
-func BenchmarkFig10CostCurves(b *testing.B)      { runExperiment(b, "fig10") }
-func BenchmarkFig11Breakdown(b *testing.B)       { runExperiment(b, "fig11") }
-func BenchmarkFig12Scaling(b *testing.B)         { runExperiment(b, "fig12") }
-func BenchmarkFig13Skew(b *testing.B)            { runExperiment(b, "fig13") }
-func BenchmarkFig14DBSize(b *testing.B)          { runExperiment(b, "fig14") }
 
 // measureTPS runs one deployment/workload combination and returns KTps.
 func measureTPS(cfg islands.Config, mc islands.MicroConfig) float64 {

@@ -32,8 +32,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -41,94 +43,166 @@ import (
 	"islands"
 )
 
-func main() {
-	machine := flag.String("machine", "quad", "machine model shorthand: quad or octo")
-	geometry := flag.String("geometry", "", "machine geometries sockets:cores:LLC-MB[:fabric], comma-separated (overrides -machine; multiple only in -trace mode)")
-	latscale := flag.String("latscale", "", "interconnect latency scales (e.g. 0.5,1,2) fanning every -trace geometry")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	record := flag.String("record", "", "record a trace from a measured run into FILE and exit")
-	workloadKind := flag.String("workload", "tpcc", "-record workload: tpcc or micro")
-	instances := flag.Int("instances", 0, "-record island count (0 = one per socket)")
-	warehouses := flag.Int("warehouses", 24, "-record TPC-C warehouse count")
+// run is main with its inputs and outputs as parameters: it returns the exit
+// status (2 for a usage error, which leaves stdout empty). Every flag is
+// validated before the first simulation runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("islandsadvisor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machine := fs.String("machine", "quad", "machine model shorthand: quad or octo")
+	geometry := fs.String("geometry", "", "machine geometries sockets:cores:LLC-MB[:fabric], comma-separated (overrides -machine; multiple only in -trace mode)")
+	latscale := fs.String("latscale", "", "interconnect latency scales (e.g. 0.5,1,2) fanning every -trace geometry")
 
-	traceFile := flag.String("trace", "", "replay trace FILE across candidates and rank them")
-	sizes := flag.String("sizes", "", "-trace island sizes to try, comma-separated (default: every size dividing the machine)")
-	seeds := flag.Int("seeds", 3, "-trace seed replicas for ±σ (replicas rotate the stream deal)")
+	record := fs.String("record", "", "record a trace from a measured run into FILE and exit")
+	workloadKind := fs.String("workload", "tpcc", "-record workload: tpcc or micro")
+	instances := fs.Int("instances", 0, "-record island count (0 = one per socket)")
+	warehouses := fs.Int("warehouses", 24, "-record TPC-C warehouse count")
 
-	dump := flag.String("dump", "", "print a text rendering of trace FILE and exit")
-	maxRecords := flag.Int("maxrecords", 3, "-dump records shown per stream (0 = all)")
+	traceFile := fs.String("trace", "", "replay trace FILE across candidates and rank them")
+	sizes := fs.String("sizes", "", "-trace island sizes to try, comma-separated (default: every size dividing the machine)")
+	seeds := fs.Int("seeds", 3, "-trace seed replicas for ±σ (replicas rotate the stream deal)")
 
-	rows := flag.Int64("rows", 240000, "synthetic: global rows in the dataset")
-	rowsTxn := flag.Int("rowstxn", 10, "synthetic/micro: rows accessed per transaction")
-	write := flag.Bool("write", false, "synthetic/micro: update workload (default read-only)")
-	multisite := flag.Float64("multisite", 0.2, "synthetic/micro: fraction of multisite transactions (0..1)")
-	skew := flag.Float64("skew", 0, "synthetic/micro: Zipfian skew factor (0 = uniform)")
-	seed := flag.Int64("seed", 42, "workload and placement seed")
-	verify := flag.Bool("verify", true, "synthetic: verify the ranking with full mixed-workload runs")
-	full := flag.Bool("full", false, "use the full (non-quick) measurement window")
-	flag.Parse()
+	dump := fs.String("dump", "", "print a text rendering of trace FILE and exit")
+	maxRecords := fs.Int("maxrecords", 3, "-dump records shown per stream (0 = all)")
+
+	rows := fs.Int64("rows", 240000, "synthetic: global rows in the dataset")
+	rowsTxn := fs.Int("rowstxn", 10, "synthetic/micro: rows accessed per transaction")
+	write := fs.Bool("write", false, "synthetic/micro: update workload (default read-only)")
+	multisite := fs.Float64("multisite", 0.2, "synthetic/micro: fraction of multisite transactions (0..1)")
+	skew := fs.Float64("skew", 0, "synthetic/micro: Zipfian skew factor (0 = uniform)")
+	seed := fs.Int64("seed", 42, "workload and placement seed")
+	verify := fs.Bool("verify", true, "synthetic: verify the ranking with full mixed-workload runs")
+	full := fs.Bool("full", false, "use the full (non-quick) measurement window")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "islandsadvisor: %v\n", err)
+		return 2
+	}
+
+	switch {
+	case *rows < 1:
+		return fail(errors.New("-rows must be >= 1"))
+	case *rowsTxn < 1:
+		return fail(errors.New("-rowstxn must be >= 1"))
+	case !(*multisite >= 0 && *multisite <= 1):
+		return fail(errors.New("-multisite must be within 0..1"))
+	case !(*skew >= 0):
+		return fail(errors.New("-skew must be >= 0"))
+	case *warehouses < 1:
+		return fail(errors.New("-warehouses must be >= 1"))
+	case *seeds < 1:
+		return fail(errors.New("-seeds must be >= 1"))
+	case *workloadKind != "tpcc" && *workloadKind != "micro":
+		return fail(fmt.Errorf("unknown -workload %q (want tpcc or micro)", *workloadKind))
+	}
+	// Modes that build one deployment take a single geometry; -trace sweeps
+	// many.
+	geos, err := parseGeos(*geometry, *machine)
+	if err != nil {
+		return fail(err)
+	}
+	if *traceFile == "" && len(geos) > 1 {
+		return fail(fmt.Errorf("this mode takes one -geometry (got %d)", len(geos)))
+	}
+	if *latscale != "" {
+		scales, err := islands.ParseLatencyScales(*latscale)
+		if err != nil {
+			return fail(err)
+		}
+		var fanned []islands.Geometry
+		for _, g := range geos {
+			fanned = append(fanned, islands.LatencyScales(g, scales...)...)
+		}
+		geos = fanned
+	}
+	var sizeList []int
+	if *sizes != "" {
+		if sizeList, err = parseInts(*sizes); err != nil {
+			return fail(err)
+		}
+	}
+	mc := islands.MicroConfig{RowsPerTxn: *rowsTxn, Write: *write, PctMultisite: *multisite, ZipfS: *skew}
+	opt := islands.StudyOptions{Quick: !*full, Seed: *seed}
 
 	switch {
 	case *dump != "":
 		t, err := islands.ReadTraceFile(*dump)
-		exitOn(err)
-		t.Dump(os.Stdout, *maxRecords)
+		if err != nil {
+			return fail(err)
+		}
+		t.Dump(stdout, *maxRecords)
 
 	case *record != "":
-		geos := parseGeos(*geometry, *machine, false)
-		opt := islands.StudyOptions{Quick: !*full, Seed: *seed}
-		t := recordTrace(geos[0], *workloadKind, *instances, *warehouses,
-			*rows, *rowsTxn, *write, *multisite, *skew, opt)
-		exitOn(t.WriteFile(*record))
-		fmt.Printf("recorded %s: %d records over %d streams, span %s\n",
+		g := geos[0]
+		n := *instances
+		if n == 0 {
+			n = g.Sockets
+		}
+		if cores := g.Sockets * g.CoresPerSocket; n < 1 || cores%n != 0 {
+			return fail(fmt.Errorf("-instances %d does not divide the machine's %d cores", n, cores))
+		}
+		// Every island must hold a slice of every table.
+		if *workloadKind == "tpcc" && *warehouses < n {
+			return fail(fmt.Errorf("-warehouses %d cannot be spread over %d islands", *warehouses, n))
+		}
+		if *workloadKind == "micro" && *rows < int64(n) {
+			return fail(fmt.Errorf("-rows %d cannot be spread over %d islands", *rows, n))
+		}
+		var t *islands.Trace
+		if *workloadKind == "tpcc" {
+			t = islands.RecordTPCCTrace(islands.TPCCCellSpec{
+				Machine: g.Machine, Instances: n, Warehouses: *warehouses,
+				Mix: islands.StandardMix(), RemotePct: 0.15, RemoteItemPct: 0.01,
+				Sizing: islands.SpecTPCCSizing().Scaled(20),
+			}, opt)
+		} else {
+			t = islands.RecordMicroTrace(islands.MicroCellSpec{
+				Machine: g.Machine, Instances: n, Rows: *rows, MC: mc,
+			}, opt)
+		}
+		if err := t.WriteFile(*record); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "recorded %s: %d records over %d streams, span %s\n",
 			*record, len(t.Records), len(t.Streams), t.Span())
 
 	case *traceFile != "":
 		t, err := islands.ReadTraceFile(*traceFile)
-		exitOn(err)
-		geos := parseGeos(*geometry, *machine, true)
-		if *latscale != "" {
-			scales, err := islands.ParseLatencyScales(*latscale)
-			exitOn(err)
-			var fanned []islands.Geometry
-			for _, g := range geos {
-				fanned = append(fanned, islands.LatencyScales(g, scales...)...)
-			}
-			geos = fanned
+		if err != nil {
+			return fail(err)
 		}
-		var sizeList []int
-		if *sizes != "" {
-			exitOn(parseInts(*sizes, &sizeList))
-		}
-		opt := islands.StudyOptions{Quick: !*full, Seed: *seed}
-		fmt.Printf("trace: %s (%d records, %d streams, span %s)\n\n",
-			t.Label, len(t.Records), len(t.Streams), t.Span())
 		adv, err := islands.TraceAdvise(t, geos, sizeList, *seeds, opt)
-		exitOn(err)
-		fmt.Printf("%-24s %12s %10s %12s\n", "candidate", "KTps", "±σ", "multisite %")
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "trace: %s (%d records, %d streams, span %s)\n\n",
+			t.Label, len(t.Records), len(t.Streams), t.Span())
+		fmt.Fprintf(stdout, "%-24s %12s %10s %12s\n", "candidate", "KTps", "±σ", "multisite %")
 		for _, c := range adv.Ranked {
-			fmt.Printf("%-24s %12.1f %10.1f %12.2f\n",
+			fmt.Fprintf(stdout, "%-24s %12.1f %10.1f %12.2f\n",
 				c.Label, c.TPS/1e3, c.TPSSigma/1e3, c.MultisiteFrac*100)
 		}
-		fmt.Printf("\nrecommended: %s (%d instances on %s)\n",
+		fmt.Fprintf(stdout, "\nrecommended: %s (%d instances on %s)\n",
 			adv.Best.Label, adv.Best.Instances, adv.Best.Geometry.Label())
 
 	default:
-		syntheticAdvise(parseGeos(*geometry, *machine, false)[0],
-			*rows, *rowsTxn, *write, *multisite, *skew, *seed, *verify)
+		// The fine-grained candidate deploys one island per core.
+		if cores := geos[0].Sockets * geos[0].CoresPerSocket; *rows < int64(cores) {
+			return fail(fmt.Errorf("-rows %d cannot be spread over %d single-core islands", *rows, cores))
+		}
+		syntheticAdvise(stdout, geos[0], *rows, mc, *seed, *verify)
 	}
+	return 0
 }
 
-// parseGeos resolves -geometry/-machine into candidate geometries. Modes
-// that build one deployment take a single geometry; -trace sweeps many.
-func parseGeos(geometry, machine string, multi bool) []islands.Geometry {
+// parseGeos resolves -geometry/-machine into candidate geometries.
+func parseGeos(geometry, machine string) ([]islands.Geometry, error) {
 	if geometry != "" {
-		geos, err := islands.ParseGeometries(geometry)
-		exitOn(err)
-		if !multi && len(geos) > 1 {
-			exitOn(fmt.Errorf("this mode takes one -geometry (got %d)", len(geos)))
-		}
-		return geos
+		return islands.ParseGeometries(geometry)
 	}
 	var m *islands.Machine
 	switch machine {
@@ -137,7 +211,7 @@ func parseGeos(geometry, machine string, multi bool) []islands.Geometry {
 	case "octo":
 		m = islands.OctoSocket()
 	default:
-		exitOn(fmt.Errorf("unknown machine %q (want quad, octo, or use -geometry)", machine))
+		return nil, fmt.Errorf("unknown machine %q (want quad, octo, or use -geometry)", machine)
 	}
 	return []islands.Geometry{{
 		Name:           m.Name,
@@ -145,84 +219,39 @@ func parseGeos(geometry, machine string, multi bool) []islands.Geometry {
 		CoresPerSocket: m.CoresPerSocket,
 		LLCBytes:       m.LLCBytes,
 		Interconnect:   m.Interconnect,
-	}}
-}
-
-// recordTrace runs the selected workload on one deployment wrapped in a
-// recorder and returns the finished trace.
-func recordTrace(g islands.Geometry, kind string, instances, warehouses int,
-	rows int64, rowsTxn int, write bool, multisite, skew float64,
-	opt islands.StudyOptions) *islands.Trace {
-
-	if instances <= 0 {
-		instances = g.Sockets
-	}
-	switch kind {
-	case "tpcc":
-		return islands.RecordTPCCTrace(islands.TPCCCellSpec{
-			Machine: g.Machine, Instances: instances, Warehouses: warehouses,
-			Mix: islands.StandardMix(), RemotePct: 0.15, RemoteItemPct: 0.01,
-			Sizing: islands.SpecTPCCSizing().Scaled(20),
-		}, opt)
-	case "micro":
-		m := g.Machine()
-		cfg := islands.DefaultConfig(m, instances, rows)
-		cfg.Seed = opt.Seed
-		d := islands.NewDeployment(cfg)
-		defer d.Close()
-		mc := islands.MicroConfig{
-			Table: 1, GlobalRows: rows, RowsPerTxn: rowsTxn,
-			Write: write, PctMultisite: multisite, ZipfS: skew, Seed: opt.Seed + 1,
-		}
-		rec := islands.NewTraceRecorder(islands.NewMicroWorkload(mc, d),
-			fmt.Sprintf("micro rows=%d %s/%dISL", rows, m.Name, instances), cfg.Tables)
-		d.Start(rec)
-		warmup, window := 500*islands.Microsecond, 3*islands.Millisecond
-		if !opt.Quick {
-			warmup, window = 2*islands.Millisecond, 20*islands.Millisecond
-		}
-		d.Run(warmup, window)
-		return rec.Finish()
-	default:
-		exitOn(fmt.Errorf("unknown -workload %q (want tpcc or micro)", kind))
-		return nil
-	}
+	}}, nil
 }
 
 // syntheticAdvise is the historical mode: calibrate the paper's throughput
 // model T = (1-p)*Tlocal + p*Tdistr on a generated microbenchmark.
-func syntheticAdvise(g islands.Geometry, rows int64, rowsTxn int, write bool,
-	multisite, skew float64, seed int64, verify bool) {
-
+func syntheticAdvise(w io.Writer, g islands.Geometry, rows int64, mc islands.MicroConfig, seed int64, verify bool) {
 	m := g.Machine()
 	candidates := islands.CandidateIslandSizes(m.NumCores(), m.SocketCount)
 	base := islands.DefaultConfig(m, 1, rows)
-	mc := islands.MicroConfig{
-		Table: 1, GlobalRows: rows, RowsPerTxn: rowsTxn,
-		Write: write, ZipfS: skew, Seed: seed,
-	}
+	mc.Table, mc.GlobalRows, mc.Seed = 1, rows, seed
 	opts := islands.DefaultAdvisorOptions()
 	opts.Verify = verify
 
-	fmt.Printf("machine: %s\nworkload: %d rows/txn, write=%v, %.0f%% multisite, zipf %.2f\n\n",
-		m, rowsTxn, write, multisite*100, skew)
-	adv := islands.Advise(base, candidates, multisite, mc, opts)
+	fmt.Fprintf(w, "machine: %s\nworkload: %d rows/txn, write=%v, %.0f%% multisite, zipf %.2f\n\n",
+		m, mc.RowsPerTxn, mc.Write, mc.PctMultisite*100, mc.ZipfS)
+	adv := islands.Advise(base, candidates, mc.PctMultisite, mc, opts)
 
-	fmt.Printf("%-8s %12s %12s %12s %12s\n", "config", "T_local", "T_distr", "predicted", "measured")
+	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s\n", "config", "T_local", "T_distr", "predicted", "measured")
 	for _, c := range adv.Candidates {
-		fmt.Printf("%-8s %10.0fK %10.0fK %10.0fK %10.0fK\n",
+		fmt.Fprintf(w, "%-8s %10.0fK %10.0fK %10.0fK %10.0fK\n",
 			fmt.Sprintf("%dISL", c.Instances),
 			c.LocalTPS/1e3, c.DistrTPS/1e3, c.PredictedTPS/1e3, c.MeasuredTPS/1e3)
 	}
-	fmt.Printf("\nrecommended: %dISL", adv.Best.Instances)
+	fmt.Fprintf(w, "\nrecommended: %dISL", adv.Best.Instances)
 	if adv.Best.Instances == m.SocketCount {
-		fmt.Printf("  (one island per socket: the paper's rule of thumb)")
+		fmt.Fprintf(w, "  (one island per socket: the paper's rule of thumb)")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // parseInts parses a comma-separated list of positive integers.
-func parseInts(s string, out *[]int) error {
+func parseInts(s string) ([]int, error) {
+	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -230,19 +259,12 @@ func parseInts(s string, out *[]int) error {
 		}
 		v, err := strconv.Atoi(part)
 		if err != nil || v < 1 {
-			return fmt.Errorf("-sizes %q: want positive integers", s)
+			return nil, fmt.Errorf("-sizes %q: want positive integers", s)
 		}
-		*out = append(*out, v)
+		out = append(out, v)
 	}
-	if len(*out) == 0 {
-		return fmt.Errorf("-sizes %q: empty list", s)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-sizes %q: empty list", s)
 	}
-	return nil
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "islandsadvisor: %v\n", err)
-		os.Exit(2)
-	}
+	return out, nil
 }

@@ -42,19 +42,19 @@ func TestUsageErrors(t *testing.T) {
 
 func TestList(t *testing.T) {
 	const want = `  fig2     Figure 2     Counter increments by thread placement
-  table1   Table 1      Counter scaling: single/per-socket/per-core
-  fig3     Figure 3     TPC-C Payment by thread placement
+  table1   Table 1      Counter throughput when increasing counters
+  fig3     Figure 3     TPC-C Payment by thread placement (4 workers)
   fig6     Figure 6     IPC mechanism throughput
   fig7     Figure 7     TPC-C Payment, perfectly partitionable
-  fig8     Figure 8     Microarchitectural profile
-  fabric   Sec 8 (what-if fabrics) Socket-fabric sweep (what-if interconnects)
-  faults   robustness   Fault injection under load
-  fig12    Figure 12    Scaling with active cores
+  fig8     Figure 8     Microarchitectural data per deployment
+  fabric   Sec 8 (what-if fabrics) Socket-fabric sweep on a 16-socket machine (per-socket islands)
+  faults   robustness (no paper figure) Fault injection: island crashes and gray failures
+  fig12    Figure 12    Scaling with active cores (20% multisite)
   fig13    Figure 13    Throughput under skewed access
-  fig14    Figure 14    Throughput vs database size
-  fig9     Figure 9     Throughput vs % multisite transactions
+  fig14    Figure 14    Throughput vs database size (2 rows/txn)
+  fig9     Figure 9     Throughput vs fraction of multisite transactions
   fig10    Figure 10    Cost per transaction vs rows accessed
-  fig11    Figure 11    Per-transaction time breakdown
+  fig11    Figure 11    Time breakdown per transaction (4ISL, 4 rows)
   tpcc     Figures 7/9 (full mix) Full TPC-C mix across island configurations
   trace    trace subsystem Trace record/replay across island configurations
 `

@@ -7,47 +7,62 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"islands/internal/topology"
 )
 
-func main() {
-	flag.Parse()
-	for _, m := range []*topology.Machine{topology.QuadSocket(), topology.OctoSocket()} {
-		probe(m)
-		fmt.Println()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters: it returns the exit
+// status (2 for a usage error, which leaves stdout empty).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topoprobe", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "topoprobe: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	for _, m := range []*topology.Machine{topology.QuadSocket(), topology.OctoSocket()} {
+		probe(stdout, m)
+		fmt.Fprintln(stdout)
+	}
+	return 0
 }
 
-func probe(m *topology.Machine) {
-	fmt.Println(m)
-	fmt.Printf("  interconnect: %s, mean socket distance %.2f hops\n", m.Interconnect.Name, m.MeanHops())
+func probe(w io.Writer, m *topology.Machine) {
+	fmt.Fprintln(w, m)
+	fmt.Fprintf(w, "  interconnect: %s, mean socket distance %.2f hops\n", m.Interconnect.Name, m.MeanHops())
 
-	fmt.Print("  hop matrix:\n")
+	fmt.Fprint(w, "  hop matrix:\n")
 	for a := 0; a < m.SocketCount; a++ {
-		fmt.Print("    ")
+		fmt.Fprint(w, "    ")
 		for b := 0; b < m.SocketCount; b++ {
-			fmt.Printf("%d ", m.Hops(topology.SocketID(a), topology.SocketID(b)))
+			fmt.Fprintf(w, "%d ", m.Hops(topology.SocketID(a), topology.SocketID(b)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	c0 := topology.CoreID(0)
 	samesock := topology.CoreID(1)
 	remote := topology.CoreID(m.NumCores() - 1)
-	fmt.Printf("  cache-line transfer: same core %v | same socket %v | farthest socket %v\n",
+	fmt.Fprintf(w, "  cache-line transfer: same core %v | same socket %v | farthest socket %v\n",
 		m.TransferCost(c0, c0), m.TransferCost(c0, samesock), m.TransferCost(remote, c0))
-	fmt.Printf("  DRAM: local %v | farthest remote %v\n",
+	fmt.Fprintf(w, "  DRAM: local %v | farthest remote %v\n",
 		m.DRAMCost(c0, 0), m.DRAMCost(c0, m.SocketOf(remote)))
 
-	fmt.Println("  island partitions:")
+	fmt.Fprintln(w, "  island partitions:")
 	for _, n := range []int{1, 2, m.SocketCount, m.NumCores()} {
 		if m.NumCores()%n != 0 {
 			continue
 		}
 		parts := topology.IslandPartition(m, n)
 		spans := topology.SocketsSpanned(m, parts[0])
-		fmt.Printf("    %3dISL: %2d cores/instance, %d socket(s) each\n",
+		fmt.Fprintf(w, "    %3dISL: %2d cores/instance, %d socket(s) each\n",
 			n, len(parts[0]), spans)
 	}
 }

@@ -48,12 +48,7 @@ const (
 )
 
 // TableDecl declares one global table.
-type TableDecl struct {
-	ID       storage.TableID
-	Name     string
-	RowBytes int
-	Rows     int64 // global row count, range-partitioned over instances
-}
+type TableDecl = storage.TableDecl
 
 // Config describes a deployment to build.
 type Config struct {

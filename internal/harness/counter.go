@@ -223,8 +223,3 @@ func meanStd(xs []float64) (mean, std float64) {
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std
 }
-
-func init() {
-	register(Experiment{ID: "fig2", Title: "Counter increments by thread placement", Ref: "Figure 2", Study: studyFig2})
-	register(Experiment{ID: "table1", Title: "Counter scaling: single/per-socket/per-core", Ref: "Table 1", Study: studyTable1})
-}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"islands/internal/core"
 	"islands/internal/exec"
 	"islands/internal/ipc"
 	"islands/internal/mem"
@@ -14,125 +13,6 @@ import (
 
 // stdRows is the paper's default dataset: 240,000 rows (~60 MB).
 const stdRows = 240000
-
-// windows returns (warmup, measure) for the current mode.
-func windows(opt Options) (sim.Time, sim.Time) {
-	if opt.Quick {
-		return 500 * sim.Microsecond, 3 * sim.Millisecond
-	}
-	return 2 * sim.Millisecond, 20 * sim.Millisecond
-}
-
-// microConfig builds the deployment config and workload config of a
-// microbenchmark cell — the cell's complete semantic input, shared by
-// runMicro (which deploys it) and MicroCell's result-store key (which
-// hashes it). Keeping one builder guarantees the key covers exactly what
-// executes.
-func microConfig(m *topology.Machine, instances int, rows int64, mc workload.MicroConfig,
-	localOnly bool, opt Options, tweak func(*core.Config)) (core.Config, workload.MicroConfig) {
-
-	cfg := core.DefaultConfig(m, instances, rows)
-	cfg.LocalOnly = localOnly
-	cfg.Seed = opt.Seed
-	cfg.Shards = opt.Shards
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	mc.Table = 1
-	mc.GlobalRows = rows
-	mc.Seed = opt.Seed + 1
-	return cfg, mc
-}
-
-// runMicro deploys `instances` over machine m and measures the
-// microbenchmark. tweak (optional) adjusts the config before building.
-func runMicro(m *topology.Machine, instances int, rows int64, mc workload.MicroConfig,
-	localOnly bool, opt Options, tweak func(*core.Config)) core.Measurement {
-
-	cfg, mc := microConfig(m, instances, rows, mc, localOnly, opt, tweak)
-	d := opt.deploy(cfg)
-	defer d.Close()
-	d.Start(workload.NewMicro(mc, d.Part))
-	warmup, window := windows(opt)
-	return d.Run(warmup, window)
-}
-
-// runTPCC deploys the spec's TPC-C transaction mix over the machine. The
-// deployment declares exactly the tables the mix touches, so Payment-only
-// cells build the historical four-table dataset (and the historical request
-// stream — the mix generator skips the transaction-selection draw for
-// single-kind mixes), keeping their fingerprints byte-identical.
-func runTPCC(m *topology.Machine, s TPCCSpec, opt Options,
-	instanceCores [][]topology.CoreID) core.Measurement {
-
-	cfg, mix := tpccConfig(m, s, opt, instanceCores)
-	d := opt.deploy(cfg)
-	defer d.Close()
-	d.Start(workload.NewMix(mix, d.Part))
-	warmup, window := windows(opt)
-	return d.Run(warmup, window)
-}
-
-// tpccConfig builds the deployment and mix configs of a TPC-C cell — the
-// cell's complete semantic input, shared by runTPCC and TPCCCell's
-// result-store key.
-func tpccConfig(m *topology.Machine, s TPCCSpec, opt Options,
-	instanceCores [][]topology.CoreID) (core.Config, workload.MixConfig) {
-
-	cfg := core.Config{
-		Machine:       m,
-		Instances:     s.Instances,
-		Placement:     core.PlacementIslands,
-		InstanceCores: instanceCores,
-		Mechanism:     ipc.UnixSocket,
-		LocalOnly:     s.LocalOnly,
-		Seed:          opt.Seed,
-		Shards:        opt.Shards,
-	}
-	for _, t := range workload.MixTableSet(s.Warehouses, s.Mix, s.Sizing) {
-		cfg.Tables = append(cfg.Tables, core.TableDecl{ID: t.ID, Name: t.Name, RowBytes: t.RowBytes, Rows: t.Rows})
-	}
-	mix := workload.MixConfig{
-		Warehouses:    s.Warehouses,
-		Weights:       s.Mix,
-		RemotePct:     s.RemotePct,
-		RemoteItemPct: s.RemoteItemPct,
-		Sizing:        s.Sizing,
-		Seed:          opt.Seed + 2,
-	}
-	return cfg, mix
-}
-
-// sourceConfig builds the deployment config of a source cell, shared by
-// runSource and SourceCell's result-store key (the source itself is hashed
-// separately via SourceSpec.Key).
-func sourceConfig(s SourceSpec, opt Options) core.Config {
-	cfg := core.Config{
-		Machine:   s.Machine(),
-		Instances: s.Instances,
-		Placement: core.PlacementIslands,
-		Mechanism: ipc.UnixSocket,
-		LocalOnly: s.LocalOnly,
-		Seed:      opt.Seed,
-		Shards:    opt.Shards,
-		Tables:    append([]core.TableDecl(nil), s.Tables...),
-	}
-	if s.Tweak != nil {
-		s.Tweak(&cfg)
-	}
-	return cfg
-}
-
-// runSource deploys a user-defined request source over the spec's machine
-// and measures it — the open-ended sibling of runMicro/runTPCC.
-func runSource(s SourceSpec, opt Options) core.Measurement {
-	cfg := sourceConfig(s, opt)
-	d := opt.deploy(cfg)
-	defer d.Close()
-	d.Start(s.Source(d, opt))
-	warmup, window := windows(opt)
-	return d.Run(warmup, window)
-}
 
 // fig3: TPC-C Payment with 4 worker threads on the quad-socket machine,
 // varying thread placement: Spread / Group / Mix / OS. All cells force the
@@ -204,10 +84,7 @@ func studyFig6(opt Options) *Study {
 		rounds = 300
 	}
 	mechs := ipc.Mechanisms()
-	rows := make([]string, len(mechs))
-	for i, mech := range mechs {
-		rows[i] = mech.String()
-	}
+	rows := axis("%s", mechs)
 	tab := NewTable("message throughput", "Kmsgs/s",
 		"mechanism", rows, "endpoint sockets", []string{"same", "different"})
 	p := &Study{
@@ -287,10 +164,7 @@ func studyFig8(opt Options) *Study {
 	if opt.Quick {
 		configs = []int{24, 4, 1}
 	}
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
+	rows := axis("%dISL", configs)
 	tab := NewTable("microarchitectural profile", "",
 		"config", rows, "", []string{"IPC", "stalled %", "LLC sharing %"})
 	p := &Study{
@@ -310,11 +184,4 @@ func studyFig8(opt Options) *Study {
 			Emit{0, i, 2, func(x Metrics) float64 { return x.M.LLCShareFrac * 100 }}))
 	}
 	return p
-}
-
-func init() {
-	register(Experiment{ID: "fig3", Title: "TPC-C Payment by thread placement", Ref: "Figure 3", Study: studyFig3})
-	register(Experiment{ID: "fig6", Title: "IPC mechanism throughput", Ref: "Figure 6", Study: studyFig6})
-	register(Experiment{ID: "fig7", Title: "TPC-C Payment, perfectly partitionable", Ref: "Figure 7", Study: studyFig7})
-	register(Experiment{ID: "fig8", Title: "Microarchitectural profile", Ref: "Figure 8", Study: studyFig8})
 }

@@ -102,8 +102,3 @@ const fabricSockets = 16
 func fabricBase() Geometry {
 	return Geometry{Sockets: fabricSockets, CoresPerSocket: 2, LatencyScale: 4}
 }
-
-func init() {
-	register(Experiment{ID: "fabric", Title: "Socket-fabric sweep (what-if interconnects)",
-		Ref: "Sec 8 (what-if fabrics)", Study: studyFabric})
-}

@@ -5,7 +5,6 @@ import (
 
 	"islands/internal/core"
 	"islands/internal/fault"
-	"islands/internal/resultstore"
 	"islands/internal/sim"
 	"islands/internal/topology"
 	"islands/internal/workload"
@@ -48,53 +47,30 @@ type FaultSpec struct {
 	Tweak func(*core.Config)
 }
 
-// faultConfig builds the deployment config, workload config and window
-// geometry of a fault cell — the cell's complete semantic input, shared by
-// FaultCell's Run (which deploys it) and its result-store key (which hashes
-// it, fault plan included).
-func faultConfig(s FaultSpec, opt Options) (core.Config, workload.MicroConfig, sim.Time, sim.Time, int) {
+// plan is a microbenchmark plan with the fault schedule wired in (before
+// the spec's own tweak) and the windowed measurement geometry.
+func (s FaultSpec) plan(opt Options) plan {
 	warmup, window, n := faultWindows(opt)
-	cfg := core.DefaultConfig(s.Machine(), s.Instances, s.Rows)
-	cfg.LocalOnly = s.LocalOnly
-	cfg.Seed = opt.Seed
-	cfg.Shards = opt.Shards
-	cfg.Faults = s.Plan(warmup, window, n)
-	if s.Tweak != nil {
-		s.Tweak(&cfg)
-	}
-	mc := s.MC
-	mc.Table = 1
-	mc.GlobalRows = s.Rows
-	mc.Seed = opt.Seed + 1
-	return cfg, mc, warmup, window, n
+	p := MicroSpec{
+		Machine: s.Machine, Instances: s.Instances, Rows: s.Rows, MC: s.MC,
+		LocalOnly: s.LocalOnly, SeedDelta: s.SeedDelta,
+		Tweak: func(c *core.Config) {
+			c.Faults = s.Plan(warmup, window, n)
+			if s.Tweak != nil {
+				s.Tweak(c)
+			}
+		},
+	}.plan(opt)
+	p.tag = "fault"
+	p.warmup, p.window, p.series = warmup, window, n
+	return p
 }
 
 // FaultCell builds a fault-injection cell: it deploys the spec, runs the
 // windowed measurement, and returns the per-window series plus a whole-run
 // aggregate in M.
 func FaultCell(name string, s FaultSpec, emits ...Emit) Cell {
-	return Cell{Name: name, Emits: emits,
-		Run: func(opt Options) Metrics {
-			opt.Seed += s.SeedDelta
-			cfg, mc, warmup, window, n := faultConfig(s, opt)
-			d := opt.deploy(cfg)
-			defer d.Close()
-			d.Start(workload.NewMicro(mc, d.Part))
-
-			series := d.RunWindows(warmup, window, n)
-			return Metrics{M: sumWindows(series), Series: series}
-		},
-		Key: func(opt Options, h *resultstore.Hasher) {
-			opt.Seed += s.SeedDelta
-			h.Str("fault")
-			cfg, mc, warmup, window, n := faultConfig(s, opt)
-			keyConfig(h, cfg)
-			h.Value(mc)
-			h.I64(int64(warmup))
-			h.I64(int64(window))
-			h.I64(int64(n))
-			keyOptions(h, opt)
-		}}
+	return planCell(name, false, s.plan, emits)
 }
 
 // sumWindows folds a window series into one whole-run Measurement: counters
@@ -245,8 +221,4 @@ func studyFaults(opt Options) *Study {
 		MC: mc, Plan: grayPlan,
 	}, emitsFor(row)...))
 	return p
-}
-
-func init() {
-	register(Experiment{ID: "faults", Title: "Fault injection under load", Ref: "robustness", Study: studyFaults})
 }

@@ -26,6 +26,10 @@ func ParseGeometry(s string) (Geometry, error) {
 	if err1 != nil || err2 != nil || err3 != nil || sockets <= 0 || cores <= 0 || llcMB <= 0 {
 		return Geometry{}, fmt.Errorf("geometry %q: want positive integers sockets:coresPerSocket:LLC-MB", s)
 	}
+	if sockets > maxModelSockets {
+		return Geometry{}, fmt.Errorf("geometry %q has %d sockets; the MESI model's sharer mask supports at most %d",
+			s, sockets, maxModelSockets)
+	}
 	g := Geometry{
 		Sockets:        sockets,
 		CoresPerSocket: cores,

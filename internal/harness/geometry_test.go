@@ -3,8 +3,9 @@ package harness
 import "testing"
 
 // TestParseGeometryErrors sweeps the malformed-spec space of ParseGeometry:
-// wrong field counts, non-numeric fields, and zero or negative dimensions
-// must all error rather than build a degenerate machine.
+// wrong field counts, non-numeric fields, zero or negative dimensions and
+// more sockets than the memory model tracks must all error rather than
+// build a degenerate machine (or panic in Geometry.Machine later).
 func TestParseGeometryErrors(t *testing.T) {
 	bad := []string{
 		"",
@@ -20,6 +21,7 @@ func TestParseGeometryErrors(t *testing.T) {
 		"4:6:-8",
 		"4:0:8",
 		"4:6:0",
+		"17:2:12",
 	}
 	for _, s := range bad {
 		if g, err := ParseGeometry(s); err == nil {

@@ -107,11 +107,11 @@ type Result struct {
 	Tables []*Table
 }
 
-// Experiment is a registered reproduction: a thin index entry over the
-// Study the experiment is built from. Run is derived from Study by
-// register; callers that want to transform the study before running it
-// (seed replication, for example) call Study directly and Run the value
-// it returns.
+// Experiment is a registered reproduction: an index entry over the Study
+// the experiment is built from. ID, Title and Ref are the study's own.
+// Callers that want to transform the study before running it (seed
+// replication, for example) call Study directly and Run the value it
+// returns.
 type Experiment struct {
 	ID    string
 	Title string
@@ -119,28 +119,37 @@ type Experiment struct {
 	// Study builds the experiment's declarative study; grid sizes depend
 	// on opt.Quick/opt.Short.
 	Study func(opt Options) *Study
-	// Run builds the study and executes it; filled in by register.
-	Run func(opt Options) *Result
 }
+
+// Run builds the study and executes it.
+func (e Experiment) Run(opt Options) *Result { return e.Study(opt).Run(opt) }
 
 var (
 	registry []Experiment       // registration order
 	byID     = map[string]int{} // id -> registry index
 )
 
-func register(e Experiment) {
-	if _, dup := byID[e.ID]; dup {
-		panic("harness: duplicate experiment id " + e.ID)
+// register indexes a study builder under the ID, Title and Ref of the study
+// it builds (at the smallest grid: they do not depend on the options).
+func register(study func(opt Options) *Study) {
+	s := study(Options{Quick: true, Short: true})
+	if _, dup := byID[s.ID]; dup {
+		panic("harness: duplicate experiment id " + s.ID)
 	}
-	if e.Run == nil {
-		if e.Study == nil {
-			panic("harness: experiment " + e.ID + " has neither Study nor Run")
-		}
-		study := e.Study
-		e.Run = func(opt Options) *Result { return study(opt).Run(opt) }
+	byID[s.ID] = len(registry)
+	registry = append(registry, Experiment{ID: s.ID, Title: s.Title, Ref: s.Ref, Study: study})
+}
+
+// The registered experiments, in the order -list and the fingerprint print
+// them.
+func init() {
+	for _, study := range []func(Options) *Study{
+		studyFig2, studyTable1, studyFig3, studyFig6, studyFig7, studyFig8,
+		studyFabric, studyFaults, studyFig12, studyFig13, studyFig14,
+		studyFig9, studyFig10, studyFig11, studyTPCCMix, studyTrace,
+	} {
+		register(study)
 	}
-	byID[e.ID] = len(registry)
-	registry = append(registry, e)
 }
 
 // All returns every experiment in registration order.
@@ -193,6 +202,15 @@ func NewTable(name, unit, rowHead string, rows []string, colHead string, cols []
 	}
 }
 
+// axis labels one table row or column per value of a sweep axis.
+func axis[T any](format string, values []T) []string {
+	out := make([]string, len(values))
+	for i, v := range values {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
 // Set stores a cell.
 func (t *Table) Set(row, col int, v float64) { t.Values[row][col] = v }
 
@@ -209,9 +227,6 @@ func (t *Table) Format() string {
 	b.WriteByte('\n')
 
 	head := t.RowHead
-	if head == "" {
-		head = ""
-	}
 	width := len(head)
 	for _, r := range t.Rows {
 		if len(r) > width {

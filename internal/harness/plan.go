@@ -3,7 +3,9 @@ package harness
 import (
 	"islands/internal/core"
 	"islands/internal/engine"
+	"islands/internal/ipc"
 	"islands/internal/resultstore"
+	"islands/internal/sim"
 	"islands/internal/topology"
 	"islands/internal/workload"
 )
@@ -59,10 +61,9 @@ type Cell struct {
 	Run func(opt Options) Metrics
 	// Key, when non-nil, writes the cell's semantic identity — everything
 	// Run's simulation consumes — into the hasher, for the persistent
-	// result store (Options.Store). It must apply the same option
-	// transforms Run applies (seed deltas, forced-full mode) and hash the
-	// same configs Run builds, so two cells with equal keys are guaranteed
-	// to produce bit-identical Metrics. Cells with a nil Key still cache,
+	// result store (Options.Store): two cells with equal keys must produce
+	// bit-identical Metrics. Deployment cells get Run and Key from one plan
+	// (planCell), which guarantees it. Cells with a nil Key still cache,
 	// under a positional key over (study ID, cell name, options) — sound for
 	// cells whose behavior is a pure function of the code, which the code
 	// fingerprint in every key covers.
@@ -79,6 +80,108 @@ func TPSEmit(table, row, col int) Emit {
 // ValueEmit emits the cell's scalar value verbatim.
 func ValueEmit(table, row, col int) Emit {
 	return Emit{table, row, col, func(x Metrics) float64 { return x.Value }}
+}
+
+// multisitePctEmit emits the committed transactions that spanned instances,
+// in percent.
+func multisitePctEmit(table, row, col int) Emit {
+	return Emit{table, row, col, func(x Metrics) float64 {
+		total := x.M.Local + x.M.Multisite
+		if total == 0 {
+			return 0
+		}
+		return 100 * float64(x.M.Multisite) / float64(total)
+	}}
+}
+
+// plan is one deployment cell resolved under a run's options — the paper's
+// recipe as data: build this deployment, drive it with this source, warm
+// up, measure these windows. It is the only description of the cell there
+// is: planCell derives both Cell.Run (which executes it) and Cell.Key
+// (which hashes it) from the same value, so a result-store key covers
+// exactly what ran.
+type plan struct {
+	tag string  // cell kind, the key's first frame
+	opt Options // effective options: the cell's seed delta and forced-full mode applied
+	cfg core.Config
+	// source builds the request driver against the freshly built deployment.
+	source func(d *core.Deployment) engine.RequestSource
+	// identity hashes what source consumes beyond cfg and opt: the workload
+	// config, a trace digest.
+	identity func(h *resultstore.Hasher)
+
+	warmup, window sim.Time
+	// series is the window count of a windowed measurement, reported as
+	// Metrics.Series with the whole-run sum in M (fault cells); 0 measures
+	// one steady-state window into M.
+	series int
+}
+
+// forCell returns the options a cell's simulation runs under: the run's
+// options with the spec's seed delta and forced-full mode applied. Every
+// spec's plan method starts here, and nothing else transforms options.
+func (o Options) forCell(seedDelta int64, forceFull bool) Options {
+	o.Seed += seedDelta
+	if forceFull {
+		o.Quick = false
+	}
+	return o
+}
+
+// plan assembles a cell's plan under the effective options o: the run's
+// seed and kernel worker count land in cfg, then the spec's tweak adjusts
+// it, and the measurement defaults to the mode's standard window.
+func (o Options) plan(tag string, cfg core.Config, tweak func(*core.Config),
+	source func(*core.Deployment) engine.RequestSource, identity func(*resultstore.Hasher)) plan {
+
+	cfg.Seed = o.Seed
+	cfg.Shards = o.Shards
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	p := plan{tag: tag, opt: o, cfg: cfg, source: source, identity: identity}
+	p.warmup, p.window = 2*sim.Millisecond, 20*sim.Millisecond
+	if o.Quick {
+		p.warmup, p.window = 500*sim.Microsecond, 3*sim.Millisecond
+	}
+	return p
+}
+
+// run executes the plan: deploy, start the source, warm up, measure, close.
+func (p plan) run() Metrics {
+	d := p.opt.deploy(p.cfg)
+	defer d.Close()
+	d.Start(p.source(d))
+	if p.series == 0 {
+		return Metrics{M: d.Run(p.warmup, p.window)}
+	}
+	series := d.RunWindows(p.warmup, p.window, p.series)
+	return Metrics{M: sumWindows(series), Series: series}
+}
+
+// key hashes the plan: kind, deployment config, source identity, window
+// geometry, effective seed and mode.
+func (p plan) key(h *resultstore.Hasher) {
+	h.Str(p.tag)
+	keyConfig(h, p.cfg)
+	p.identity(h)
+	h.I64(int64(p.warmup))
+	h.I64(int64(p.window))
+	h.I64(int64(p.series))
+	keyOptions(h, p.opt)
+}
+
+// planCell builds a deployment cell whose Run and Key both come from
+// build(opt). forceFull cells run the long window even in quick mode, so
+// they carry a cost hint for the scheduler.
+func planCell(name string, forceFull bool, build func(Options) plan, emits []Emit) Cell {
+	var hint float64
+	if forceFull {
+		hint = 1
+	}
+	return Cell{Name: name, CostHint: hint, Emits: emits,
+		Run: func(opt Options) Metrics { return build(opt).run() },
+		Key: func(opt Options, h *resultstore.Hasher) { build(opt).key(h) }}
 }
 
 // MicroSpec declares a microbenchmark deployment cell: which machine to
@@ -104,33 +207,22 @@ type MicroSpec struct {
 	Tweak func(*core.Config)
 }
 
-// MicroCell builds a standard microbenchmark cell from its spec. ForceFull
-// cells run the long window even in quick mode, so they carry a cost hint
-// for the scheduler.
+func (s MicroSpec) plan(opt Options) plan {
+	opt = opt.forCell(s.SeedDelta, s.ForceFull)
+	mc := s.MC
+	mc.Table = 1
+	mc.GlobalRows = s.Rows
+	mc.Seed = opt.Seed + 1
+	cfg := core.DefaultConfig(s.Machine(), s.Instances, s.Rows)
+	cfg.LocalOnly = s.LocalOnly
+	return opt.plan("micro", cfg, s.Tweak,
+		func(d *core.Deployment) engine.RequestSource { return workload.NewMicro(mc, d.Part) },
+		func(h *resultstore.Hasher) { h.Value(mc) })
+}
+
+// MicroCell builds a standard microbenchmark cell from its spec.
 func MicroCell(name string, s MicroSpec, emits ...Emit) Cell {
-	var hint float64
-	if s.ForceFull {
-		hint = 1
-	}
-	return Cell{Name: name, CostHint: hint, Emits: emits,
-		Run: func(opt Options) Metrics {
-			opt.Seed += s.SeedDelta
-			if s.ForceFull {
-				opt.Quick = false
-			}
-			return Metrics{M: runMicro(s.Machine(), s.Instances, s.Rows, s.MC, s.LocalOnly, opt, s.Tweak)}
-		},
-		Key: func(opt Options, h *resultstore.Hasher) {
-			opt.Seed += s.SeedDelta
-			if s.ForceFull {
-				opt.Quick = false
-			}
-			h.Str("micro")
-			cfg, mc := microConfig(s.Machine(), s.Instances, s.Rows, s.MC, s.LocalOnly, opt, s.Tweak)
-			keyConfig(h, cfg)
-			h.Value(mc)
-			keyOptions(h, opt)
-		}}
+	return planCell(name, s.ForceFull, s.plan, emits)
 }
 
 // TPCCSpec declares a TPC-C deployment cell. Mix selects the transaction
@@ -160,42 +252,39 @@ type TPCCSpec struct {
 	Placement func(m *topology.Machine, opt Options) [][]topology.CoreID
 }
 
-// TPCCCell builds a TPC-C cell from its spec. ForceFull cells run the long
-// window even in quick mode, so they carry a cost hint for the scheduler.
-func TPCCCell(name string, s TPCCSpec, emits ...Emit) Cell {
-	var hint float64
-	if s.ForceFull {
-		hint = 1
+// plan deploys exactly the tables the mix touches, so Payment-only cells
+// build the historical four-table dataset (and the historical request
+// stream — the mix generator skips the transaction-selection draw for
+// single-kind mixes), keeping their fingerprints byte-identical.
+func (s TPCCSpec) plan(opt Options) plan {
+	opt = opt.forCell(s.SeedDelta, s.ForceFull)
+	cfg := core.Config{
+		Machine:   s.Machine(),
+		Instances: s.Instances,
+		Placement: core.PlacementIslands,
+		Mechanism: ipc.UnixSocket,
+		LocalOnly: s.LocalOnly,
+		Tables:    workload.MixTableSet(s.Warehouses, s.Mix, s.Sizing),
 	}
-	return Cell{Name: name, CostHint: hint, Emits: emits,
-		Run: func(opt Options) Metrics {
-			opt.Seed += s.SeedDelta
-			if s.ForceFull {
-				opt.Quick = false
-			}
-			m := s.Machine()
-			var cores [][]topology.CoreID
-			if s.Placement != nil {
-				cores = s.Placement(m, opt)
-			}
-			return Metrics{M: runTPCC(m, s, opt, cores)}
-		},
-		Key: func(opt Options, h *resultstore.Hasher) {
-			opt.Seed += s.SeedDelta
-			if s.ForceFull {
-				opt.Quick = false
-			}
-			m := s.Machine()
-			var cores [][]topology.CoreID
-			if s.Placement != nil {
-				cores = s.Placement(m, opt)
-			}
-			h.Str("tpcc")
-			cfg, mix := tpccConfig(m, s, opt, cores)
-			keyConfig(h, cfg)
-			h.Value(mix)
-			keyOptions(h, opt)
-		}}
+	if s.Placement != nil {
+		cfg.InstanceCores = s.Placement(cfg.Machine, opt)
+	}
+	mix := workload.MixConfig{
+		Warehouses:    s.Warehouses,
+		Weights:       s.Mix,
+		RemotePct:     s.RemotePct,
+		RemoteItemPct: s.RemoteItemPct,
+		Sizing:        s.Sizing,
+		Seed:          opt.Seed + 2,
+	}
+	return opt.plan("tpcc", cfg, nil,
+		func(d *core.Deployment) engine.RequestSource { return workload.NewMix(mix, d.Part) },
+		func(h *resultstore.Hasher) { h.Value(mix) })
+}
+
+// TPCCCell builds a TPC-C cell from its spec.
+func TPCCCell(name string, s TPCCSpec, emits ...Emit) Cell {
+	return planCell(name, s.ForceFull, s.plan, emits)
 }
 
 // SourceSpec declares a deployment cell driven by a user-defined request
@@ -231,30 +320,26 @@ type SourceSpec struct {
 	Key func(opt Options, h *resultstore.Hasher)
 }
 
+func (s SourceSpec) plan(opt Options) plan {
+	opt = opt.forCell(s.SeedDelta, s.ForceFull)
+	cfg := core.Config{
+		Machine:   s.Machine(),
+		Instances: s.Instances,
+		Placement: core.PlacementIslands,
+		Mechanism: ipc.UnixSocket,
+		LocalOnly: s.LocalOnly,
+		Tables:    append([]core.TableDecl(nil), s.Tables...),
+	}
+	return opt.plan("source", cfg, s.Tweak,
+		func(d *core.Deployment) engine.RequestSource { return s.Source(d, opt) },
+		func(h *resultstore.Hasher) { s.Key(opt, h) })
+}
+
 // SourceCell builds a deployment cell around a user-defined request source.
 func SourceCell(name string, s SourceSpec, emits ...Emit) Cell {
-	var hint float64
-	if s.ForceFull {
-		hint = 1
-	}
-	c := Cell{Name: name, CostHint: hint, Emits: emits, Run: func(opt Options) Metrics {
-		opt.Seed += s.SeedDelta
-		if s.ForceFull {
-			opt.Quick = false
-		}
-		return Metrics{M: runSource(s, opt)}
-	}}
-	if s.Key != nil {
-		c.Key = func(opt Options, h *resultstore.Hasher) {
-			opt.Seed += s.SeedDelta
-			if s.ForceFull {
-				opt.Quick = false
-			}
-			h.Str("source")
-			keyConfig(h, sourceConfig(s, opt))
-			s.Key(opt, h)
-			keyOptions(h, opt)
-		}
+	c := planCell(name, s.ForceFull, s.plan, emits)
+	if s.Key == nil {
+		c.Key = nil // nothing identifies the source: positional fallback
 	}
 	return c
 }

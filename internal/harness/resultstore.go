@@ -13,16 +13,17 @@ import (
 // stale caches self-invalidate, and the store constructor the facade and
 // cmds use.
 //
-// A cell's key hashes everything its simulation consumes — the machine
-// (geometry, interconnect hop matrix, latency scale), the built core.Config
-// (canonicalized: the kernel worker count is zeroed, because results are
-// bit-identical at every setting), the workload spec, the effective seed
-// and the effective quick/short mode — so a record written by a sequential
-// inline run serves a parallel four-worker run of the same cell. Cells built from opaque closures (ScalarCell, raw
-// Cells) have no spec to hash; they fall back to positional keys over
-// (study ID, cell name, options), which is sound for the registered
-// experiments because a registered cell's behavior is a pure function of
-// the code — and the code is in the salt.
+// A deployment cell's key is its plan hashed (plan.key): everything the
+// simulation consumes — the machine (geometry, interconnect hop matrix,
+// latency scale), the built core.Config (canonicalized: the kernel worker
+// count is zeroed, because results are bit-identical at every setting), the
+// workload spec, the window geometry, the effective seed and the effective
+// quick/short mode — so a record written by a sequential inline run serves
+// a parallel four-worker run of the same cell. Cells built from opaque
+// closures (ScalarCell, raw Cells) have no plan to hash; they fall back to
+// positional keys over (study ID, cell name, options), which is sound for
+// the registered experiments because a registered cell's behavior is a pure
+// function of the code — and the code is in the salt.
 
 // goldenFingerprint is the quick-mode experiment fingerprint the test suite
 // pins. Any change to simulated behavior changes this file (that is the
@@ -36,8 +37,9 @@ var goldenFingerprint []byte
 // storeEpoch versions the key derivation itself. Bump it when the key
 // scheme changes in a way the golden fingerprint cannot see (a new field
 // excluded from canonicalization, a changed fallback), to invalidate every
-// existing record.
-const storeEpoch = "islands-resultstore-v1"
+// existing record. v2: every deployment cell's key gained the window
+// geometry frames when the cell kinds moved onto one plan.
+const storeEpoch = "islands-resultstore-v2"
 
 // codeSalt returns the code-fingerprint salt prefixed to every cell key.
 func codeSalt() []byte {

@@ -39,11 +39,7 @@ func studyFig12(opt Options) *Study {
 	for _, wk := range writeKinds {
 		for _, mc := range cases {
 			m := mc.machine()
-			cols := make([]string, len(mc.steps)+1)
-			for j, s := range mc.steps {
-				cols[j] = fmt.Sprintf("%d", s)
-			}
-			cols[len(mc.steps)] = "QPI/IMC"
+			cols := append(axis("%d", mc.steps), "QPI/IMC")
 			p.Tables = append(p.Tables,
 				NewTable(fmt.Sprintf("%s, %s", wk.kind, m.Name), "KTps",
 					"config", []string{"FG", "CG", "SE"}, "# cores", cols))
@@ -89,14 +85,8 @@ func studyFig13(opt Options) *Study {
 		skews = []float64{0, 1.0}
 	}
 	configs := []int{24, 4, 1}
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
-	cols := make([]string, len(skews))
-	for j, s := range skews {
-		cols[j] = fmt.Sprintf("s=%.2f", s)
-	}
+	rows := axis("%dISL", configs)
+	cols := axis("s=%.2f", skews)
 
 	p := &Study{
 		ID: "fig13", Title: "Throughput under skewed access", Ref: "Figure 13",
@@ -157,10 +147,7 @@ func studyFig14(opt Options) *Study {
 	}
 
 	configs := []int{24, 4, 1}
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
+	rows := axis("%dISL", configs)
 
 	p := &Study{
 		ID: "fig14", Title: "Throughput vs database size (2 rows/txn)", Ref: "Figure 14",
@@ -177,71 +164,44 @@ func studyFig14(opt Options) *Study {
 					"config", rows, "rows (paper scale)", labels))
 			for i, n := range configs {
 				for j, size := range sizes {
-					// Disk-bound cells run second-scale virtual windows and
-					// dominate the plan's wall-clock: hint them to the front
-					// of the parallel dispatch order.
-					var hint float64
-					if fig14DiskBound(size, bpPages) {
-						hint = 2
-					}
-					p.Cells = append(p.Cells, Cell{
-						Name:     fmt.Sprintf("fig14/%s/p=%.0f%%/%dISL/rows=%s", wk.kind, pct*100, n, labels[j]),
-						CostHint: hint,
-						Run: func(o Options) Metrics {
-							return Metrics{M: runFig14Cell(scaledQuad(), n, size, wk.write, pct, bpPages, o)}
+					// Buffer pools are prewarmed (steady state). Datasets that
+					// exceed the pool are disk-bound at a few hundred
+					// transactions per second: they measure over second-scale
+					// (but cheap — events are rare) virtual windows covering
+					// many ~5.5ms I/Os, dominate the plan's wall-clock, and
+					// are hinted to the front of the parallel dispatch order.
+					// DiskHDD keeps the deployment on one event partition (the
+					// array is a machine-shared device).
+					spec := MicroSpec{
+						Machine: scaledQuad, Instances: n, Rows: size,
+						MC:        workload.MicroConfig{RowsPerTxn: 2, Write: wk.write, PctMultisite: pct},
+						LocalOnly: pct == 0,
+						Tweak: func(c *core.Config) {
+							c.Disk = core.DiskHDD
+							c.BufferPoolPagesTotal = bpPages
+							c.Prewarm = true
 						},
-						Emits: []Emit{TPSEmit(ti, i, j)},
-					})
+					}
+					diskBound := size/32 > int64(bpPages)
+					c := planCell(fmt.Sprintf("fig14/%s/p=%.0f%%/%dISL/rows=%s", wk.kind, pct*100, n, labels[j]),
+						false, func(opt Options) plan {
+							pl := spec.plan(opt)
+							if diskBound {
+								pl.warmup, pl.window = 200*sim.Millisecond, 3*sim.Second
+								if pl.opt.Quick {
+									pl.warmup, pl.window = 100*sim.Millisecond, 1*sim.Second
+								}
+							}
+							return pl
+						}, []Emit{TPSEmit(ti, i, j)})
+					if diskBound {
+						c.CostHint = 2
+					}
+					p.Cells = append(p.Cells, c)
 				}
 			}
 			ti++
 		}
 	}
 	return p
-}
-
-// fig14DiskBound reports whether a dataset of `size` 32-rows-per-page rows
-// exceeds the machine-wide buffer pool (shared by the cell cost hints and
-// the window selection below).
-func fig14DiskBound(size int64, bpPages int) bool { return size/32 > int64(bpPages) }
-
-// runFig14Cell measures one Figure 14 configuration. Buffer pools are
-// prewarmed (steady state); datasets that exceed the pool are disk-bound at
-// a few hundred transactions per second, so they get a long (but cheap —
-// events are rare) virtual window.
-func runFig14Cell(machine *topology.Machine, n int, size int64, write bool, p float64,
-	bpPages int, opt Options) core.Measurement {
-
-	diskBound := fig14DiskBound(size, bpPages)
-	cfg := core.DefaultConfig(machine, n, size)
-	cfg.LocalOnly = p == 0
-	cfg.Seed = opt.Seed
-	// DiskHDD keeps the deployment on one event partition (the array is a
-	// machine-shared device), but the setting flows through so eligibility
-	// lives in one place — core.NewDeployment.
-	cfg.Shards = opt.Shards
-	cfg.Disk = core.DiskHDD
-	cfg.BufferPoolPagesTotal = bpPages
-	cfg.Prewarm = true
-	d := opt.deploy(cfg)
-	defer d.Close()
-	d.Start(workload.NewMicro(workload.MicroConfig{
-		Table: 1, GlobalRows: size, RowsPerTxn: 2, Write: write, PctMultisite: p,
-		Seed: opt.Seed + 1,
-	}, d.Part))
-	warmup, window := windows(opt)
-	if diskBound {
-		// Disk-bound runs need windows covering many ~5.5ms I/Os.
-		warmup, window = 200*sim.Millisecond, 3*sim.Second
-		if opt.Quick {
-			warmup, window = 100*sim.Millisecond, 1*sim.Second
-		}
-	}
-	return d.Run(warmup, window)
-}
-
-func init() {
-	register(Experiment{ID: "fig12", Title: "Scaling with active cores", Ref: "Figure 12", Study: studyFig12})
-	register(Experiment{ID: "fig13", Title: "Throughput under skewed access", Ref: "Figure 13", Study: studyFig13})
-	register(Experiment{ID: "fig14", Title: "Throughput vs database size", Ref: "Figure 14", Study: studyFig14})
 }

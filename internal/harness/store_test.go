@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"islands/internal/core"
+	"islands/internal/resultstore"
+	"islands/internal/sim"
 	"islands/internal/topology"
 	"islands/internal/workload"
 )
@@ -118,42 +121,150 @@ func TestStoreSeedReplicaSharing(t *testing.T) {
 	}
 }
 
+// with returns a copy of spec s edited by f — one variant of a base spec.
+func with[T any](s T, f func(*T)) T {
+	f(&s)
+	return s
+}
+
 // TestCellKeyCanonicalization pins what a semantic key must and must not
-// depend on: Shards and Parallel are wall-clock knobs (same key), seed and
-// quick mode are semantic inputs (different keys), and two distinct specs
-// never collide.
+// depend on, for every deployment-cell kind: Shards and Parallel are
+// wall-clock knobs (same key); the seed, quick/full mode, SeedDelta,
+// ForceFull, every spec field, the fault plan and the window geometry are
+// semantic inputs (different keys).
 func TestCellKeyCanonicalization(t *testing.T) {
-	spec := MicroSpec{
+	base := Options{Quick: true, Seed: 42}
+	key := func(c Cell, opt Options) resultstore.Key { return cellKey("p", &c, opt) }
+
+	micro := MicroSpec{
 		Machine: topology.QuadSocket, Instances: 4, Rows: 1000,
 		MC: workload.MicroConfig{RowsPerTxn: 10},
 	}
-	c := MicroCell("key/micro", spec)
-	base := Options{Quick: true, Seed: 42}
-	k := cellKey("p", &c, base)
-
-	shards := base
-	shards.Shards = 4
-	shards.Parallel = 8
-	if cellKey("p", &c, shards) != k {
-		t.Fatal("key depends on Shards/Parallel; sequential stores could not serve parallel runs")
+	tpcc := TPCCSpec{
+		Machine: topology.QuadSocket, Instances: 4, Warehouses: 8,
+		Mix: workload.StandardMix(), RemotePct: 0.15, RemoteItemPct: 0.01,
+		Sizing: workload.SpecSizing().Scaled(20),
+	}
+	faulty := FaultSpec{
+		Machine: topology.QuadSocket, Instances: 4, Rows: 1000,
+		MC: workload.MicroConfig{RowsPerTxn: 10, Write: true}, Plan: crashPlan,
+	}
+	source := SourceSpec{
+		Machine: topology.QuadSocket, Instances: 4,
+		Tables: []core.TableDecl{{ID: 1, Name: "rows", RowBytes: 100, Rows: 4096}},
+		Key:    func(_ Options, h *resultstore.Hasher) { h.Str("stream A") },
+	}
+	activeCores := func(c *core.Config) { c.ActiveCores = 12 }
+	var fig14Disk, fig14Mem Cell
+	for _, c := range studyFig14(base).Cells {
+		if c.CostHint > 0 {
+			fig14Disk = c
+		} else {
+			fig14Mem = c
+		}
 	}
 
-	seed := base
-	seed.Seed = 43
-	if cellKey("p", &c, seed) == k {
-		t.Fatal("key ignores the seed")
+	kinds := []struct {
+		name     string
+		cell     Cell
+		build    func(Options) plan // nil: the kind's windows are not the test's to stretch
+		variants map[string]Cell
+	}{
+		{"micro", MicroCell("k", micro), micro.plan, map[string]Cell{
+			"Instances": MicroCell("k", with(micro, func(s *MicroSpec) { s.Instances = 2 })),
+			"Rows":      MicroCell("k", with(micro, func(s *MicroSpec) { s.Rows = 2000 })),
+			"MC":        MicroCell("k", with(micro, func(s *MicroSpec) { s.MC.Write = true })),
+			"LocalOnly": MicroCell("k", with(micro, func(s *MicroSpec) { s.LocalOnly = true })),
+			"SeedDelta": MicroCell("k", with(micro, func(s *MicroSpec) { s.SeedDelta = 7 })),
+			"ForceFull": MicroCell("k", with(micro, func(s *MicroSpec) { s.ForceFull = true })),
+			"Tweak":     MicroCell("k", with(micro, func(s *MicroSpec) { s.Tweak = activeCores })),
+			"Machine":   MicroCell("k", with(micro, func(s *MicroSpec) { s.Machine = topology.OctoSocket })),
+		}},
+		{"tpcc", TPCCCell("k", tpcc), tpcc.plan, map[string]Cell{
+			"Instances":     TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.Instances = 2 })),
+			"Warehouses":    TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.Warehouses = 16 })),
+			"Mix":           TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.Mix = workload.PaymentOnly() })),
+			"RemotePct":     TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.RemotePct = 0.3 })),
+			"RemoteItemPct": TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.RemoteItemPct = 0.02 })),
+			"Sizing":        TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.Sizing = workload.SpecSizing().Scaled(10) })),
+			"LocalOnly":     TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.LocalOnly = true })),
+			"SeedDelta":     TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.SeedDelta = 7 })),
+			"ForceFull":     TPCCCell("k", with(tpcc, func(s *TPCCSpec) { s.ForceFull = true })),
+			"Placement": TPCCCell("k", with(tpcc, func(s *TPCCSpec) {
+				s.Placement = func(m *topology.Machine, _ Options) [][]topology.CoreID {
+					return [][]topology.CoreID{topology.GroupPlacement(m, 4, 0).Cores}
+				}
+			})),
+		}},
+		{"fault", FaultCell("k", faulty), faulty.plan, map[string]Cell{
+			"Instances": FaultCell("k", with(faulty, func(s *FaultSpec) { s.Instances = 2 })),
+			"Rows":      FaultCell("k", with(faulty, func(s *FaultSpec) { s.Rows = 2000 })),
+			"MC":        FaultCell("k", with(faulty, func(s *FaultSpec) { s.MC.PctMultisite = 0.2 })),
+			"LocalOnly": FaultCell("k", with(faulty, func(s *FaultSpec) { s.LocalOnly = true })),
+			"SeedDelta": FaultCell("k", with(faulty, func(s *FaultSpec) { s.SeedDelta = 7 })),
+			"Plan":      FaultCell("k", with(faulty, func(s *FaultSpec) { s.Plan = grayPlan })),
+			"Tweak":     FaultCell("k", with(faulty, func(s *FaultSpec) { s.Tweak = activeCores })),
+		}},
+		{"source", SourceCell("k", source), source.plan, map[string]Cell{
+			"Instances": SourceCell("k", with(source, func(s *SourceSpec) { s.Instances = 2 })),
+			"Tables":    SourceCell("k", with(source, func(s *SourceSpec) { s.Tables = micro.plan(base).cfg.Tables })),
+			"LocalOnly": SourceCell("k", with(source, func(s *SourceSpec) { s.LocalOnly = true })),
+			"SeedDelta": SourceCell("k", with(source, func(s *SourceSpec) { s.SeedDelta = 7 })),
+			"ForceFull": SourceCell("k", with(source, func(s *SourceSpec) { s.ForceFull = true })),
+			"Tweak":     SourceCell("k", with(source, func(s *SourceSpec) { s.Tweak = activeCores })),
+			"Key": SourceCell("k", with(source, func(s *SourceSpec) {
+				s.Key = func(_ Options, h *resultstore.Hasher) { h.Str("stream B") }
+			})),
+		}},
+		{"fig14", fig14Disk, nil, map[string]Cell{"in-memory sibling": fig14Mem}},
 	}
-	mode := base
-	mode.Quick = false
-	if cellKey("p", &c, mode) == k {
-		t.Fatal("key ignores quick/full mode")
+	for _, k := range kinds {
+		want := key(k.cell, base)
+		wall := base
+		wall.Shards, wall.Parallel = 4, 8
+		if key(k.cell, wall) != want {
+			t.Errorf("%s: key depends on Shards/Parallel; sequential stores could not serve parallel runs", k.name)
+		}
+		seed, mode := base, base
+		seed.Seed, mode.Quick = 43, false
+		if key(k.cell, seed) == want {
+			t.Errorf("%s: key ignores the seed", k.name)
+		}
+		if key(k.cell, mode) == want {
+			t.Errorf("%s: key ignores quick/full mode", k.name)
+		}
+		seen := map[resultstore.Key]string{want: "the base spec"}
+		for name, c := range k.variants {
+			got := key(c, base)
+			if other, dup := seen[got]; dup {
+				t.Errorf("%s: changing %s gives the key of %s", k.name, name, other)
+			}
+			seen[got] = name
+		}
+		if k.build == nil {
+			continue
+		}
+		for name, stretch := range map[string]func(*plan){
+			"warmup": func(p *plan) { p.warmup += sim.Microsecond },
+			"window": func(p *plan) { p.window += sim.Microsecond },
+			"series": func(p *plan) { p.series++ },
+		} {
+			c := planCell("k", false, func(o Options) plan {
+				p := k.build(o)
+				stretch(&p)
+				return p
+			}, nil)
+			if key(c, base) == want {
+				t.Errorf("%s: key ignores the %s of the window geometry", k.name, name)
+			}
+		}
 	}
-
-	spec2 := spec
-	spec2.Instances = 2
-	c2 := MicroCell("key/micro", spec2)
-	if cellKey("p", &c2, base) == k {
-		t.Fatal("two different specs share a key")
+	// SeedDelta is the seed: a spec at delta d keys like the plain spec run
+	// at seed+d (what lets Seeds replicas share records with plain runs).
+	shifted := base
+	shifted.Seed += 7
+	if key(MicroCell("k", with(micro, func(s *MicroSpec) { s.SeedDelta = 7 })), base) != key(MicroCell("k", micro), shifted) {
+		t.Error("micro: SeedDelta 7 does not key like seed+7")
 	}
 
 	// Positional fallback: same name+plan collides (by design), different
@@ -169,6 +280,31 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	}
 	if cellKey("p", &s1, base) == cellKey("q", &s1, base) {
 		t.Fatal("positional key ignores the plan ID")
+	}
+}
+
+// TestEveryDeploymentCellIsKeyed: in every registered quick study, every
+// deployment cell carries a semantic key — Figure 14's included — and only
+// the studies made of ScalarCells (custom measurements with no deployment to
+// hash) fall back to positional keys.
+func TestEveryDeploymentCellIsKeyed(t *testing.T) {
+	scalar := map[string]bool{"fig2": true, "table1": true, "fig6": true}
+	keyed := map[string]int{}
+	for _, e := range All() {
+		for _, c := range e.Study(Options{Quick: true}).Cells {
+			switch {
+			case c.Key != nil:
+				keyed[e.ID]++
+			case !scalar[e.ID]:
+				t.Errorf("%s: deployment cell %s has no semantic key", e.ID, c.Name)
+			}
+		}
+		if scalar[e.ID] && keyed[e.ID] != 0 {
+			t.Errorf("%s: listed as a scalar-only study but has %d keyed cells", e.ID, keyed[e.ID])
+		}
+	}
+	if keyed["fig14"] == 0 || keyed["trace"] == 0 {
+		t.Errorf("keyed cells per study: %v; want fig14 and trace among them", keyed)
 	}
 }
 

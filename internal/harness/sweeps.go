@@ -31,10 +31,7 @@ func studyFig9(opt Options) *Study {
 	for j, p := range pcts {
 		cols[j] = fmt.Sprintf("%.0f%%", p*100)
 	}
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
+	rows := axis("%dISL", configs)
 
 	p := &Study{
 		ID: "fig9", Title: "Throughput vs fraction of multisite transactions", Ref: "Figure 9",
@@ -74,14 +71,8 @@ func studyFig10(opt Options) *Study {
 	if opt.Short {
 		rowsPerTxn = []int{2, 10}
 	}
-	cols := make([]string, len(rowsPerTxn))
-	for j, r := range rowsPerTxn {
-		cols[j] = fmt.Sprintf("%d", r)
-	}
-	rowLabels := make([]string, len(configs))
-	for i, n := range configs {
-		rowLabels[i] = fmt.Sprintf("%dISL", n)
-	}
+	cols := axis("%d", rowsPerTxn)
+	rowLabels := axis("%dISL", configs)
 
 	p := &Study{
 		ID: "fig10", Title: "Cost per transaction vs rows accessed", Ref: "Figure 10",
@@ -185,10 +176,4 @@ func studyFig11(Options) *Study {
 		}
 	}
 	return p
-}
-
-func init() {
-	register(Experiment{ID: "fig9", Title: "Throughput vs % multisite transactions", Ref: "Figure 9", Study: studyFig9})
-	register(Experiment{ID: "fig10", Title: "Cost per transaction vs rows accessed", Ref: "Figure 10", Study: studyFig10})
-	register(Experiment{ID: "fig11", Title: "Per-transaction time breakdown", Ref: "Figure 11", Study: studyFig11})
 }

@@ -34,14 +34,8 @@ func studyTPCCMix(opt Options) *Study {
 		configs = []int{24, 1}
 	}
 
-	cols := make([]string, len(scales))
-	for j, s := range scales {
-		cols[j] = fmt.Sprintf("%gx", s)
-	}
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
+	cols := axis("%gx", scales)
+	rows := axis("%dISL", configs)
 
 	p := &Study{
 		ID: "tpcc", Title: "Full TPC-C mix across island configurations", Ref: "Figures 7/9 (full mix)",
@@ -73,20 +67,8 @@ func studyTPCCMix(opt Options) *Study {
 					RemotePct: remotePct, RemoteItemPct: remoteItemPct,
 					Sizing: sizing,
 				},
-				TPSEmit(0, i, j),
-				Emit{1, i, j, func(x Metrics) float64 {
-					total := x.M.Local + x.M.Multisite
-					if total == 0 {
-						return 0
-					}
-					return 100 * float64(x.M.Multisite) / float64(total)
-				}}))
+				TPSEmit(0, i, j), multisitePctEmit(1, i, j)))
 		}
 	}
 	return p
-}
-
-func init() {
-	register(Experiment{ID: "tpcc", Title: "Full TPC-C mix across island configurations",
-		Ref: "Figures 7/9 (full mix)", Study: studyTPCCMix})
 }

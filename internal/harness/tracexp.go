@@ -7,7 +7,6 @@ import (
 
 	"islands/internal/core"
 	"islands/internal/engine"
-	"islands/internal/ipc"
 	"islands/internal/resultstore"
 	"islands/internal/topology"
 	"islands/internal/trace"
@@ -29,70 +28,31 @@ func workersOf(d *core.Deployment) []int {
 	return out
 }
 
-// mixTableDecls declares the tables of a TPC-C mix deployment (the same
-// set runTPCC builds).
-func mixTableDecls(warehouses int, mix workload.MixWeights, sizing workload.Sizing) []core.TableDecl {
-	var out []core.TableDecl
-	for _, t := range workload.MixTableSet(warehouses, mix, sizing) {
-		out = append(out, core.TableDecl{ID: t.ID, Name: t.Name, RowBytes: t.RowBytes, Rows: t.Rows})
-	}
-	return out
-}
-
-// TraceTableInfos converts table declarations to trace metadata, so a
-// recorded trace carries enough schema to rebuild a replay deployment.
-func TraceTableInfos(decls []core.TableDecl) []trace.TableInfo {
-	out := make([]trace.TableInfo, len(decls))
-	for i, t := range decls {
-		out[i] = trace.TableInfo{ID: t.ID, Name: t.Name, RowBytes: t.RowBytes, Rows: t.Rows}
-	}
-	return out
-}
-
-// TraceTableDecls converts trace metadata back to table declarations — the
-// replay direction of TraceTableInfos.
-func TraceTableDecls(infos []trace.TableInfo) []core.TableDecl {
-	out := make([]core.TableDecl, len(infos))
-	for i, t := range infos {
-		out[i] = core.TableDecl{ID: t.ID, Name: t.Name, RowBytes: t.RowBytes, Rows: t.Rows}
-	}
-	return out
-}
-
-// RecordTPCC runs the standard TPC-C mix on a deployment wrapped in a
-// Recorder and returns the finished trace. The deployment, mix seeds and
-// measurement windows match runTPCC exactly, so a trace recorded here and
+// record runs a cell's plan with its request source teed into a
+// trace.Recorder and returns the finished trace. Deployment, seeds and
+// measurement windows are the plan's own, so a trace recorded here and
 // replayed on the same spec reproduces the live cell's metrics
 // bit-identically (the Recorder is a pass-through in virtual time).
-func RecordTPCC(s TPCCSpec, opt Options) *trace.Trace {
-	m := s.Machine()
-	decls := mixTableDecls(s.Warehouses, s.Mix, s.Sizing)
-	cfg := core.Config{
-		Machine:   m,
-		Instances: s.Instances,
-		Placement: core.PlacementIslands,
-		Mechanism: ipc.UnixSocket,
-		LocalOnly: s.LocalOnly,
-		Seed:      opt.Seed,
-		Shards:    opt.Shards,
-		Tables:    decls,
+func record(p plan, workloadLabel string) *trace.Trace {
+	var rec *trace.Recorder
+	source := p.source
+	p.source = func(d *core.Deployment) engine.RequestSource {
+		rec = trace.NewRecorder(source(d),
+			fmt.Sprintf("%s %s/%dISL", workloadLabel, p.cfg.Machine.Name, p.cfg.Instances), p.cfg.Tables)
+		return rec
 	}
-	d := opt.deploy(cfg)
-	defer d.Close()
-	mix := workload.NewMix(workload.MixConfig{
-		Warehouses:    s.Warehouses,
-		Weights:       s.Mix,
-		RemotePct:     s.RemotePct,
-		RemoteItemPct: s.RemoteItemPct,
-		Sizing:        s.Sizing,
-		Seed:          opt.Seed + 2,
-	}, d.Part)
-	rec := trace.NewRecorder(mix, fmt.Sprintf("tpcc w=%d %s/%dISL", s.Warehouses, m.Name, s.Instances),
-		TraceTableInfos(decls))
-	d.Start(rec)
-	warmup, window := windows(opt)
-	d.Run(warmup, window)
+	p.run()
 	return rec.Finish()
+}
+
+// RecordTPCC records a trace from the TPC-C cell the spec declares.
+func RecordTPCC(s TPCCSpec, opt Options) *trace.Trace {
+	return record(s.plan(opt), fmt.Sprintf("tpcc w=%d", s.Warehouses))
+}
+
+// RecordMicro records a trace from the microbenchmark cell the spec declares.
+func RecordMicro(s MicroSpec, opt Options) *trace.Trace {
+	return record(s.plan(opt), fmt.Sprintf("micro rows=%d", s.Rows))
 }
 
 // TraceCandidate is one deployment candidate of a trace-driven advisor
@@ -146,7 +106,6 @@ func AdviseTrace(t *trace.Trace, geos []Geometry, sizes []int, seeds int, opt Op
 	if seeds < 1 {
 		seeds = 1
 	}
-	decls := TraceTableDecls(t.Tables)
 	baseSeed := opt.Seed
 
 	// The advisor's cells all run under the study ID "traceadvise", so a
@@ -202,7 +161,7 @@ func AdviseTrace(t *trace.Trace, geos []Geometry, sizes []int, seeds int, opt Op
 		st.Cells = append(st.Cells, SourceCell("traceadvise/"+c.label, SourceSpec{
 			Machine:   c.geo.Machine,
 			Instances: c.instances,
-			Tables:    decls,
+			Tables:    t.Tables,
 			Source: func(d *core.Deployment, o Options) engine.RequestSource {
 				// Replica r runs at baseSeed + r*SeedStride; map the delta
 				// back to a stream rotation.
@@ -219,14 +178,7 @@ func AdviseTrace(t *trace.Trace, geos []Geometry, sizes []int, seeds int, opt Op
 				h.I64((o.Seed - baseSeed) / SeedStride)
 			},
 		},
-			TPSEmit(0, i, 0),
-			Emit{0, i, 1, func(x Metrics) float64 {
-				total := x.M.Local + x.M.Multisite
-				if total == 0 {
-					return 0
-				}
-				return 100 * float64(x.M.Multisite) / float64(total)
-			}}))
+			TPSEmit(0, i, 0), multisitePctEmit(0, i, 1)))
 	}
 
 	res := st.Seeds(seeds).Run(opt)
@@ -281,10 +233,7 @@ func studyTrace(opt Options) *Study {
 		configs = []int{4, 1}
 	}
 
-	rows := make([]string, len(configs))
-	for i, n := range configs {
-		rows[i] = fmt.Sprintf("%dISL", n)
-	}
+	rows := axis("%dISL", configs)
 	cols := []string{"live", "replay"}
 
 	p := &Study{
@@ -300,41 +249,32 @@ func studyTrace(opt Options) *Study {
 		},
 	}
 
-	msEmit := func(table, row, col int) Emit {
-		return Emit{table, row, col, func(x Metrics) float64 {
-			total := x.M.Local + x.M.Multisite
-			if total == 0 {
-				return 0
-			}
-			return 100 * float64(x.M.Multisite) / float64(total)
-		}}
-	}
-
+	recorded := tpccTraceSpec(4, sizing)
 	for i, n := range configs {
 		spec := tpccTraceSpec(n, sizing)
 		p.Cells = append(p.Cells, TPCCCell(
 			fmt.Sprintf("trace/%dISL/live", n), spec,
-			TPSEmit(0, i, 0), msEmit(1, i, 0)))
+			TPSEmit(0, i, 0), multisitePctEmit(1, i, 0)))
 		p.Cells = append(p.Cells, SourceCell(
 			fmt.Sprintf("trace/%dISL/replay", n), SourceSpec{
 				Machine:   spec.Machine,
 				Instances: n,
-				Tables:    mixTableDecls(spec.Warehouses, spec.Mix, spec.Sizing),
+				Tables:    workload.MixTableSet(spec.Warehouses, spec.Mix, spec.Sizing),
 				Source: func(d *core.Deployment, o Options) engine.RequestSource {
-					tr := RecordTPCC(tpccTraceSpec(4, sizing), o)
-					r, err := trace.NewReplayer(tr, workersOf(d), 0)
+					r, err := trace.NewReplayer(RecordTPCC(recorded, o), workersOf(d), 0)
 					if err != nil {
 						panic(fmt.Sprintf("harness: %v", err))
 					}
 					return r
 				},
+				// The replayed trace is a pure function of the deployment it
+				// is recorded from: that deployment's own key identifies it.
+				Key: func(o Options, h *resultstore.Hasher) {
+					h.Str("recorded")
+					recorded.plan(o).key(h)
+				},
 			},
-			TPSEmit(0, i, 1), msEmit(1, i, 1)))
+			TPSEmit(0, i, 1), multisitePctEmit(1, i, 1)))
 	}
 	return p
-}
-
-func init() {
-	register(Experiment{ID: "trace", Title: "Trace record/replay across island configurations",
-		Ref: "trace subsystem", Study: studyTrace})
 }

@@ -27,7 +27,7 @@ func TestTraceReplayMatchesRecorded(t *testing.T) {
 	spec := tpccTraceSpec(4, sizing)
 
 	// Live run (no recorder): the reference metrics.
-	live := runTPCC(spec.Machine(), spec, opt, nil)
+	live := TPCCCell("live", spec).Run(opt).M
 
 	// Recorded run: the recorder must be a pass-through in virtual time.
 	tr := RecordTPCC(spec, opt)
@@ -37,10 +37,10 @@ func TestTraceReplayMatchesRecorded(t *testing.T) {
 	}
 
 	// Replay run on the same spec: exact mode, bit-equal metrics.
-	replayed := runSource(SourceSpec{
+	replayed := SourceCell("replay", SourceSpec{
 		Machine:   spec.Machine,
 		Instances: spec.Instances,
-		Tables:    mixTableDecls(spec.Warehouses, spec.Mix, spec.Sizing),
+		Tables:    workload.MixTableSet(spec.Warehouses, spec.Mix, spec.Sizing),
 		Source: func(d *core.Deployment, o Options) engine.RequestSource {
 			r, err := trace.NewReplayer(tr, workersOf(d), 0)
 			if err != nil {
@@ -51,7 +51,7 @@ func TestTraceReplayMatchesRecorded(t *testing.T) {
 			}
 			return r
 		},
-	}, opt)
+	}).Run(opt).M
 
 	liveS, replayS := fmt.Sprintf("%+v", live), fmt.Sprintf("%+v", replayed)
 	if liveS != replayS {
@@ -68,10 +68,10 @@ func TestTraceReplayMatchesRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed2 := runSource(SourceSpec{
+	replayed2 := SourceCell("replay-decoded", SourceSpec{
 		Machine:   spec.Machine,
 		Instances: spec.Instances,
-		Tables:    TraceTableDecls(tr2.Tables),
+		Tables:    tr2.Tables,
 		Source: func(d *core.Deployment, o Options) engine.RequestSource {
 			r, err := trace.NewReplayer(tr2, workersOf(d), 0)
 			if err != nil {
@@ -79,7 +79,7 @@ func TestTraceReplayMatchesRecorded(t *testing.T) {
 			}
 			return r
 		},
-	}, opt)
+	}).Run(opt).M
 	if got := fmt.Sprintf("%+v", replayed2); got != liveS {
 		t.Fatalf("decoded-trace replay differs from live run:\nlive   %s\nreplay %s", liveS, got)
 	}

@@ -33,6 +33,16 @@ const filledWords = ((PageSize-pageHeaderSize)/(minRowBytes+slotSize) + 63) / 64
 // TableID identifies a table within a deployment.
 type TableID int32
 
+// TableDecl declares one global table of a deployment. It is the one
+// declaration type every layer shares: a workload says which tables it
+// needs, a Config carries them, a trace embeds them as its schema.
+type TableDecl struct {
+	ID       TableID
+	Name     string
+	RowBytes int
+	Rows     int64 // global row count, range-partitioned over instances
+}
+
 // PageID identifies a page: a table and a page number within it.
 type PageID struct {
 	Table TableID

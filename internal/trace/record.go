@@ -6,6 +6,7 @@ import (
 
 	"islands/internal/engine"
 	"islands/internal/sim"
+	"islands/internal/storage"
 )
 
 // KindReporter is the optional interface a wrapped source implements to
@@ -35,7 +36,7 @@ type Recorder struct {
 	timed  engine.TimedRequestSource // src, if it takes timestamps
 	kinds  KindReporter              // src, if it reports kinds
 	label  string
-	tables []TableInfo
+	tables []storage.TableDecl
 
 	mu      sync.RWMutex
 	streams map[[2]int32]*recStream
@@ -56,11 +57,11 @@ type recStream struct {
 // NewRecorder wraps src. The label and table set are embedded in the
 // produced trace; tables should declare every table the source touches
 // (Encode refuses records touching undeclared tables).
-func NewRecorder(src engine.RequestSource, label string, tables []TableInfo) *Recorder {
+func NewRecorder(src engine.RequestSource, label string, tables []storage.TableDecl) *Recorder {
 	r := &Recorder{
 		src:     src,
 		label:   label,
-		tables:  append([]TableInfo(nil), tables...),
+		tables:  append([]storage.TableDecl(nil), tables...),
 		streams: make(map[[2]int32]*recStream),
 	}
 	r.timed, _ = src.(engine.TimedRequestSource)
@@ -135,7 +136,7 @@ func (r *Recorder) Finish() *Trace {
 		}
 		return streams[a].worker < streams[b].worker
 	})
-	t := &Trace{Label: r.label, Tables: append([]TableInfo(nil), r.tables...)}
+	t := &Trace{Label: r.label, Tables: append([]storage.TableDecl(nil), r.tables...)}
 	total := 0
 	for _, s := range streams {
 		total += len(s.at)

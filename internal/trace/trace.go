@@ -45,15 +45,6 @@ var magic = [8]byte{'I', 'S', 'L', 'T', 'R', 'A', 'C', 'E'}
 // (microbenchmarks, custom sources). TPC-C records carry workload.TxnKind.
 const KindGeneric = 0xFF
 
-// TableInfo declares one table of the recorded deployment, embedded in the
-// trace so a replay deployment can be built from the trace alone.
-type TableInfo struct {
-	ID       storage.TableID
-	Name     string
-	RowBytes int
-	Rows     int64 // global rows, range-partitioned over instances
-}
-
 // Stream identifies one recorded request stream: the (instance, worker)
 // pair that generated a contiguous run of Count records. Streams are
 // canonically sorted by (Instance, Worker); their records keep per-stream
@@ -94,8 +85,9 @@ func (r *Record) Writes() bool {
 type Trace struct {
 	// Label is a free-form workload description ("tpcc w=24 quad/4ISL").
 	Label string
-	// Tables declares the recorded deployment's tables.
-	Tables []TableInfo
+	// Tables declares the recorded deployment's tables, so a replay
+	// deployment can be built from the trace alone.
+	Tables []storage.TableDecl
 	// Streams lists the recorded request streams, sorted by
 	// (Instance, Worker); Streams[i]'s records are the contiguous run
 	// Records[Streams[i].Start() : Start()+Count].
@@ -351,9 +343,9 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("trace: table count %d exceeds remaining input", ntab)
 	}
 	declared := make(map[storage.TableID]bool, ntab)
-	t.Tables = make([]TableInfo, 0, ntab)
+	t.Tables = make([]storage.TableDecl, 0, ntab)
 	for i := uint64(0); i < ntab; i++ {
-		var tab TableInfo
+		var tab storage.TableDecl
 		id, err := d.uvarint("table id")
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"islands/internal/engine"
 	"islands/internal/sim"
+	"islands/internal/storage"
 )
 
 // testTrace builds a small hand-made canonical trace: two instances, two
@@ -15,7 +16,7 @@ import (
 func testTrace() *Trace {
 	t := &Trace{
 		Label: "unit w=2",
-		Tables: []TableInfo{
+		Tables: []storage.TableDecl{
 			{ID: 1, Name: "warehouse", RowBytes: 96, Rows: 2},
 			{ID: 3, Name: "customer", RowBytes: 680, Rows: 6000},
 		},
@@ -179,7 +180,7 @@ func TestDump(t *testing.T) {
 
 func TestRecorder(t *testing.T) {
 	src := &scriptedSource{}
-	rec := NewRecorder(src, "scripted", []TableInfo{{ID: 1, Name: "t", RowBytes: 8, Rows: 100}})
+	rec := NewRecorder(src, "scripted", []storage.TableDecl{{ID: 1, Name: "t", RowBytes: 8, Rows: 100}})
 	// Drive two streams out of order, through both entry points.
 	rec.NextAt(1, 0, 10)
 	rec.NextAt(0, 0, 5)

@@ -164,16 +164,6 @@ func (s Sizing) orDefault() Sizing {
 	return s
 }
 
-// TPCCTable is a table declaration in the shape core.Config expects (the
-// importing package converts; kept as plain data to avoid a dependency
-// cycle).
-type TPCCTable struct {
-	ID       storage.TableID
-	Name     string
-	RowBytes int
-	Rows     int64
-}
-
 // tableNeeds maps each transaction kind to the tables its generator touches.
 var tableNeeds = [NumTxnKinds][]storage.TableID{
 	TxnNewOrder:    {TPCCWarehouse, TPCCDistrict, TPCCCustomer, TPCCItem, TPCCStock, TPCCOrder, TPCCNewOrder, TPCCOrderLine},
@@ -187,8 +177,8 @@ var tableNeeds = [NumTxnKinds][]storage.TableID{
 // the union of the active transactions' tables, in canonical order. The
 // home-warehouse draw partitions by warehouse, so the warehouse and district
 // tables are always declared. A Payment-only mix yields exactly the four
-// historical Payment tables.
-func MixTableSet(w int, weights MixWeights, sizing Sizing) []TPCCTable {
+// historical Payment tables. The result is ready for core.Config.Tables.
+func MixTableSet(w int, weights MixWeights, sizing Sizing) []storage.TableDecl {
 	s := sizing.orDefault()
 	need := map[storage.TableID]bool{TPCCWarehouse: true, TPCCDistrict: true}
 	for k, wt := range weights {
@@ -200,18 +190,18 @@ func MixTableSet(w int, weights MixWeights, sizing Sizing) []TPCCTable {
 		}
 	}
 	wr := int64(w)
-	all := []TPCCTable{
-		{TPCCWarehouse, "warehouse", warehouseRowBytes, wr},
-		{TPCCDistrict, "district", districtRowBytes, wr * DistrictsPerWarehouse},
-		{TPCCCustomer, "customer", customerRowBytes, wr * DistrictsPerWarehouse * s.CustomersPerDistrict},
-		{TPCCHistory, "history", historyRowBytes, wr * DistrictsPerWarehouse * s.CustomersPerDistrict / 10},
-		{TPCCItem, "item", itemRowBytes, s.Items},
-		{TPCCStock, "stock", stockRowBytes, wr * s.Items},
-		{TPCCOrder, "order", orderRowBytes, wr * DistrictsPerWarehouse * s.OrdersPerDistrict},
-		{TPCCNewOrder, "neworder", newOrderRowBytes, wr * DistrictsPerWarehouse * s.NewOrdersPerDistrict},
-		{TPCCOrderLine, "orderline", orderLineRowBytes, wr * DistrictsPerWarehouse * s.OrdersPerDistrict * s.OrderLinesPerOrder},
+	all := []storage.TableDecl{
+		{ID: TPCCWarehouse, Name: "warehouse", RowBytes: warehouseRowBytes, Rows: wr},
+		{ID: TPCCDistrict, Name: "district", RowBytes: districtRowBytes, Rows: wr * DistrictsPerWarehouse},
+		{ID: TPCCCustomer, Name: "customer", RowBytes: customerRowBytes, Rows: wr * DistrictsPerWarehouse * s.CustomersPerDistrict},
+		{ID: TPCCHistory, Name: "history", RowBytes: historyRowBytes, Rows: wr * DistrictsPerWarehouse * s.CustomersPerDistrict / 10},
+		{ID: TPCCItem, Name: "item", RowBytes: itemRowBytes, Rows: s.Items},
+		{ID: TPCCStock, Name: "stock", RowBytes: stockRowBytes, Rows: wr * s.Items},
+		{ID: TPCCOrder, Name: "order", RowBytes: orderRowBytes, Rows: wr * DistrictsPerWarehouse * s.OrdersPerDistrict},
+		{ID: TPCCNewOrder, Name: "neworder", RowBytes: newOrderRowBytes, Rows: wr * DistrictsPerWarehouse * s.NewOrdersPerDistrict},
+		{ID: TPCCOrderLine, Name: "orderline", RowBytes: orderLineRowBytes, Rows: wr * DistrictsPerWarehouse * s.OrdersPerDistrict * s.OrderLinesPerOrder},
 	}
-	out := make([]TPCCTable, 0, len(all))
+	out := make([]storage.TableDecl, 0, len(all))
 	for _, t := range all {
 		if need[t.ID] {
 			if t.Rows < 1 {
@@ -221,12 +211,6 @@ func MixTableSet(w int, weights MixWeights, sizing Sizing) []TPCCTable {
 		}
 	}
 	return out
-}
-
-// TPCCTableSet builds the four Payment tables for w warehouses (the
-// historical Payment-only declaration set).
-func TPCCTableSet(w int) []TPCCTable {
-	return MixTableSet(w, PaymentOnly(), SpecSizing())
 }
 
 // MixConfig parameterizes the full-mix generator.

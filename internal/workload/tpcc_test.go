@@ -45,12 +45,12 @@ func classify(t *testing.T, req engine.Request) TxnKind {
 func TestMixTableSetPaymentOnlyUnchanged(t *testing.T) {
 	// The Payment-only declaration set is the historical four tables with
 	// the historical sizes: the fingerprint of fig3/fig7 depends on it.
-	ts := TPCCTableSet(24)
-	want := []TPCCTable{
-		{TPCCWarehouse, "warehouse", 96, 24},
-		{TPCCDistrict, "district", 102, 240},
-		{TPCCCustomer, "customer", 655, 720000},
-		{TPCCHistory, "history", 46, 72000},
+	ts := MixTableSet(24, PaymentOnly(), SpecSizing())
+	want := []storage.TableDecl{
+		{ID: TPCCWarehouse, Name: "warehouse", RowBytes: 96, Rows: 24},
+		{ID: TPCCDistrict, Name: "district", RowBytes: 102, Rows: 240},
+		{ID: TPCCCustomer, Name: "customer", RowBytes: 655, Rows: 720000},
+		{ID: TPCCHistory, Name: "history", RowBytes: 46, Rows: 72000},
 	}
 	if len(ts) != len(want) {
 		t.Fatalf("table count = %d, want %d", len(ts), len(want))
@@ -86,7 +86,7 @@ func TestMixTableSetFullMix(t *testing.T) {
 	if len(ts) != 9 {
 		t.Fatalf("full mix declares %d tables, want 9", len(ts))
 	}
-	byID := map[storage.TableID]TPCCTable{}
+	byID := map[storage.TableID]storage.TableDecl{}
 	for _, tab := range ts {
 		byID[tab.ID] = tab
 	}

@@ -173,7 +173,7 @@ func TestMicroSkewHitsHotKeys(t *testing.T) {
 }
 
 func TestTPCCTableSetSizes(t *testing.T) {
-	ts := TPCCTableSet(24)
+	ts := MixTableSet(24, PaymentOnly(), SpecSizing())
 	if len(ts) != 4 {
 		t.Fatal("want 4 tables")
 	}

@@ -115,8 +115,9 @@ func CustomHops(hops [][]int) (Interconnect, error) { return topology.CustomHops
 // Config describes a deployment: machine, instance count, placement, data.
 type Config = core.Config
 
-// TableDecl declares one global table of a deployment.
-type TableDecl = core.TableDecl
+// TableDecl declares one global table of a deployment — the one declaration
+// type shared by Config.Tables, the TPC-C table sets and a Trace's schema.
+type TableDecl = storage.TableDecl
 
 // Placement strategies (Figure 4).
 const (
@@ -227,11 +228,7 @@ func TPCCTables(w int) []TableDecl {
 // w warehouses: the union of the active transactions' tables, Payment-only
 // being exactly the historical four.
 func TPCCMixTables(w int, weights TPCCMixWeights, sizing TPCCSizing) []TableDecl {
-	var out []TableDecl
-	for _, t := range workload.MixTableSet(w, weights, sizing) {
-		out = append(out, TableDecl{ID: t.ID, Name: t.Name, RowBytes: t.RowBytes, Rows: t.Rows})
-	}
-	return out
+	return workload.MixTableSet(w, weights, sizing)
 }
 
 // NewPaymentWorkload builds the historical TPC-C Payment request source
@@ -468,9 +465,6 @@ func CandidateIslandSizes(cores, sockets int) []int { return harness.CandidateSi
 // Dump renders text.
 type Trace = trace.Trace
 
-// TraceTableInfo declares one table in a trace's embedded schema.
-type TraceTableInfo = trace.TableInfo
-
 // TraceStream identifies one recorded (instance, worker) request stream.
 type TraceStream = trace.Stream
 
@@ -497,7 +491,7 @@ type TraceReplayer = trace.Replayer
 // the source touches (TPCCMixTables for mix workloads, Config.Tables in
 // general); the schema travels with the trace.
 func NewTraceRecorder(src RequestSource, label string, tables []TableDecl) *TraceRecorder {
-	return trace.NewRecorder(src, label, harness.TraceTableInfos(tables))
+	return trace.NewRecorder(src, label, tables)
 }
 
 // NewTraceReplayer builds a replayer feeding t to deployment d's worker
@@ -512,9 +506,9 @@ func NewTraceReplayer(t *Trace, d *Deployment, rotate int64) (*TraceReplayer, er
 	return trace.NewReplayer(t, workers, rotate)
 }
 
-// TraceTables converts a trace's embedded schema to table declarations,
-// ready for Config.Tables of a replay deployment.
-func TraceTables(t *Trace) []TableDecl { return harness.TraceTableDecls(t.Tables) }
+// TraceTables returns a trace's embedded schema, ready for Config.Tables of
+// a replay deployment.
+func TraceTables(t *Trace) []TableDecl { return t.Tables }
 
 // DecodeTrace parses an encoded trace; arbitrary corrupt input errors
 // cleanly (the decoder is fuzzed).
@@ -528,6 +522,11 @@ func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
 // real trace without wiring a recorder by hand.
 func RecordTPCCTrace(s TPCCCellSpec, opt StudyOptions) *Trace {
 	return harness.RecordTPCC(s, opt)
+}
+
+// RecordMicroTrace is RecordTPCCTrace for a microbenchmark cell spec.
+func RecordMicroTrace(s MicroCellSpec, opt StudyOptions) *Trace {
+	return harness.RecordMicro(s, opt)
 }
 
 // TraceCandidate is one ranked candidate of a trace-driven advisor sweep.
