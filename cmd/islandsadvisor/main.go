@@ -3,16 +3,18 @@
 // "determining the ideal size of each island automatically for the given
 // hardware and workload".
 //
-// It answers the question two ways. The synthetic mode (default) calibrates
-// the paper's throughput model on a generated microbenchmark. The trace
-// mode answers it for *your* workload: record a trace from a running
-// deployment, then replay it across island size × geometry candidates and
-// rank the outcomes.
+// It answers the question for two workload sources through one sweep of
+// island size × geometry candidates. The synthetic mode (default) measures
+// a generated microbenchmark on every candidate and calibrates the paper's
+// throughput model beside it. The trace mode answers it for *your*
+// workload: record a trace from a running deployment, then replay it on
+// every candidate. Both rank by measured throughput, with ±σ over -seeds.
 //
 // Usage:
 //
-//	# synthetic advisor (the historical mode)
-//	islandsadvisor [-machine quad|octo | -geometry S:C:LLC[:fabric]]
+//	# synthetic advisor
+//	islandsadvisor [-machine quad|octo | -geometry 4:6:12,8:10:30:ring]
+//	               [-latscale 0.5,1,2] [-sizes 1,4,24] [-seeds 3] [-full]
 //	               -rows 240000 -rowstxn 10 -write -multisite 0.2 -skew 0.5
 //
 //	# record a trace from a quick TPC-C (or micro) run
@@ -27,8 +29,9 @@
 //	islandsadvisor -dump tpcc.trace [-maxrecords 5]
 //
 // -geometry uses the same S:C:LLC-MB[:fabric] spec language as
-// islandsprobe and works in every mode (replacing the old quad/octo-only
-// -machine flag, which remains as a shorthand).
+// islandsprobe and works in every mode; -machine is a shorthand for the two
+// testbed machines. -latscale fans every -geometry machine across
+// interconnect latency scales.
 package main
 
 import (
@@ -52,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("islandsadvisor", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	machine := fs.String("machine", "quad", "machine model shorthand: quad or octo")
-	geometry := fs.String("geometry", "", "machine geometries sockets:cores:LLC-MB[:fabric], comma-separated (overrides -machine; multiple only in -trace mode)")
-	latscale := fs.String("latscale", "", "interconnect latency scales (e.g. 0.5,1,2) fanning every -trace geometry")
+	geometry := fs.String("geometry", "", "machine geometries sockets:cores:LLC-MB[:fabric], comma-separated (overrides -machine; -record takes one)")
+	latscale := fs.String("latscale", "", "interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
 
 	record := fs.String("record", "", "record a trace from a measured run into FILE and exit")
 	workloadKind := fs.String("workload", "tpcc", "-record workload: tpcc or micro")
@@ -61,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	warehouses := fs.Int("warehouses", 24, "-record TPC-C warehouse count")
 
 	traceFile := fs.String("trace", "", "replay trace FILE across candidates and rank them")
-	sizes := fs.String("sizes", "", "-trace island sizes to try, comma-separated (default: every size dividing the machine)")
-	seeds := fs.Int("seeds", 3, "-trace seed replicas for ±σ (replicas rotate the stream deal)")
+	sizes := fs.String("sizes", "", "island sizes to try, comma-separated (default: every size dividing the machine)")
+	seeds := fs.Int("seeds", 3, "seed replicas for ±σ (-trace replicas rotate the stream deal)")
 
 	dump := fs.String("dump", "", "print a text rendering of trace FILE and exit")
 	maxRecords := fs.Int("maxrecords", 3, "-dump records shown per stream (0 = all)")
@@ -73,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	multisite := fs.Float64("multisite", 0.2, "synthetic/micro: fraction of multisite transactions (0..1)")
 	skew := fs.Float64("skew", 0, "synthetic/micro: Zipfian skew factor (0 = uniform)")
 	seed := fs.Int64("seed", 42, "workload and placement seed")
-	verify := fs.Bool("verify", true, "synthetic: verify the ranking with full mixed-workload runs")
 	full := fs.Bool("full", false, "use the full (non-quick) measurement window")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -99,25 +101,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *workloadKind != "tpcc" && *workloadKind != "micro":
 		return fail(fmt.Errorf("unknown -workload %q (want tpcc or micro)", *workloadKind))
 	}
-	// Modes that build one deployment take a single geometry; -trace sweeps
-	// many.
-	geos, err := parseGeos(*geometry, *machine)
+	geos, err := islands.ParseMachineSweep(*geometry, *latscale)
+	if err == nil && geos == nil {
+		geos, err = testbedGeometry(*machine)
+	}
 	if err != nil {
 		return fail(err)
 	}
-	if *traceFile == "" && len(geos) > 1 {
-		return fail(fmt.Errorf("this mode takes one -geometry (got %d)", len(geos)))
-	}
-	if *latscale != "" {
-		scales, err := islands.ParseLatencyScales(*latscale)
-		if err != nil {
-			return fail(err)
-		}
-		var fanned []islands.Geometry
-		for _, g := range geos {
-			fanned = append(fanned, islands.LatencyScales(g, scales...)...)
-		}
-		geos = fanned
+	if *record != "" && len(geos) > 1 {
+		return fail(fmt.Errorf("-record takes one -geometry (got %d)", len(geos)))
 	}
 	var sizeList []int
 	if *sizes != "" {
@@ -179,31 +171,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "trace: %s (%d records, %d streams, span %s)\n\n",
-			t.Label, len(t.Records), len(t.Streams), t.Span())
-		fmt.Fprintf(stdout, "%-24s %12s %10s %12s\n", "candidate", "KTps", "±σ", "multisite %")
-		for _, c := range adv.Ranked {
-			fmt.Fprintf(stdout, "%-24s %12.1f %10.1f %12.2f\n",
-				c.Label, c.TPS/1e3, c.TPSSigma/1e3, c.MultisiteFrac*100)
-		}
-		fmt.Fprintf(stdout, "\nrecommended: %s (%d instances on %s)\n",
-			adv.Best.Label, adv.Best.Instances, adv.Best.Geometry.Label())
+		fmt.Fprintf(stdout, "trace: %s (%d records, %d streams, span %s)\n\n%s",
+			t.Label, len(t.Records), len(t.Streams), t.Span(), adv.Format())
 
 	default:
-		// The fine-grained candidate deploys one island per core.
-		if cores := geos[0].Sockets * geos[0].CoresPerSocket; *rows < int64(cores) {
-			return fail(fmt.Errorf("-rows %d cannot be spread over %d single-core islands", *rows, cores))
+		adv, err := islands.Advise(mc, *rows, geos, sizeList, *seeds, opt)
+		if err != nil {
+			return fail(err)
 		}
-		syntheticAdvise(stdout, geos[0], *rows, mc, *seed, *verify)
+		fmt.Fprintf(stdout, "workload: %d rows/txn, write=%v, %.0f%% multisite, zipf %.2f\n\n%s",
+			mc.RowsPerTxn, mc.Write, mc.PctMultisite*100, mc.ZipfS, adv.Format())
 	}
 	return 0
 }
 
-// parseGeos resolves -geometry/-machine into candidate geometries.
-func parseGeos(geometry, machine string) ([]islands.Geometry, error) {
-	if geometry != "" {
-		return islands.ParseGeometries(geometry)
-	}
+// testbedGeometry resolves the -machine shorthand into its geometry.
+func testbedGeometry(machine string) ([]islands.Geometry, error) {
 	var m *islands.Machine
 	switch machine {
 	case "quad":
@@ -220,33 +203,6 @@ func parseGeos(geometry, machine string) ([]islands.Geometry, error) {
 		LLCBytes:       m.LLCBytes,
 		Interconnect:   m.Interconnect,
 	}}, nil
-}
-
-// syntheticAdvise is the historical mode: calibrate the paper's throughput
-// model T = (1-p)*Tlocal + p*Tdistr on a generated microbenchmark.
-func syntheticAdvise(w io.Writer, g islands.Geometry, rows int64, mc islands.MicroConfig, seed int64, verify bool) {
-	m := g.Machine()
-	candidates := islands.CandidateIslandSizes(m.NumCores(), m.SocketCount)
-	base := islands.DefaultConfig(m, 1, rows)
-	mc.Table, mc.GlobalRows, mc.Seed = 1, rows, seed
-	opts := islands.DefaultAdvisorOptions()
-	opts.Verify = verify
-
-	fmt.Fprintf(w, "machine: %s\nworkload: %d rows/txn, write=%v, %.0f%% multisite, zipf %.2f\n\n",
-		m, mc.RowsPerTxn, mc.Write, mc.PctMultisite*100, mc.ZipfS)
-	adv := islands.Advise(base, candidates, mc.PctMultisite, mc, opts)
-
-	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s\n", "config", "T_local", "T_distr", "predicted", "measured")
-	for _, c := range adv.Candidates {
-		fmt.Fprintf(w, "%-8s %10.0fK %10.0fK %10.0fK %10.0fK\n",
-			fmt.Sprintf("%dISL", c.Instances),
-			c.LocalTPS/1e3, c.DistrTPS/1e3, c.PredictedTPS/1e3, c.MeasuredTPS/1e3)
-	}
-	fmt.Fprintf(w, "\nrecommended: %dISL", adv.Best.Instances)
-	if adv.Best.Instances == m.SocketCount {
-		fmt.Fprintf(w, "  (one island per socket: the paper's rule of thumb)")
-	}
-	fmt.Fprintln(w)
 }
 
 // parseInts parses a comma-separated list of positive integers.

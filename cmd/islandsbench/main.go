@@ -8,8 +8,8 @@
 //	islandsbench [-quick] all
 //
 // Each experiment prints text tables whose rows and series mirror the
-// paper's charts; EXPERIMENTS.md records how the measured shapes compare to
-// the published ones.
+// paper's charts; DESIGN.md records how the simulation substitutes for the
+// paper's hardware.
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever work the
 // invocation runs, for digging into the simulator's own hot paths. Host-time

@@ -98,36 +98,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Validate -geometry and -only before any simulation runs: a malformed
 	// flag must not leave partial fingerprint output on stdout.
-	var geos []islands.Geometry
-	if *geometry != "" {
-		var err error
-		geos, err = islands.ParseGeometries(*geometry)
-		if err != nil {
-			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
-			return 2
-		}
-	}
-	if *latscale != "" {
-		if geos == nil {
-			fmt.Fprintln(stderr, "islandsprobe: -latscale scopes to a machine sweep; give -geometry too")
-			return 2
-		}
-		scales, err := islands.ParseLatencyScales(*latscale)
-		if err != nil {
-			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
-			return 2
-		}
-		var fanned []islands.Geometry
-		for _, g := range geos {
-			fanned = append(fanned, islands.LatencyScales(g, scales...)...)
-		}
-		geos = fanned
+	geos, err := islands.ParseMachineSweep(*geometry, *latscale)
+	if err != nil {
+		fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
+		return 2
 	}
 	var selected map[string]bool
 	if *only != "" {
-		var err error
-		selected, err = parseOnly(*only)
-		if err != nil {
+		if selected, err = parseOnly(*only); err != nil {
 			fmt.Fprintf(stderr, "islandsprobe: %v\n", err)
 			return 2
 		}

@@ -29,6 +29,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-geometry wider than the sharer mask", []string{"-geometry", "17:2:12"}, "supports at most 16"},
 		{"-geometry with an unknown fabric", []string{"-geometry", "4:4:12:moebius"}, `unknown fabric "moebius"`},
 		{"malformed -latscale", []string{"-geometry", "4:4:12", "-latscale", "fast"}, `latency scale "fast"`},
+		{"-latscale NaN", []string{"-geometry", "4:6:8", "-latscale", "NaN"}, `latency scale "NaN"`},
+		{"-latscale Inf", []string{"-geometry", "4:6:8", "-latscale", "Inf"}, `latency scale "Inf"`},
+		{"-latscale overflowing sim.Time", []string{"-geometry", "4:6:8", "-latscale", "1e300"}, `latency scale "1e300"`},
 		{"unopenable -store", []string{"-store", filepath.Join(file, "store")}, "not a directory"},
 		{"removed -baseline", []string{"-baseline", "times.txt"}, "flag provided but not defined: -baseline"},
 	}

@@ -1,41 +1,34 @@
 // Deployment advisor: the paper closes by asking how to "determine the
 // ideal size of each island automatically for the given hardware and
 // workload" (Section 8). This example answers it for three workloads using
-// the library's advisor, which calibrates the paper's throughput model
+// the library's advisor, which measures each on every candidate island
+// size (mean ±σ over three seeds) and calibrates the paper's throughput
+// model
 //
 //	T = (1-p) * T_local(n) + p * T_distr(n)
 //
-// per candidate island size with short simulation runs.
+// beside the measurement.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"islands"
 )
 
 func advise(name string, pMultisite float64, write bool, skew float64) {
-	machine := islands.QuadSocket()
-	base := islands.DefaultConfig(machine, 1, 240000)
-	mc := islands.MicroConfig{
-		Table: 1, GlobalRows: 240000, RowsPerTxn: 10,
-		Write: write, ZipfS: skew, Seed: 3,
+	// The quad-socket testbed; add geometries to compare machines too.
+	quad := islands.Geometry{Name: "quad", Sockets: 4, CoresPerSocket: 6}
+	mc := islands.MicroConfig{RowsPerTxn: 10, Write: write, PctMultisite: pMultisite, ZipfS: skew}
+	adv, err := islands.Advise(mc, 240000, []islands.Geometry{quad}, []int{1, 2, 4, 12, 24}, 3,
+		islands.StudyOptions{Quick: true, Seed: 3})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	opts := islands.DefaultAdvisorOptions()
-	adv := islands.Advise(base, []int{1, 2, 4, 12, 24}, pMultisite, mc, opts)
 
-	fmt.Printf("%s (p=%.0f%%, write=%v, skew=%.2f)\n", name, pMultisite*100, write, skew)
-	fmt.Printf("  %-7s %12s %12s %12s %12s\n", "config", "T_local", "T_distr", "predicted", "measured")
-	for _, c := range adv.Candidates {
-		fmt.Printf("  %-7s %10.0fK %10.0fK %10.0fK %10.0fK\n",
-			fmt.Sprintf("%dISL", c.Instances),
-			c.LocalTPS/1e3, c.DistrTPS/1e3, c.PredictedTPS/1e3, c.MeasuredTPS/1e3)
-	}
-	hint := ""
-	if adv.Best.Instances == machine.SocketCount {
-		hint = "  <- one island per socket, the paper's rule of thumb"
-	}
-	fmt.Printf("  recommended: %dISL%s\n\n", adv.Best.Instances, hint)
+	fmt.Printf("%s (p=%.0f%%, write=%v, skew=%.2f)\n%s\n", name, pMultisite*100, write, skew, adv.Format())
 }
 
 func main() {

@@ -51,18 +51,13 @@ func main() {
 			w.TimeoutAborts, w.Expired, bar)
 	}
 
-	var crashes, timeouts, dropped uint64
+	total := d.SumWindows(ws)
 	var recovery islands.Time
-	for _, w := range ws {
-		crashes += w.Crashes
-		timeouts += w.TimeoutAborts
-		dropped += w.Dropped
-	}
 	for _, in := range d.Instances {
 		recovery += in.Stats.RecoveryTime
 	}
 	fmt.Printf("\ncrashes: %d   timeout aborts: %d   dropped messages: %d   WAL replay time: %v\n",
-		crashes, timeouts, dropped, recovery)
+		total.Crashes, total.TimeoutAborts, total.Dropped, recovery)
 	fmt.Println("\nno coordinator ever hangs: multisite transactions touching the dead")
 	fmt.Println("island abort on the 2PC deadline and retry with backoff until it returns.")
 }

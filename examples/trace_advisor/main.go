@@ -89,11 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%-20s %10s %8s %12s\n", "candidate", "KTps", "±σ", "multisite %")
-	for _, c := range adv.Ranked {
-		fmt.Printf("%-20s %10.1f %8.1f %12.2f\n", c.Label, c.TPS/1e3, c.TPSSigma/1e3, c.MultisiteFrac*100)
-	}
-	fmt.Printf("\nrecommended: %s\n\n", adv.Best.Label)
+	fmt.Println(adv.Format())
 	fmt.Println("The trace pins the workload: the same global keys replay on every")
 	fmt.Println("candidate, so locality is decided by the candidate's partitioning —")
 	fmt.Println("islands matching the recorded layout keep transactions local, while")

@@ -199,22 +199,3 @@ func TestCostPerTxnAndImbalance(t *testing.T) {
 		t.Errorf("Imbalance = %v, want 1.6", imb)
 	}
 }
-
-func TestAdvisorPrefersFineGrainForLocalWorkload(t *testing.T) {
-	m := topology.QuadSocket()
-	base := DefaultConfig(m, 1, 24000)
-	factory := func(d *Deployment, p float64) engine.RequestSource {
-		return workload.NewMicro(workload.MicroConfig{
-			Table: 1, GlobalRows: 24000, RowsPerTxn: 4, Write: true, PctMultisite: p, Seed: 5,
-		}, d.Part)
-	}
-	opts := AdvisorOptions{Warmup: 500 * sim.Microsecond, Window: 4 * sim.Millisecond, Verify: false}
-	adv := Advise(base, []int{1, 4, 24}, 0, factory, opts)
-	if adv.Best.Instances != 24 {
-		t.Errorf("advisor picked %dISL for perfectly partitionable workload, want 24ISL", adv.Best.Instances)
-	}
-	advHi := Advise(base, []int{1, 4, 24}, 0.9, factory, opts)
-	if advHi.Best.Instances == 24 {
-		t.Error("advisor picked 24ISL for 90% multisite updates")
-	}
-}

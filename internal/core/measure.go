@@ -33,8 +33,44 @@ type Snapshot struct {
 	DownTime      sim.Time // cumulative instance outage, summed over instances
 }
 
+// Add accumulates o into s; Sub removes it. Every field of a Snapshot is an
+// additive counter, so a window's measurement is the snapshot after it
+// minus the one before, and a run's aggregate is its windows added up.
+func (s *Snapshot) Add(o *Snapshot) { s.merge(o, 1); s.Mem.Add(o.Mem) }
+func (s *Snapshot) Sub(o *Snapshot) { s.merge(o, -1); s.Mem.Sub(o.Mem) }
+
+// merge adds sign*o (+1 or -1; unsigned counters wrap) to every counter but
+// Mem, and is the one list of them. PerInstance is rebuilt, not updated in
+// place: s may share the slice with the snapshot it was copied from.
+func (s *Snapshot) merge(o *Snapshot, sign int64) {
+	u, t := uint64(sign), sim.Time(sign)
+	s.Committed += u * o.Committed
+	s.Aborted += u * o.Aborted
+	s.Local += u * o.Local
+	s.Multisite += u * o.Multisite
+	s.TxnTime += t * o.TxnTime
+	for i := range s.Breakdown {
+		s.Breakdown[i] += t * o.Breakdown[i]
+	}
+	s.Msgs += u * o.Msgs
+	s.CrossMsgs += u * o.CrossMsgs
+	s.SubWork += u * o.SubWork
+	s.Prepares += u * o.Prepares
+	per := make([]uint64, len(o.PerInstance))
+	copy(per, s.PerInstance)
+	for i, v := range o.PerInstance {
+		per[i] += u * v
+	}
+	s.PerInstance = per
+	s.Crashes += u * o.Crashes
+	s.TimeoutAborts += u * o.TimeoutAborts
+	s.Expired += u * o.Expired
+	s.Dropped += u * o.Dropped
+	s.DownTime += t * o.DownTime
+}
+
 func (d *Deployment) snapshot() Snapshot {
-	var s Snapshot
+	s := Snapshot{PerInstance: make([]uint64, 0, len(d.Instances))}
 	for _, in := range d.Instances {
 		st := in.Stats
 		s.Committed += st.Committed
@@ -84,60 +120,51 @@ type Measurement struct {
 // Run executes a warmup, then measures a window and returns the delta.
 // Call Start first.
 func (d *Deployment) Run(warmup, window sim.Time) Measurement {
+	return d.RunWindows(warmup, window, 1)[0]
+}
+
+// RunWindows executes a warmup and then n consecutive windows of the given
+// width, returning one Measurement per window. The series view is what
+// fault experiments need: a crash shows up as a throughput dip and an
+// availability drop in the windows it spans, and recovery as the climb
+// back. Call Start first.
+func (d *Deployment) RunWindows(warmup, window sim.Time, n int) []Measurement {
 	if !d.started {
 		panic("core: Run before Start")
 	}
 	d.Kernel.RunFor(warmup)
+	out := make([]Measurement, n)
 	before := d.snapshot()
-	d.Kernel.RunFor(window)
-	after := d.snapshot()
-	return diff(before, after, window, d)
+	for i := range out {
+		d.Kernel.RunFor(window)
+		after := d.snapshot()
+		out[i] = Measurement{Window: window, Snapshot: after}
+		out[i].Sub(&before)
+		d.derive(&out[i])
+		before = after
+	}
+	return out
 }
 
-func diff(a, b Snapshot, window sim.Time, d *Deployment) Measurement {
-	m := Measurement{Window: window}
-	m.Committed = b.Committed - a.Committed
-	m.Aborted = b.Aborted - a.Aborted
-	m.Local = b.Local - a.Local
-	m.Multisite = b.Multisite - a.Multisite
-	m.TxnTime = b.TxnTime - a.TxnTime
-	m.SubWork = b.SubWork - a.SubWork
-	m.Prepares = b.Prepares - a.Prepares
-	m.Msgs = b.Msgs - a.Msgs
-	m.CrossMsgs = b.CrossMsgs - a.CrossMsgs
-	for i := range b.Breakdown {
-		m.Breakdown[i] = b.Breakdown[i] - a.Breakdown[i]
+// SumWindows folds a RunWindows series into one whole-run Measurement:
+// counters add, rates are derived over the combined span.
+func (d *Deployment) SumWindows(series []Measurement) Measurement {
+	var m Measurement
+	for i := range series {
+		m.Window += series[i].Window
+		m.Add(&series[i].Snapshot)
 	}
-	m.Mem = b.Mem
-	negate := a.Mem
-	m.Mem.StallTime -= negate.StallTime
-	m.Mem.BusyTime -= negate.BusyTime
-	m.Mem.InstrTime -= negate.InstrTime
-	m.Mem.Accesses -= negate.Accesses
-	m.Mem.L1Hits -= negate.L1Hits
-	m.Mem.LLCHits -= negate.LLCHits
-	m.Mem.C2CSame -= negate.C2CSame
-	m.Mem.C2CCross -= negate.C2CCross
-	m.Mem.DRAMLocal -= negate.DRAMLocal
-	m.Mem.DRAMRemote -= negate.DRAMRemote
-	m.Mem.QPIBytes -= negate.QPIBytes
-	m.Mem.IMCBytes -= negate.IMCBytes
-	m.PerInstance = make([]uint64, len(b.PerInstance))
-	for i := range b.PerInstance {
-		m.PerInstance[i] = b.PerInstance[i] - a.PerInstance[i]
-	}
-	m.Crashes = b.Crashes - a.Crashes
-	m.TimeoutAborts = b.TimeoutAborts - a.TimeoutAborts
-	m.Expired = b.Expired - a.Expired
-	m.Dropped = b.Dropped - a.Dropped
-	m.DownTime = b.DownTime - a.DownTime
-	m.Availability = 1
-	if n := len(d.Instances); n > 0 && window > 0 {
-		m.Availability = 1 - float64(m.DownTime)/(float64(n)*float64(window))
-	}
+	d.derive(&m)
+	return m
+}
 
-	if window > 0 {
-		m.ThroughputTPS = float64(m.Committed) / window.Seconds()
+// derive fills m's rates and microarchitectural proxies from its counters
+// and Window — the same arithmetic for one window and for a sum of them.
+func (d *Deployment) derive(m *Measurement) {
+	m.Availability = 1
+	if m.Window > 0 {
+		m.Availability = 1 - float64(m.DownTime)/(float64(len(d.Instances))*float64(m.Window))
+		m.ThroughputTPS = float64(m.Committed) / m.Window.Seconds()
 	}
 	if m.Committed > 0 {
 		m.AvgLatency = m.TxnTime / sim.Time(m.Committed)
@@ -148,40 +175,16 @@ func diff(a, b Snapshot, window sim.Time, d *Deployment) Measurement {
 	// Cycles = dilated busy time + memory-line stalls; useful instructions
 	// are the undilated work. The gap reproduces the IPC and stalled-cycle
 	// ladders of Figure 8.
-	busy := float64(m.Mem.BusyTime)
-	stall := float64(m.Mem.StallTime)
+	cycles := float64(m.Mem.BusyTime) + float64(m.Mem.StallTime)
 	instr := float64(m.Mem.InstrTime)
-	if busy+stall > 0 {
-		m.StallFrac = 1 - instr/(busy+stall)
-		m.IPC = baseIPC * instr / (busy + stall)
-		llcMove := float64(m.Mem.C2CSame) * float64(d.Cfg.Machine.Lat.C2CSameSocket)
-		m.LLCShareFrac = llcMove / (busy + stall)
+	if cycles > 0 {
+		m.StallFrac = 1 - instr/cycles
+		m.IPC = baseIPC * instr / cycles
+		m.LLCShareFrac = float64(m.Mem.C2CSame) * float64(d.Cfg.Machine.Lat.C2CSameSocket) / cycles
 	}
 	if m.Mem.IMCBytes > 0 {
 		m.QPIPerIMC = float64(m.Mem.QPIBytes) / float64(m.Mem.IMCBytes)
 	}
-	return m
-}
-
-// RunWindows executes a warmup and then n consecutive windows of the given
-// width, returning one Measurement per window. The series view is what
-// fault experiments need: a crash shows up as a throughput dip and an
-// availability drop in the windows it spans, and recovery as the climb
-// back. Call Start first.
-func (d *Deployment) RunWindows(warmup, window sim.Time, n int) []Measurement {
-	if !d.started {
-		panic("core: RunWindows before Start")
-	}
-	d.Kernel.RunFor(warmup)
-	out := make([]Measurement, 0, n)
-	before := d.snapshot()
-	for i := 0; i < n; i++ {
-		d.Kernel.RunFor(window)
-		after := d.snapshot()
-		out = append(out, diff(before, after, window, d))
-		before = after
-	}
-	return out
 }
 
 // CostPerTxn returns the average machine time consumed per committed
@@ -224,8 +227,5 @@ func (m *Measurement) Imbalance() float64 {
 		}
 	}
 	mean := float64(m.Committed) / float64(len(m.PerInstance))
-	if mean == 0 {
-		return 1
-	}
 	return float64(max) / mean
 }

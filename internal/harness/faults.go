@@ -73,42 +73,6 @@ func FaultCell(name string, s FaultSpec, emits ...Emit) Cell {
 	return planCell(name, false, s.plan, emits)
 }
 
-// sumWindows folds a window series into one whole-run Measurement: counters
-// add, rates are recomputed over the combined span.
-func sumWindows(series []core.Measurement) core.Measurement {
-	var m core.Measurement
-	m.Availability = 1
-	for _, w := range series {
-		m.Window += w.Window
-		m.Committed += w.Committed
-		m.Aborted += w.Aborted
-		m.Local += w.Local
-		m.Multisite += w.Multisite
-		m.TxnTime += w.TxnTime
-		m.Crashes += w.Crashes
-		m.TimeoutAborts += w.TimeoutAborts
-		m.Expired += w.Expired
-		m.Dropped += w.Dropped
-		m.DownTime += w.DownTime
-	}
-	if m.Window > 0 {
-		m.ThroughputTPS = float64(m.Committed) / m.Window.Seconds()
-	}
-	if attempts := m.Committed + m.Aborted; attempts > 0 {
-		m.AbortRate = float64(m.Aborted) / float64(attempts)
-	}
-	if len(series) > 0 {
-		// Each window's availability is already normalized per instance-time;
-		// equal windows average cleanly.
-		var sum float64
-		for _, w := range series {
-			sum += w.Availability
-		}
-		m.Availability = sum / float64(len(series))
-	}
-	return m
-}
-
 // windowEmit projects one window of the cell's series onto a table cell.
 func windowEmit(table, row, col int, f func(core.Measurement) float64) Emit {
 	return Emit{table, row, col, func(x Metrics) float64 {

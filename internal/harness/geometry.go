@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -108,8 +109,20 @@ func squarestRows(n int) int {
 	return best
 }
 
-// ParseLatencyScales parses a comma-separated list of positive latency
-// scales ("0.5,1,2") — the -latscale flag language shared by the cmds.
+// Geometry.LatencyScale is bounded to 0.001..1e6: a wire a thousand times
+// faster to a million times slower, which already outlasts every window.
+// Inside the bounds every scaled cross-socket latency is a positive
+// sim.Time: the widest, an IPC wire of some 10^5 ns across a 16-socket
+// fabric, stays far below the clock's 2^63 ns, and the narrowest still
+// rounds to the >= 1 ns the kernel's lookahead needs. NaN and the
+// infinities fail both comparisons.
+const minLatencyScale, maxLatencyScale = 1e-3, 1e6
+
+func validLatencyScale(s float64) bool { return s >= minLatencyScale && s <= maxLatencyScale }
+
+// ParseLatencyScales parses a comma-separated list of latency scales
+// ("0.5,1,2"), each a finite number within 0.001..1e6 — the -latscale flag
+// language shared by the cmds.
 func ParseLatencyScales(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -118,8 +131,8 @@ func ParseLatencyScales(s string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("latency scale %q: want a positive number", part)
+		if err != nil || !validLatencyScale(v) {
+			return nil, fmt.Errorf("latency scale %q: want a number within %g..%g", part, minLatencyScale, maxLatencyScale)
 		}
 		out = append(out, v)
 	}
@@ -129,24 +142,41 @@ func ParseLatencyScales(s string) ([]float64, error) {
 	return out, nil
 }
 
+// ParseMachineSweep resolves the cmds' -geometry and -latscale flags into
+// the machines to sweep: the parsed geometries, each fanned across the
+// latency scales when latscale is non-empty. An empty geometry flag means
+// no sweep (nil), and then a latscale has nothing to scale.
+func ParseMachineSweep(geometry, latscale string) ([]Geometry, error) {
+	if geometry == "" {
+		if latscale != "" {
+			return nil, fmt.Errorf("-latscale scopes to a machine sweep; give -geometry too")
+		}
+		return nil, nil
+	}
+	geos, err := ParseGeometries(geometry)
+	if err != nil || latscale == "" {
+		return geos, err
+	}
+	scales, err := ParseLatencyScales(latscale)
+	if err != nil {
+		return nil, err
+	}
+	var fanned []Geometry
+	for _, g := range geos {
+		fanned = append(fanned, LatencyScales(g, scales...)...)
+	}
+	return fanned, nil
+}
+
 // CandidateSizes enumerates island sizes (instance counts) that divide a
 // machine evenly: shared-everything, per-socket multiples, and fine
 // grained — the advisor's default candidate set.
 func CandidateSizes(cores, sockets int) []int {
 	var out []int
 	for _, n := range []int{1, 2, sockets, 2 * sockets, cores / 2, cores} {
-		if n >= 1 && n <= cores && cores%n == 0 && !containsInt(out, n) {
+		if n >= 1 && n <= cores && cores%n == 0 && !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}
 	return out
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -57,10 +57,12 @@ func TestParseGeometriesErrors(t *testing.T) {
 }
 
 // TestParseLatencyScalesErrors covers -latscale's failure modes: empty
-// lists, non-numeric entries, and the zero/negative scales that would
-// silently delete or invert cross-socket latency.
+// lists, non-numeric entries, the zero/negative scales that would silently
+// delete or invert cross-socket latency, and the non-finite, huge or
+// vanishing ones whose scaled latencies leave sim.Time's positive range.
 func TestParseLatencyScalesErrors(t *testing.T) {
-	for _, s := range []string{"", ",", "x", "1,x", "0", "-1", "1,0,2", "0.5,-2"} {
+	for _, s := range []string{"", ",", "x", "1,x", "0", "-1", "1,0,2", "0.5,-2",
+		"NaN", "Inf", "-Inf", "1e300", "1,1e7", "1e-9"} {
 		if vs, err := ParseLatencyScales(s); err == nil {
 			t.Errorf("ParseLatencyScales(%q) accepted: %v", s, vs)
 		}
@@ -71,6 +73,33 @@ func TestParseLatencyScalesErrors(t *testing.T) {
 	}
 	if len(vs) != 3 || vs[0] != 0.5 || vs[1] != 1 || vs[2] != 2 {
 		t.Fatalf("parsed %v", vs)
+	}
+	if vs, err := ParseLatencyScales("0.001,1e6"); err != nil || len(vs) != 2 {
+		t.Fatalf("the documented bounds themselves: %v, %v", vs, err)
+	}
+}
+
+// TestParseMachineSweep covers the cmds' shared -geometry/-latscale
+// resolution: every geometry fanned across every scale, no sweep without a
+// geometry, and a scale with nothing to scale refused.
+func TestParseMachineSweep(t *testing.T) {
+	geos, err := ParseMachineSweep("4:6:8,8:10:30:ring", "0.5,2")
+	if err != nil || len(geos) != 4 {
+		t.Fatalf("2 geometries x 2 scales = %v, %v", geos, err)
+	}
+	if got := geos[3].Label(); got != "8s10c30M-ring-ls2" {
+		t.Errorf("last fanned geometry is %q", got)
+	}
+	if geos, err := ParseMachineSweep("4:6:8", ""); err != nil || len(geos) != 1 || geos[0].LatencyScale != 0 {
+		t.Errorf("no -latscale: %v, %v", geos, err)
+	}
+	if geos, err := ParseMachineSweep("", ""); err != nil || geos != nil {
+		t.Errorf("neither flag: %v, %v", geos, err)
+	}
+	for _, c := range [][2]string{{"", "2"}, {"4:x:8", "2"}, {"4:6:8", "Inf"}} {
+		if geos, err := ParseMachineSweep(c[0], c[1]); err == nil {
+			t.Errorf("ParseMachineSweep(%q, %q) accepted: %v", c[0], c[1], geos)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func (p plan) run() Metrics {
 		return Metrics{M: d.Run(p.warmup, p.window)}
 	}
 	series := d.RunWindows(p.warmup, p.window, p.series)
-	return Metrics{M: sumWindows(series), Series: series}
+	return Metrics{M: d.SumWindows(series), Series: series}
 }
 
 // key hashes the plan: kind, deployment config, source identity, window

@@ -159,6 +159,16 @@ func (s *Study) Seeds(n int) *Study {
 	return out
 }
 
+// seedsCol reads column j of row i of a table that s.Seeds(n).Run produced,
+// by s's own column numbering: the mean and its ±σ. It is the one decoder
+// of Seeds' column doubling — n <= 1 left the table as it was, so σ is 0.
+func seedsCol(t *Table, n, i, j int) (mean, sigma float64) {
+	if n <= 1 {
+		return t.Values[i][j], 0
+	}
+	return t.Values[i][2*j], t.Values[i][2*j+1]
+}
+
 // replicaStats computes mean and population stddev over one table cell's
 // replica values. Identical replicas — structural values, and cells whose
 // measurement never consumes the seed — short-circuit to (value, 0): the
@@ -224,22 +234,25 @@ type Geometry struct {
 	// whole sweep.
 	Interconnect topology.Interconnect
 	// LatencyScale multiplies the machine's cross-socket latency terms
-	// (see topology.Machine.LatencyScale). 0 and 1 both mean unscaled.
+	// (see topology.Machine.LatencyScale). 0 and 1 both mean unscaled;
+	// any other value must lie within 0.001..1e6.
 	LatencyScale float64
 }
 
 // Machine constructs a fresh machine model of the geometry. Every call
 // returns a new value: cells must not share a *topology.Machine. Invalid
-// knobs panic rather than run: a mismatched fabric, a non-positive or NaN
-// latency scale, or a machine wider than the memory model's 16-socket
-// sharer mask would silently invalidate every number the sweep produces.
+// knobs panic rather than run: a mismatched fabric, a latency scale that is
+// not finite or lies outside 0.001..1e6, or a machine wider than the memory
+// model's 16-socket sharer mask would silently invalidate every number the
+// sweep produces.
 func (g Geometry) Machine() *topology.Machine {
 	if g.Sockets > maxModelSockets {
 		panic(fmt.Sprintf("harness: geometry %s has %d sockets; the MESI model's sharer mask supports at most %d",
 			g.Label(), g.Sockets, maxModelSockets))
 	}
-	if s := g.LatencyScale; s < 0 || s != s {
-		panic(fmt.Sprintf("harness: geometry %s has latency scale %v; want >= 0 (0 means unscaled)", g.Label(), s))
+	if s := g.LatencyScale; s != 0 && !validLatencyScale(s) {
+		panic(fmt.Sprintf("harness: geometry %s has latency scale %v; want 0 (unscaled) or %g..%g",
+			g.Label(), s, minLatencyScale, maxLatencyScale))
 	}
 	m := topology.Custom(g.Label(), g.Sockets, g.CoresPerSocket, g.llcBytes())
 	if n := g.Interconnect.Sockets(); n != 0 {

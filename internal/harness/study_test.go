@@ -257,8 +257,8 @@ func TestGeometryMachines(t *testing.T) {
 
 // TestGeometryMachineRejectsInvalidKnobs: a geometry whose knobs would
 // silently invalidate every simulated number must refuse to build — a
-// fabric sized for a different socket count, a negative or NaN latency
-// scale, or a machine wider than the memory model's 16-socket sharer
+// fabric sized for a different socket count, a negative, non-finite or
+// out-of-range latency scale, or a machine wider than the memory model's 16-socket sharer
 // mask.
 func TestGeometryMachineRejectsInvalidKnobs(t *testing.T) {
 	expectPanic := func(name string, g Geometry) {
@@ -272,6 +272,8 @@ func TestGeometryMachineRejectsInvalidKnobs(t *testing.T) {
 	expectPanic("fabric size mismatch", Geometry{Sockets: 8, CoresPerSocket: 2, Interconnect: topology.Ring(4)})
 	expectPanic("negative latency scale", Geometry{Sockets: 4, CoresPerSocket: 2, LatencyScale: -1})
 	expectPanic("NaN latency scale", Geometry{Sockets: 4, CoresPerSocket: 2, LatencyScale: math.NaN()})
+	expectPanic("infinite latency scale", Geometry{Sockets: 4, CoresPerSocket: 2, LatencyScale: math.Inf(1)})
+	expectPanic("latency scale overflowing sim.Time", Geometry{Sockets: 4, CoresPerSocket: 2, LatencyScale: 1e300})
 	expectPanic("wider than sharer mask", Geometry{Sockets: 32, CoresPerSocket: 2, Interconnect: topology.Hypercube(5)})
 
 	// The boundary holds: 16 sockets (the fabric experiment's width) and

@@ -145,16 +145,6 @@ func TestAdviseTrace(t *testing.T) {
 		t.Fatalf("Seeds(2) result has %d columns, want 4", got)
 	}
 
-	// Error paths.
-	if _, err := AdviseTrace(&trace.Trace{}, geos, nil, 1, opt); err == nil {
-		t.Fatalf("empty trace accepted")
-	}
-	if _, err := AdviseTrace(tr, nil, nil, 1, opt); err == nil {
-		t.Fatalf("no geometries accepted")
-	}
-	if _, err := AdviseTrace(tr, geos[:1], []int{5}, 1, opt); err == nil {
-		t.Fatalf("non-dividing size accepted")
-	}
 }
 
 // TestSourceCellCustomSource exercises SourceCell with a from-scratch

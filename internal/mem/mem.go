@@ -60,20 +60,26 @@ type Stats struct {
 	IMCBytes uint64 // bytes moved from memory controllers
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.L1Hits += o.L1Hits
-	s.LLCHits += o.LLCHits
-	s.C2CSame += o.C2CSame
-	s.C2CCross += o.C2CCross
-	s.DRAMLocal += o.DRAMLocal
-	s.DRAMRemote += o.DRAMRemote
-	s.StallTime += o.StallTime
-	s.BusyTime += o.BusyTime
-	s.InstrTime += o.InstrTime
-	s.QPIBytes += o.QPIBytes
-	s.IMCBytes += o.IMCBytes
+// Add accumulates o into s; Sub removes it, the delta of two cumulative
+// readings.
+func (s *Stats) Add(o Stats) { s.merge(o, 1) }
+func (s *Stats) Sub(o Stats) { s.merge(o, -1) }
+
+// merge adds sign*o (+1 or -1; unsigned counters wrap) to every counter.
+func (s *Stats) merge(o Stats, sign int64) {
+	u, t := uint64(sign), sim.Time(sign)
+	s.Accesses += u * o.Accesses
+	s.L1Hits += u * o.L1Hits
+	s.LLCHits += u * o.LLCHits
+	s.C2CSame += u * o.C2CSame
+	s.C2CCross += u * o.C2CCross
+	s.DRAMLocal += u * o.DRAMLocal
+	s.DRAMRemote += u * o.DRAMRemote
+	s.StallTime += t * o.StallTime
+	s.BusyTime += t * o.BusyTime
+	s.InstrTime += t * o.InstrTime
+	s.QPIBytes += u * o.QPIBytes
+	s.IMCBytes += u * o.IMCBytes
 }
 
 const lineBytes = 64

@@ -19,8 +19,11 @@
 //     TPC-C transaction mix (NewTPCCWorkload for the full five-transaction
 //     standard mix, NewPaymentWorkload for the historical Payment-only
 //     stream);
-//   - the advisor: Advise picks the island size for a workload, answering
-//     the paper's future-work question;
+//   - the advisor: Advise ranks island size × machine geometry candidates
+//     for a generated microbenchmark, with ±σ and the paper's throughput
+//     model calibrated beside the measurement, answering the paper's
+//     future-work question (TraceAdvise, below, answers it for a recorded
+//     workload through the same pipeline);
 //   - experiments: Experiments/RunExperiment regenerate every table and
 //     figure of the paper;
 //   - fault injection: Config.Faults schedules a deterministic FaultPlan
@@ -263,26 +266,21 @@ type (
 	WALStall    = fault.WALStall
 )
 
-// Advice is the advisor's ranked recommendation.
-type Advice = core.Advice
+// Advice is the advisor's ranked recommendation: Best, every Candidate in
+// Ranked order, and the underlying study Result.
+type Advice = harness.Advice
 
-// AdvisorOptions tune the advisor's calibration runs.
-type AdvisorOptions = core.AdvisorOptions
+// Candidate is one island size on one machine geometry, with the
+// throughput (±σ) and multisite fraction an advisor sweep measured for it.
+type Candidate = harness.Candidate
 
-// DefaultAdvisorOptions returns sensible advisor settings.
-func DefaultAdvisorOptions() AdvisorOptions { return core.DefaultAdvisorOptions() }
-
-// Advise recommends an island size (instance count) for a microbenchmark
-// profile with the given multisite fraction, calibrating the paper's
-// throughput model T = (1-p)*Tlocal + p*Tdistr per candidate on the actual
-// machine model. This implements the paper's stated future work.
-func Advise(base Config, candidates []int, pMultisite float64, mc MicroConfig, opts AdvisorOptions) Advice {
-	factory := func(d *core.Deployment, p float64) engine.RequestSource {
-		c := mc
-		c.PctMultisite = p
-		return workload.NewMicro(c, d.Part)
-	}
-	return core.Advise(base, candidates, pMultisite, factory, opts)
+// Advise ranks island size × machine geometry candidates (sizes nil = every
+// size dividing each geometry's cores) for a generated microbenchmark of
+// `rows` rows with mc's transaction shape, and calibrates the paper's
+// throughput model T = (1-p)*Tlocal + p*Tdistr beside each measurement;
+// seeds > 1 adds ±σ. This implements the paper's stated future work.
+func Advise(mc MicroConfig, rows int64, geos []Geometry, sizes []int, seeds int, opt StudyOptions) (*Advice, error) {
+	return harness.AdviseMicro(mc, rows, geos, sizes, seeds, opt)
 }
 
 // Experiment reproduces one of the paper's tables or figures.
@@ -445,16 +443,13 @@ func SourceCell(name string, s SourceCellSpec, emits ...Emit) Cell {
 // hypercube.
 func ParseGeometry(s string) (Geometry, error) { return harness.ParseGeometry(s) }
 
-// ParseGeometries parses a comma-separated list of geometry specs.
-func ParseGeometries(s string) ([]Geometry, error) { return harness.ParseGeometries(s) }
-
-// ParseLatencyScales parses a comma-separated list of positive latency
-// scales ("0.5,1,2") — the shared -latscale flag language.
-func ParseLatencyScales(s string) ([]float64, error) { return harness.ParseLatencyScales(s) }
-
-// CandidateIslandSizes enumerates island sizes (instance counts) that
-// divide a machine evenly — the advisor's default candidate set.
-func CandidateIslandSizes(cores, sockets int) []int { return harness.CandidateSizes(cores, sockets) }
+// ParseMachineSweep resolves the cmds' -geometry and -latscale flag values
+// into the machines to sweep: the comma-separated geometry specs, each
+// fanned across the comma-separated latency scales (finite, 0.001..1e6;
+// empty = unscaled). An empty geometry yields nil, and rejects a latscale.
+func ParseMachineSweep(geometry, latscale string) ([]Geometry, error) {
+	return harness.ParseMachineSweep(geometry, latscale)
+}
 
 // Trace is a recorded workload: one compact record per transaction
 // (virtual timestamp, transaction kind, worker stream, row operations with
@@ -529,12 +524,6 @@ func RecordMicroTrace(s MicroCellSpec, opt StudyOptions) *Trace {
 	return harness.RecordMicro(s, opt)
 }
 
-// TraceCandidate is one ranked candidate of a trace-driven advisor sweep.
-type TraceCandidate = harness.TraceCandidate
-
-// TraceAdvice is the trace-driven advisor's ranked recommendation.
-type TraceAdvice = harness.TraceAdvice
-
 // TraceAdvise replays one recorded trace across island size × machine
 // geometry candidates (sizes nil = every size dividing each geometry's
 // cores) and ranks the outcomes; seeds > 1 adds ±σ via seed-replica stream
@@ -542,7 +531,7 @@ type TraceAdvice = harness.TraceAdvice
 // declares the trace's tables range-partitioned over its instances, so the
 // same global keys become local or multisite according to the candidate —
 // the question the advisor answers.
-func TraceAdvise(t *Trace, geos []Geometry, sizes []int, seeds int, opt StudyOptions) (*TraceAdvice, error) {
+func TraceAdvise(t *Trace, geos []Geometry, sizes []int, seeds int, opt StudyOptions) (*Advice, error) {
 	return harness.AdviseTrace(t, geos, sizes, seeds, opt)
 }
 
