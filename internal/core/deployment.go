@@ -83,6 +83,13 @@ type Config struct {
 	// Section 7.1.2 calls locking "mandatory" once transactions are
 	// distributed, so sweeps that include multisite points keep locking on
 	// everywhere.
+	//
+	// It also makes the islands causally independent, and the deployment is
+	// built that way: instances are not connected to each other and the
+	// kernel gets no channel between their partitions, so every island runs a
+	// whole Run window in one piece instead of synchronizing with neighbours
+	// that cannot reach it. A request that needs another instance after all
+	// is a contract violation and panics out of Run, naming this field.
 	LocalOnly bool
 
 	// DisableSingleThreadOpt keeps locking/latching on even for
@@ -262,8 +269,10 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 		in := engine.NewInstance(k, cfg.Machine, model, net, engine.InstanceID(i), parts[i], part, d.domains[i], opts)
 		d.Instances = append(d.Instances, in)
 	}
-	for _, in := range d.Instances {
-		in.Connect(d.Instances)
+	if !cfg.LocalOnly {
+		for _, in := range d.Instances {
+			in.Connect(d.Instances)
+		}
 	}
 	if cfg.Faults != nil {
 		d.wireFaults(parts)
@@ -344,8 +353,18 @@ func resolveWorkers(cfg Config, islands int) int {
 // single global minimum would. A fault plan that can speed links up
 // (LinkDegrade Factor < 1) shrinks every floor by its worst-case delivery
 // scale, keeping the floors sound under injection. Entries are always
-// positive.
+// positive — except under Config.LocalOnly, where no island ever sends to
+// another: the matrix then declares no channel at all, and the kernel runs
+// every island to the end of each Run in a single window.
 func crossWireMatrix(cfg Config, parts [][]topology.CoreID) [][]sim.Time {
+	la := make([][]sim.Time, len(parts))
+	for i := range la {
+		la[i] = make([]sim.Time, len(parts))
+	}
+	if cfg.LocalOnly {
+		return la
+	}
+
 	m := cfg.Machine
 	costs := ipc.CostsFor(cfg.Mechanism)
 	wire := m.CrossTable(costs.WireSameSocket, costs.WireCrossBase, costs.WireCrossPerHop)
@@ -356,10 +375,6 @@ func crossWireMatrix(cfg Config, parts [][]topology.CoreID) [][]sim.Time {
 		scale = cfg.Faults.MinDeliveryScale()
 	}
 
-	la := make([][]sim.Time, len(parts))
-	for i := range la {
-		la[i] = make([]sim.Time, len(parts))
-	}
 	n := m.SocketCount
 	for i := range parts {
 		for j := range parts {

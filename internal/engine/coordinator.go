@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 
 	"islands/internal/exec"
 	"islands/internal/ipc"
@@ -187,6 +188,11 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 	}
 	remoteIDs := s.remoteIDs
 	multisite = len(remoteIDs) > 0
+	if multisite && in.peers == nil {
+		panic(fmt.Sprintf("engine: instance %d got a request with work for instance %d, but the instances "+
+			"are not connected: a deployment built with Config.LocalOnly declares that its workload never "+
+			"issues multisite transactions", in.ID, remoteIDs[0]))
+	}
 
 	// Fault mode: arm the attempt's 2PC deadline before any message leaves.
 	// The deadline is a sentinel delivered to the worker's own reply mailbox

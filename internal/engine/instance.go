@@ -276,7 +276,8 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 func (in *Instance) Dilation() float64 { return in.dilation }
 
 // Connect wires the instance to its peers (including itself, indexed by
-// InstanceID). Must be called before Start.
+// InstanceID). Must be called before Start. An instance that is never
+// connected can only run local requests; a multisite one panics.
 func (in *Instance) Connect(peers []*Instance) { in.peers = peers }
 
 // Table returns the table state (for tests and loaders).

@@ -121,11 +121,13 @@ func (t *Txn) readRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 		pg.Latch.AcquireShared(ctx)
 	}
 	ctx.ReadLine(&pg.HeaderLine)
-	row, ok := pg.Get(rid.Slot)
-	if !ok || storage.RowKey(row) != key {
+	// A read looks at the row's key and length only, and KeyAt answers both
+	// without synthesizing a row nobody wrote.
+	got, n, ok := pg.KeyAt(rid.Slot)
+	if !ok || got != key {
 		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
 	}
-	ctx.ReadData(&in.ws, len(row))
+	ctx.ReadData(&in.ws, n)
 	ctx.Charge(CostPerRowCPU)
 	if in.opts.Latching {
 		pg.Latch.ReleaseShared(ctx)

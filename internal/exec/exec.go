@@ -20,16 +20,16 @@ type Bucket int
 
 // Breakdown buckets.
 const (
-	BExec  Bucket = iota // transaction body: data access and compute
-	BXct                 // begin/commit bookkeeping ("xct management")
-	BLock                // lock manager work and lock waits
-	BLatch               // page latching
-	BLog                 // log insertion and commit flush waits
-	BComm                // message send/receive and votes
-	BIO                  // buffer pool disk reads/writes
-	BSched               // waiting in the core's run queue
-	BTimeout             // coordinator timeout aborts: expired waits, cleanup, backoff
-	BIdle                // threads parked with nothing to do (not a txn cost)
+	BExec    Bucket = iota // transaction body: data access and compute
+	BXct                   // begin/commit bookkeeping ("xct management")
+	BLock                  // lock manager work and lock waits
+	BLatch                 // page latching
+	BLog                   // log insertion and commit flush waits
+	BComm                  // message send/receive and votes
+	BIO                    // buffer pool disk reads/writes
+	BSched                 // waiting in the core's run queue
+	BTimeout               // coordinator timeout aborts: expired waits, cleanup, backoff
+	BIdle                  // threads parked with nothing to do (not a txn cost)
 	NumBuckets
 )
 

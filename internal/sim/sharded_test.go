@@ -479,3 +479,44 @@ func TestMatrixWindowsFewerThanGlobalMin(t *testing.T) {
 	}
 	t.Logf("windows: matrix=%d global-min=%d", m.w, g.w)
 }
+
+// TestChannelFreeShardsRunOneWindowPerCall: shards of a kernel whose matrix
+// declares no channel at all cannot influence each other, so nothing bounds
+// a shard's window but the call itself — every RunUntil that finds work is
+// exactly one window, at any worker count, and each domain's trace is the
+// one a windowed kernel produces.
+func TestChannelFreeShardsRunOneWindowPerCall(t *testing.T) {
+	run := func(k *Kernel) (traces [3][]Time, windows []uint64) {
+		defer k.Close()
+		for i := 0; i < 3; i++ {
+			i := i
+			k.NewDomain(i).Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
+				for {
+					p.Advance(Time(70 + 10*i))
+					traces[i] = append(traces[i], p.Now())
+				}
+			})
+		}
+		for _, until := range []Time{1000, 1000, 5000, 100000} {
+			k.RunUntil(until)
+			windows = append(windows, k.Windows())
+		}
+		return traces, windows
+	}
+	want, paced := run(NewSharded(3, 50))
+	if paced[len(paced)-1] < 100 {
+		t.Fatalf("the lookahead-50 reference ran %d windows, want a windowed run", paced[len(paced)-1])
+	}
+	for _, workers := range []int{1, 3} {
+		k := NewShardedMatrix([][]Time{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
+		k.SetWorkers(workers)
+		got, windows := run(k)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: traces diverge from the windowed kernel", workers)
+		}
+		// The second RunUntil(1000) finds every event beyond its bound.
+		if !reflect.DeepEqual(windows, []uint64{1, 1, 2, 3}) {
+			t.Errorf("%d workers: Windows() after each call = %v, want [1 1 2 3]", workers, windows)
+		}
+	}
+}

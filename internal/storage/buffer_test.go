@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -190,11 +191,12 @@ func TestDiskStats(t *testing.T) {
 	})
 }
 
-// BenchmarkFixHit is the resident-page path of every row access: probe the
-// frame directory, pin, read one (already synthesized) row, unpin — over
-// enough pages, in random order, that the host's cache holds neither the
-// frames nor the rows. It must not allocate (CI gates on it).
-func BenchmarkFixHit(b *testing.B) {
+// benchHits drives b.N buffer-pool hits through a fully prewarmed pool —
+// over enough pages, in random order, that the host's cache holds neither
+// the frames nor the rows. prepare sees the pool and the RIDs before the
+// clock starts, read is the timed access between Fix and Unfix, and verify
+// inspects the pool afterwards.
+func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func(p *Page, slot uint16) int, verify func(bp *BufferPool)) {
 	withCtx(b, func(ctx *exec.Ctx) {
 		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 31 * 4096}
 		store := NewPageStore()
@@ -206,19 +208,62 @@ func BenchmarkFixHit(b *testing.B) {
 		rids := make([]RID, 1<<16)
 		for i := range rids {
 			rids[i] = tab.Locate(rng.Int63n(tab.NumRows))
-			bp.Peek(rids[i].Page).Get(rids[i].Slot) // first touch synthesizes; not this benchmark's subject
 		}
+		prepare(bp, rids)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rid := rids[i&(len(rids)-1)]
 			p := bp.Fix(ctx, rid.Page)
-			row, _ := p.Get(rid.Slot)
-			benchSink += len(row)
+			benchSink += read(p, rid.Slot)
 			bp.Unfix(ctx, p, false)
 		}
+		b.StopTimer()
 		if bp.Misses != 0 {
 			b.Fatalf("%d misses in a prewarmed pool", bp.Misses)
 		}
+		verify(bp)
 	})
+}
+
+// BenchmarkFixHit is the resident-page path of every row access: probe the
+// frame directory, pin, read one (already synthesized) row, unpin. It must
+// not allocate (CI gates on it).
+func BenchmarkFixHit(b *testing.B) {
+	benchHits(b,
+		func(bp *BufferPool, rids []RID) {
+			for _, rid := range rids {
+				bp.Peek(rid.Page).Get(rid.Slot) // first touch synthesizes; not this benchmark's subject
+			}
+		},
+		func(p *Page, slot uint16) int {
+			row, _ := p.Get(slot)
+			return len(row)
+		},
+		func(*BufferPool) {})
+}
+
+// BenchmarkReadUnwrittenRowKey is BenchmarkFixHit for a row nobody wrote,
+// read the way the engine reads it: KeyAt answers from the Page struct, so
+// the access allocates nothing (CI gates on it) and, checked here over
+// poisoned buffers, neither reads nor writes a byte of any page.
+func BenchmarkReadUnwrittenRowKey(b *testing.B) {
+	untouched := bytes.Repeat([]byte{poison}, PageSize)
+	benchHits(b,
+		func(bp *BufferPool, _ []RID) {
+			for _, p := range bp.ring {
+				copy(p.data, untouched) // a lazy page's buffer is arbitrary: make it recognizable
+			}
+		},
+		func(p *Page, slot uint16) int {
+			key, n, _ := p.KeyAt(slot)
+			return int(key) + n
+		},
+		func(bp *BufferPool) {
+			for _, p := range bp.ring {
+				if !bytes.Equal(p.data, untouched) || p.filled != [filledWords]uint64{} {
+					b.Fatalf("page %v: key reads touched the page", p.ID)
+				}
+			}
+		})
 }

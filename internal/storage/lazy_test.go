@@ -10,10 +10,12 @@ import (
 	"islands/internal/exec"
 )
 
-// The tests in this file pin the invariant behind lazy rows and the
-// unzeroed, recycled arena: no byte of a page is read before Page.format,
-// the filled bitmap or materialize says it was written. They make stale
-// contents loud by poisoning every pooled chunk first.
+// The tests in this file pin the invariants behind lazy pages and the
+// unzeroed, recycled arena: no byte of a page is read before the filled
+// bitmap or materialize says it was written, and a read defines no byte —
+// fetching a page and asking for keys leaves its buffer exactly as the pool
+// handed it out. They make stale contents loud by poisoning every pooled
+// chunk first.
 
 const poison = 0xA5
 
@@ -88,15 +90,32 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 		}
 	}
 	// Get, which never reads the directory of a lazy page, returns exactly
-	// the bytes the directory points at.
+	// the bytes the directory points at once materialize has written it.
 	getViaDirectory := func(t *testing.T, p, ref *Page) {
-		for s := 0; s < p.NumSlots(); s++ {
-			off, length := p.dirSlot(s)
-			got, ok := p.Get(uint16(s))
+		rows := make([][]byte, p.NumSlots())
+		for s := range rows {
+			rows[s], _ = p.Get(uint16(s))
+		}
+		m := materialized(p)
+		for s, got := range rows {
+			off, length := m.dirSlot(s)
 			want, _ := ref.Get(uint16(s))
-			if !ok || len(got) != length || &got[0] != &p.data[off] || !bytes.Equal(got, want) {
+			if len(got) != length || &got[0] != &p.data[off] || !bytes.Equal(got, want) {
 				t.Fatalf("slot %d: Get does not return the directory's bytes", s)
 			}
+		}
+	}
+	// A read defines no byte: KeyAt answers every slot as Get on the eager
+	// reference does, and neither the buffer nor the bitmap moves.
+	keys := func(t *testing.T, p, ref *Page) {
+		data, filled := bytes.Clone(p.data), p.filled
+		for s := 0; s < p.NumSlots()+2; s++ {
+			if err := checkKeyAt(p, ref, uint16(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(p.data, data) || p.filled != filled {
+			t.Fatal("key reads wrote to the page")
 		}
 	}
 	image := func(t *testing.T, p, ref *Page) {
@@ -106,16 +125,19 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 	}
 	orders := map[string][]op{
 		"image":            {image},
+		"keys-image":       {keys, keys, image, keys},
 		"directory-image":  {getViaDirectory, image},
 		"update-directory": {update, getViaDirectory, image},
 		"get-image":        {getSubset, image},
+		"get-keys-image":   {getSubset, keys, image},
 		"update-image":     {update, image},
+		"update-keys":      {keys, update, keys, image},
 		"get-update-image": {getSubset, update, image},
 		"update-get-image": {update, getSubset, image},
 		"get-image-update": {getSubset, image, update, image},
 		"update-image-get": {update, image, getSubset, image},
 		"image-get-update": {image, getSubset, update, image},
-		"image-update-get": {image, update, getSubset, image},
+		"image-update-get": {image, update, keys, getSubset, image},
 	}
 	for _, tab := range lazyTables() {
 		for name, ops := range orders {
@@ -123,9 +145,9 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 				s := poisonedStore(t, tab)
 				for no := int64(0); no < tab.NumPages(); no++ {
 					p := s.Fetch(PageID{Table: tab.ID, No: no})
-					off, _ := p.slot(p.NumSlots() - 1)
-					if p.lazy == nil || p.data[off] != poison || p.data[p.freeOff()] != poison {
-						t.Fatal("fetched page is not lazy over poison: the test would prove nothing")
+					// A miss writes the Page struct and nothing else.
+					if p.lazy == nil || !bytes.Equal(p.data, bytes.Repeat([]byte{poison}, PageSize)) {
+						t.Fatal("fetched page is not lazy over untouched poison")
 					}
 					ref := tab.SynthesizePage(no)
 					for _, o := range ops {
@@ -138,21 +160,38 @@ func TestLazyPageOverPoisonedArena(t *testing.T) {
 	}
 }
 
-// checkSlotArithmetic holds a page to the two things its struct claims about
-// its buffer: the slot count equals the header word, and, while the page is
-// lazy, every slot resolved by arithmetic is the slot directory's entry. It
-// reads no row, so it leaves a lazy page as lazy as it found it.
+// materialized returns what p becomes once every byte of it is defined: p
+// itself when it is not lazy, a materialized copy over a copy of its buffer
+// otherwise, so looking leaves a lazy page as lazy as it was.
+func materialized(p *Page) *Page {
+	if p.lazy == nil {
+		return p
+	}
+	m := &Page{data: bytes.Clone(p.data), slots: p.slots, lazy: p.lazy, firstKey: p.firstKey, filled: p.filled}
+	m.materialize()
+	return m
+}
+
+// checkSlotArithmetic holds a page to what its struct claims about its
+// buffer: the slot count and the free offset equal the header words and,
+// while the page is lazy, every slot resolved by arithmetic is the slot
+// directory's entry — all three as materialize is going to write them. It
+// defines no byte of p.
 func checkSlotArithmetic(t *testing.T, p *Page) {
 	t.Helper()
-	if header := int(binary.LittleEndian.Uint16(p.data[0:2])); p.slots != header {
+	m := materialized(p)
+	if header := int(binary.LittleEndian.Uint16(m.data[0:2])); p.slots != header {
 		t.Fatalf("struct says %d slots, page header %d", p.slots, header)
+	}
+	if header := int(binary.LittleEndian.Uint16(m.data[2:4])); p.freeOff() != header {
+		t.Fatalf("freeOff says %d, page header %d", p.freeOff(), header)
 	}
 	if p.lazy == nil {
 		return
 	}
 	for i := 0; i < p.slots; i++ {
 		off, length := p.slot(i)
-		if dirOff, dirLen := p.dirSlot(i); off != dirOff || length != dirLen {
+		if dirOff, dirLen := m.dirSlot(i); off != dirOff || length != dirLen {
 			t.Fatalf("slot %d: arithmetic says %d+%d, directory %d+%d", i, off, length, dirOff, dirLen)
 		}
 	}
@@ -176,79 +215,177 @@ func TestRecycledBufferIsRedefined(t *testing.T) {
 	}
 }
 
+// pagePair is a lazily synthesized page over a poisoned buffer and its
+// eagerly materialized reference, driven through the same operations.
+type pagePair struct {
+	id        PageID
+	lazy, ref *Page
+}
+
+func newPagePair(t *testing.T, tab *Table, no int64) *pagePair {
+	id := PageID{Table: tab.ID, No: no}
+	return &pagePair{id: id, lazy: poisonedStore(t, tab).Fetch(id), ref: tab.SynthesizePage(no)}
+}
+
+// checkKeyAt demands that p.KeyAt(slot) is the key and length of the row
+// ref.Get(slot) returns. Only a table row has a key: a record shorter than
+// one (the differential tests insert some) is skipped.
+func checkKeyAt(p, ref *Page, slot uint16) error {
+	want, wok := ref.Get(slot)
+	if wok && len(want) < 8 {
+		return nil
+	}
+	key, length, ok := p.KeyAt(slot)
+	if ok != wok || ok && (key != RowKey(want) || length != len(want)) {
+		return fmt.Errorf("KeyAt(%d) = %d,%d,%v, Get says %x,%v", slot, key, length, ok, want, wok)
+	}
+	return nil
+}
+
+// The operations pagePair.step knows.
+const (
+	opGet = iota
+	opKeyAt
+	opUpdate
+	opInsert
+	opDelete
+	opImage
+	opVersionSum
+	opReload
+	pageOps
+)
+
+// step applies operation op to both pages — slot is its target, rec the
+// record of an Update or Insert — and returns how they disagree, if they do.
+func (pp *pagePair) step(op int, slot uint16, rec []byte) error {
+	lazy, ref := pp.lazy, pp.ref
+	switch op {
+	case opGet:
+		got, ok := lazy.Get(slot)
+		want, wok := ref.Get(slot)
+		if ok != wok || !bytes.Equal(got, want) {
+			return fmt.Errorf("Get(%d) = %x,%v want %x,%v", slot, got, ok, want, wok)
+		}
+	case opKeyAt:
+		if err := checkKeyAt(lazy, ref, slot); err != nil {
+			return err
+		}
+	case opUpdate:
+		if got, want := lazy.Update(slot, rec), ref.Update(slot, rec); got != want {
+			return fmt.Errorf("Update(%d) = %v want %v", slot, got, want)
+		}
+	case opInsert:
+		got, ok := lazy.Insert(rec)
+		want, wok := ref.Insert(rec)
+		if got != want || ok != wok {
+			return fmt.Errorf("Insert = %d,%v want %d,%v", got, ok, want, wok)
+		}
+	case opDelete:
+		if got, want := lazy.Delete(slot), ref.Delete(slot); got != want {
+			return fmt.Errorf("Delete(%d) = %v want %v", slot, got, want)
+		}
+	case opImage:
+		if !bytes.Equal(lazy.Image(), ref.Image()) {
+			return fmt.Errorf("Image differs")
+		}
+	case opVersionSum:
+		if got, want := lazy.RowVersionSum(), ref.RowVersionSum(); got != want {
+			return fmt.Errorf("RowVersionSum = %d want %d", got, want)
+		}
+	case opReload:
+		pp.lazy, pp.ref = LoadPage(pp.id, lazy.Image()), LoadPage(pp.id, ref.Image())
+		lazy, ref = pp.lazy, pp.ref
+	}
+	if lazy.NumSlots() != ref.NumSlots() || lazy.FreeSpace() != ref.FreeSpace() || lazy.Dirty != ref.Dirty {
+		return fmt.Errorf("slots/free/dirty = %d/%d/%v want %d/%d/%v", lazy.NumSlots(), lazy.FreeSpace(),
+			lazy.Dirty, ref.NumSlots(), ref.FreeSpace(), ref.Dirty)
+	}
+	return nil
+}
+
+// finish demands equal final images, with the header's slot count the
+// struct's.
+func (pp *pagePair) finish() error {
+	img := pp.lazy.Image()
+	if !bytes.Equal(img, pp.ref.Image()) {
+		return fmt.Errorf("final image differs")
+	}
+	if header := int(binary.LittleEndian.Uint16(img[0:2])); pp.lazy.slots != header {
+		return fmt.Errorf("struct says %d slots, image header %d", pp.lazy.slots, header)
+	}
+	return nil
+}
+
 // TestLazyPageMatchesEagerReference drives a lazy page and an eagerly
 // materialized reference through the same random operations and demands
 // identical results at every step.
 func TestLazyPageMatchesEagerReference(t *testing.T) {
+	// Reads dominate, as in the engine; a reload is rare.
+	ops := []int{opGet, opGet, opGet, opGet, opKeyAt, opKeyAt, opKeyAt, opUpdate, opUpdate, opUpdate,
+		opInsert, opDelete, opImage, opVersionSum, opReload}
 	for _, tab := range lazyTables() {
 		for seed := int64(0); seed < 20; seed++ {
-			s := poisonedStore(t, tab)
 			rng := rand.New(rand.NewSource(seed))
 			no := rng.Int63n(tab.NumPages())
 			if seed%4 == 0 {
 				no = tab.NumPages() - 1 // the short page
 			}
-			id := PageID{Table: tab.ID, No: no}
-			lazy, ref := s.Fetch(id), tab.SynthesizePage(no)
-			fail := func(step int, format string, args ...any) {
-				t.Fatalf("%s seed %d step %d: %s", tab.Name, seed, step, fmt.Sprintf(format, args...))
-			}
+			pp := newPagePair(t, tab, no)
 			for step := 0; step < 400; step++ {
-				slot := uint16(rng.Intn(lazy.NumSlots() + 2))
-				switch rng.Intn(12) {
-				case 0, 1, 2, 3:
-					got, ok := lazy.Get(slot)
-					want, wok := ref.Get(slot)
-					if ok != wok || !bytes.Equal(got, want) {
-						fail(step, "Get(%d) = %x,%v want %x,%v", slot, got, ok, want, wok)
-					}
-				case 4, 5, 6:
-					rec := make([]byte, tab.RowBytes)
-					rng.Read(rec)
-					if got, want := lazy.Update(slot, rec), ref.Update(slot, rec); got != want {
-						fail(step, "Update(%d) = %v want %v", slot, got, want)
-					}
-				case 7:
-					// Row-sized records refill holes; short ones fit the gap
-					// of even the 408-slot page.
-					rec := make([]byte, []int{tab.RowBytes, 2 + rng.Intn(10)}[rng.Intn(2)])
-					rng.Read(rec)
-					got, ok := lazy.Insert(rec)
-					want, wok := ref.Insert(rec)
-					if got != want || ok != wok {
-						fail(step, "Insert = %d,%v want %d,%v", got, ok, want, wok)
-					}
-				case 8:
-					if got, want := lazy.Delete(slot), ref.Delete(slot); got != want {
-						fail(step, "Delete(%d) = %v want %v", slot, got, want)
-					}
-				case 9:
-					if !bytes.Equal(lazy.Image(), ref.Image()) {
-						fail(step, "Image differs")
-					}
-				case 10:
-					if got, want := lazy.RowVersionSum(), ref.RowVersionSum(); got != want {
-						fail(step, "RowVersionSum = %d want %d", got, want)
-					}
-				case 11:
-					lazy, ref = LoadPage(id, lazy.Image()), LoadPage(id, ref.Image())
+				slot := uint16(rng.Intn(pp.lazy.NumSlots() + 2))
+				op := ops[rng.Intn(len(ops))]
+				// Row-sized records update rows and refill holes; short ones
+				// fit the gap of even the 408-slot page.
+				rec := make([]byte, tab.RowBytes)
+				if op == opInsert && rng.Intn(2) == 0 {
+					rec = rec[:2+rng.Intn(10)]
 				}
-				checkSlotArithmetic(t, lazy)
-				checkSlotArithmetic(t, ref)
-				if lazy.NumSlots() != ref.NumSlots() || lazy.FreeSpace() != ref.FreeSpace() || lazy.Dirty != ref.Dirty {
-					fail(step, "slots/free/dirty = %d/%d/%v want %d/%d/%v", lazy.NumSlots(), lazy.FreeSpace(),
-						lazy.Dirty, ref.NumSlots(), ref.FreeSpace(), ref.Dirty)
+				rng.Read(rec)
+				if err := pp.step(op, slot, rec); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", tab.Name, seed, step, err)
 				}
+				checkSlotArithmetic(t, pp.lazy)
+				checkSlotArithmetic(t, pp.ref)
 			}
-			img := lazy.Image()
-			if !bytes.Equal(img, ref.Image()) {
-				t.Fatalf("%s seed %d: final image differs", tab.Name, seed)
-			}
-			if header := int(binary.LittleEndian.Uint16(img[0:2])); lazy.slots != header {
-				t.Fatalf("%s seed %d: struct says %d slots, image header %d", tab.Name, seed, lazy.slots, header)
+			if err := pp.finish(); err != nil {
+				t.Fatalf("%s seed %d: %v", tab.Name, seed, err)
 			}
 		}
 	}
+}
+
+// FuzzPageOps interprets its input as a script over a lazy page and its
+// eager reference: a table, a page, then four bytes per step — operation,
+// slot (two bytes) and the byte a record is built from.
+func FuzzPageOps(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0, 3, 9, 2, 0, 3, 7, 1, 0, 3, 0, 4, 0, 3, 0, 3, 0, 0, 1, 1, 0, 3, 0, 5, 0, 0, 0}) // update, delete, reinsert, key
+	f.Add([]byte{0, 3, 1, 1, 151, 0, 3, 0, 0, 4, 7, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})                       // the short page: insert, reload, reads
+	f.Add([]byte{2, 1, 1, 0, 0, 0, 1, 0, 11, 0, 6, 0, 0, 0, 2, 0, 12, 5, 1, 0, 12, 0})                      // key reads around an update
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		tab := lazyTables()[int(script[0])%3]
+		pp := newPagePair(t, tab, int64(script[1])%tab.NumPages())
+		for step, s := 0, script[2:]; len(s) >= 4; step, s = step+1, s[4:] {
+			op := int(s[0]) % pageOps
+			slot := (uint16(s[1])<<8 | uint16(s[2])) % uint16(pp.lazy.NumSlots()+2)
+			rec := make([]byte, tab.RowBytes)
+			if op == opInsert && s[3]&1 == 0 {
+				rec = rec[:2+int(s[3]>>1)%10]
+			}
+			for i := range rec {
+				rec[i] = s[3] + byte(i)
+			}
+			if err := pp.step(op, slot, rec); err != nil {
+				t.Fatalf("%s step %d: %v", tab.Name, step, err)
+			}
+			checkSlotArithmetic(t, pp.lazy)
+		}
+		if err := pp.finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestHalfFilledDirtyPageRoundTrip evicts a dirty page of which only some

@@ -79,20 +79,21 @@ type Page struct {
 	slots int
 
 	// Lazy synthesis state. A page synthesized from its table definition is
-	// formatted over an arbitrary, unzeroed buffer: only the header and the
-	// slot directory are written. While lazy is non-nil, the row at slot i
-	// holds defined bytes only once bit i of filled is set (Get synthesizes
-	// it, Update overwrites it), and the free gap between the last row and
-	// the slot directory is undefined; materialize defines everything that
-	// is left and clears lazy. No byte of data is read before format, the
-	// bitmap or materialize says it was written — the invariant that lets
-	// the store recycle buffers without clearing them.
+	// formatted over an arbitrary, unzeroed buffer, and format writes none of
+	// it. While lazy is non-nil, the row at slot i holds defined bytes only
+	// once bit i of filled is set (Get synthesizes it, Update overwrites it);
+	// the header words, the slot directory and the free gap between the last
+	// row and the directory are undefined. materialize defines everything
+	// that is left and clears lazy. No byte of data is read before the bitmap
+	// or materialize says it was written — the invariant that lets the store
+	// recycle buffers without clearing them, and a read-only page never touch
+	// its buffer at all (see KeyAt).
 	//
-	// A lazy page's slot directory is exactly what format wrote — slot i is
-	// RowBytes long at pageHeaderSize + i*RowBytes — because every operation
-	// that changes a directory entry (Insert, Delete) materializes first. So
-	// slot resolves a lazy page's slots by that arithmetic and leaves the
-	// directory, at the far end of the buffer, unread.
+	// A lazy page's layout is a function of its table: slot i is RowBytes
+	// long at pageHeaderSize + i*RowBytes and the free space starts after the
+	// last row, because every operation that changes the layout (Insert,
+	// Delete) materializes first. So slot and freeOff answer a lazy page by
+	// that arithmetic, and the slot count lives in the struct.
 	lazy     *Table
 	firstKey int64 // key of slot 0 while lazy
 
@@ -120,20 +121,12 @@ func NewPage(id PageID) *Page {
 	return p
 }
 
-// format lays out page no of table t over p.data, whose prior contents are
-// arbitrary: the full header and one slot directory entry per row. The rows
-// themselves stay unsynthesized (see Page.lazy).
+// format makes p page no of table t over p.data, whose prior contents are
+// arbitrary and stay so: the page is lazy, its layout implied by t (see
+// Page.lazy) until materialize writes it down.
 func (p *Page) format(t *Table, no int64) {
 	lo, hi := t.KeyRangeOfPage(no)
-	n := int(hi - lo)
-	clear(p.data[:pageHeaderSize])
-	off := pageHeaderSize
-	for i := 0; i < n; i++ {
-		p.setSlot(i, off, t.RowBytes)
-		off += t.RowBytes
-	}
-	p.setNSlots(n)
-	p.setFreeOff(off)
+	p.slots = int(hi - lo)
 	p.lazy, p.firstKey = t, lo
 }
 
@@ -153,19 +146,27 @@ func (p *Page) fill(slot int) {
 }
 
 // materialize defines every byte of a lazy page that is still undefined —
-// the unsynthesized rows and the free gap — and ends the lazy state. Every
-// operation that reads or moves bytes beyond a single row calls it first.
+// the header, the slot directory, the unsynthesized rows and the free gap —
+// and ends the lazy state. Every operation that reads or moves bytes beyond
+// a single row calls it first.
 func (p *Page) materialize() {
-	if p.lazy == nil {
+	t := p.lazy
+	if t == nil {
 		return
 	}
 	n := p.slots
+	off := pageHeaderSize
 	for i := 0; i < n; i++ {
 		if p.unfilled(i) {
 			p.fill(i)
 		}
+		p.setSlot(i, off, t.RowBytes)
+		off += t.RowBytes
 	}
-	clear(p.data[p.freeOff() : PageSize-n*slotSize])
+	clear(p.data[:pageHeaderSize])
+	p.setNSlots(n)
+	p.setFreeOff(off)
+	clear(p.data[off : PageSize-n*slotSize])
 	p.lazy = nil
 }
 
@@ -203,14 +204,22 @@ func (p *Page) setNSlots(n int) {
 	p.slots = n
 	binary.LittleEndian.PutUint16(p.data[0:2], uint16(n))
 }
-func (p *Page) freeOff() int     { return int(binary.LittleEndian.Uint16(p.data[2:4])) }
+
+// freeOff returns where the free space starts: after the last row of a lazy
+// page (see Page.lazy), from the header word otherwise.
+func (p *Page) freeOff() int {
+	if t := p.lazy; t != nil {
+		return pageHeaderSize + p.slots*t.RowBytes
+	}
+	return int(binary.LittleEndian.Uint16(p.data[2:4]))
+}
 func (p *Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.data[2:4], uint16(o)) }
 
 func (p *Page) slotPos(i int) int { return PageSize - (i+1)*slotSize }
 
 // slot returns the offset and length of slot i, which must be < p.slots:
-// by format's arithmetic while the page is lazy (see Page.lazy), from the
-// slot directory otherwise.
+// by arithmetic while the page is lazy (see Page.lazy), from the slot
+// directory otherwise.
 func (p *Page) slot(i int) (off, length int) {
 	if t := p.lazy; t != nil {
 		return pageHeaderSize + i*t.RowBytes, t.RowBytes
@@ -298,6 +307,26 @@ func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
 		p.fill(int(slot))
 	}
 	return p.data[off : off+length], true
+}
+
+// KeyAt returns the key and length of the record at slot without defining a
+// byte of it: a row of a lazy page that was never written still is what
+// SynthesizeRow would make it, so its key is firstKey+slot and its length
+// RowBytes by the arithmetic slot uses; any other row answers from its
+// stored bytes. A page that is only ever asked this never has its buffer
+// touched. ok is false for out-of-range or deleted slots.
+func (p *Page) KeyAt(slot uint16) (key int64, length int, ok bool) {
+	if int(slot) >= p.slots {
+		return 0, 0, false
+	}
+	if p.unfilled(int(slot)) {
+		return p.firstKey + int64(slot), p.lazy.RowBytes, true
+	}
+	off, length := p.slot(int(slot))
+	if length == 0 {
+		return 0, 0, false
+	}
+	return RowKey(p.data[off : off+length]), length, true
 }
 
 // Update overwrites the record at slot in place. The new record must have

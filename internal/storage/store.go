@@ -19,8 +19,8 @@ type PageStore struct {
 	// chunk taken, for Release. freeData recycles the buffers of evicted
 	// synthesized pages, so a hot page never pins a whole chunk of
 	// otherwise-dead neighbors. Buffers are handed out with arbitrary
-	// contents; Page.format and the page's filled bitmap define every byte
-	// before it is read.
+	// contents; the page's filled bitmap and Page.materialize define every
+	// byte before it is read.
 	chunks   [][]byte
 	arena    []byte
 	freeData [][]byte

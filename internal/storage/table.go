@@ -80,8 +80,8 @@ var rampWords = func() [PageSize / 8]uint64 {
 //
 // The filler byte at position i is pattern+byte(i); it is produced eight
 // bytes at a time with a SWAR carryless byte add over the precomputed ramp,
-// because row synthesis is the hottest storage loop (every first read of a
-// row runs it).
+// because row synthesis is the hottest storage loop (every first update of a
+// row, and every write-back of a page, runs it).
 func (t *Table) SynthesizeRow(key int64, buf []byte) {
 	if len(buf) != t.RowBytes {
 		panic("storage: SynthesizeRow buffer size mismatch")
@@ -106,8 +106,8 @@ func (t *Table) SynthesizeRow(key int64, buf []byte) {
 }
 
 // SynthesizePage builds the complete initial image of page no: every row
-// synthesized, every byte defined. The buffer pool's miss path does the same
-// formatting but leaves the rows to first touch (see PageStore.Fetch).
+// synthesized, every byte defined. The buffer pool's miss path formats the
+// same page but defines no byte of it until one is needed (see Page.lazy).
 func (t *Table) SynthesizePage(no int64) *Page {
 	p := &Page{ID: PageID{Table: t.ID, No: no}, data: make([]byte, PageSize)}
 	p.format(t, no)

@@ -150,9 +150,9 @@ func TestDecodeHugeCountsRejected(t *testing.T) {
 	// A tiny input claiming 2^49 streams must be rejected by the byte-backed
 	// count bound, not attempted as an allocation.
 	buf := append([]byte{}, magic[:]...)
-	buf = append(buf, 1)    // version
-	buf = append(buf, 0)    // label len
-	buf = append(buf, 0)    // table count
+	buf = append(buf, 1)                                              // version
+	buf = append(buf, 0)                                              // label len
+	buf = append(buf, 0)                                              // table count
 	buf = append(buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // stream count 2^49
 	if _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "exceeds remaining") {
 		t.Fatalf("got %v, want count bound error", err)
