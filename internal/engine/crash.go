@@ -88,15 +88,7 @@ func (in *Instance) Restore() sim.Time {
 	// dropped, not Released: threads of the dead epoch may still hold its
 	// pages until they notice the epoch change, so its chunks must not
 	// reach another store — the garbage collector takes them.
-	in.store = storage.NewPageStore()
-	in.tables = make(map[storage.TableID]*tableState)
-	for _, spec := range in.opts.Tables {
-		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
-		in.store.AddTable(def)
-		idx := storage.NewBTree(0)
-		idx.BulkLoadRange(spec.LocalRows, def.Locate, 0.9)
-		in.tables[spec.ID] = &tableState{def: def, idx: idx}
-	}
+	in.loadTables()
 	in.bp = storage.NewBufferPool(in.store, in.disk, in.bpPages)
 	in.locks = lock.NewManager(in.opts.Locking)
 	if in.opts.SerialExecution {

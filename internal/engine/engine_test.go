@@ -412,7 +412,7 @@ func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
 	if row, ok := held.Get(0); !ok || storage.RowKey(row) != 3*in.TableDef(1).RowsPerPage() {
 		t.Error("page of the crashed store became unreadable after Restore")
 	}
-	if crashed.Tables() != 1 {
+	if len(crashed.SortedTables()) != 1 {
 		t.Error("Restore released the crashed store")
 	}
 	in.Close()

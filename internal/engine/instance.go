@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"islands/internal/exec"
 	"islands/internal/ipc"
@@ -109,7 +108,7 @@ type Instance struct {
 	bp     *storage.BufferPool
 	wal    *wal.Manager
 	locks  *lock.Manager
-	tables map[storage.TableID]*tableState
+	tables []*tableState // by TableID; nil where none is declared
 	ws     mem.WorkingSet
 
 	// txnLine is the transaction-manager metadata line (begin/commit touch
@@ -210,7 +209,6 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 		tsStride: uint64(part.Instances()),
 		opts:     opts,
 		pending:  make(map[uint64]*Txn),
-		tables:   make(map[storage.TableID]*tableState),
 	}
 	// Threads bound to the same physical core share its run queue (the OS
 	// placement strategy can double up workers on a core).
@@ -226,18 +224,7 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 		in.serial = &execToken{}
 	}
 
-	in.store = storage.NewPageStore()
-	var totalPages int64
-	var totalBytes int64
-	for _, spec := range opts.Tables {
-		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
-		in.store.AddTable(def)
-		idx := storage.NewBTree(0)
-		idx.BulkLoadRange(spec.LocalRows, def.Locate, 0.9)
-		in.tables[spec.ID] = &tableState{def: def, idx: idx}
-		totalPages += def.NumPages()
-		totalBytes += def.Bytes()
-	}
+	totalPages, totalBytes := in.loadTables()
 
 	in.disk = opts.Disk
 	if in.disk == nil {
@@ -272,6 +259,35 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 	return in
 }
 
+// loadTables gives the instance a fresh page store and its declared tables,
+// each with a freshly bulk-loaded index — the bring-up NewInstance and
+// Restore share — and returns the tables' total pages and bytes.
+func (in *Instance) loadTables() (pages, bytes int64) {
+	in.store = storage.NewPageStore()
+	in.tables = nil
+	for _, spec := range in.opts.Tables {
+		def := &storage.Table{ID: spec.ID, Name: spec.Name, RowBytes: spec.RowBytes, NumRows: spec.LocalRows}
+		in.store.AddTable(def)
+		idx := storage.NewBTree(0)
+		idx.BulkLoadRange(spec.LocalRows, def.Locate, 0.9)
+		for int(spec.ID) >= len(in.tables) {
+			in.tables = append(in.tables, nil)
+		}
+		in.tables[spec.ID] = &tableState{def: def, idx: idx}
+		pages += def.NumPages()
+		bytes += def.Bytes()
+	}
+	return pages, bytes
+}
+
+// table returns the state of table id, or nil if the instance has none.
+func (in *Instance) table(id storage.TableID) *tableState {
+	if uint(id) < uint(len(in.tables)) {
+		return in.tables[id]
+	}
+	return nil
+}
+
 // Dilation returns the instance's compute dilation factor (diagnostics).
 func (in *Instance) Dilation() float64 { return in.dilation }
 
@@ -282,11 +298,10 @@ func (in *Instance) Connect(peers []*Instance) { in.peers = peers }
 
 // Table returns the table state (for tests and loaders).
 func (in *Instance) TableDef(id storage.TableID) *storage.Table {
-	ts := in.tables[id]
-	if ts == nil {
-		return nil
+	if ts := in.table(id); ts != nil {
+		return ts.def
 	}
-	return ts.def
+	return nil
 }
 
 // BufferPool exposes the buffer pool (metrics).
@@ -312,7 +327,10 @@ func (in *Instance) WorkingSet() *mem.WorkingSet { return &in.ws }
 // tests.
 func (in *Instance) SumRowVersions() uint64 {
 	var sum uint64
-	for _, ts := range in.sortedTables() {
+	for _, ts := range in.tables {
+		if ts == nil {
+			continue
+		}
 		for no := int64(0); no < ts.def.NumPages(); no++ {
 			id := storage.PageID{Table: ts.def.ID, No: no}
 			if pg := in.bp.Peek(id); pg != nil {
@@ -336,15 +354,6 @@ func (in *Instance) Close() {
 	}
 	in.store.Release()
 	in.store, in.bp = nil, nil
-}
-
-func (in *Instance) sortedTables() []*tableState {
-	out := make([]*tableState, 0, len(in.tables))
-	for _, ts := range in.tables {
-		out = append(out, ts)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].def.ID < out[j].def.ID })
-	return out
 }
 
 // newCtx builds an execution context for a thread on the i-th core.

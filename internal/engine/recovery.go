@@ -78,7 +78,7 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 // redoOne applies one update/insert after-image directly to the backing
 // store (no virtual time: offline recovery).
 func (in *Instance) redoOne(r wal.Record) error {
-	ts := in.tables[r.Table]
+	ts := in.table(r.Table)
 	if ts == nil {
 		return fmt.Errorf("engine: redo for unknown table %d", r.Table)
 	}

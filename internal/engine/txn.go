@@ -78,7 +78,7 @@ func (in *Instance) putTxn(t *Txn) {
 
 // apply executes one already-localized operation.
 func (t *Txn) apply(ctx *exec.Ctx, op localOp) error {
-	ts := t.in.tables[storage.TableID(op.Table)]
+	ts := t.in.table(storage.TableID(op.Table))
 	if ts == nil {
 		panic(fmt.Sprintf("engine: instance %d has no table %d", t.in.ID, op.Table))
 	}

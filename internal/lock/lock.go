@@ -12,6 +12,7 @@ package lock
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"islands/internal/exec"
@@ -107,9 +108,13 @@ const (
 
 const bucketCount = 256
 
+// entry is one owner's grant on a head. held is the mode the owner's held
+// set records: None while dispatch's grant waits for its waiter to resume,
+// and the old mode while a granted upgrade does.
 type entry struct {
 	owner uint64
 	mode  Mode
+	held  Mode
 }
 
 type waitReq struct {
@@ -120,57 +125,48 @@ type waitReq struct {
 	died    bool // condemned: the manager's instance crashed
 }
 
+// head is one locked key: its grants and FIFO waiters, linked into its
+// bucket's chain.
 type head struct {
+	key     Key
+	next    *head
 	granted []entry
 	waiters []*waitReq
 }
 
 type bucket struct {
 	line  mem.Line
-	heads map[Key]*head
+	heads *head
 }
 
-type heldLock struct {
-	key  Key
-	mode Mode
+func (b *bucket) find(key Key) *head {
+	for h := b.heads; h != nil; h = h.next {
+		if h.key == key {
+			return h
+		}
+	}
+	return nil
 }
 
-// ownerLocks is one transaction's held set, kept in acquisition order.
-// Releasing in insertion order keeps runs deterministic (Go map iteration is
-// not), and a transaction holds at most a few dozen locks, so a linear scan
-// beats hashing.
+// ownerLocks is one transaction's held set: its heads in acquisition order.
+// Releasing in that order keeps runs deterministic, and the mode each is
+// held in is the owner's entry on the head.
 type ownerLocks struct {
-	locks []heldLock
+	owner uint64
+	heads []*head
 }
 
-func (o *ownerLocks) find(key Key) (Mode, bool) {
-	for i := range o.locks {
-		if o.locks[i].key == key {
-			return o.locks[i].mode, true
-		}
-	}
-	return None, false
-}
-
-func (o *ownerLocks) set(key Key, mode Mode) {
-	for i := range o.locks {
-		if o.locks[i].key == key {
-			o.locks[i].mode = mode
-			return
-		}
-	}
-	o.locks = append(o.locks, heldLock{key: key, mode: mode})
-}
-
-// Manager is one instance's lock table.
+// Manager is one instance's lock table. It has no Go map: keys hash to
+// bucket chains, and the few transactions live at once are found by a scan.
 type Manager struct {
 	// Enabled gates all locking; a disabled manager is free (single-threaded
 	// instances).
 	Enabled bool
 
-	buckets   [bucketCount]bucket
-	held      map[uint64]*ownerLocks
-	free      []*ownerLocks // recycled held sets (allocation-free steady state)
+	buckets [bucketCount]bucket
+	// owners holds the live transactions' held sets in no particular order;
+	// the slots past its length keep their heads' capacity for reuse.
+	owners    []ownerLocks
 	freeHeads []*head       // recycled lock heads, granted/waiters capacity kept
 	freeReqs  []*waitReq    // recycled wait requests (see Acquire)
 	lineBufs  [][]*mem.Line // ReleaseAll scratch, one buffer per concurrent call
@@ -190,11 +186,7 @@ type Manager struct {
 // NewManager returns a lock manager; enabled=false makes every operation a
 // no-op.
 func NewManager(enabled bool) *Manager {
-	m := &Manager{Enabled: enabled, held: make(map[uint64]*ownerLocks)}
-	for i := range m.buckets {
-		m.buckets[i].heads = make(map[Key]*head)
-	}
-	return m
+	return &Manager{Enabled: enabled}
 }
 
 func (m *Manager) bucketOf(k Key) *bucket {
@@ -202,21 +194,48 @@ func (m *Manager) bucketOf(k Key) *bucket {
 	return &m.buckets[h%bucketCount]
 }
 
+// heldBy returns owner's held set (valid until the next grant or release).
+func (m *Manager) heldBy(owner uint64) *ownerLocks {
+	for i := range m.owners {
+		if m.owners[i].owner == owner {
+			return &m.owners[i]
+		}
+	}
+	return nil
+}
+
+// grantOf returns owner's grant on h, provisional or not, or nil.
+func grantOf(h *head, owner uint64) *entry {
+	for i := range h.granted {
+		if h.granted[i].owner == owner {
+			return &h.granted[i]
+		}
+	}
+	return nil
+}
+
+// heldMode returns the mode owner's held set records for h (None if h is
+// nil or not held).
+func heldMode(h *head, owner uint64) Mode {
+	if h != nil {
+		if e := grantOf(h, owner); e != nil {
+			return e.held
+		}
+	}
+	return None
+}
+
 // Held returns the number of locks owner currently holds.
 func (m *Manager) Held(owner uint64) int {
-	if o := m.held[owner]; o != nil {
-		return len(o.locks)
+	if o := m.heldBy(owner); o != nil {
+		return len(o.heads)
 	}
 	return 0
 }
 
 // HeldMode returns the mode owner holds on key (None if not held).
 func (m *Manager) HeldMode(owner uint64, key Key) Mode {
-	if o := m.held[owner]; o != nil {
-		mode, _ := o.find(key)
-		return mode
-	}
-	return None
+	return heldMode(m.bucketOf(key).find(key), owner)
 }
 
 // chargeAcquire pays the fixed cost of one lock-table interaction: a
@@ -248,12 +267,9 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 	b := m.bucketOf(key)
 	m.Acquires++
 
-	hm := m.held[owner]
-	var cur Mode
-	var holds bool
-	if hm != nil {
-		cur, holds = hm.find(key)
-	}
+	h := b.find(key)
+	cur := heldMode(h, owner)
+	holds := cur != None
 	if holds && covers(cur, mode) {
 		chargeAcquire(ctx, b)
 		return nil // already held strongly enough
@@ -263,7 +279,6 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 		want = lub(cur, mode) // upgrade
 	}
 
-	h := b.heads[key]
 	if h == nil {
 		if n := len(m.freeHeads) - 1; n >= 0 {
 			h = m.freeHeads[n]
@@ -271,11 +286,12 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 		} else {
 			h = &head{}
 		}
-		b.heads[key] = h
+		h.key, h.next = key, b.heads
+		b.heads = h
 	}
 
 	if m.grantable(h, owner, want) {
-		m.grant(h, owner, key, want)
+		m.grant(h, owner, want)
 		chargeAcquire(ctx, b)
 		return nil
 	}
@@ -332,20 +348,19 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 		m.Dies++
 		return ErrDie
 	}
-	m.grant(h, owner, key, want)
+	m.grant(h, owner, want)
 	return nil
 }
 
 // Condemn aborts every queued waiter and marks the manager dead: the
 // instance that owned it crashed, so held locks will never be released and
 // waiting on them would hang forever. Waiters wake with ErrDie in ascending
-// owner (timestamp) order — deterministic despite the bucket maps. Runs in
-// kernel context (it must not block).
+// owner (timestamp) order. Runs in kernel context (it must not block).
 func (m *Manager) Condemn() {
 	m.condemned = true
 	var doomed []*waitReq
 	for i := range m.buckets {
-		for _, h := range m.buckets[i].heads {
+		for h := m.buckets[i].heads; h != nil; h = h.next {
 			doomed = append(doomed, h.waiters...)
 			h.waiters = nil
 		}
@@ -374,30 +389,29 @@ func (m *Manager) grantable(h *head, owner uint64, mode Mode) bool {
 // addGrant records owner's grant in the head, replacing an existing entry
 // on upgrade so an owner never has two entries (a duplicate would survive
 // ReleaseAll as a phantom grant and wedge the key).
-func addGrant(h *head, owner uint64, mode Mode) {
-	for i := range h.granted {
-		if h.granted[i].owner == owner {
-			h.granted[i].mode = mode
-			return
-		}
+func addGrant(h *head, owner uint64, mode Mode) *entry {
+	if e := grantOf(h, owner); e != nil {
+		e.mode = mode
+		return e
 	}
 	h.granted = append(h.granted, entry{owner: owner, mode: mode})
+	return &h.granted[len(h.granted)-1]
 }
 
-// grant records the grant in the head and the owner's held set.
-func (m *Manager) grant(h *head, owner uint64, key Key, mode Mode) {
-	hm := m.held[owner]
-	if hm == nil {
-		if n := len(m.free) - 1; n >= 0 {
-			hm = m.free[n]
-			m.free = m.free[:n]
-		} else {
-			hm = &ownerLocks{}
+// grant records the grant in the head and, unless it is there already, the
+// head in the owner's held set.
+func (m *Manager) grant(h *head, owner uint64, mode Mode) {
+	e := addGrant(h, owner, mode)
+	if e.held == None {
+		o := m.heldBy(owner)
+		if o == nil {
+			m.owners = slices.Grow(m.owners, 1)[:len(m.owners)+1]
+			o = &m.owners[len(m.owners)-1]
+			o.owner = owner
 		}
-		m.held[owner] = hm
+		o.heads = append(o.heads, h)
 	}
-	addGrant(h, owner, mode)
-	hm.set(key, mode)
+	e.held = mode
 }
 
 // ReleaseAll drops every lock owner holds (strict 2PL release at
@@ -406,9 +420,8 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 	if !m.Enabled {
 		return
 	}
-	hm := m.held[owner]
-	if hm == nil || len(hm.locks) == 0 {
-		delete(m.held, owner)
+	hm := m.heldBy(owner)
+	if hm == nil {
 		return
 	}
 	prev := ctx.Bucket(exec.BLock)
@@ -423,10 +436,9 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 		lines = m.lineBufs[n][:0]
 		m.lineBufs = m.lineBufs[:n]
 	}
-	for _, hl := range hm.locks {
-		b := m.bucketOf(hl.key)
+	for _, h := range hm.heads {
+		b := m.bucketOf(h.key)
 		lines = append(lines, &b.line)
-		h := b.heads[hl.key]
 		for i := range h.granted {
 			if h.granted[i].owner == owner {
 				h.granted = append(h.granted[:i], h.granted[i+1:]...)
@@ -438,13 +450,20 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 			// Nobody holds or awaits the key, so nothing references the
 			// head: a waiter keeps its head alive until it is granted, and
 			// a grant until it is released.
-			delete(b.heads, hl.key)
+			pp := &b.heads
+			for *pp != h {
+				pp = &(*pp).next
+			}
+			*pp = h.next
 			m.freeHeads = append(m.freeHeads, h)
 		}
 	}
-	delete(m.held, owner)
-	hm.locks = hm.locks[:0]
-	m.free = append(m.free, hm)
+	// Swap the held set to the end and shrink past it: the slot keeps its
+	// heads' capacity for the next owner.
+	last := len(m.owners) - 1
+	*hm, m.owners[last] = m.owners[last], *hm
+	m.owners[last].heads = m.owners[last].heads[:0]
+	m.owners = m.owners[:last]
 	for _, line := range lines {
 		ctx.WriteLine(line)
 		ctx.Charge(CostReleaseCPU)

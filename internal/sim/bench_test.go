@@ -38,6 +38,28 @@ func BenchmarkKernelWakeContended(b *testing.B) {
 	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkProcHandoff measures six procs on one partition taking turns, the
+// shape of a TPC-C island's workers: staggered starts and equal Advances put
+// another proc's wake first at every Advance, so each is a handoff through
+// the loop owner. One op is one Advance of each proc. Must report 0
+// allocs/op.
+func BenchmarkProcHandoff(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	const procs = 6
+	for w := 0; w < procs; w++ {
+		k.SpawnAt(Time(w), "w", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Advance(procs)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkQueueHandoff measures a producer/consumer pair exchanging items
 // through a Queue: Push/unpark on one side, Pop/park on the other.
 func BenchmarkQueueHandoff(b *testing.B) {

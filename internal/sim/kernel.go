@@ -85,6 +85,14 @@ func (h *timerHeap) pop() event {
 	return top
 }
 
+// replaceTop is pop then push(e) in one siftDown. The heap must not be empty.
+func (h *timerHeap) replaceTop(e event) event {
+	top := h.ev[0]
+	h.ev[0] = e
+	h.siftDown()
+	return top
+}
+
 func (h *timerHeap) siftDown() {
 	n := len(h.ev)
 	i := 0
@@ -142,6 +150,13 @@ type shard struct {
 	heap    timerHeap
 	nEvents uint64
 
+	// owner runs the event loop from its coroutine (see own), nil while the
+	// kernel does; handoff is a nested Proc's successor, passed back to the
+	// owner; nested counts the owner's resumes (a test probe).
+	owner   *Proc
+	handoff *Proc
+	nested  uint64
+
 	// inbox receives events scheduled cross-shard, already carrying their
 	// final (at, dom, seq) keys; the coordinator folds them into the heap
 	// between windows, which is safe because conservative lookahead
@@ -178,18 +193,42 @@ func (sh *shard) step() bool {
 // callback panics both unwind through here into Step/Run (with several
 // workers they are captured and re-raised when the window's workers join).
 func (sh *shard) dispatch(e *event) {
-	switch {
-	case e.proc != nil:
-		p := e.proc
-		if p.dead {
-			return
-		}
-		p.started = true
-		p.next()
-	case e.fn != nil:
+	if e.proc != nil {
+		e.proc.resume()
+	} else {
+		e.call()
+	}
+}
+
+// call runs a kernel-context callback event.
+func (e *event) call() {
+	if e.fn != nil {
 		e.fn()
-	default:
+	} else {
 		e.fnArg(e.arg)
+	}
+}
+
+// own makes p, parked in Advance behind next (popped and counted), the
+// shard's event loop until p's own wake, at or below the horizon, comes up.
+// Nested procs hand successors back through handoff, so nesting is at most
+// two deep; the deferred reset leaves no owner behind a panic.
+func (sh *shard) own(p, next *Proc) {
+	sh.owner = p
+	defer func() { sh.owner, sh.handoff = nil, nil }()
+	for next != p {
+		if next != nil {
+			sh.nested++
+			next.resume()
+			next, sh.handoff = sh.handoff, nil
+			continue
+		}
+		e := sh.heap.pop()
+		sh.now = e.at
+		sh.nEvents++
+		if next = e.proc; next == nil {
+			e.call()
+		}
 	}
 }
 

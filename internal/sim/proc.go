@@ -89,7 +89,15 @@ func (p *Proc) body(yield func(struct{}) bool) {
 	p.fn(p)
 }
 
-// yieldWait hands control back to the kernel and blocks until resumed.
+// resume hands control to p's coroutine until it parks, unless p finished.
+func (p *Proc) resume() {
+	if !p.dead {
+		p.started = true
+		p.next()
+	}
+}
+
+// yieldWait hands control back to p's resumer and blocks until resumed.
 func (p *Proc) yieldWait() {
 	if !p.yield(struct{}{}) {
 		// The kernel called stop (Close): unwind the coroutine stack.
@@ -103,10 +111,10 @@ func (p *Proc) yieldWait() {
 // kernel-context callback (and the shard's run horizon covers the target),
 // the Proc runs those callbacks inline, in canonical order, and bumps the
 // clock itself — zero coroutine switches and zero heap traffic for its own
-// wakeup. The advancing Proc temporarily is its shard's event loop. Only
-// when another Proc is scheduled to run first does Advance park in the
-// timer heap and hand control back. Event order, timestamps, and
-// Kernel.Events() are identical on both paths.
+// wakeup. The advancing Proc temporarily is its shard's event loop, and
+// stays it (shard.own) when another Proc is due first; only past the
+// horizon does it park in the heap and hand control back to the kernel.
+// Event order, timestamps, and Kernel.Events() are identical on every path.
 func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		d = 0
@@ -134,16 +142,22 @@ func (p *Proc) Advance(d Time) {
 				return
 			}
 			if min.proc != nil {
-				break // another Proc runs first: real handoff
+				// Another Proc runs first: take its slot for our wake.
+				succ := sh.heap.replaceTop(event{at: target, dom: dom.id, seq: seq, proc: p})
+				sh.now = succ.at
+				sh.nEvents++
+				if sh.owner == nil {
+					sh.own(p, succ.proc)
+				} else {
+					sh.handoff = succ.proc
+					p.yieldWait()
+				}
+				return
 			}
 			e := sh.heap.pop()
 			sh.now = e.at
 			sh.nEvents++
-			if e.fn != nil {
-				e.fn()
-			} else {
-				e.fnArg(e.arg)
-			}
+			e.call()
 		}
 	}
 	sh.heap.push(event{at: target, dom: dom.id, seq: seq, proc: p})

@@ -481,6 +481,32 @@ func TestReleasedStorePanics(t *testing.T) {
 	s.Fetch(PageID{Table: tab.ID, No: 1})
 }
 
+// TestTableIDsIndexTheStore: tables are found by id in a slice with gaps, an
+// unregistered or out-of-slice id finds nothing, and ids the slice cannot
+// hold, or held twice, are refused.
+func TestTableIDsIndexTheStore(t *testing.T) {
+	s := NewPageStore()
+	a, b := &Table{ID: 3, Name: "a", RowBytes: 8, NumRows: 1}, &Table{ID: 1, Name: "b", RowBytes: 8, NumRows: 1}
+	s.AddTable(a)
+	s.AddTable(b)
+	if s.Table(3) != a || s.Table(1) != b || s.Table(2) != nil || s.Table(7) != nil || s.Table(-1) != nil {
+		t.Error("Table(id) does not return exactly the registered tables")
+	}
+	if got := s.SortedTables(); len(got) != 2 || got[0] != b || got[1] != a {
+		t.Errorf("SortedTables = %v, want [b a]", got)
+	}
+	for _, bad := range []*Table{{ID: 1, Name: "dup"}, {ID: -1, Name: "neg"}, {ID: MaxTableID + 1, Name: "far"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddTable(id %d) did not panic", bad.ID)
+				}
+			}()
+			s.AddTable(bad)
+		}()
+	}
+}
+
 // TestChunksReturnToPoolOnce: Release hands every chunk back exactly once.
 func TestChunksReturnToPoolOnce(t *testing.T) {
 	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 10000}

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 )
 
@@ -9,7 +9,7 @@ import (
 // miss either from the images of previously evicted dirty pages or by
 // synthesizing the page's initial contents from its table definition.
 type PageStore struct {
-	tables map[TableID]*Table
+	tables []*Table // by TableID; nil where none is registered
 	images map[PageID][]byte
 
 	// arena carves page buffers out of chunks taken from the process-wide
@@ -98,32 +98,41 @@ func (s *PageStore) Release() {
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{tables: make(map[TableID]*Table), images: make(map[PageID][]byte)}
+	return &PageStore{images: make(map[PageID][]byte)}
 }
 
-// AddTable registers a table definition. It panics on duplicate IDs: table
-// identity is a deployment-time invariant.
+// MaxTableID bounds table ids: tables are looked up by id in a slice.
+const MaxTableID TableID = 1 << 12
+
+// AddTable registers a table definition. It panics on duplicate or
+// out-of-range IDs: table identity is a deployment-time invariant.
 func (s *PageStore) AddTable(t *Table) {
-	if _, dup := s.tables[t.ID]; dup {
-		panic("storage: duplicate table " + t.Name)
+	if t.ID < 0 || t.ID > MaxTableID || s.Table(t.ID) != nil {
+		panic(fmt.Sprintf("storage: table %s: id %d is taken or outside [0, %d]", t.Name, t.ID, MaxTableID))
+	}
+	for int(t.ID) >= len(s.tables) {
+		s.tables = append(s.tables, nil)
 	}
 	s.tables[t.ID] = t
 }
 
 // Table returns a registered table definition, or nil.
-func (s *PageStore) Table(id TableID) *Table { return s.tables[id] }
-
-// Tables returns the number of registered tables.
-func (s *PageStore) Tables() int { return len(s.tables) }
+func (s *PageStore) Table(id TableID) *Table {
+	if uint(id) < uint(len(s.tables)) {
+		return s.tables[id]
+	}
+	return nil
+}
 
 // SortedTables returns table definitions in id order (deterministic
 // iteration for prewarming).
 func (s *PageStore) SortedTables() []*Table {
 	out := make([]*Table, 0, len(s.tables))
 	for _, t := range s.tables {
-		out = append(out, t)
+		if t != nil {
+			out = append(out, t)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -145,7 +154,7 @@ func (s *PageStore) fetchInto(p *Page) {
 		p.load(img)
 		return
 	}
-	t := s.tables[id.Table]
+	t := s.Table(id.Table)
 	if t == nil {
 		panic("storage: fetch of page for unknown table")
 	}

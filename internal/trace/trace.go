@@ -206,8 +206,8 @@ func (t *Trace) AppendBinary(buf []byte) ([]byte, error) {
 func (t *Trace) validate() error {
 	declared := make(map[storage.TableID]bool, len(t.Tables))
 	for _, tab := range t.Tables {
-		if tab.ID < 0 || tab.RowBytes < 0 || tab.Rows < 0 {
-			return fmt.Errorf("trace: table %q has negative id, row size or rows", tab.Name)
+		if tab.ID < 0 || tab.ID > storage.MaxTableID || tab.RowBytes < 0 || tab.Rows < 0 {
+			return fmt.Errorf("trace: table %q has an id out of range, or negative row size or rows", tab.Name)
 		}
 		if declared[tab.ID] {
 			return fmt.Errorf("trace: duplicate table id %d", tab.ID)
@@ -350,7 +350,7 @@ func Decode(data []byte) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if id > math.MaxInt32 {
+		if id > uint64(storage.MaxTableID) {
 			return nil, fmt.Errorf("trace: table id %d out of range", id)
 		}
 		tab.ID = storage.TableID(id)

@@ -102,6 +102,9 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		{"duplicate table", func(tr *Trace) {
 			tr.Tables[1].ID = tr.Tables[0].ID
 		}, "duplicate table"},
+		{"table id beyond the slice bound", func(tr *Trace) {
+			tr.Tables[1].ID = storage.MaxTableID + 1
+		}, "out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
