@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"islands/internal/engine"
@@ -49,6 +50,45 @@ func TestRangePartitionerRemainderToLast(t *testing.T) {
 	if base, _ := p.Range(1, 3); lk != 102-base {
 		t.Error("local key inconsistent with Range")
 	}
+}
+
+// TestRangePartitionerRefusesTooFewRows: a table with fewer rows than
+// instances would leave an instance with no rows, or fewer than none; the
+// partitioner refuses it by name, alone and under NewDeployment.
+func TestRangePartitionerRefusesTooFewRows(t *testing.T) {
+	for _, rows := range []int64{3, 2} {
+		for name, build := range map[string]func(){
+			"NewRangePartitioner": func() { NewRangePartitioner(4, map[storage.TableID]int64{1: rows}) },
+			"NewDeployment":       func() { NewDeployment(DefaultConfig(topology.QuadSocket(), 4, rows)) },
+		} {
+			wantPanic(t, fmt.Sprintf("%s over %d rows", name, rows), fmt.Sprintf("core: table 1 has %d rows, fewer than its 4 instances", rows), build)
+		}
+	}
+	if got := NewRangePartitioner(4, map[storage.TableID]int64{1: 4}).LocalRows(1, 3); got != 1 {
+		t.Errorf("4 rows over 4 instances: the last holds %d, want 1", got)
+	}
+}
+
+// TestRangePartitionerUndeclaredTablePanics: Locate and Range on a table
+// the partitioner was not built with panic by name, whether the id is
+// inside the table slice or beyond it.
+func TestRangePartitionerUndeclaredTablePanics(t *testing.T) {
+	p := NewRangePartitioner(4, map[storage.TableID]int64{1: 400, 3: 400})
+	for _, id := range []storage.TableID{0, 2, 4, storage.MaxTableID, -1} {
+		wantPanic(t, fmt.Sprintf("Locate(%d)", id), fmt.Sprintf("core: Locate on undeclared table %d", id), func() { p.Locate(id, 0) })
+		wantPanic(t, fmt.Sprintf("Range(%d)", id), fmt.Sprintf("core: Range on undeclared table %d", id), func() { p.Range(id, 0) })
+	}
+}
+
+func wantPanic(t *testing.T, what, msg string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r != msg {
+			t.Errorf("%s: recovered %v, want panic %q", what, r, msg)
+		}
+	}()
+	fn()
 }
 
 func TestDeploymentShapes(t *testing.T) {

@@ -210,6 +210,13 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 	}
 	n := len(parts)
 
+	rows := make(map[storage.TableID]int64, len(cfg.Tables))
+	for _, t := range cfg.Tables {
+		rows[t.ID] = t.Rows
+	}
+	// Refuse an unpartitionable table before anything is built.
+	part := NewRangePartitioner(n, rows)
+
 	k := sim.NewKernel()
 	if partitioned && partitionable(cfg, parts) {
 		k = sim.NewShardedMatrix(crossWireMatrix(cfg, parts))
@@ -218,12 +225,6 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 	model := mem.NewModel(cfg.Machine)
 	net := ipc.NewNetwork[engine.Msg](k, cfg.Machine, cfg.Mechanism)
 	net.AttachModel(model)
-
-	rows := make(map[storage.TableID]int64, len(cfg.Tables))
-	for _, t := range cfg.Tables {
-		rows[t.ID] = t.Rows
-	}
-	part := NewRangePartitioner(n, rows)
 
 	// The HDD array is one machine-shared device; memory-mapped disks are
 	// per-instance (engine.NewInstance makes one when opts.Disk is nil), so

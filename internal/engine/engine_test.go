@@ -428,6 +428,54 @@ func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
 	in.SumRowVersions()
 }
 
+// TestRestoreLeavesCrashedPoolStructsAlone: a buffer pool hands the structs
+// of evicted pages to its next misses, but Restore builds a new pool and
+// recycles none of the crashed one's — threads of the dead epoch may still
+// hold them — so each keeps its page while the new pool evicts and misses.
+func TestRestoreLeavesCrashedPoolStructsAlone(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	in := soloInstance(k, 2, func(o *Options) {
+		o.Wal.Retain = true
+		o.BufferPoolPages = 16 // of 78: the pool evicts before and after the crash
+	})
+	in.EnableFaultMode()
+	var reqs []Request
+	for i := 0; i < 2000; i++ {
+		reqs = append(reqs, Request{Ops: []Op{{Table: 1, Key: int64(i*37) % 2400, Kind: OpUpdate}}})
+	}
+	in.StartWorkersOnly(newFixedSource(reqs...))
+	k.RunFor(sim.Millisecond)
+
+	crashed := map[*storage.Page]storage.PageID{}
+	for no := int64(0); no < in.TableDef(1).NumPages(); no++ {
+		id := storage.PageID{Table: 1, No: no}
+		if pg := in.bp.Peek(id); pg != nil {
+			crashed[pg] = id
+		}
+	}
+	if in.bp.Evictions == 0 || len(crashed) == 0 {
+		t.Fatalf("no evictions (%d) or no resident page (%d) before the crash", in.bp.Evictions, len(crashed))
+	}
+	in.Crash()
+	in.Restore()
+	in.Reopen()
+	k.RunFor(2 * sim.Millisecond)
+	if in.bp.Evictions == 0 {
+		t.Fatal("the restored pool never evicted")
+	}
+	for pg, id := range crashed {
+		if pg.ID != id {
+			t.Errorf("struct of crashed page %v now holds %v", id, pg.ID)
+		}
+	}
+	for no := int64(0); no < in.TableDef(1).NumPages(); no++ {
+		if _, ok := crashed[in.bp.Peek(storage.PageID{Table: 1, No: no})]; ok {
+			t.Errorf("page %d of the restored pool is a struct of the crashed one", no)
+		}
+	}
+}
+
 // TestRestoreRebuildsIndexAndRedoesInserts: Restore bulk-loads the index
 // anew (every leaf dense, resolved by Table.Locate) and redo then re-inserts
 // into it — replaced RIDs for updated rows, appended keys for inserted ones.

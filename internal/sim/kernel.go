@@ -50,9 +50,10 @@ func (e *event) before(o *event) bool {
 }
 
 // timerHeap is a 4-ary min-heap of events. The 4-ary layout halves the depth
-// of a binary heap and keeps a node's children within two cache lines;
-// push/pop are allocation-free once the backing array has grown to the
-// simulation's working set.
+// of a binary heap and keeps a node's children contiguous: four 48-byte
+// events, 192 bytes, so three cache lines (four when they straddle a line
+// boundary); push/pop are allocation-free once the backing array has grown
+// to the simulation's working set.
 type timerHeap struct {
 	ev []event
 }

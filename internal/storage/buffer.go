@@ -35,12 +35,18 @@ type BufferPool struct {
 	// page in their range is first cached and then kept, so the directory
 	// costs 8 bytes per page of the ranges ever touched (0.1 % of those
 	// pages' bytes) however large the table is declared. The per-frame state
-	// (pins, ref bit, loading, waiters) lives in the Page itself, so a miss
-	// allocates one object and Unfix needs no probe. ring holds exactly the
-	// resident pages.
+	// (pins, ref bit, loading, waiters) lives in the Page itself, so Unfix
+	// needs no probe. ring holds exactly the resident pages.
 	frames [][]*frameChunk
 	ring   []*Page
 	hand   int
+
+	// free holds the zeroed structs of evicted pages and slab the unused
+	// rest of the last block of pageSlab structs allocated. A page takes its
+	// struct from free first, so the pool holds at most its high-water mark
+	// of structs and, once warm, a miss allocates nothing.
+	free []*Page
+	slab []Page
 
 	bucketLines [bucketLineCount]mem.Line
 
@@ -52,6 +58,33 @@ type BufferPool struct {
 const frameChunkPages = 512
 
 type frameChunk [frameChunkPages]*Page
+
+// pageSlab is how many Page structs the pool allocates at a time. 128 of
+// them are 32 KB, past the runtime's largest small-object size class, so a
+// slab is a page-aligned allocation of its own and every struct in it starts
+// on a 256-byte boundary. A smaller slab that holds pointers gets an 8-byte
+// allocation header in front of its first struct (Go 1.22 on), which would
+// shift every struct's leading cache line (TestPageHitPathLeadsTheStruct).
+const pageSlab = 128
+
+// newPage returns a zero Page struct for id, reusing an evicted one when
+// there is one.
+func (bp *BufferPool) newPage(id PageID) *Page {
+	var p *Page
+	if n := len(bp.free) - 1; n >= 0 {
+		p = bp.free[n]
+		bp.free[n] = nil
+		bp.free = bp.free[:n]
+	} else {
+		if len(bp.slab) == 0 {
+			bp.slab = make([]Page, pageSlab)
+		}
+		p = &bp.slab[0]
+		bp.slab = bp.slab[1:]
+	}
+	p.ID = id
+	return p
+}
 
 // frameIndex splits a page id into its directory coordinates, rejecting ids
 // outside 24 bits of table id and 40 bits of page number (8 PB of pages).
@@ -139,7 +172,8 @@ func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
 	bp.Misses++
 	// Reserve the frame before any time passes; the page's contents arrive
 	// after the I/O (loading guards them).
-	p := &Page{ID: id, pins: 1, ref: true, loading: true}
+	p := bp.newPage(id)
+	p.pins, p.ref, p.loading = 1, true, true
 	bp.setFrame(id, p)
 	bp.ring = append(bp.ring, p)
 	if len(bp.ring) > bp.capacity {
@@ -202,6 +236,11 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 			p.Dirty = false
 		}
 		bp.store.Recycle(p)
+		// Nothing holds an unpinned page, so its struct can serve the next
+		// miss. (Instance.Restore drops a crashed pool, free list and all:
+		// threads of the dead epoch may still hold its pages.)
+		*p = Page{}
+		bp.free = append(bp.free, p)
 		if dirty {
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
@@ -236,7 +275,8 @@ func (bp *BufferPool) Prewarm(slack int) {
 			if bp.frame(id) != nil {
 				continue
 			}
-			p := bp.store.Fetch(id)
+			p := bp.newPage(id)
+			bp.store.fetchInto(p)
 			bp.setFrame(id, p)
 			bp.ring = append(bp.ring, p)
 			budget--

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"islands/internal/exec"
@@ -266,4 +267,97 @@ func BenchmarkReadUnwrittenRowKey(b *testing.B) {
 				}
 			}
 		})
+}
+
+// TestEvictedStructServesTheNextMissFresh: a Page struct evicted dirty,
+// partly filled, with a hole, after its latch was taken and released, serves
+// a later miss — of the same page, restored from its image, and of a page
+// synthesized anew — indistinguishable from the struct a fresh pool returns
+// for that miss.
+func TestEvictedStructServesTheNextMissFresh(t *testing.T) {
+	withCtx(t, func(ctx *exec.Ctx) {
+		store, bp, tab := newFixture(1)
+		ref := NewBufferPool(store, MMapDisk(), 8)
+		use := func(p *Page) {
+			p.Latch.AcquireExclusive(ctx)
+			p.Latch.ReleaseExclusive(ctx)
+			p.Latch.AcquireShared(ctx)
+			p.Latch.ReleaseShared(ctx)
+			row, _ := p.Get(1)
+			p.Update(2, bumped(row))
+			p.Delete(3)
+			bp.Unfix(ctx, p, true)
+		}
+		missInto := func(old *Page, no int64) {
+			t.Helper()
+			id := PageID{Table: tab.ID, No: no}
+			p := bp.Fix(ctx, id)
+			if p != old {
+				t.Fatalf("miss on %v took a new struct, not the evicted one", id)
+			}
+			want := ref.Fix(ctx, id)
+			got, fresh := *p, *want
+			got.data, fresh.data = nil, nil // a synthesized page's buffer is any recycled one
+			if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("reused struct for %v differs from a fresh one:\n got %+v\nwant %+v", id, got, fresh)
+			}
+			ref.Unfix(ctx, want, false)
+		}
+
+		p0 := bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
+		use(p0)
+		p1 := bp.Fix(ctx, PageID{Table: tab.ID, No: 1}) // evicts page 0, dirty
+		use(p1)
+		missInto(p0, 0) // restored from its image; evicts page 1
+		if store.Restored != 2 || bp.Evictions != 2 || bp.DirtyWriteBacks != 2 {
+			t.Fatalf("restored=%d evictions=%d writebacks=%d, want 2, 2, 2", store.Restored, bp.Evictions, bp.DirtyWriteBacks)
+		}
+		bp.Unfix(ctx, p0, false)
+		missInto(p1, 5) // synthesized anew
+	})
+}
+
+// TestPoolNeverHandsOutAResidentStruct drives random misses, hits and
+// long-held pins through a small pool: after every Fix each resident page
+// has its own struct, found under its own id, and the pool has never used
+// more structs than its capacity plus the one a full pool's miss holds
+// before it evicts.
+func TestPoolNeverHandsOutAResidentStruct(t *testing.T) {
+	withCtx(t, func(ctx *exec.Ctx) {
+		const capacity = 8
+		_, bp, tab := newFixture(capacity)
+		rng := rand.New(rand.NewSource(5))
+		used := map[*Page]bool{}
+		var held []*Page
+		for i := 0; i < 5000; i++ {
+			p := bp.Fix(ctx, PageID{Table: tab.ID, No: rng.Int63n(40)})
+			used[p] = true
+			if rng.Intn(4) == 0 && len(held) < capacity/2 {
+				held = append(held, p) // stays pinned across later misses
+			} else {
+				bp.Unfix(ctx, p, rng.Intn(2) == 0)
+			}
+			if len(held) > 0 && rng.Intn(3) == 0 {
+				bp.Unfix(ctx, held[0], false)
+				held = held[1:]
+			}
+			seen := map[*Page]bool{}
+			for _, q := range bp.ring {
+				if seen[q] || bp.frame(q.ID) != q {
+					t.Fatalf("fix %d: struct of %v is resident twice or under another id", i, q.ID)
+				}
+				seen[q] = true
+			}
+		}
+		if bp.Evictions == 0 || len(used) > capacity+1 {
+			t.Errorf("%d evictions, %d structs used by a pool of %d pages", bp.Evictions, len(used), capacity)
+		}
+	})
+}
+
+// BenchmarkFixMiss is a full pool that evicts on every Fix: once warm, a
+// miss allocates nothing — its struct is the last victim's and its buffer a
+// recycled one (CI gates on it).
+func BenchmarkFixMiss(b *testing.B) {
+	benchMisses(b, func(*Page) {})
 }

@@ -571,7 +571,8 @@ func benchMisses(b *testing.B, touch func(p *Page)) {
 var benchSink int
 
 // BenchmarkFetchFirstTouch is what a transaction pays for a cold page: miss,
-// read one row, unfix. The only allocation is the Page (CI gates on it).
+// read one row, unfix. It allocates nothing: the Page struct is the last
+// victim's (CI gates on it).
 func BenchmarkFetchFirstTouch(b *testing.B) {
 	benchMisses(b, func(p *Page) {
 		row, _ := p.Get(7)

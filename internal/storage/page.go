@@ -67,7 +67,8 @@ type RID struct {
 //
 // The fields are ordered for the host's cache, not for reading: what a
 // buffer-pool hit followed by Get touches comes first — on 64-bit hosts the
-// struct is 256 bytes, an allocation class of its own, so its first 64 bytes
+// struct is 256 bytes, and alone or in a buffer pool's slab (see
+// BufferPool.newPage) it starts on a 256-byte boundary, so its first 64 bytes
 // are one cache line — then HeaderLine; the path reads one word of filled
 // while the page is lazy and goes to the 8 KB buffer only for the row itself.
 // TestPageHitPathLeadsTheStruct pins the order.

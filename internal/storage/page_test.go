@@ -223,7 +223,8 @@ func TestRowVersionBump(t *testing.T) {
 // TestPageHitPathLeadsTheStruct pins the field order Page documents: what a
 // buffer-pool hit and a Get read sits in the struct's first 64 bytes, ahead
 // of the filled bitmap and the latch, and the struct fills its 256-byte
-// allocation class exactly (so the runtime aligns it to host cache lines).
+// allocation class exactly (so the runtime aligns it to host cache lines),
+// as does every struct a buffer pool cuts from its slabs.
 func TestPageHitPathLeadsTheStruct(t *testing.T) {
 	var p Page
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -242,5 +243,11 @@ func TestPageHitPathLeadsTheStruct(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(p); size != 256 {
 		t.Errorf("Page is %d bytes, want 256", size)
+	}
+	bp := NewBufferPool(NewPageStore(), MMapDisk(), 1)
+	for i := 0; i < 2*pageSlab; i++ {
+		if addr := uintptr(unsafe.Pointer(bp.newPage(PageID{No: int64(i)}))); addr%64 != 0 {
+			t.Fatalf("slab struct %d at %#x: not on a cache-line boundary", i, addr)
+		}
 	}
 }

@@ -32,15 +32,21 @@ type MicroConfig struct {
 	Seed         int64
 }
 
-// microStream is one (instance, worker) request stream: its RNG plus
-// reusable per-request scratch. The closed-loop worker consumes a request
-// fully before asking for the next one, and the engine copies whatever it
-// keeps, so reusing the op buffer per stream is safe and keeps Next
+// microStream is one (instance, worker) request stream: its RNG, the
+// instance's key range and samplers, resolved once, and reusable
+// per-request scratch. The closed-loop worker consumes a request fully
+// before asking for the next one, and the engine copies whatever it keeps,
+// so reusing the op buffer per stream is safe and keeps Next
 // allocation-free in steady state (guarded by BenchmarkMicroNext).
 type microStream struct {
-	rng  *rand.Rand
-	ops  []engine.Op
-	seen map[int64]bool
+	rng   *rand.Rand
+	base  int64 // first global key of the instance's range
+	local *Zipf // over the instance's range
+	// global is over the whole table. It is resolved on the stream's first
+	// multisite draw, not before: for s > 0 building it is O(GlobalRows),
+	// and a deployment with no multisite work never needs it.
+	global *Zipf
+	ops    []engine.Op
 }
 
 // Micro generates microbenchmark requests. It is deterministic per
@@ -50,6 +56,7 @@ type Micro struct {
 	cfg   MicroConfig
 	part  PartitionInfo
 	zipfs *zipfCache
+	kind  engine.OpKind
 
 	// streams is lazily populated; each entry's content is a pure function
 	// of its (instance, worker) key and the seed, so creation order is
@@ -64,7 +71,11 @@ func NewMicro(cfg MicroConfig, part PartitionInfo) *Micro {
 	if cfg.RowsPerTxn < 1 {
 		panic("workload: RowsPerTxn must be >= 1")
 	}
-	return &Micro{cfg: cfg, part: part, zipfs: newZipfCache(), streams: make(map[[2]int32]*microStream)}
+	kind := engine.OpRead
+	if cfg.Write {
+		kind = engine.OpUpdate
+	}
+	return &Micro{cfg: cfg, part: part, zipfs: newZipfCache(), kind: kind, streams: make(map[[2]int32]*microStream)}
 }
 
 func (m *Micro) stream(inst engine.InstanceID, worker int) *microStream {
@@ -75,10 +86,12 @@ func (m *Micro) stream(inst engine.InstanceID, worker int) *microStream {
 	if st == nil {
 		m.mu.Lock()
 		if st = m.streams[k]; st == nil {
+			base, rows := m.part.Range(m.cfg.Table, int(inst))
 			st = &microStream{
-				rng:  rand.New(rand.NewSource(m.cfg.Seed + int64(inst)*1315423911 + int64(worker)*2654435761)),
-				ops:  make([]engine.Op, 0, m.cfg.RowsPerTxn),
-				seen: make(map[int64]bool, m.cfg.RowsPerTxn),
+				rng:   rand.New(rand.NewSource(m.cfg.Seed + int64(inst)*1315423911 + int64(worker)*2654435761)),
+				base:  base,
+				local: m.zipfs.get(rows, m.cfg.ZipfS),
+				ops:   make([]engine.Op, 0, m.cfg.RowsPerTxn),
 			}
 			m.streams[k] = st
 		}
@@ -87,60 +100,43 @@ func (m *Micro) stream(inst engine.InstanceID, worker int) *microStream {
 	return st
 }
 
-func (m *Micro) kind() engine.OpKind {
-	if m.cfg.Write {
-		return engine.OpUpdate
-	}
-	return engine.OpRead
-}
-
 // Next implements engine.RequestSource. The returned request's op slice is
 // valid until the same stream's next call (the closed-loop worker finishes
 // one request before requesting the next).
 func (m *Micro) Next(inst engine.InstanceID, worker int) engine.Request {
 	st := m.stream(inst, worker)
 	rng := st.rng
-	base, localRows := m.part.Range(m.cfg.Table, int(inst))
-	localZipf := m.zipfs.get(localRows, m.cfg.ZipfS)
-	kind := m.kind()
-
-	ops := st.ops[:0]
-	seen := st.seen
-	clear(seen)
-	add := func(key int64) {
-		seen[key] = true
-		ops = append(ops, engine.Op{Table: m.cfg.Table, Key: key, Kind: kind})
-	}
-	// draw samples until an unseen key appears; under heavy skew duplicates
-	// are accepted after a few tries (the engine treats re-locked rows as
-	// already covered).
-	draw := func(sample func() int64) {
-		for tries := 0; ; tries++ {
-			key := sample()
-			if !seen[key] && tries < 8 {
-				add(key)
-				return
-			}
-			if tries >= 8 {
-				add(key)
-				return
-			}
-		}
-	}
-
 	multisite := rng.Float64() < m.cfg.PctMultisite
 	// First row is always local to the submitting worker's partition.
-	add(base + localZipf.Sample(rng))
+	ops := append(st.ops[:0], engine.Op{Table: m.cfg.Table, Key: st.base + st.local.Sample(rng), Kind: m.kind})
+	base, z := st.base, st.local
 	if multisite {
-		globalZipf := m.zipfs.get(m.cfg.GlobalRows, m.cfg.ZipfS)
-		for len(ops) < m.cfg.RowsPerTxn {
-			draw(func() int64 { return globalZipf.Sample(rng) })
+		if st.global == nil {
+			st.global = m.zipfs.get(m.cfg.GlobalRows, m.cfg.ZipfS)
 		}
-	} else {
-		for len(ops) < m.cfg.RowsPerTxn {
-			draw(func() int64 { return base + localZipf.Sample(rng) })
+		base, z = 0, st.global
+	}
+	// Draw until a key the request does not hold yet appears; under heavy
+	// skew a duplicate is accepted after eight tries (the engine treats
+	// re-locked rows as already covered).
+	for len(ops) < m.cfg.RowsPerTxn {
+		key := base + z.Sample(rng)
+		for tries := 0; tries < 8 && drawn(ops, key); tries++ {
+			key = base + z.Sample(rng)
 		}
+		ops = append(ops, engine.Op{Table: m.cfg.Table, Key: key, Kind: m.kind})
 	}
 	st.ops = ops // keep the (possibly regrown) buffer for the next request
 	return engine.Request{Ops: ops}
+}
+
+// drawn reports whether ops already holds key: a scan of at most
+// RowsPerTxn ops, all of one table.
+func drawn(ops []engine.Op, key int64) bool {
+	for i := range ops {
+		if ops[i].Key == key {
+			return true
+		}
+	}
+	return false
 }

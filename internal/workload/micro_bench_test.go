@@ -6,34 +6,54 @@ import (
 	"islands/internal/storage"
 )
 
-func benchMicro() *Micro {
+func benchMicro(pctMultisite, zipfS float64) *Micro {
 	part := fakePart{n: 4, rows: map[storage.TableID]int64{1: 240000}}
 	return NewMicro(MicroConfig{
 		Table: 1, GlobalRows: 240000, RowsPerTxn: 10,
-		Write: true, PctMultisite: 0.5, Seed: 9,
+		Write: true, PctMultisite: pctMultisite, ZipfS: zipfS, Seed: 9,
 	}, part)
 }
 
+// microShapes are the generator's paths: all-local uniform draws, the
+// multisite path (its global sampler resolved on the first draw), and
+// skewed draws, whose duplicates the scan rejects.
+var microShapes = []struct {
+	name                string
+	pctMultisite, zipfS float64
+}{
+	{"local", 0, 0},
+	{"multisite", 0.5, 0},
+	{"skewed", 0.2, 0.99},
+}
+
 // BenchmarkMicroNext guards the generator's steady-state allocation rate:
-// per-stream scratch (ops slice, dedup map) is reused across requests, so
-// after the first call a stream allocates nothing.
+// per-stream scratch (the ops slice) and samplers are reused across
+// requests, so after the first call a stream allocates nothing.
 func BenchmarkMicroNext(b *testing.B) {
-	m := benchMicro()
-	m.Next(0, 0) // materialize the stream
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Next(0, 0)
+	for _, sh := range microShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			m := benchMicro(sh.pctMultisite, sh.zipfS)
+			for i := 0; i < 16; i++ {
+				m.Next(0, 0) // materialize the stream and both samplers
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = m.Next(0, 0)
+			}
+		})
 	}
 }
 
 func TestMicroNextSteadyStateAllocFree(t *testing.T) {
-	m := benchMicro()
-	for i := 0; i < 16; i++ {
-		m.Next(0, 0) // warm the stream's scratch
-	}
-	if allocs := testing.AllocsPerRun(200, func() { m.Next(0, 0) }); allocs > 0 {
-		t.Errorf("Micro.Next allocates %.1f objects/op in steady state, want 0", allocs)
+	for _, sh := range microShapes {
+		m := benchMicro(sh.pctMultisite, sh.zipfS)
+		for i := 0; i < 16; i++ {
+			m.Next(0, 0) // warm the stream's scratch
+		}
+		if allocs := testing.AllocsPerRun(200, func() { m.Next(0, 0) }); allocs > 0 {
+			t.Errorf("%s: Micro.Next allocates %.1f objects/op in steady state, want 0", sh.name, allocs)
+		}
 	}
 }
 

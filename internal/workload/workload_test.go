@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,45 @@ func TestMicroSkewHitsHotKeys(t *testing.T) {
 	}
 	if frac := float64(hot) / float64(2*txns); frac < 0.4 {
 		t.Errorf("hot-key fraction %.2f too low for s=0.99", frac)
+	}
+}
+
+// TestMicroMatchesReference drives Micro side by side with refMicro, the
+// map-based generator it replaced, over seeds, skews, multisite fractions
+// and request sizes, on a large table and on one whose partitions (5 rows)
+// and whole range (20 rows) are smaller than most requests, so the
+// duplicate a draw accepts after eight tries is exercised. Every request of
+// every (instance, worker) stream must be equal, op for op.
+func TestMicroMatchesReference(t *testing.T) {
+	dups := 0
+	for _, rows := range []int64{8000, 20} {
+		part := fakePart{n: 4, rows: map[storage.TableID]int64{1: rows}}
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, s := range []float64{0, 0.5, 0.99} {
+				for _, pct := range []float64{0, 0.2, 1} {
+					for _, n := range []int{1, 10, 64} {
+						cfg := MicroConfig{Table: 1, GlobalRows: rows, RowsPerTxn: n,
+							Write: seed%2 == 0, PctMultisite: pct, ZipfS: s, Seed: seed}
+						got, want := NewMicro(cfg, part), newRefMicro(cfg, part)
+						for i := 0; i < 120; i++ {
+							inst, worker := engine.InstanceID(i%4), i/4%3
+							g, w := got.Next(inst, worker), want.Next(inst, worker)
+							if !slices.Equal(g.Ops, w.Ops) {
+								t.Fatalf("rows=%d %+v request %d (%d,%d):\n got %v\nwant %v", rows, cfg, i, inst, worker, g.Ops, w.Ops)
+							}
+							for j := range g.Ops {
+								if drawn(g.Ops[:j], g.Ops[j].Key) {
+									dups++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if dups == 0 {
+		t.Error("no request held a duplicate key: the accept-after-eight-tries path never ran")
 	}
 }
 
