@@ -7,14 +7,16 @@
 // and after a change to prove the optimization did not alter simulated
 // behavior. Because experiment cells are independent simulations assembled
 // by table coordinate, the fingerprint is also independent of -parallel: CI
-// diffs a sequential against a parallel run to prove it.
+// diffs a sequential against a parallel run to prove it. -parallel is the
+// one knob that spends host cores; each cell's simulation runs on its own
+// goroutine, every island on its own event partition.
 //
 // Usage:
 //
 //	islandsprobe -list
 //	islandsprobe [-seed N] [-experiments | -only fig2,fig9,...] [-full]
 //	             [-seeds N] [-geometry S:C:LLC[:fabric],...] [-latscale 0.5,1,2]
-//	             [-parallel N] [-shards N] [-progress] [-celltimes] [-store DIR]
+//	             [-parallel N] [-progress] [-celltimes] [-store DIR]
 //
 // -seeds N replicates every cell of the selected experiments over N seeds
 // through the study API's Seeds wrapper, doubling each table's columns
@@ -24,13 +26,6 @@
 // torus or hypercube) built entirely on the public study builders;
 // -latscale additionally fans every geometry across interconnect latency
 // scales (0.5 = a wire twice as fast).
-//
-// -shards N runs each deployment's event windows on N kernel worker
-// goroutines (1 = all on the cell's own goroutine, -1 = min(islands,
-// GOMAXPROCS), 0 = auto). Every deployment gives each island its own event
-// partition at any setting; the flag only spends host cores. The
-// fingerprint is independent of it — CI diffs a -shards 1 against a
-// -shards 4 run to prove it. -celltimes lines carry the setting.
 //
 // -store DIR memoizes experiment cells in a persistent content-addressed
 // result store: a warm rerun of the same probe serves every cell from the
@@ -69,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	geometry := fs.String("geometry", "", "comma-separated machine geometries sockets:cores:LLC-MB[:fabric] (e.g. 16:4:12,8:10:30:ring) to sweep ad hoc")
 	latscale := fs.String("latscale", "", "comma-separated interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
 	parallel := fs.Int("parallel", 0, "concurrently-run experiment cells (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "kernel worker goroutines per deployment (0 = auto, 1 = none beyond the cell's own, -1 = min(islands, GOMAXPROCS)); islands always get one event partition each")
 	progress := fs.Bool("progress", false, "report per-cell experiment progress on stderr")
 	celltimes := fs.Bool("celltimes", false, "report per-cell wall-clock on stderr (the accounting behind cell cost hints)")
 	storeDir := fs.String("store", "", "result-store directory (created if missing): memoize experiment cells across runs")
@@ -111,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	opt := islands.ExperimentOptions{Quick: !*full, Seed: *seed, Parallel: *parallel, Shards: *shards}
+	opt := islands.ExperimentOptions{Quick: !*full, Seed: *seed, Parallel: *parallel}
 	if *progress {
 		opt.Progress = func(exp, cell string, done, total int) {
 			fmt.Fprintf(stderr, "%s: %d/%d cells (%s)\n", exp, done, total, cell)
@@ -141,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *celltimes {
 		opt.CellTime = func(exp, cell string, elapsed time.Duration) {
-			line := fmt.Sprintf("celltime %s shards=%d %.3fs", cell, *shards, elapsed.Seconds())
+			line := fmt.Sprintf("celltime %s %.3fs", cell, elapsed.Seconds())
 			if opt.Store != nil {
 				if lastHit {
 					line += " cache=hit"
@@ -158,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	probeDeployments(stdout, *seed, *shards)
+	probeDeployments(stdout, *seed)
 	if geos != nil {
 		runStudy(stdout, geometryStudy(geos), *seeds, opt)
 	}
@@ -175,9 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // probeDeployments runs reference deployments spanning the interesting
 // configuration corners (shared-everything, islands, fine-grained; reads and
 // writes; local and multisite) and prints the raw kernel/measurement numbers.
-// The worker setting flows into each deployment, so a -shards diff covers the
-// raw kernel event counts too, not just the experiment tables.
-func probeDeployments(w io.Writer, seed int64, shards int) {
+func probeDeployments(w io.Writer, seed int64) {
 	machine := islands.QuadSocket()
 	cases := []struct {
 		name      string
@@ -193,7 +185,6 @@ func probeDeployments(w io.Writer, seed int64, shards int) {
 		cfg := islands.DefaultConfig(machine, c.instances, 240000)
 		cfg.Seed = seed
 		cfg.LocalOnly = c.localOnly
-		cfg.Shards = shards
 		mc := c.mc
 		mc.Table = 1
 		mc.GlobalRows = 240000

@@ -34,6 +34,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-latscale overflowing sim.Time", []string{"-geometry", "4:6:8", "-latscale", "1e300"}, `latency scale "1e300"`},
 		{"unopenable -store", []string{"-store", filepath.Join(file, "store")}, "not a directory"},
 		{"removed -baseline", []string{"-baseline", "times.txt"}, "flag provided but not defined: -baseline"},
+		{"removed -shards", []string{"-shards", "4"}, "flag provided but not defined: -shards"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -53,13 +53,12 @@ func main() {
 	study.Run(opt).Fingerprint(&cold)
 	fmt.Printf("cold run:  %d hits, %d misses (%d cells archived)\n", hits, misses, store.Len())
 
-	// Warm: same cells, different parallelism and kernel worker count — both
-	// wall-clock-only knobs, excluded from the keys — so every cell is
-	// served from the archive without simulating.
+	// Warm: same cells, different parallelism — a wall-clock-only knob,
+	// excluded from the keys — so every cell is served from the archive
+	// without simulating.
 	hits, misses = 0, 0
 	wopt := opt
 	wopt.Parallel = 4
-	wopt.Shards = 4
 	var warm bytes.Buffer
 	study.Run(wopt).Fingerprint(&warm)
 	fmt.Printf("warm run:  %d hits, %d misses, byte-identical tables: %v\n",

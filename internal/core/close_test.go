@@ -11,12 +11,13 @@ import (
 	"islands/internal/workload"
 )
 
-// closeCell builds, runs and closes one small update cell and returns every
-// simulated number the run produced plus the storage counters, read before
-// Close.
-func closeCell(seed int64) string {
+// closeCell builds, runs and closes one small update cell on the given
+// number of kernel workers and returns every simulated number the run
+// produced plus the storage counters, read before Close.
+func closeCell(seed int64, shards int) string {
 	cfg := DefaultConfig(topology.QuadSocket(), 4, 24000)
 	cfg.Seed = seed
+	cfg.Shards = shards
 	cfg.BufferPoolPagesTotal = 256 // evictions: recycled buffers and retained images
 	d := NewDeployment(cfg)
 	defer d.Close()
@@ -35,12 +36,14 @@ func closeCell(seed int64) string {
 // TestConcurrentDeploymentsShareThePool: deployments built, run and closed
 // on several goroutines at once take their page chunks from one pool and
 // hand them to each other; none may see another's bytes (every digest equals
-// the sequential run's), and under -race the pool hand-off must be ordered.
+// the sequential inline run's), and under -race the pool hand-off must be
+// ordered. Odd rounds run on four kernel workers, so the pool also serves
+// deployments whose windows run on helper goroutines.
 func TestConcurrentDeploymentsShareThePool(t *testing.T) {
 	const cells, rounds = 4, 3
 	want := make([]string, cells)
 	for i := range want {
-		want[i] = closeCell(int64(100 + i))
+		want[i] = closeCell(int64(100+i), 0)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < cells; i++ {
@@ -48,7 +51,7 @@ func TestConcurrentDeploymentsShareThePool(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if got := closeCell(int64(100 + i)); got != want[i] {
+				if got := closeCell(int64(100+i), 4*(r%2)); got != want[i] {
 					t.Errorf("cell %d round %d diverged from its sequential run:\n got  %s\n want %s", i, r, got, want[i])
 				}
 			}

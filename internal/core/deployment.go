@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
 
 	"islands/internal/engine"
 	"islands/internal/fault"
@@ -121,16 +117,13 @@ type Config struct {
 	// replay. See the fault package for the determinism contract.
 	Faults *fault.Plan
 
-	// Shards selects how many host goroutines execute the simulation — a
-	// wall-clock knob only. The kernel always gives every island its own
+	// Shards is how many host goroutines run a window's event partitions —
+	// a wall-clock knob only. The kernel always gives every island its own
 	// event partition (heap, clock, mailbox) and advances the partitions in
-	// conservative lookahead windows; Shards is the number of workers that
-	// run a window's runnable partitions:
-	//
-	//	 0 or 1 — the calling goroutine runs them in island order; no
-	//	          goroutine is started (the default);
-	//	>1      — that many workers, clamped to the island count;
-	//	-1      — auto: min(islands, GOMAXPROCS).
+	// conservative lookahead windows. 0 or 1 runs them in island order on
+	// the calling goroutine and starts no goroutine (the default); n > 1
+	// runs n workers, clamped to the island count. The field exists for the
+	// benchmark's sharded probe, which compares one worker with GOMAXPROCS.
 	//
 	// Partitioning requires >= 2 islands, disjoint per-instance core sets
 	// (OS placement can double cores up), and a memory-mapped disk (the HDD
@@ -141,9 +134,7 @@ type Config struct {
 	// depends on neither the partition layout nor the goroutine that ran
 	// the event, and the cross-island wire latencies of the interconnect
 	// model are the conservative lookahead that makes windowed execution
-	// safe. The ISLANDS_FORCE_SHARDS environment variable, when set,
-	// overrides this field (CI race legs force several workers on without
-	// plumbing flags through every test).
+	// safe.
 	Shards int
 
 	Seed int64
@@ -220,7 +211,7 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 	k := sim.NewKernel()
 	if partitioned && partitionable(cfg, parts) {
 		k = sim.NewShardedMatrix(crossWireMatrix(cfg, parts))
-		k.SetWorkers(resolveWorkers(cfg, n))
+		k.SetWorkers(cfg.Shards)
 	}
 	model := mem.NewModel(cfg.Machine)
 	net := ipc.NewNetwork[engine.Msg](k, cfg.Machine, cfg.Mechanism)
@@ -286,19 +277,6 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 	return d
 }
 
-// forcedShards reads the ISLANDS_FORCE_SHARDS override once per process.
-var forcedShards = sync.OnceValue(func() int {
-	v := os.Getenv("ISLANDS_FORCE_SHARDS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		panic("core: bad ISLANDS_FORCE_SHARDS value " + strconv.Quote(v))
-	}
-	return n
-})
-
 // partitionable applies the eligibility rules documented on Config.Shards:
 // whether every island can own a private event partition.
 func partitionable(cfg Config, parts [][]topology.CoreID) bool {
@@ -323,20 +301,6 @@ func partitionable(cfg Config, parts [][]topology.CoreID) bool {
 		}
 	}
 	return true
-}
-
-// resolveWorkers turns Config.Shards (plus the ISLANDS_FORCE_SHARDS
-// override) into the worker count of a partitioned kernel over the given
-// number of islands.
-func resolveWorkers(cfg Config, islands int) int {
-	want := cfg.Shards
-	if f := forcedShards(); f != 0 {
-		want = f
-	}
-	if want < 0 {
-		want = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(want, islands))
 }
 
 // crossWireMatrix computes the kernel's per-partition-pair conservative

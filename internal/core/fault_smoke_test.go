@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"islands/internal/exec"
@@ -15,21 +16,28 @@ import (
 // deployment must keep making progress — coordinators abort on the 2PC
 // deadline instead of waiting forever — then recover to full throughput.
 func TestCrashUnderMultisiteLoad(t *testing.T) {
-	m := topology.QuadSocket()
-	cfg := DefaultConfig(m, 4, 40_000)
-	cfg.Seed = 7
-	cfg.Faults = &fault.Plan{Events: []fault.Event{
-		fault.IslandCrash{At: 1 * sim.Millisecond, Island: 0, DownFor: 1 * sim.Millisecond},
-	}}
-	d := NewDeployment(cfg)
-	defer d.Close()
-	src := workload.NewMicro(workload.MicroConfig{
-		Table: 1, GlobalRows: 40_000, RowsPerTxn: 10,
-		Write: true, PctMultisite: 0.2, Seed: 8,
-	}, d.Part)
-	d.Start(src)
-
-	ws := d.RunWindows(500*sim.Microsecond, 500*sim.Microsecond, 8)
+	run := func(shards int) []Measurement {
+		cfg := DefaultConfig(topology.QuadSocket(), 4, 40_000)
+		cfg.Seed = 7
+		cfg.Shards = shards
+		cfg.Faults = &fault.Plan{Events: []fault.Event{
+			fault.IslandCrash{At: 1 * sim.Millisecond, Island: 0, DownFor: 1 * sim.Millisecond},
+		}}
+		d := NewDeployment(cfg)
+		defer d.Close()
+		src := workload.NewMicro(workload.MicroConfig{
+			Table: 1, GlobalRows: 40_000, RowsPerTxn: 10,
+			Write: true, PctMultisite: 0.2, Seed: 8,
+		}, d.Part)
+		d.Start(src)
+		return d.RunWindows(500*sim.Microsecond, 500*sim.Microsecond, 8)
+	}
+	ws := run(0)
+	// Four kernel workers run the crash, the 2PC deadlines and the recovery
+	// on concurrent windows; under -race this is their coverage.
+	if got := run(4); !reflect.DeepEqual(got, ws) {
+		t.Errorf("4 kernel workers diverge from the inline run:\n got %+v\nwant %+v", got, ws)
+	}
 
 	var dipped, recovered bool
 	for i, w := range ws {

@@ -21,36 +21,42 @@ func TestAtomicityInvariantUnderContention(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("%dISL", n), func(t *testing.T) {
 			m := topology.QuadSocket()
-			cfg := DefaultConfig(m, n, 2400) // small: lots of conflicts
-			d := NewDeployment(cfg)
-			defer d.Close()
 			const rowsPerTxn = 2
-			d.Start(workload.NewMicro(workload.MicroConfig{
-				Table: 1, GlobalRows: 2400, RowsPerTxn: rowsPerTxn,
-				Write: true, PctMultisite: 0.5, ZipfS: 0.9, Seed: 3,
-			}, d.Part))
-			d.Kernel.RunFor(10 * sim.Millisecond)
-
-			var aborts uint64
-			for _, in := range d.Instances {
-				aborts += in.Stats.Aborted
+			// run returns the aborts, the summed row versions and the
+			// committed row updates at one virtual instant. SumRowVersions
+			// consumes no virtual time, so reading all instances is one
+			// consistent snapshot.
+			run := func(shards int) (aborts, versions, committed uint64) {
+				cfg := DefaultConfig(m, n, 2400) // small: lots of conflicts
+				cfg.Shards = shards
+				d := NewDeployment(cfg)
+				defer d.Close()
+				d.Start(workload.NewMicro(workload.MicroConfig{
+					Table: 1, GlobalRows: 2400, RowsPerTxn: rowsPerTxn,
+					Write: true, PctMultisite: 0.5, ZipfS: 0.9, Seed: 3,
+				}, d.Part))
+				d.Kernel.RunFor(10 * sim.Millisecond)
+				for _, in := range d.Instances {
+					aborts += in.Stats.Aborted
+					versions += in.SumRowVersions()
+					committed += in.Stats.RowsCommitted
+				}
+				return aborts, versions, committed
 			}
+			aborts, versions, committed := run(0)
 			if aborts == 0 {
 				t.Error("expected wait-die aborts under heavy conflict")
-			}
-
-			// SumRowVersions consumes no virtual time, so reading all
-			// instances here is one consistent snapshot.
-			var versions, committed uint64
-			for _, in := range d.Instances {
-				versions += in.SumRowVersions()
-				committed += in.Stats.RowsCommitted
 			}
 			workers := uint64(m.NumCores())
 			maxInflight := workers * rowsPerTxn
 			if versions < committed || versions > committed+maxInflight {
 				t.Errorf("atomicity violated: sum(versions)=%d committed=%d (+<=%d in flight)",
 					versions, committed, maxInflight)
+			}
+			// The same contended 2PC run on four kernel workers.
+			if a, v, c := run(4); a != aborts || v != versions || c != committed {
+				t.Errorf("4 kernel workers: aborts=%d versions=%d committed=%d, inline %d/%d/%d",
+					a, v, c, aborts, versions, committed)
 			}
 		})
 	}

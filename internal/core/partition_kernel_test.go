@@ -28,23 +28,21 @@ func TestDefaultKernelIsPartitionedInline(t *testing.T) {
 	if got := d.Kernel.Shards(); got != 4 {
 		t.Fatalf("4 islands run on %d event partitions, want 4", got)
 	}
-	if forcedShards() == 0 {
-		if got := d.Kernel.Workers(); got != 1 {
-			t.Fatalf("default deployment has %d kernel workers, want 1 (inline)", got)
-		}
-		d.Start(workload.NewMicro(workload.MicroConfig{
-			Table: 1, GlobalRows: 24000, RowsPerTxn: 4, Write: true, PctMultisite: 0.2, Seed: 1,
-		}, d.Part))
-		before := runtime.NumGoroutine()
-		if res := d.Run(0, sim.Millisecond); res.Multisite == 0 {
-			t.Fatal("no multisite transaction committed: cross-partition delivery untested")
-		}
-		if d.Kernel.Windows() < 2 {
-			t.Errorf("Windows() = %d, want a windowed run", d.Kernel.Windows())
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("default Run started goroutines: %d before, %d after", before, after)
-		}
+	if got := d.Kernel.Workers(); got != 1 {
+		t.Fatalf("default deployment has %d kernel workers, want 1 (inline)", got)
+	}
+	d.Start(workload.NewMicro(workload.MicroConfig{
+		Table: 1, GlobalRows: 24000, RowsPerTxn: 4, Write: true, PctMultisite: 0.2, Seed: 1,
+	}, d.Part))
+	before := runtime.NumGoroutine()
+	if res := d.Run(0, sim.Millisecond); res.Multisite == 0 {
+		t.Fatal("no multisite transaction committed: cross-partition delivery untested")
+	}
+	if d.Kernel.Windows() < 2 {
+		t.Errorf("Windows() = %d, want a windowed run", d.Kernel.Windows())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("default Run started goroutines: %d before, %d after", before, after)
 	}
 
 	ineligible := map[string]func(*Config){
@@ -67,7 +65,7 @@ func TestDefaultKernelIsPartitionedInline(t *testing.T) {
 // TestPartitionedMatchesSinglePartition compares the default kernel against
 // the explicit classic baseline — NewSinglePartitionDeployment, every island
 // on one heap — on a contended 2PC workload and under a fault plan, inline
-// and with 2, 4 and auto workers: every field of every window's Measurement
+// and with 2 and 4 workers: every field of every window's Measurement
 // must be identical.
 func TestPartitionedMatchesSinglePartition(t *testing.T) {
 	cases := map[string]*fault.Plan{
@@ -94,7 +92,7 @@ func TestPartitionedMatchesSinglePartition(t *testing.T) {
 		if want[len(want)-1].Multisite == 0 {
 			t.Fatalf("%s: baseline committed no multisite transaction", name)
 		}
-		for _, shards := range []int{0, 2, 4, -1} {
+		for _, shards := range []int{0, 2, 4} {
 			if got := run(NewDeployment, shards); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Shards=%d diverges from the single-partition kernel:\n got %+v\nwant %+v",
 					name, shards, got, want)

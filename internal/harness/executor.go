@@ -40,7 +40,7 @@ func dispatchOrder(cells []Cell, st *resultstore.Store) []int {
 // Assembly is nonetheless deterministic — metrics are stored by cell index,
 // emits are applied in declaration order after every cell finished, and
 // Finalize runs last — so a parallel run is cell-for-cell identical to a
-// sequential one (TestParallelMatchesSequential asserts this for every
+// sequential one (TestShardedMatchesUnsharded asserts this for every
 // registered experiment; the determinism contract of DESIGN.md). The
 // executor also measures each cell's wall-clock and reports it through
 // opt.CellTime; under opt.Store the wall-clocks are persisted as learned
@@ -61,19 +61,6 @@ func (s *Study) Run(opt Options) *Result {
 	}
 	if workers > n {
 		workers = n
-	}
-
-	// Auto kernel workers: intra-cell kernel workers and cell-level workers
-	// compete for the same CPUs, so by default a cell's deployment runs its
-	// windows on extra goroutines only when cells run one at a time.
-	// Explicit opt.Shards settings pass through to every cell's core.Config
-	// untouched.
-	if opt.Shards == 0 {
-		if workers > 1 {
-			opt.Shards = 1
-		} else {
-			opt.Shards = -1
-		}
 	}
 
 	// report serializes the CellCache, CellTime and Progress callbacks (in

@@ -34,18 +34,6 @@ type Options struct {
 	// so every setting produces identical tables; parallelism only changes
 	// wall-clock time.
 	Parallel int
-	// Shards selects the kernel worker count inside each cell's deployment
-	// (core.Config.Shards). Every deployment gives each island its own
-	// event partition regardless; this is how many goroutines run a
-	// window's partitions: >1 that many, -1 lets the kernel pick
-	// min(islands, GOMAXPROCS), 1 runs them all on the cell's own goroutine.
-	// 0 (the default) is auto: spend spare cores on windows only when cells
-	// run one at a time (the executor resolves it to -1 for sequential
-	// dispatch and 1 when cell-level parallelism already saturates the
-	// cores — the two parallelism levels compete for the same CPUs). Tables
-	// are bit-identical at every setting; like Parallel, this only moves
-	// wall-clock time.
-	Shards int
 	// Progress, when non-nil, is called by the executor after each cell
 	// completes (never concurrently): the experiment id, the finished
 	// cell's name, and the done/total cell counts of the experiment.
@@ -63,8 +51,8 @@ type Options struct {
 	// code's simulated behavior) and serves the stored Metrics on a hit —
 	// skipping the simulation entirely, with bit-identical tables. Misses
 	// run normally and append their result, so a store fills incrementally
-	// and is shared safely by sequential and parallel runs at any Shards
-	// setting. Open one with OpenStore.
+	// and is shared safely by sequential and parallel runs. Open one with
+	// OpenStore.
 	Store *resultstore.Store
 	// CellCache, when non-nil, is called once per completed cell with
 	// whether it was served from Store (always false without a Store). It
@@ -72,17 +60,17 @@ type Options struct {
 	// so a CellTime observer can attribute the wall-clock it receives.
 	CellCache func(exp, cell string, hit bool)
 
-	// singlePartition builds every cell's deployment on the classic
-	// one-heap kernel (core.NewSinglePartitionDeployment). Only this
-	// package's tests can set it: it is the reference the partitioned
-	// default is pinned against, not a mode.
-	singlePartition bool
+	// build, when non-nil, replaces core.NewDeployment for every cell's
+	// deployment. Only this package's tests set it: to the one-heap
+	// reference kernel the partitioned default is pinned against, or to a
+	// deployment on kernel workers. It is a test seam, not a mode.
+	build func(core.Config) *core.Deployment
 }
 
 // deploy builds a cell's deployment.
 func (o Options) deploy(cfg core.Config) *core.Deployment {
-	if o.singlePartition {
-		return core.NewSinglePartitionDeployment(cfg)
+	if o.build != nil {
+		return o.build(cfg)
 	}
 	return core.NewDeployment(cfg)
 }

@@ -4,26 +4,42 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"islands/internal/core"
 )
 
-// TestParallelMatchesSequential is the executor's behavior-preservation
-// contract: for every registered experiment, a sequential run and a 4-way
-// parallel run at the same seed produce bit-identical tables. Cells are
-// self-contained simulations assembled by coordinate, so execution order —
-// and therefore concurrency — must not be observable in the result. The CI
-// race job runs this test under -race, covering the parallel path.
-func TestParallelMatchesSequential(t *testing.T) {
+// TestShardedMatchesUnsharded is the determinism contract at the
+// deployment level, for every registered experiment — including the
+// fault-injection studies, whose per-window series feed their tables. The
+// reference is a sequential quick run on the classic kernel (every island on
+// one event partition, one heap). The default kernel (one partition per
+// island, windows inline on the cell's goroutine) run sequentially and with
+// four concurrent cells, and the default on four kernel workers, must all
+// produce bit-identical tables: partitioning, kernel workers and cell-level
+// parallelism only ever move wall-clock time. The CI race job runs this
+// under -race, covering the executor's cell pool and the multi-worker
+// window path.
+func TestShardedMatchesUnsharded(t *testing.T) {
+	onWorkers := func(cfg core.Config) *core.Deployment {
+		cfg.Shards = 4
+		return core.NewDeployment(cfg)
+	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			opt := Options{Quick: true, Short: testing.Short(), Seed: 11}
-			seq, par := opt, opt
-			seq.Parallel = 1
+			seq := Options{Quick: true, Short: testing.Short(), Seed: 11, Parallel: 1}
+			ref, par, workers := seq, seq, seq
+			ref.build = core.NewSinglePartitionDeployment
 			par.Parallel = 4
-			a := e.Run(seq)
-			b := e.Run(par)
-			if err := equalResults(a, b); err != nil {
-				t.Fatalf("parallel run diverges from sequential: %v", err)
+			workers.build = onWorkers
+			want := e.Run(ref)
+			for _, v := range []struct {
+				name string
+				opt  Options
+			}{{"sequential", seq}, {"4-cell parallel", par}, {"4-worker", workers}} {
+				if err := equalResults(want, e.Run(v.opt)); err != nil {
+					t.Fatalf("%s run diverges from the single-partition kernel: %v", v.name, err)
+				}
 			}
 		})
 	}
@@ -96,7 +112,7 @@ func TestPlanShapes(t *testing.T) {
 
 // TestDispatchOrderHonorsCostHints checks the parallel executor's start
 // order: higher-hinted cells first, declaration order breaking ties. The
-// hint must never affect results (TestParallelMatchesSequential), only when
+// hint must never affect results (TestShardedMatchesUnsharded), only when
 // long cells begin.
 func TestDispatchOrderHonorsCostHints(t *testing.T) {
 	cells := []Cell{

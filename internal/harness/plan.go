@@ -129,13 +129,12 @@ func (o Options) forCell(seedDelta int64, forceFull bool) Options {
 }
 
 // plan assembles a cell's plan under the effective options o: the run's
-// seed and kernel worker count land in cfg, then the spec's tweak adjusts
-// it, and the measurement defaults to the mode's standard window.
+// seed lands in cfg, then the spec's tweak adjusts it, and the measurement
+// defaults to the mode's standard window.
 func (o Options) plan(tag string, cfg core.Config, tweak func(*core.Config),
 	source func(*core.Deployment) engine.RequestSource, identity func(*resultstore.Hasher)) plan {
 
 	cfg.Seed = o.Seed
-	cfg.Shards = o.Shards
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -163,7 +162,9 @@ func (p plan) run() Metrics {
 // geometry, effective seed and mode.
 func (p plan) key(h *resultstore.Hasher) {
 	h.Str(p.tag)
-	keyConfig(h, p.cfg)
+	// Deep reflection: machine, tables, placement, WAL, disk, faults, seed —
+	// every core.Config field, including any added later.
+	h.Value(p.cfg)
 	p.identity(h)
 	h.I64(int64(p.warmup))
 	h.I64(int64(p.window))

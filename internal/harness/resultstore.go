@@ -4,7 +4,6 @@ import (
 	_ "embed"
 	"time"
 
-	"islands/internal/core"
 	"islands/internal/resultstore"
 )
 
@@ -15,15 +14,14 @@ import (
 //
 // A deployment cell's key is its plan hashed (plan.key): everything the
 // simulation consumes — the machine (geometry, interconnect hop matrix,
-// latency scale), the built core.Config (canonicalized: the kernel worker
-// count is zeroed, because results are bit-identical at every setting), the
-// workload spec, the window geometry, the effective seed and the effective
-// quick/short mode — so a record written by a sequential inline run serves
-// a parallel four-worker run of the same cell. Cells built from opaque
-// closures (ScalarCell, raw Cells) have no plan to hash; they fall back to
-// positional keys over (study ID, cell name, options), which is sound for
-// the registered experiments because a registered cell's behavior is a pure
-// function of the code — and the code is in the salt.
+// latency scale), the built core.Config, the workload spec, the window
+// geometry, the effective seed and the effective quick/short mode — so a
+// record written by a sequential run serves a parallel run of the same
+// cell. Cells built from opaque closures (ScalarCell, raw Cells) have no
+// plan to hash; they fall back to positional keys over (study ID, cell
+// name, options), which is sound for the registered experiments because a
+// registered cell's behavior is a pure function of the code — and the code
+// is in the salt.
 
 // goldenFingerprint is the quick-mode experiment fingerprint the test suite
 // pins. Any change to simulated behavior changes this file (that is the
@@ -35,8 +33,8 @@ import (
 var goldenFingerprint []byte
 
 // storeEpoch versions the key derivation itself. Bump it when the key
-// scheme changes in a way the golden fingerprint cannot see (a new field
-// excluded from canonicalization, a changed fallback), to invalidate every
+// scheme changes in a way the golden fingerprint cannot see (a field left
+// out of or added to a key, a changed fallback), to invalidate every
 // existing record. v2: every deployment cell's key gained the window
 // geometry frames when the cell kinds moved onto one plan.
 const storeEpoch = "islands-resultstore-v2"
@@ -76,25 +74,14 @@ func cellKey(planID string, c *Cell, opt Options) resultstore.Key {
 }
 
 // keyOptions hashes the option-derived inputs every cell consumes: the
-// (already delta-adjusted) seed and the measurement mode. Parallel and
-// Shards are deliberately absent — the determinism contract says they never
-// change results, and excluding them is what lets runs at different
-// parallelism settings share one cache.
+// (already delta-adjusted) seed and the measurement mode. Parallel is
+// deliberately absent — the determinism contract says it never changes
+// results, and excluding it is what lets runs at different parallelism
+// settings share one cache.
 func keyOptions(h *resultstore.Hasher, opt Options) {
 	h.I64(opt.Seed)
 	h.Bool(opt.Quick)
 	h.Bool(opt.Short)
-}
-
-// keyConfig hashes a fully built deployment config by deep reflection,
-// canonicalized over the one knob that cannot affect results: the kernel
-// worker count (bit-identical at every setting, pinned by
-// TestShardedMatchesUnsharded). Everything else — machine, tables,
-// placement, WAL, disk, faults, seed — lands in the key, automatically
-// including any field added to core.Config later.
-func keyConfig(h *resultstore.Hasher, cfg core.Config) {
-	cfg.Shards = 0
-	h.Value(cfg)
 }
 
 // hintFor returns the dispatch-cost estimate of a cell: the learned

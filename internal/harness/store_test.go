@@ -37,7 +37,7 @@ func fingerprintAll(opt Options) []byte {
 
 // TestStoreWarmRunIsByteIdentical is the tentpole contract: a cold
 // sequential run fills the store; after a reopen (so hits come off disk,
-// not process memory), a warm parallel sharded run of the same experiments
+// not process memory), a warm parallel run of the same experiments
 // produces byte-identical fingerprints with zero cell simulations.
 func TestStoreWarmRunIsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -65,13 +65,11 @@ func TestStoreWarmRunIsByteIdentical(t *testing.T) {
 		t.Fatal("reopened store loaded no records from disk")
 	}
 
-	// The warm run flips every wall-clock-only knob at once: cell-level
-	// parallelism and kernel sharding. A store written by a sequential
-	// single-shard run must serve it entirely.
+	// The warm run flips the wall-clock-only knob, cell-level parallelism.
+	// A store written by a sequential run must serve it entirely.
 	var warm cacheCounter
 	wopt := opt
 	wopt.Parallel = 4
-	wopt.Shards = 4
 	wopt.Store = st2
 	wopt.CellCache = warm.fn
 	warmFP := fingerprintAll(wopt)
@@ -128,8 +126,8 @@ func with[T any](s T, f func(*T)) T {
 }
 
 // TestCellKeyCanonicalization pins what a semantic key must and must not
-// depend on, for every deployment-cell kind: Shards and Parallel are
-// wall-clock knobs (same key); the seed, quick/full mode, SeedDelta,
+// depend on, for every deployment-cell kind: Parallel is a wall-clock knob
+// (same key); the seed, quick/full mode, SeedDelta,
 // ForceFull, every spec field, the fault plan and the window geometry are
 // semantic inputs (different keys).
 func TestCellKeyCanonicalization(t *testing.T) {
@@ -221,9 +219,9 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	for _, k := range kinds {
 		want := key(k.cell, base)
 		wall := base
-		wall.Shards, wall.Parallel = 4, 8
+		wall.Parallel = 8
 		if key(k.cell, wall) != want {
-			t.Errorf("%s: key depends on Shards/Parallel; sequential stores could not serve parallel runs", k.name)
+			t.Errorf("%s: key depends on Parallel; sequential stores could not serve parallel runs", k.name)
 		}
 		seed, mode := base, base
 		seed.Seed, mode.Quick = 43, false

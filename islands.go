@@ -544,8 +544,7 @@ func TraceAdvise(t *Trace, geos []Geometry, sizes []int, seeds int, opt StudyOpt
 // behavior, so a store can never serve results the current code would not
 // produce; the archive file also carries the payload schema in its name,
 // so incompatible layouts never collide. Safe for concurrent use within a
-// process; sequential and parallel runs at any Shards setting share one
-// store.
+// process; sequential and parallel runs share one store.
 type ResultStore = resultstore.Store
 
 // CellKeyHasher accumulates a cell's semantic identity for the result
