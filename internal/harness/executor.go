@@ -40,7 +40,7 @@ func dispatchOrder(cells []Cell, st *resultstore.Store) []int {
 // Assembly is nonetheless deterministic — metrics are stored by cell index,
 // emits are applied in declaration order after every cell finished, and
 // Finalize runs last — so a parallel run is cell-for-cell identical to a
-// sequential one (TestShardedMatchesUnsharded asserts this for every
+// sequential one (TestParallelMatchesSequential asserts this for every
 // registered experiment; the determinism contract of DESIGN.md). The
 // executor also measures each cell's wall-clock and reports it through
 // opt.CellTime; under opt.Store the wall-clocks are persisted as learned

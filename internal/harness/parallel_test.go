@@ -2,23 +2,59 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"islands/internal/core"
 )
 
+// The registry is run four times per experiment at seed 11 across the two
+// tests below: the one-heap reference, the default sequentially, the default
+// with four concurrent cells and the default on four kernel workers. The
+// sequential default run is the pivot both tests compare against, so it is
+// made once per experiment and shared.
+var sequentialRuns sync.Map // experiment ID -> func() *Result
+
+func sequentialOptions() Options {
+	return Options{Quick: true, Short: testing.Short(), Seed: 11, Parallel: 1}
+}
+
+func sequentialRun(e Experiment) *Result {
+	run, _ := sequentialRuns.LoadOrStore(e.ID, sync.OnceValue(func() *Result {
+		return e.Run(sequentialOptions())
+	}))
+	return run.(func() *Result)()
+}
+
+// TestParallelMatchesSequential is the executor's behavior-preservation
+// contract: for every registered experiment, a sequential run and a 4-way
+// parallel run at the same seed produce bit-identical tables. Cells are
+// self-contained simulations assembled by coordinate, so execution order —
+// and therefore concurrency — must not be observable in the result. The CI
+// race job runs this test under -race, covering the parallel path.
+func TestParallelMatchesSequential(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			par := sequentialOptions()
+			par.Parallel = 4
+			if err := equalResults(sequentialRun(e), e.Run(par)); err != nil {
+				t.Fatalf("parallel run diverges from sequential: %v", err)
+			}
+		})
+	}
+}
+
 // TestShardedMatchesUnsharded is the determinism contract at the
 // deployment level, for every registered experiment — including the
 // fault-injection studies, whose per-window series feed their tables. The
 // reference is a sequential quick run on the classic kernel (every island on
 // one event partition, one heap). The default kernel (one partition per
-// island, windows inline on the cell's goroutine) run sequentially and with
-// four concurrent cells, and the default on four kernel workers, must all
-// produce bit-identical tables: partitioning, kernel workers and cell-level
-// parallelism only ever move wall-clock time. The CI race job runs this
-// under -race, covering the executor's cell pool and the multi-worker
-// window path.
+// island, windows inline on the cell's goroutine) and the default on four
+// kernel workers, both run sequentially, must produce bit-identical tables:
+// partitioning and kernel workers only ever move wall-clock time. The CI
+// race job runs this under -race, covering the multi-worker window path.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	onWorkers := func(cfg core.Config) *core.Deployment {
 		cfg.Shards = 4
@@ -27,19 +63,15 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			seq := Options{Quick: true, Short: testing.Short(), Seed: 11, Parallel: 1}
-			ref, par, workers := seq, seq, seq
+			ref, workers := sequentialOptions(), sequentialOptions()
 			ref.build = core.NewSinglePartitionDeployment
-			par.Parallel = 4
 			workers.build = onWorkers
 			want := e.Run(ref)
-			for _, v := range []struct {
-				name string
-				opt  Options
-			}{{"sequential", seq}, {"4-cell parallel", par}, {"4-worker", workers}} {
-				if err := equalResults(want, e.Run(v.opt)); err != nil {
-					t.Fatalf("%s run diverges from the single-partition kernel: %v", v.name, err)
-				}
+			if err := equalResults(want, sequentialRun(e)); err != nil {
+				t.Fatalf("default kernel diverges from the single-partition kernel: %v", err)
+			}
+			if err := equalResults(want, e.Run(workers)); err != nil {
+				t.Fatalf("4-worker run diverges from the single-partition kernel: %v", err)
 			}
 		})
 	}
