@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"islands/internal/exec"
 	"islands/internal/ipc"
@@ -101,12 +102,17 @@ func (in *Instance) runTxn(ctx *exec.Ctx, req Request, reply *ipc.Endpoint[Msg])
 // on one instance at once: each attempt takes a scratch from the instance's
 // free list and returns it when done. Steady state allocates nothing.
 type coordScratch struct {
-	local       []localOp
-	remote      [][]localOp // dense by participant order
-	remoteIDs   []InstanceID
-	writers     []InstanceID
-	remoteIndex map[InstanceID]int
-	next        *coordScratch // free-list link
+	local     []localOp
+	remote    [][]localOp // dense by participant order
+	remoteIDs []InstanceID
+	writers   []InstanceID
+	next      *coordScratch // free-list link
+}
+
+// scratchCaps is the largest capacity each of a coordScratch's slices has
+// reached on one instance; a fresh scratch starts at it.
+type scratchCaps struct {
+	local, remoteOps, remoteIDs, writers int
 }
 
 // getCoordScratch pops a scratch off the instance free list (procs of one
@@ -114,7 +120,13 @@ type coordScratch struct {
 func (in *Instance) getCoordScratch() *coordScratch {
 	s := in.coordFree
 	if s == nil {
-		return &coordScratch{remoteIndex: make(map[InstanceID]int)}
+		c := in.coordCaps
+		return &coordScratch{
+			local:     make([]localOp, 0, c.local),
+			remote:    make([][]localOp, 0, c.remoteIDs),
+			remoteIDs: make([]InstanceID, 0, c.remoteIDs),
+			writers:   make([]InstanceID, 0, c.writers),
+		}
 	}
 	in.coordFree = s.next
 	s.next = nil
@@ -126,11 +138,17 @@ func (in *Instance) getCoordScratch() *coordScratch {
 // after it consumed the ops slice its work message referenced — so the
 // remote buffers are free to reuse.
 func (in *Instance) putCoordScratch(s *coordScratch) {
+	c := &in.coordCaps
+	c.local = max(c.local, cap(s.local))
+	c.remoteIDs = max(c.remoteIDs, cap(s.remoteIDs))
+	c.writers = max(c.writers, cap(s.writers))
+	for _, ops := range s.remote {
+		c.remoteOps = max(c.remoteOps, cap(ops))
+	}
 	s.local = s.local[:0]
 	s.remote = s.remote[:0] // inner slice headers survive past len for reuse
 	s.remoteIDs = s.remoteIDs[:0]
 	s.writers = s.writers[:0]
-	clear(s.remoteIndex)
 	s.next = in.coordFree
 	in.coordFree = s
 }
@@ -172,17 +190,18 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 			s.local = append(s.local, lop)
 			continue
 		}
-		idx, ok := s.remoteIndex[iid]
-		if !ok {
+		// A linear scan: there are at most as many participants as
+		// instances.
+		idx := slices.Index(s.remoteIDs, iid)
+		if idx < 0 {
 			idx = len(s.remoteIDs)
-			s.remoteIndex[iid] = idx
 			s.remoteIDs = append(s.remoteIDs, iid)
-			if idx < cap(s.remote) {
-				s.remote = s.remote[:idx+1]
-				s.remote[idx] = s.remote[idx][:0]
-			} else {
-				s.remote = append(s.remote, nil)
+			// Slots past the length keep their buffers for reuse.
+			s.remote = slices.Grow(s.remote, 1)[:idx+1]
+			if s.remote[idx] == nil {
+				s.remote[idx] = make([]localOp, 0, in.coordCaps.remoteOps)
 			}
+			s.remote[idx] = s.remote[idx][:0]
 		}
 		s.remote[idx] = append(s.remote[idx], lop)
 	}

@@ -167,11 +167,14 @@ type Instance struct {
 	// coordScratch in coordinator.go). One scratch per concurrently-live
 	// coordinator attempt; recycled, so the steady state allocates nothing.
 	coordFree *coordScratch
+	coordCaps scratchCaps
 
 	// txnFree is the free list of finished attempts' Txns (see putTxn), so
 	// undo logs and image arenas are grown once per concurrently-live
-	// attempt, not once per attempt.
-	txnFree *Txn
+	// attempt, not once per attempt. A fresh Txn starts at the largest
+	// undo-log and arena capacities a recycled one has reached.
+	txnFree             *Txn
+	undoCap, undoBufCap int
 
 	Stats Stats
 }

@@ -56,7 +56,7 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 	ctx.Bucket(prev)
 	t := in.txnFree
 	if t == nil {
-		t = &Txn{in: in}
+		t = &Txn{in: in, undo: make([]undoEntry, 0, in.undoCap), undoBuf: make([]byte, 0, in.undoBufCap)}
 	} else {
 		in.txnFree = t.next
 		t.next = nil
@@ -66,12 +66,15 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 }
 
 // putTxn recycles a finished attempt's Txn, keeping the capacity of its undo
-// log and image arena for the next attempt. Call it only once commit, abort
+// log and image arena for the next attempt and raising the instance's
+// high-water marks that size a fresh one. Call it only once commit, abort
 // or the read-only release is done with the undo log and nothing else — a
 // pending registration, a handler still running — references t. The images
 // it handed to wal.Append are not a reference: Append deep-copies them under
 // Retain and otherwise reads only their length.
 func (in *Instance) putTxn(t *Txn) {
+	in.undoCap = max(in.undoCap, cap(t.undo))
+	in.undoBufCap = max(in.undoBufCap, cap(t.undoBuf))
 	*t = Txn{in: in, undo: t.undo[:0], undoBuf: t.undoBuf[:0], next: in.txnFree}
 	in.txnFree = t
 }

@@ -111,17 +111,26 @@ func (l *RW) admit() {
 			return
 		}
 		w := l.queue[0]
-		l.queue = l.queue[1:]
+		l.dequeue()
 		l.writer = w.p
 		w.p.Unpark()
 		return
 	}
 	for len(l.queue) > 0 && !l.queue[0].ex {
 		w := l.queue[0]
-		l.queue = l.queue[1:]
+		l.dequeue()
 		l.readers++
 		w.p.Unpark()
 	}
+}
+
+// dequeue drops the queue's first waiter. It shifts the rest down rather
+// than reslicing, so the queue keeps its capacity and a later append reuses
+// it instead of reallocating.
+func (l *RW) dequeue() {
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = waiter{}
+	l.queue = l.queue[:n]
 }
 
 // Holders returns current (readers, hasWriter) for assertions in tests.

@@ -126,13 +126,18 @@ type waitReq struct {
 }
 
 // head is one locked key: its grants and FIFO waiters, linked into its
-// bucket's chain.
+// bucket's chain. granted starts out backed by inline, which holds the one
+// or two grants a key usually has without a separate allocation.
 type head struct {
 	key     Key
 	next    *head
 	granted []entry
 	waiters []*waitReq
+	inline  [2]entry
 }
+
+// headsPerSlab is how many heads newHead cuts from one allocation.
+const headsPerSlab = 64
 
 type bucket struct {
 	line  mem.Line
@@ -166,8 +171,12 @@ type Manager struct {
 	buckets [bucketCount]bucket
 	// owners holds the live transactions' held sets in no particular order;
 	// the slots past its length keep their heads' capacity for reuse.
-	owners    []ownerLocks
+	owners []ownerLocks
+	// heldCap is the largest held-set capacity an owner has reached; a
+	// fresh owner slot starts at it instead of growing from empty.
+	heldCap   int
 	freeHeads []*head       // recycled lock heads, granted/waiters capacity kept
+	headSlab  []head        // heads not yet handed out (see newHead)
 	freeReqs  []*waitReq    // recycled wait requests (see Acquire)
 	lineBufs  [][]*mem.Line // ReleaseAll scratch, one buffer per concurrent call
 
@@ -280,12 +289,7 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 	}
 
 	if h == nil {
-		if n := len(m.freeHeads) - 1; n >= 0 {
-			h = m.freeHeads[n]
-			m.freeHeads = m.freeHeads[:n]
-		} else {
-			h = &head{}
-		}
+		h = m.newHead()
 		h.key, h.next = key, b.heads
 		b.heads = h
 	}
@@ -352,6 +356,23 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 	return nil
 }
 
+// newHead returns an unused head with no grants or waiters: a recycled one,
+// or the next of a slab of headsPerSlab.
+func (m *Manager) newHead() *head {
+	if n := len(m.freeHeads) - 1; n >= 0 {
+		h := m.freeHeads[n]
+		m.freeHeads = m.freeHeads[:n]
+		return h
+	}
+	if len(m.headSlab) == 0 {
+		m.headSlab = make([]head, headsPerSlab)
+	}
+	h := &m.headSlab[0]
+	m.headSlab = m.headSlab[1:]
+	h.granted = h.inline[:0]
+	return h
+}
+
 // Condemn aborts every queued waiter and marks the manager dead: the
 // instance that owned it crashed, so held locks will never be released and
 // waiting on them would hang forever. Waiters wake with ErrDie in ascending
@@ -408,6 +429,9 @@ func (m *Manager) grant(h *head, owner uint64, mode Mode) {
 			m.owners = slices.Grow(m.owners, 1)[:len(m.owners)+1]
 			o = &m.owners[len(m.owners)-1]
 			o.owner = owner
+			if o.heads == nil {
+				o.heads = make([]*head, 0, m.heldCap)
+			}
 		}
 		o.heads = append(o.heads, h)
 	}
@@ -460,6 +484,7 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 	}
 	// Swap the held set to the end and shrink past it: the slot keeps its
 	// heads' capacity for the next owner.
+	m.heldCap = max(m.heldCap, cap(hm.heads))
 	last := len(m.owners) - 1
 	*hm, m.owners[last] = m.owners[last], *hm
 	m.owners[last].heads = m.owners[last].heads[:0]

@@ -19,8 +19,13 @@ func (q *fifo[T]) pop() (T, bool) {
 	v := q.items[q.head]
 	q.items[q.head] = zero // release reference for GC
 	q.head++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if q.head > 32 && q.head*2 >= len(q.items) {
+	// An emptied queue starts over at index 0, so a queue that never holds
+	// many items at once never grows; otherwise compact once the dead prefix
+	// dominates, keeping amortized O(1).
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 32 && q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		for i := n; i < len(q.items); i++ {
 			q.items[i] = zero

@@ -352,3 +352,34 @@ func TestFIFOInterleavedCompaction(t *testing.T) {
 		t.Fatalf("drained %d items, want %d", expect, next)
 	}
 }
+
+// TestFIFOEmptiedQueueReusesItsFront: a queue that never holds more than two
+// items keeps a backing array of at most two through any number of push/pop
+// cycles, and those cycles allocate nothing once it exists. A queue that
+// only resets its head past the compaction threshold walks its head along
+// the array, and every append past the end reallocates.
+func TestFIFOEmptiedQueueReusesItsFront(t *testing.T) {
+	var q fifo[*Proc]
+	p := new(Proc)
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(p)
+		}
+		for i := 0; i < n; i++ {
+			if got, ok := q.pop(); !ok || got != p {
+				t.Fatalf("pop = %v, %v; want the pushed proc", got, ok)
+			}
+		}
+	}
+	cycle(2)
+	allocs := testing.AllocsPerRun(10000, func() {
+		cycle(1)
+		cycle(2)
+	})
+	if allocs != 0 {
+		t.Errorf("push/pop cycles allocate %.2f objects each, want 0", allocs)
+	}
+	if c := cap(q.items); c > 2 {
+		t.Errorf("queue of at most two items has capacity %d, want <= 2", c)
+	}
+}

@@ -164,10 +164,9 @@ func childIndex(keys []int64, key int64) int {
 func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
 	promoted, right, added := t.insert(ctx, t.root, key, rid)
 	if right != nil {
-		newRoot := &bnode{
-			keys:     []int64{promoted},
-			children: []*bnode{t.root, right},
-		}
+		newRoot := t.newInner(1)
+		newRoot.keys[0] = promoted
+		newRoot.children[0], newRoot.children[1] = t.root, right
 		t.root = newRoot
 		t.height++
 	}
@@ -195,12 +194,16 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 		if len(n.keys) <= t.order {
 			return 0, nil, true
 		}
+		// As for inner nodes (newInner), the right half's arrays are
+		// allocated once at full capacity and the left half keeps its own.
 		mid := len(n.keys) / 2
-		r := &bnode{leaf: true, next: n.next}
-		r.keys = append(r.keys, n.keys[mid:]...)
-		r.rids = append(r.rids, n.rids[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.rids = n.rids[:mid:mid]
+		r := &bnode{leaf: true, next: n.next,
+			keys: make([]int64, len(n.keys)-mid, t.order+1),
+			rids: make([]RID, len(n.rids)-mid, t.order+1)}
+		copy(r.keys, n.keys[mid:])
+		copy(r.rids, n.rids[mid:])
+		n.keys = n.keys[:mid]
+		n.rids = n.rids[:mid]
 		n.next = r
 		return r.keys[0], r, true
 	}
@@ -223,12 +226,24 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 	}
 	mid := len(n.keys) / 2
 	up := n.keys[mid]
-	r := &bnode{}
-	r.keys = append(r.keys, n.keys[mid+1:]...)
-	r.children = append(r.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	r := t.newInner(len(n.keys) - mid - 1)
+	copy(r.keys, n.keys[mid+1:])
+	copy(r.children, n.children[mid+1:])
+	n.keys = n.keys[:mid]
+	clear(n.children[mid+1:])
+	n.children = n.children[:mid+1]
 	return up, r, added
+}
+
+// newInner returns an inner node of nkeys keys and nkeys+1 children, its
+// arrays allocated once at the most a node holds before it splits. A split
+// gives its right half fresh arrays of that capacity, and its left half keeps
+// the arrays it had, so neither reallocates as inserts refill it.
+func (t *BTree) newInner(nkeys int) *bnode {
+	return &bnode{
+		keys:     make([]int64, nkeys, t.order+1),
+		children: make([]*bnode, nkeys+1, t.order+2),
+	}
 }
 
 // Delete removes key, reporting whether it existed. Leaves are not

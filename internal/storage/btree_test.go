@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -210,5 +211,44 @@ func TestBTreeQuickProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// nodeCount returns the number of nodes in the subtree rooted at n.
+func nodeCount(n *bnode) int {
+	c := 1
+	for _, ch := range n.children {
+		c += nodeCount(ch)
+	}
+	return c
+}
+
+// BenchmarkBTreeInsertAppend appends ascending keys to an index, as TPC-C's
+// inserts do: every insert lands in the rightmost leaf, and every order/2 of
+// them split it. It reports the heap objects allocated per split
+// (allocs/split; CI gates it at 3): a split allocates its new node and that
+// node's two arrays once, at full capacity, and the left half keeps its
+// arrays, so no insert regrows one. The count starts after the tree's first
+// split, once the root leaf, which NewBTree makes empty, has grown to full.
+func BenchmarkBTreeInsertAppend(b *testing.B) {
+	bt := NewBTree(DefaultBTreeOrder)
+	key := int64(0)
+	for bt.Height() == 1 {
+		bt.Insert(nil, key, ridFor(key))
+		key++
+	}
+	nodes := nodeCount(bt.root)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		bt.Insert(nil, key, ridFor(key))
+		key++
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if splits := nodeCount(bt.root) - nodes; splits > 0 {
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(splits), "allocs/split")
 	}
 }
