@@ -61,15 +61,17 @@ func (n *bnode) size() int {
 	return len(n.keys)
 }
 
-// expand turns a dense leaf into the explicit leaf it stands for, with the
-// exactly-sized arrays BulkLoad builds. Every mutation of a leaf calls it
-// first; an explicit leaf is never made dense again.
+// expand turns a dense leaf into the explicit leaf it stands for, the keys
+// and RIDs BulkLoad would have given it. Every mutation of a leaf calls it
+// first; an explicit leaf is never made dense again. Its arrays are allocated
+// once at the most a leaf holds before it splits, as a split's right half is,
+// so the insert that expanded it does not reallocate them at once.
 func (t *BTree) expand(n *bnode) {
 	if !n.dense() {
 		return
 	}
-	n.keys = make([]int64, n.count)
-	n.rids = make([]RID, n.count)
+	n.keys = make([]int64, n.count, t.order+1)
+	n.rids = make([]RID, n.count, t.order+1)
 	for i := range n.keys {
 		k := n.first + int64(i)
 		n.keys[i] = k
@@ -313,36 +315,39 @@ func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) b
 // against.
 func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
 	t.locate = nil
-	t.bulkLoad(int64(len(keys)), fill, func(i, end int64) *bnode {
-		leaf := &bnode{
-			leaf: true,
-			keys: make([]int64, end-i),
-			rids: make([]RID, end-i),
-		}
+	t.bulkLoad(int64(len(keys)), fill, func(leaf *bnode, i, end int64) {
+		leaf.keys = make([]int64, end-i)
+		leaf.rids = make([]RID, end-i)
 		copy(leaf.keys, keys[i:end])
 		for j, k := range leaf.keys {
 			leaf.rids[j] = rid(k)
 		}
-		return leaf
 	})
 }
 
 // BulkLoadRange bulk-loads the dense key range [0, n) — the common case of
-// loading a freshly partitioned table — as dense leaves (see BTree): one
-// node per leaf and no key or RID arrays, where a 240K-row partition would
-// otherwise allocate, fill and then miss on megabytes of sequential keys per
-// instance. rid must be a pure function of the key; the tree keeps it and
-// calls it whenever a dense leaf is probed, scanned or expanded.
+// loading a freshly partitioned table — as dense leaves (see BTree): one slab
+// of nodes per level and no key or RID arrays, where a 240K-row partition
+// would otherwise allocate, fill and then miss on megabytes of sequential
+// keys per instance. rid must be a pure function of the key; the tree keeps
+// it and calls it whenever a dense leaf is probed, scanned or expanded.
 func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
 	t.locate = rid
-	t.bulkLoad(n, fill, func(i, end int64) *bnode {
-		return &bnode{leaf: true, first: i, count: end - i}
+	t.bulkLoad(n, fill, func(leaf *bnode, i, end int64) {
+		leaf.first, leaf.count = i, end-i
 	})
 }
 
-// bulkLoad builds the tree over key positions [0, n); newLeaf makes the leaf
-// for positions [i, end).
-func (t *BTree) bulkLoad(n int64, fill float64, newLeaf func(i, end int64) *bnode) {
+// bulkLoad builds the tree over key positions [0, n); fillLeaf fills in the
+// leaf for positions [i, end).
+//
+// Each level is cut from slabs: the leaves are one array of nodes, and an
+// inner level is one array of nodes plus one backing array for all its
+// children and one for all its keys. A node's share of a backing array is a
+// full slice expression, so its cap equals its len as an exactly sized array
+// would: the first insert into it reallocates, and never writes into its
+// neighbour's share.
+func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, end int64)) {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
 	}
@@ -356,43 +361,40 @@ func (t *BTree) bulkLoad(n int64, fill float64, newLeaf func(i, end int64) *bnod
 		t.height = 1
 		return
 	}
-	leaves := make([]*bnode, 0, (n+per-1)/per)
-	for i := int64(0); i < n; i += per {
-		end := i + per
-		if end > n {
-			end = n
+	level := make([]bnode, (n+per-1)/per)
+	for j := range level {
+		leaf, i := &level[j], int64(j)*per
+		leaf.leaf = true
+		fillLeaf(leaf, i, min(i+per, n))
+		if j > 0 {
+			level[j-1].next = leaf
 		}
-		leaf := newLeaf(i, end)
-		if len(leaves) > 0 {
-			leaves[len(leaves)-1].next = leaf
-		}
-		leaves = append(leaves, leaf)
 	}
-	// Build inner levels.
-	level := leaves
+	// Build inner levels: parent p takes children [p*fan, (p+1)*fan) of the
+	// level below, and the keys of every child but its first, which precede
+	// it p*(fan-1) deep in the level's key array.
 	t.height = 1
 	fan := int(per) + 1
 	for len(level) > 1 {
-		parents := make([]*bnode, 0, (len(level)+fan-1)/fan)
-		for i := 0; i < len(level); i += fan {
-			end := i + fan
-			if end > len(level) {
-				end = len(level)
-			}
-			parent := &bnode{
-				children: make([]*bnode, end-i),
-				keys:     make([]int64, end-i-1),
-			}
-			copy(parent.children, level[i:end])
-			for j, c := range level[i+1 : end] {
+		parents := make([]bnode, (len(level)+fan-1)/fan)
+		children := make([]*bnode, len(level))
+		keys := make([]int64, len(level)-len(parents))
+		for j := range level {
+			children[j] = &level[j]
+		}
+		for p := range parents {
+			a, b := p*fan, min((p+1)*fan, len(level))
+			parent := &parents[p]
+			parent.children = children[a:b:b]
+			parent.keys = keys[a-p : b-p-1 : b-p-1]
+			for j, c := range parent.children[1:] {
 				parent.keys[j] = leftmostKey(c)
 			}
-			parents = append(parents, parent)
 		}
 		level = parents
 		t.height++
 	}
-	t.root = level[0]
+	t.root = &level[0]
 }
 
 func leftmostKey(n *bnode) int64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"islands/internal/exec"
 	"islands/internal/mem"
@@ -58,8 +59,9 @@ type rangeHit struct {
 // runBTreeScript interprets script as a tree geometry followed by operations
 // and applies every operation to a BulkLoadRange-built tree and to a
 // BulkLoad-built reference, failing on the first difference in results,
-// Size, Height, virtual time charged, memory statistics or invariants.
-func runBTreeScript(t testing.TB, script []byte) {
+// Size, Height, virtual time charged, memory statistics or invariants. It
+// returns the range-loaded tree as the script left it.
+func runBTreeScript(t testing.TB, script []byte) *BTree {
 	t.Helper()
 	next := func() int {
 		if len(script) == 0 {
@@ -73,10 +75,12 @@ func runBTreeScript(t testing.TB, script []byte) {
 	rows := int64(next()<<2 | next()&3) // 0..1023
 	fill := []float64{0.9, 0.5, 1}[next()%3]
 
+	var final *BTree
 	k := sim.NewKernel()
 	defer k.Close()
 	k.Spawn("script", func(p *sim.Proc) {
 		dense, ref := newTreeUnderTest(p, order), newTreeUnderTest(p, order)
+		final = dense.bt
 		dense.bt.BulkLoadRange(rows, ridFor, fill)
 		ref.bt.BulkLoad(genKeys(int(rows), func(i int) int64 { return int64(i) }), ridFor, fill)
 		leaves := dense.bt.denseLeaves()
@@ -180,6 +184,7 @@ func runBTreeScript(t testing.TB, script []byte) {
 		}
 	})
 	k.Run()
+	return final
 }
 
 // TestDenseLeavesMatchExplicitReference runs random scripts of every length
@@ -197,6 +202,146 @@ func TestDenseLeavesMatchExplicitReference(t *testing.T) {
 			}
 		}
 		runBTreeScript(t, script)
+	}
+}
+
+// levelWidths returns the number of nodes on each level, root first.
+func (t *BTree) levelWidths() []int {
+	var widths []int
+	for level := []*bnode{t.root}; len(level) > 0; {
+		widths = append(widths, len(level))
+		var below []*bnode
+		for _, n := range level {
+			below = append(below, n.children...)
+		}
+		level = below
+	}
+	return widths
+}
+
+// TestRangeLoadedTreeSplitsEveryInnerLevel fills every node of a range-loaded
+// tree, then inserts below its first key, so the first node of every level
+// splits, the root too; ascending appends and random inserts split the last
+// nodes and more. The inner nodes share their levels' slabs, so an append to
+// one that could grow into its neighbour's keys or children would corrupt
+// the neighbour, which CheckInvariants reports at that step.
+func TestRangeLoadedTreeSplitsEveryInnerLevel(t *testing.T) {
+	// Order 4 (fan 5), 500 rows, fill 1: 125 full leaves under three full
+	// inner levels.
+	const rows = 500
+	script := []byte{0, rows >> 2, rows & 3, 2}
+	script = append(script, 3, 0, 3) // insert key -1
+	for range 60 {
+		script = append(script, 6) // append the next key past everything
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		op := []byte{3, 4, 0, 7}[rng.Intn(4)] | byte(rng.Intn(2))<<7
+		script = append(script, op, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		if op&0x7f == 7 {
+			script = append(script, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+	}
+
+	fresh := NewBTree(4)
+	fresh.BulkLoadRange(rows, ridFor, 1)
+	before := fresh.levelWidths()
+	after := runBTreeScript(t, script).levelWidths()
+	if len(after) <= len(before) {
+		t.Fatalf("levels %v -> %v: the root did not split", before, after)
+	}
+	for i, w := range before[1 : len(before)-1] {
+		if got := after[i+2]; got <= w {
+			t.Errorf("inner level %d of %v: %d nodes -> %d, no split", i+1, before, w, got)
+		}
+	}
+}
+
+// TestRangeLoadedInnerNodesHaveExactCapacity: every inner node's share of its
+// level's key and child arrays ends where its len does, so its first insert
+// reallocates instead of growing into its neighbour's share.
+func TestRangeLoadedInnerNodesHaveExactCapacity(t *testing.T) {
+	for _, c := range []struct {
+		order int
+		rows  int64
+		fill  float64
+	}{{4, 500, 1}, {4, 1023, 0.9}, {8, 700, 0.5}, {DefaultBTreeOrder, 100000, 0.9}} {
+		bt := NewBTree(c.order)
+		bt.BulkLoadRange(c.rows, ridFor, c.fill)
+		inner := 0
+		var walk func(n *bnode)
+		walk = func(n *bnode) {
+			if n.leaf {
+				return
+			}
+			inner++
+			if cap(n.keys) != len(n.keys) || cap(n.children) != len(n.children) {
+				t.Fatalf("%+v: inner node with %d/%d keys and %d/%d children (len/cap)",
+					c, len(n.keys), cap(n.keys), len(n.children), cap(n.children))
+			}
+			for _, ch := range n.children {
+				walk(ch)
+			}
+		}
+		walk(bt.root)
+		if bt.Height() < 3 || inner < 2 {
+			t.Fatalf("%+v: height %d, %d inner nodes; want at least two inner levels", c, bt.Height(), inner)
+		}
+	}
+}
+
+// TestBNodeProbeFieldsShareOneHostLine: a node is a whole number of 64-byte
+// host cache lines, and the fields a probe reads (line, leaf, count, first)
+// lie within 48 bytes of its start, so in a slab whose start is 16-byte
+// aligned within a line — a large slab starts on a page, a small one after
+// at most its 8-byte header — every node's probe fields share one line.
+func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
+	var n bnode
+	if size := unsafe.Sizeof(n); size%64 != 0 {
+		t.Fatalf("bnode is %d bytes, not a multiple of 64", size)
+	}
+	if end := unsafe.Offsetof(n.first) + unsafe.Sizeof(n.first); end > 48 {
+		t.Fatalf("a probe reads bnode's first %d bytes, want <= 48", end)
+	}
+	for _, rows := range []int64{100, 1000, 100000} {
+		bt := NewBTree(DefaultBTreeOrder)
+		bt.BulkLoadRange(rows, ridFor, 0.9)
+		for leaf := bt.root; leaf != nil; leaf = leaf.next {
+			for !leaf.leaf {
+				leaf = leaf.children[0]
+			}
+			if at := uintptr(unsafe.Pointer(leaf)) % 64; at+48 > 64 {
+				t.Fatalf("%d rows: a leaf starts %d bytes into a host line; its probe fields span two", rows, at)
+			}
+		}
+	}
+}
+
+// TestFirstInsertPastRangeAllocatesTwice: the insert that expands a dense
+// leaf allocates its key and RID arrays once, with room to grow to a split,
+// so appending the first key past a range-loaded tree costs two objects.
+func TestFirstInsertPastRangeAllocatesTwice(t *testing.T) {
+	const rows, runs = 1000, 20
+	trees := make([]*BTree, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range trees {
+		trees[i] = NewBTree(DefaultBTreeOrder)
+		trees[i].BulkLoadRange(rows, ridFor, 0.9)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		bt := trees[next]
+		next++
+		if !bt.Insert(nil, rows, ridFor(rows)) {
+			t.Fatal("append reported an existing key")
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("first insert past the range allocates %v objects, want 2", allocs)
+	}
+	for _, bt := range trees {
+		if msg := bt.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
 	}
 }
 
@@ -311,19 +456,14 @@ func BenchmarkBTreeSearchDense(b *testing.B) {
 	})
 }
 
-// BenchmarkBulkLoadRange loads the same index; allocs/leaf is the number to
-// watch — one node per leaf and no arrays (plus the inner levels' share).
+// BenchmarkBulkLoadRange loads the same index; allocs/op is the number to
+// watch (CI gates it at 12): one slab of nodes per level, one key and one
+// child array per inner level, and no key or RID arrays in the leaves,
+// however many leaves there are.
 func BenchmarkBulkLoadRange(b *testing.B) {
 	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 100000}
-	fill := 0.9
-	per := int64(float64(DefaultBTreeOrder) * fill)
-	leaves := (tab.NumRows + per - 1) / per
-	load := func() { NewBTree(DefaultBTreeOrder).BulkLoadRange(tab.NumRows, tab.Locate, fill) }
-	allocs := testing.AllocsPerRun(3, load)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		load()
+		NewBTree(DefaultBTreeOrder).BulkLoadRange(tab.NumRows, tab.Locate, 0.9)
 	}
-	b.ReportMetric(allocs/float64(leaves), "allocs/leaf")
 }
