@@ -91,6 +91,19 @@ func wantPanic(t *testing.T, what, msg string, fn func()) {
 	fn()
 }
 
+// TestDeploymentRefusesWideMachine: a machine with more sockets than a
+// mem.Line's sharer mask tracks would deploy with broken coherence — a core
+// past socket 15 re-reading a line it holds clean would pay a cross-socket
+// fetch every time. The deployment refuses it by name before building
+// anything.
+func TestDeploymentRefusesWideMachine(t *testing.T) {
+	m := topology.Custom("wide", 32, 1, 12<<20)
+	cfg := DefaultConfig(m, 32, 32000)
+	cfg.LocalOnly = true
+	wantPanic(t, "NewDeployment", "mem: machine wide has 32 sockets; a line's sharer mask tracks at most 16",
+		func() { NewDeployment(cfg).Close() })
+}
+
 func TestDeploymentShapes(t *testing.T) {
 	m := topology.QuadSocket()
 	for _, n := range []int{1, 4, 24} {

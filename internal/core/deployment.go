@@ -205,15 +205,16 @@ func newDeployment(cfg Config, partitioned bool) *Deployment {
 	for _, t := range cfg.Tables {
 		rows[t.ID] = t.Rows
 	}
-	// Refuse an unpartitionable table before anything is built.
+	// Refuse an unpartitionable table, and a machine wider than the memory
+	// model supports, before anything is built.
 	part := NewRangePartitioner(n, rows)
+	model := mem.NewModel(cfg.Machine)
 
 	k := sim.NewKernel()
 	if partitioned && partitionable(cfg, parts) {
 		k = sim.NewShardedMatrix(crossWireMatrix(cfg, parts))
 		k.SetWorkers(cfg.Shards)
 	}
-	model := mem.NewModel(cfg.Machine)
 	net := ipc.NewNetwork[engine.Msg](k, cfg.Machine, cfg.Mechanism)
 	net.AttachModel(model)
 

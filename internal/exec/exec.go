@@ -146,6 +146,10 @@ func (c *Ctx) Deschedule() {
 // Scheduled reports whether the thread currently holds its core.
 func (c *Ctx) Scheduled() bool { return c.CPU == nil || c.scheduled }
 
+// Every charge below bumps the clock through sim.Proc.TryAdvance, inlined
+// here, and falls back to Advance only when something on the shard is due
+// first: the uncontended access costs one compare, not a call.
+
 // Charge consumes d of virtual CPU time (compute, no memory-line stall).
 // The wall time is d times the context's dilation factor.
 func (c *Ctx) Charge(d sim.Time) {
@@ -157,35 +161,45 @@ func (c *Ctx) Charge(d sim.Time) {
 		actual = sim.Time(float64(d) * c.Dilation)
 	}
 	c.Mem.ComputeDilated(c.Core, d, actual)
-	c.P.Advance(actual)
+	if !c.P.TryAdvance(actual) {
+		c.P.Advance(actual)
+	}
 	c.bill(actual)
 }
 
 // ReadLine charges a coherent read of tracked line l.
 func (c *Ctx) ReadLine(l *mem.Line) {
 	d := c.Mem.Read(c.Core, l)
-	c.P.Advance(d)
+	if !c.P.TryAdvance(d) {
+		c.P.Advance(d)
+	}
 	c.bill(d)
 }
 
 // WriteLine charges a coherent write of tracked line l.
 func (c *Ctx) WriteLine(l *mem.Line) {
 	d := c.Mem.Write(c.Core, l)
-	c.P.Advance(d)
+	if !c.P.TryAdvance(d) {
+		c.P.Advance(d)
+	}
 	c.bill(d)
 }
 
 // ReadData charges a bulk read of n bytes from working set ws.
 func (c *Ctx) ReadData(ws *mem.WorkingSet, n int) {
 	d := c.Mem.DataRead(c.Core, ws, n)
-	c.P.Advance(d)
+	if !c.P.TryAdvance(d) {
+		c.P.Advance(d)
+	}
 	c.bill(d)
 }
 
 // WriteData charges a bulk write of n bytes to working set ws.
 func (c *Ctx) WriteData(ws *mem.WorkingSet, n int) {
 	d := c.Mem.DataWrite(c.Core, ws, n)
-	c.P.Advance(d)
+	if !c.P.TryAdvance(d) {
+		c.P.Advance(d)
+	}
 	c.bill(d)
 }
 
@@ -196,7 +210,9 @@ func (c *Ctx) Stall(d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	c.P.Advance(d)
+	if !c.P.TryAdvance(d) {
+		c.P.Advance(d)
+	}
 	c.bill(d)
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"islands/internal/mem"
 	"islands/internal/topology"
 )
 
@@ -27,9 +28,9 @@ func ParseGeometry(s string) (Geometry, error) {
 	if err1 != nil || err2 != nil || err3 != nil || sockets <= 0 || cores <= 0 || llcMB <= 0 {
 		return Geometry{}, fmt.Errorf("geometry %q: want positive integers sockets:coresPerSocket:LLC-MB", s)
 	}
-	if sockets > maxModelSockets {
+	if sockets > mem.MaxSockets {
 		return Geometry{}, fmt.Errorf("geometry %q has %d sockets; the MESI model's sharer mask supports at most %d",
-			s, sockets, maxModelSockets)
+			s, sockets, mem.MaxSockets)
 	}
 	g := Geometry{
 		Sockets:        sockets,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"islands/internal/mem"
 	"islands/internal/resultstore"
 	"islands/internal/topology"
 )
@@ -243,12 +244,12 @@ type Geometry struct {
 // returns a new value: cells must not share a *topology.Machine. Invalid
 // knobs panic rather than run: a mismatched fabric, a latency scale that is
 // not finite or lies outside 0.001..1e6, or a machine wider than the memory
-// model's 16-socket sharer mask would silently invalidate every number the
-// sweep produces.
+// model's sharer mask (mem.MaxSockets) would silently invalidate every
+// number the sweep produces.
 func (g Geometry) Machine() *topology.Machine {
-	if g.Sockets > maxModelSockets {
+	if g.Sockets > mem.MaxSockets {
 		panic(fmt.Sprintf("harness: geometry %s has %d sockets; the MESI model's sharer mask supports at most %d",
-			g.Label(), g.Sockets, maxModelSockets))
+			g.Label(), g.Sockets, mem.MaxSockets))
 	}
 	if s := g.LatencyScale; s != 0 && !validLatencyScale(s) {
 		panic(fmt.Sprintf("harness: geometry %s has latency scale %v; want 0 (unscaled) or %g..%g",
@@ -265,11 +266,6 @@ func (g Geometry) Machine() *topology.Machine {
 	m.LatencyScale = g.LatencyScale
 	return m
 }
-
-// maxModelSockets is the widest machine the memory model supports: a
-// mem.Line tracks its sharing sockets in a uint16 mask, so sockets 16 and
-// up would silently fall out of coherence accounting.
-const maxModelSockets = 16
 
 // Label returns the geometry's display name: Name, or a default that
 // encodes every swept knob ("16s4c12M") so geometries differing only in

@@ -17,6 +17,32 @@ type WorkingSet struct {
 	Cores       []topology.CoreID // cores the instance runs on
 	spanCache   int               // memoized SocketsSpanned
 	topo        *topology.Machine // memo owner
+
+	// blend holds, per accessing socket, the expected cost of one line
+	// under this working set, built by the Model named in blendKey from the
+	// fields the key records. The fields are exported and an instance hands
+	// out a pointer to its working set, so every access compares the key
+	// and rebuilds the blend when any of them has changed.
+	blendKey blendKey
+	blend    [MaxSockets]dataBlend
+}
+
+// blendKey is what a WorkingSet's blend is derived from. Cores enters
+// through the span memo, which is keyed on the machine, as it always was.
+type blendKey struct {
+	m           *Model
+	bytes       int64
+	home        topology.SocketID
+	interleaved bool
+}
+
+// dataBlend is one socket's share of the capacity model: the probability a
+// line is LLC-resident, the fraction of DRAM misses served by a remote bank,
+// and the expected latency of one line.
+type dataBlend struct {
+	pHit       float64
+	remoteFrac float64
+	perLine    float64
 }
 
 // span returns (and caches) the number of sockets the instance spans.
@@ -49,6 +75,8 @@ func (m *Model) llcHitProb(ws *WorkingSet) float64 {
 // working set ws and returns the expected latency. The cost blends LLC and
 // DRAM according to residency probability; DRAM cost accounts for NUMA
 // placement (local bank for islands, interleaved for spanning instances).
+// The blend is built once per working set and model (blendData), so an
+// access is a table read and three multiplications.
 func (m *Model) DataRead(c topology.CoreID, ws *WorkingSet, bytes int) sim.Time {
 	return m.dataAccess(c, ws, bytes)
 }
@@ -64,39 +92,55 @@ func (m *Model) dataAccess(c topology.CoreID, ws *WorkingSet, bytes int) sim.Tim
 	if bytes <= 0 {
 		return 0
 	}
-	topo := m.Topo
+	if ws.blendKey != (blendKey{m, ws.Bytes, ws.HomeSocket, ws.Interleaved}) {
+		m.blendData(ws)
+	}
+	b := &ws.blend[m.socketOf[c]]
 	st := &m.PerCore[c]
 	lines := (bytes + lineBytes - 1) / lineBytes
-	pHit := m.llcHitProb(ws)
-
-	// DRAM side: local vs remote depends on the instance's memory policy.
-	s := topo.SocketOf(c)
-	var dram sim.Time
-	var remoteFrac float64
-	if ws.Interleaved {
-		span := ws.span(topo)
-		remoteFrac = float64(span-1) / float64(span)
-		dram = sim.Time(float64(topo.Lat.DRAMLocal)*(1-remoteFrac) +
-			float64(topo.Lat.DRAMRemoteBase)*remoteFrac)
-	} else if ws.HomeSocket == s {
-		dram = topo.Lat.DRAMLocal
-	} else {
-		dram = topo.DRAMCost(c, ws.HomeSocket)
-		remoteFrac = 1
-	}
-
-	perLine := float64(topo.Lat.LLC)*pHit + float64(dram)*(1-pHit)
-	total := sim.Time(perLine * float64(lines))
+	total := sim.Time(b.perLine * float64(lines))
 
 	st.Accesses += uint64(lines)
 	st.StallTime += total
-	hitLines := uint64(pHit * float64(lines))
+	hitLines := uint64(b.pHit * float64(lines))
 	missLines := uint64(lines) - hitLines
 	st.LLCHits += hitLines
 	st.IMCBytes += missLines * lineBytes
-	remoteLines := uint64(float64(missLines) * remoteFrac)
+	remoteLines := uint64(float64(missLines) * b.remoteFrac)
 	st.DRAMRemote += remoteLines
 	st.DRAMLocal += missLines - remoteLines
 	st.QPIBytes += remoteLines * lineBytes
 	return total
+}
+
+// blendData builds ws's per-socket blend for this model: the LLC residency
+// probability and, by the instance's memory policy, the DRAM cost of a miss
+// (interleaved across the spanned sockets, or the local or remote home
+// bank) blended into one expected per-line latency. Each product is rounded
+// by an explicit conversion, so no compiler may fuse a multiply-add here
+// and the blend stays bit-equal to the per-access arithmetic it replaced.
+func (m *Model) blendData(ws *WorkingSet) {
+	topo := m.Topo
+	pHit := m.llcHitProb(ws)
+	for s := 0; s < m.sockets; s++ {
+		var dram sim.Time
+		var remoteFrac float64
+		if ws.Interleaved {
+			span := ws.span(topo)
+			remoteFrac = float64(span-1) / float64(span)
+			dram = sim.Time(float64(float64(topo.Lat.DRAMLocal)*(1-remoteFrac)) +
+				float64(float64(topo.Lat.DRAMRemoteBase)*remoteFrac))
+		} else if ws.HomeSocket == topology.SocketID(s) {
+			dram = topo.Lat.DRAMLocal
+		} else {
+			dram = topo.DRAMCost(topology.CoreID(s*topo.CoresPerSocket), ws.HomeSocket)
+			remoteFrac = 1
+		}
+		ws.blend[s] = dataBlend{
+			pHit:       pHit,
+			remoteFrac: remoteFrac,
+			perLine:    float64(float64(topo.Lat.LLC)*pHit) + float64(float64(dram)*(1-pHit)),
+		}
+	}
+	ws.blendKey = blendKey{m, ws.Bytes, ws.HomeSocket, ws.Interleaved}
 }

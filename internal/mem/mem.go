@@ -12,6 +12,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"islands/internal/sim"
 	"islands/internal/topology"
 )
@@ -22,7 +24,7 @@ import (
 type Line struct {
 	lastWriter topology.CoreID // most recent writer, -1 if clean
 	home       topology.SocketID
-	sharers    uint16 // bitmask of sockets with a clean copy
+	sharers    uint16 // bitmask of sockets with a clean copy: MaxSockets bits
 	touched    bool
 	dirty      bool
 }
@@ -84,6 +86,12 @@ func (s *Stats) merge(o Stats, sign int64) {
 
 const lineBytes = 64
 
+// MaxSockets is the widest machine the model supports: a Line tracks the
+// sockets holding a clean copy in a 16-bit mask, so a socket numbered 16 or
+// higher would silently fall out of coherence accounting. NewModel refuses
+// wider machines.
+const MaxSockets = 16
+
 // Model is the machine-wide memory model. One Model exists per simulated
 // machine; all database instances deployed on that machine share it, exactly
 // as they share the physical caches.
@@ -107,8 +115,13 @@ type Model struct {
 }
 
 // NewModel returns a Model for machine m with zeroed statistics and the
-// machine's cost tables prebuilt.
+// machine's cost tables prebuilt. It panics, naming the machine, if m has
+// more than MaxSockets sockets.
 func NewModel(m *topology.Machine) *Model {
+	if m.SocketCount > MaxSockets {
+		panic(fmt.Sprintf("mem: machine %s has %d sockets; a line's sharer mask tracks at most %d",
+			m.Name, m.SocketCount, MaxSockets))
+	}
 	return &Model{
 		Topo:     m,
 		PerCore:  make([]Stats, m.NumCores()),
@@ -160,7 +173,19 @@ func (m *Model) ComputeDilated(c topology.CoreID, instr, actual sim.Time) {
 }
 
 // Read charges core c for reading line l and returns the access latency.
+//
+// A read of a line c's socket already holds — dirty in c's own cache, or
+// clean in the socket's LLC — changes no coherence state (a dirty line's
+// only sharer is its writer's socket), so it is billed without classifying:
+// the uncontended common case.
 func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
+	if l.dirty {
+		if l.lastWriter == c {
+			return m.hit(c, m.Topo.Lat.L1, hitL1)
+		}
+	} else if l.sharers&(1<<uint(m.socketOf[c])) != 0 {
+		return m.hit(c, m.Topo.Lat.LLC, hitLLC)
+	}
 	st := &m.PerCore[c]
 	st.Accesses++
 	lat, kind := m.classify(c, l, false)
@@ -183,8 +208,12 @@ func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
 }
 
 // Write charges core c for writing line l (read-for-ownership plus
-// invalidation) and returns the access latency.
+// invalidation) and returns the access latency. Rewriting a line c holds
+// dirty changes no coherence state and is billed without classifying.
 func (m *Model) Write(c topology.CoreID, l *Line) sim.Time {
+	if l.dirty && l.lastWriter == c {
+		return m.hit(c, m.Topo.Lat.L1, hitL1)
+	}
 	st := &m.PerCore[c]
 	st.Accesses++
 	lat, kind := m.classify(c, l, true)
@@ -197,6 +226,14 @@ func (m *Model) Write(c topology.CoreID, l *Line) sim.Time {
 	l.dirty = true
 	l.lastWriter = c
 	l.sharers = 1 << uint(s)
+	return lat
+}
+
+// hit bills core c one access of latency lat that leaves the line as it is.
+func (m *Model) hit(c topology.CoreID, lat sim.Time, kind accessKind) sim.Time {
+	st := &m.PerCore[c]
+	st.Accesses++
+	m.bill(st, lat, kind)
 	return lat
 }
 
@@ -268,7 +305,7 @@ func (l *Line) anySharerSocket() int {
 	if l.sharers == 0 {
 		return -1
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < MaxSockets; i++ {
 		if l.sharers&(1<<uint(i)) != 0 {
 			return i
 		}

@@ -52,21 +52,21 @@ func (d *Domain) Now() Time { return d.sh.now }
 // the kernel is idle).
 func (d *Domain) After(dur Time, fn func()) {
 	d.seq++
-	d.sh.heap.push(event{at: d.sh.clamp(d.sh.now + dur), dom: d.id, seq: d.seq, fn: fn})
+	d.sh.push(event{at: d.sh.clamp(d.sh.now + dur), dom: d.id, seq: d.seq, fn: fn})
 }
 
 // schedProc schedules a proc wakeup keyed by the proc's own domain.
 func schedProc(at Time, p *Proc) {
 	d := p.dom
 	d.seq++
-	d.sh.heap.push(event{at: d.sh.clamp(at), dom: d.id, seq: d.seq, proc: p})
+	d.sh.push(event{at: d.sh.clamp(at), dom: d.id, seq: d.seq, proc: p})
 }
 
 // scheduleArg schedules a pre-bound (fn, arg) callback keyed by src, into
 // src's own shard.
 func (d *Domain) scheduleArg(at Time, fn func(uint32), arg uint32) {
 	d.seq++
-	d.sh.heap.push(event{at: d.sh.clamp(at), dom: d.id, seq: d.seq, fnArg: fn, arg: arg})
+	d.sh.push(event{at: d.sh.clamp(at), dom: d.id, seq: d.seq, fnArg: fn, arg: arg})
 }
 
 // Spawn creates a Proc owned by this domain that begins running fn at the

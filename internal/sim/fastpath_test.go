@@ -62,8 +62,10 @@ func TestInlineCallbackExecution(t *testing.T) {
 
 // TestStepAndRunEquivalence verifies that single-stepping (which disables
 // the inline fast path) and Run (which uses it) produce identical traces and
-// identical Events() counts.
+// identical Events() counts, and that the cached fast-path limit holds after
+// every step of either.
 func TestStepAndRunEquivalence(t *testing.T) {
+	var w fastWatch
 	script := func(k *Kernel) *[]string {
 		var trace []string
 		q := NewQueue[int](k)
@@ -71,12 +73,18 @@ func TestStepAndRunEquivalence(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			i := i
 			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				sh := p.dom.sh
 				for s := 0; s < 5; s++ {
 					p.Advance(Time(3*i + s))
+					w.check(sh)
 					mu.Lock(p)
+					w.check(sh)
 					p.Advance(2)
+					w.check(sh)
 					mu.Unlock(p)
+					w.check(sh)
 					q.Push(10*i + s)
+					w.check(sh)
 					if v, ok := q.TryPop(); ok {
 						trace = append(trace, fmt.Sprintf("pop%d@%d", v, p.Now()))
 					}
@@ -96,7 +104,10 @@ func TestStepAndRunEquivalence(t *testing.T) {
 	defer k2.Close()
 	t2 := script(k2)
 	for k2.Step() {
+		w.checkAll(k2)
 	}
+	w.checkAll(k1)
+	w.verdict(t, "Run and Step")
 
 	if !reflect.DeepEqual(*t1, *t2) {
 		t.Errorf("Run trace %v != Step trace %v", *t1, *t2)

@@ -138,7 +138,20 @@ type shard struct {
 	k  *Kernel
 	id int
 
+	// now, fast and nEvents are what Proc.TryAdvance reads and writes; they
+	// sit together at the front so the common clock bump touches one host
+	// cache line.
 	now Time
+
+	// fast caches min(horizon, heap top's at - 1) (horizon alone when the
+	// heap is empty): the latest target a Proc can reach without anything
+	// due before it, so the common Advance is one compare against it. Every
+	// push goes through shard.push and every horizon assignment through
+	// setHorizon; every pop, replaceTop and Close is followed by setFast.
+	// (Those two heap calls stay direct, so replaceTop still inlines into
+	// Advance and a pop is one call deep, as before the cache.)
+	fast    Time
+	nEvents uint64
 
 	// horizon bounds the kernel-context fast path: a Proc may consume
 	// virtual time inline (without parking in the heap and handing control
@@ -148,8 +161,7 @@ type shard struct {
 	// exactly one event runs.
 	horizon Time
 
-	heap    timerHeap
-	nEvents uint64
+	heap timerHeap
 
 	// owner runs the event loop from its coroutine (see own), nil while the
 	// kernel does; handoff is a nested Proc's successor, passed back to the
@@ -171,6 +183,30 @@ type shard struct {
 	panicked any
 }
 
+// setFast recomputes the cached fast-path limit from the horizon and the
+// heap top.
+func (sh *shard) setFast() {
+	f := sh.horizon
+	if len(sh.heap.ev) > 0 && sh.heap.ev[0].at-1 < f {
+		f = sh.heap.ev[0].at - 1
+	}
+	sh.fast = f
+}
+
+// setHorizon pins the fast-path horizon.
+func (sh *shard) setHorizon(h Time) {
+	sh.horizon = h
+	sh.setFast()
+}
+
+// push inserts e into the heap. The top can only move earlier, to e.
+func (sh *shard) push(e event) {
+	sh.heap.push(e)
+	if e.at-1 < sh.fast {
+		sh.fast = e.at - 1
+	}
+}
+
 func (sh *shard) clamp(at Time) Time {
 	if at < sh.now {
 		return sh.now
@@ -184,6 +220,7 @@ func (sh *shard) step() bool {
 		return false
 	}
 	e := sh.heap.pop()
+	sh.setFast()
 	sh.now = e.at
 	sh.nEvents++
 	sh.dispatch(&e)
@@ -225,6 +262,7 @@ func (sh *shard) own(p, next *Proc) {
 			continue
 		}
 		e := sh.heap.pop()
+		sh.setFast()
 		sh.now = e.at
 		sh.nEvents++
 		if next = e.proc; next == nil {
@@ -345,7 +383,7 @@ func NewShardedMatrix(la [][]Time) *Kernel {
 	k := &Kernel{}
 	k.shards = make([]*shard, n)
 	for i := range k.shards {
-		k.shards[i] = &shard{k: k, id: i, horizon: noHorizon}
+		k.shards[i] = &shard{k: k, id: i, horizon: noHorizon, fast: noHorizon}
 	}
 	k.domains = []*Domain{{sh: k.shards[0], id: 0}}
 	k.laPair = make([]Time, n*n)
@@ -513,7 +551,7 @@ func (k *Kernel) Step() bool {
 	if best == nil {
 		return false
 	}
-	best.horizon = noHorizon
+	best.setHorizon(noHorizon)
 	return best.step()
 }
 
@@ -557,6 +595,7 @@ func (k *Kernel) Close() {
 	for _, sh := range k.shards {
 		sh.heap.ev = nil
 		sh.inbox = nil
+		sh.setFast()
 	}
 }
 

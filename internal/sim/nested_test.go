@@ -14,6 +14,7 @@ type nestRun struct {
 	clocks []Time // every partition's final clock
 	live   int
 	nested uint64 // procs resumed by a loop owner, summed over partitions
+	fast   string // the first break of a partition's fast-path limit
 }
 
 // nestScript runs a seeded random script with procs[i] procs on partition i
@@ -23,6 +24,8 @@ type nestRun struct {
 // its partition's Queue (or sends to another partition's), parks on a gate
 // that procs and After callbacks Unpark, schedules callbacks, and may exit
 // early. Each partition keeps its own trace, so two workers never share one.
+// After every proc step, callback and Step, the partition's cached fast-path
+// limit is checked against its definition.
 func nestScript(seed int64, procs []int, drive string) nestRun {
 	n := len(procs)
 	la := make([][]Time, n)
@@ -44,6 +47,7 @@ func nestScript(seed int64, procs []int, drive string) nestRun {
 	mus := make([]Mutex, n)
 	gates := make([][]*Proc, n)
 	traces := make([][]string, n)
+	var w fastWatch
 	for i := range doms {
 		doms[i] = k.NewDomain(i)
 		queues[i] = NewQueueIn[int](doms[i])
@@ -63,6 +67,7 @@ func nestScript(seed int64, procs []int, drive string) nestRun {
 			d.Spawn(name, func(p *Proc) {
 				note := func(what string) {
 					traces[i] = append(traces[i], fmt.Sprintf("%s %s @%d", name, what, p.Now()))
+					w.check(d.sh)
 				}
 				for s := 0; s < 30; s++ {
 					switch rng.Intn(9) {
@@ -93,6 +98,7 @@ func nestScript(seed int64, procs []int, drive string) nestRun {
 						d.After(Time(rng.Intn(5)), func() {
 							traces[i] = append(traces[i], fmt.Sprintf("after from %s @%d", name, d.Now()))
 							poke(i)
+							w.check(d.sh)
 						})
 					case 8:
 						if rng.Intn(4) == 0 {
@@ -107,11 +113,13 @@ func nestScript(seed int64, procs []int, drive string) nestRun {
 	}
 	if drive == "step" {
 		for k.Step() {
+			w.checkAll(k)
 		}
 	} else {
 		k.Run()
 	}
-	r := nestRun{traces: traces, events: k.Events(), live: k.LiveProcs()}
+	w.checkAll(k)
+	r := nestRun{traces: traces, events: k.Events(), live: k.LiveProcs(), fast: w.first}
 	for _, sh := range k.shards {
 		r.clocks = append(r.clocks, sh.now)
 		r.nested += sh.nested
@@ -126,6 +134,8 @@ func nestScript(seed int64, procs []int, drive string) nestRun {
 // matrix kernel, give byte-identical traces, Events(), final clocks and live
 // procs under Run, Step alone (which never nests) and two workers, and Run
 // does nest; one proc per partition, the fine_local_read shape, never does.
+// Every partition's cached fast-path limit holds after every event of all
+// three.
 func TestNestedDispatchChangesNothing(t *testing.T) {
 	var nested uint64
 	for seed := int64(0); seed < 60; seed++ {
@@ -133,6 +143,9 @@ func TestNestedDispatchChangesNothing(t *testing.T) {
 		shapes := [][]int{{2 + rng.Intn(7)}, {1 + rng.Intn(3), 1 + rng.Intn(3), 1 + rng.Intn(3)}, {1, 1, 1}}
 		for _, procs := range shapes {
 			ref := nestScript(seed, procs, "run")
+			if ref.fast != "" {
+				t.Fatalf("seed %d, procs %v, run: %s", seed, procs, ref.fast)
+			}
 			for _, drive := range []string{"step", "workers"} {
 				got, want := nestScript(seed, procs, drive), ref
 				got.nested, want.nested = 0, 0 // only Run's count is asserted

@@ -97,7 +97,7 @@ func (k *Kernel) computeWindow(cap Time) {
 			}
 		}
 		if k.mins[i] <= lim {
-			sh.horizon = lim
+			sh.setHorizon(lim)
 			k.runnable = append(k.runnable, sh)
 		}
 	}
@@ -206,7 +206,7 @@ func (k *Kernel) drainInboxes() {
 	for _, sh := range k.shards {
 		sh.inMu.Lock()
 		for _, e := range sh.inbox {
-			sh.heap.push(e)
+			sh.push(e)
 		}
 		sh.inbox = sh.inbox[:0]
 		sh.inMu.Unlock()

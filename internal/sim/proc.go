@@ -114,8 +114,12 @@ func (p *Proc) yieldWait() {
 // wakeup. The advancing Proc temporarily is its shard's event loop, and
 // stays it (shard.own) when another Proc is due first; only past the
 // horizon does it park in the heap and hand control back to the kernel.
+// The commonest case of all, nothing due before the target, is TryAdvance.
 // Event order, timestamps, and Kernel.Events() are identical on every path.
 func (p *Proc) Advance(d Time) {
+	if p.TryAdvance(d) {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -144,6 +148,7 @@ func (p *Proc) Advance(d Time) {
 			if min.proc != nil {
 				// Another Proc runs first: take its slot for our wake.
 				succ := sh.heap.replaceTop(event{at: target, dom: dom.id, seq: seq, proc: p})
+				sh.setFast()
 				sh.now = succ.at
 				sh.nEvents++
 				if sh.owner == nil {
@@ -155,13 +160,34 @@ func (p *Proc) Advance(d Time) {
 				return
 			}
 			e := sh.heap.pop()
+			sh.setFast()
 			sh.now = e.at
 			sh.nEvents++
 			e.call()
 		}
 	}
-	sh.heap.push(event{at: target, dom: dom.id, seq: seq, proc: p})
+	sh.push(event{at: target, dom: dom.id, seq: seq, proc: p})
 	p.yieldWait()
+}
+
+// TryAdvance consumes d of virtual time if nothing on the Proc's shard is
+// due at or before now+d and the shard's run horizon covers it, and reports
+// whether it did; otherwise it changes nothing and the caller must Advance.
+// It is exactly Advance's fast path — the same sequence number, clock and
+// event count — in one compare against the shard's cached limit, and small
+// enough to inline into callers that charge virtual time on every access.
+// A negative d never takes it (Advance treats it as zero).
+func (p *Proc) TryAdvance(d Time) bool {
+	dom := p.dom
+	sh := dom.sh
+	target := sh.now + d
+	if d < 0 || target > sh.fast {
+		return false
+	}
+	dom.seq++ // our elided wake event's key
+	sh.now = target
+	sh.nEvents++
+	return true
 }
 
 // Yield reschedules the Proc at the current time, letting other ready Procs

@@ -249,6 +249,7 @@ func foldFloors(f [][]Time, shards int) [][]Time {
 type scriptRun struct {
 	traces          [][]string // per domain: sends and receives, with timestamps
 	events, windows uint64
+	fast            string // the first break of a shard's fast-path limit
 }
 
 // messageScript runs a deterministic pseudo-random message-passing workload —
@@ -265,6 +266,7 @@ func messageScript(seed int64, f [][]Time, shards, workers, steps int) scriptRun
 	doms := make([]*Domain, nDoms)
 	queues := make([]*Queue[int], nDoms)
 	traces := make([][]string, nDoms)
+	var w fastWatch
 	for i := range doms {
 		doms[i] = k.NewDomain(i % shards)
 		queues[i] = NewQueueIn[int](doms[i])
@@ -274,11 +276,13 @@ func messageScript(seed int64, f [][]Time, shards, workers, steps int) scriptRun
 		d := doms[i]
 		queues[i].PopFunc(func(v int) {
 			traces[i] = append(traces[i], fmt.Sprintf("recv %d@%d", v, d.Now()))
+			w.check(d.sh)
 		})
 		rng := rand.New(rand.NewSource(seed + int64(i)))
 		d.Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
 			for s := 0; s < steps; s++ {
 				p.Advance(Time(rng.Intn(150)))
+				w.check(d.sh)
 				to := rng.Intn(nDoms)
 				// Delays respect the DOMAIN pair floor, which is >= the
 				// folded shard pair lookahead under every mapping;
@@ -290,17 +294,20 @@ func messageScript(seed int64, f [][]Time, shards, workers, steps int) scriptRun
 				msg := i*1_000_000 + s
 				queues[to].PushAfterFrom(d, dur, msg)
 				traces[i] = append(traces[i], fmt.Sprintf("sent %d->%d@%d", msg, to, p.Now()))
+				w.check(d.sh)
 			}
 		})
 	}
 	k.Run()
-	return scriptRun{traces, k.Events(), k.Windows()}
+	w.checkAll(k)
+	return scriptRun{traces, k.Events(), k.Windows(), w.first}
 }
 
 // layoutInvariant runs the script single-shard — the classic one-heap
 // kernel — and then, at every shard count given, inline (one worker) and
 // with 2 and 4 workers. Traces and Events() must be byte-equal everywhere;
-// Windows() depends on the shard layout but never on the worker count.
+// Windows() depends on the shard layout but never on the worker count; and
+// every shard's cached fast-path limit holds after every event.
 func layoutInvariant(t *testing.T, seed int64, f [][]Time, shardCounts []int, steps int) bool {
 	ref := messageScript(seed, f, 1, 1, steps)
 	for _, shards := range shardCounts {
@@ -309,6 +316,11 @@ func layoutInvariant(t *testing.T, seed int64, f [][]Time, shardCounts []int, st
 			got := inline
 			if workers > 1 {
 				got = messageScript(seed, f, shards, workers, steps)
+			}
+			if got.fast != "" || ref.fast != "" {
+				t.Logf("seed %d, %d shards, %d workers: fast-path limit broken: %s%s",
+					seed, shards, workers, got.fast, ref.fast)
+				return false
 			}
 			if got.events != ref.events {
 				t.Logf("seed %d, %d shards, %d workers: Events() = %d, want %d",

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math/bits"
+
 	"islands/internal/exec"
 	"islands/internal/mem"
 	"islands/internal/sim"
@@ -130,36 +132,54 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 	return RID{}, false
 }
 
-// lowerBound returns the first index whose key is >= key. Hand-rolled
-// (rather than sort.Search) because index probes are the hottest storage
-// operation and the closure-based search dominates their profile.
+// lowerBound returns the first index whose key is >= key; childIndex returns
+// which child subtree of an inner node covers key: keys[i] is the smallest
+// key of children[i+1], so it is the first index whose key is > key.
+//
+// Both are branchless halving searches: each step keeps the lower or upper
+// half of the candidate range by adding half masked by a 0/1 compare, so the
+// only branches are the loop's, whose trip count follows len(keys), and a
+// probe pays no mispredicted compare at any level of the descent. The
+// compare is the borrow out of an unsigned subtraction of sign-flipped keys
+// (x ^ 1<<63 maps int64 order onto uint64 order), exact for every int64.
+// The results are those of the plain binary searches they replace, kept in
+// reference_test.go.
 func lowerBound(keys []int64, key int64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(keys)
+	if n == 0 {
+		return 0
 	}
-	return lo
+	k := uint64(key) ^ signBit
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		_, lt := bits.Sub64(uint64(keys[base+half-1])^signBit, k, 0) // keys[base+half-1] < key
+		base += half & -int(lt)
+		n -= half
+	}
+	_, lt := bits.Sub64(uint64(keys[base])^signBit, k, 0)
+	return base + int(lt)
 }
 
-// childIndex returns which child subtree of an inner node covers key:
-// keys[i] is the smallest key of children[i+1] (first index with key > k).
 func childIndex(keys []int64, key int64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(keys)
+	if n == 0 {
+		return 0
 	}
-	return lo
+	k := uint64(key) ^ signBit
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		_, gt := bits.Sub64(k, uint64(keys[base+half-1])^signBit, 0) // key < keys[base+half-1]
+		base += half & int(gt-1)
+		n -= half
+	}
+	_, gt := bits.Sub64(k, uint64(keys[base])^signBit, 0)
+	return base + int(gt^1)
 }
+
+// signBit flips an int64's sign so unsigned order is signed order.
+const signBit = 1 << 63
 
 // Insert adds or replaces the mapping for key. It reports whether the key
 // was new.
