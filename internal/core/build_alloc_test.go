@@ -23,8 +23,8 @@ func TestBuildAllocationsDoNotScaleWithRows(t *testing.T) {
 	build := func(rows int64) (tables int, mallocs uint64) {
 		cfg := DefaultConfig(topology.QuadSocket(), islands, rows)
 		cfg.LocalOnly = true
-		// The first build fills the process's page-chunk pool; count the
-		// second.
+		// The first build fills the process's free list of Page-struct
+		// slabs; count the second.
 		NewDeployment(cfg).Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

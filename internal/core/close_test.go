@@ -18,7 +18,7 @@ func closeCell(seed int64, shards int) string {
 	cfg := DefaultConfig(topology.QuadSocket(), 4, 24000)
 	cfg.Seed = seed
 	cfg.Shards = shards
-	cfg.BufferPoolPagesTotal = 256 // evictions: recycled buffers and retained images
+	cfg.BufferPoolPagesTotal = 256 // evictions: reused Page structs and retained arrays
 	d := NewDeployment(cfg)
 	defer d.Close()
 	d.Start(workload.NewMicro(workload.MicroConfig{
@@ -34,11 +34,12 @@ func closeCell(seed int64, shards int) string {
 }
 
 // TestConcurrentDeploymentsShareThePool: deployments built, run and closed
-// on several goroutines at once take their page chunks from one pool and
-// hand them to each other; none may see another's bytes (every digest equals
-// the sequential inline run's), and under -race the pool hand-off must be
-// ordered. Odd rounds run on four kernel workers, so the pool also serves
-// deployments whose windows run on helper goroutines.
+// on several goroutines at once hand their buffer pools' Page-struct slabs
+// to each other through one free list, and share nothing else of their
+// storage; none may see another's pages (every digest equals the sequential
+// inline run's), and under -race the hand-off must be ordered. Odd rounds
+// run on four kernel workers, so the free list also serves deployments
+// whose windows run on helper goroutines.
 func TestConcurrentDeploymentsShareThePool(t *testing.T) {
 	const cells, rounds = 4, 3
 	want := make([]string, cells)
@@ -60,8 +61,8 @@ func TestConcurrentDeploymentsShareThePool(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStorageUseAfterClosePanics: Close hands the page memory to the next
-// deployment, so a late read must fail loudly instead of seeing its bytes.
+// TestStorageUseAfterClosePanics: Close hands the Page structs to the next
+// deployment, so a late read must fail loudly instead of seeing them.
 func TestStorageUseAfterClosePanics(t *testing.T) {
 	d := NewDeployment(DefaultConfig(topology.QuadSocket(), 2, 2400))
 	d.Start(workload.NewMicro(workload.MicroConfig{Table: 1, GlobalRows: 2400, RowsPerTxn: 2, Write: true, Seed: 1}, d.Part))

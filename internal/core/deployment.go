@@ -476,7 +476,7 @@ func (d *Deployment) Start(src engine.RequestSource) {
 }
 
 // Close tears down the simulation: it kills all threads, then — nothing can
-// touch a page any more — releases every instance's page memory for the next
+// touch a page any more — hands every instance's Page structs to the next
 // deployment to reuse. The instances' storage is unusable afterwards; read
 // whatever you need (buffer-pool counters, SumRowVersions) before closing.
 // Closing twice is harmless.

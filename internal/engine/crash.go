@@ -84,10 +84,10 @@ func (in *Instance) Restore() sim.Time {
 
 	// Fresh storage, freshly loaded tables — the same bring-up as
 	// NewInstance. The buffer pool starts cold: the post-recovery cache-miss
-	// burst is part of the measured recovery dip. The crashed store is
-	// dropped, not Released: threads of the dead epoch may still hold its
-	// pages until they notice the epoch change, so its chunks must not
-	// reach another store — the garbage collector takes them.
+	// burst is part of the measured recovery dip. The crashed pool and store
+	// are dropped, not closed: threads of the dead epoch may still hold their
+	// pages until they notice the epoch change, so the pool's Page structs
+	// must not reach another pool — the garbage collector takes them.
 	in.loadTables()
 	in.bp = storage.NewBufferPool(in.store, in.disk, in.bpPages)
 	in.locks = lock.NewManager(in.opts.Locking)

@@ -128,8 +128,7 @@ func TestUpdateActuallyUpdatesRow(t *testing.T) {
 		ts := ins[0].tables[1]
 		rid, _ := ts.idx.Search(ctx, 7)
 		pg := ins[0].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
-		if v := storage.RowVersion(row); v != 3 {
+		if v, _ := pg.Version(rid.Slot); v != 3 {
 			t.Errorf("row version = %d, want 3", v)
 		}
 		ins[0].bp.Unfix(ctx, pg, false)
@@ -261,9 +260,8 @@ func TestDistributedUpdateDurableOnBothSides(t *testing.T) {
 		tst := ins[1].tables[1]
 		rid, _ := tst.idx.Search(ctx, 5)
 		pg := ins[1].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
-		if storage.RowVersion(row) != 1 {
-			t.Errorf("remote row version = %d, want 1", storage.RowVersion(row))
+		if v, _ := pg.Version(rid.Slot); v != 1 {
+			t.Errorf("remote row version = %d, want 1", v)
 		}
 		ins[1].bp.Unfix(ctx, pg, false)
 	})
@@ -310,9 +308,8 @@ func TestConflictingUpdatesSerializeViaWaitDie(t *testing.T) {
 		tst := ins[0].tables[1]
 		rid, _ := tst.idx.Search(ctx, 42)
 		pg := ins[0].bp.Fix(ctx, rid.Page)
-		row, _ := pg.Get(rid.Slot)
 		// Snapshot version and commit count at the same virtual instant.
-		version := storage.RowVersion(row)
+		version, _ := pg.Version(rid.Slot)
 		committed := ins[0].Stats.Committed
 		ins[0].bp.Unfix(ctx, pg, false)
 		workers := uint64(len(ins[0].Cores))
@@ -380,9 +377,8 @@ func TestSumRowVersionsIsReadOnly(t *testing.T) {
 			pg = in.store.Fetch(id)
 		}
 		for s := 0; s < pg.NumSlots(); s++ {
-			if row, ok := pg.Get(uint16(s)); ok {
-				want += storage.RowVersion(row)
-			}
+			v, _ := pg.Version(uint16(s))
+			want += v
 		}
 	}
 	if got != want || got < in.Stats.RowsCommitted {
@@ -391,8 +387,10 @@ func TestSumRowVersionsIsReadOnly(t *testing.T) {
 }
 
 // TestRestoreKeepsCrashedStoreOutOfThePool: threads of the dead epoch may
-// still hold pages of the crashed store, so Restore must leave its chunks to
-// the garbage collector; only Close releases, and only the live store.
+// still hold pages of the crashed store and pool, so Restore builds new ones
+// and leaves the crashed ones, readable, to the garbage collector — the
+// crashed pool's Page structs never reach the slab free list; only Close
+// hands structs back, and only the live pool's.
 func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -409,7 +407,7 @@ func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
 	if in.store == crashed {
 		t.Fatal("Restore kept the crashed store")
 	}
-	if row, ok := held.Get(0); !ok || storage.RowKey(row) != 3*in.TableDef(1).RowsPerPage() {
+	if key, ok := held.Key(0); !ok || key != 3*in.TableDef(1).RowsPerPage() {
 		t.Error("page of the crashed store became unreadable after Restore")
 	}
 	if len(crashed.SortedTables()) != 1 {
@@ -518,8 +516,7 @@ func TestRestoreRebuildsIndexAndRedoesInserts(t *testing.T) {
 			continue // claimed by a transaction that did not commit
 		}
 		found++
-		row, ok := in.store.Fetch(rid.Page).Get(rid.Slot)
-		if !ok || storage.RowKey(row) != key {
+		if got, ok := in.store.Fetch(rid.Page).Key(rid.Slot); !ok || got != key {
 			t.Errorf("inserted key %d: index points at %v, which does not hold it", key, rid)
 		}
 	}

@@ -158,11 +158,6 @@ type Instance struct {
 	epoch       uint32
 	downWaiters []*sim.Proc
 
-	// scratch stages one row image for synchronous use (synthesize-then-
-	// insert); it must never be held across an operation that consumes
-	// virtual time.
-	scratch []byte
-
 	// coordFree is the free list of coordinator attempt scratches (see
 	// coordScratch in coordinator.go). One scratch per concurrently-live
 	// coordinator attempt; recycled, so the steady state allocates nothing.
@@ -170,21 +165,13 @@ type Instance struct {
 	coordCaps scratchCaps
 
 	// txnFree is the free list of finished attempts' Txns (see putTxn), so
-	// undo logs and image arenas are grown once per concurrently-live
-	// attempt, not once per attempt. A fresh Txn starts at the largest
-	// undo-log and arena capacities a recycled one has reached.
-	txnFree             *Txn
-	undoCap, undoBufCap int
+	// undo logs are grown once per concurrently-live attempt, not once per
+	// attempt. A fresh Txn starts at the largest undo-log capacity a
+	// recycled one has reached.
+	txnFree *Txn
+	undoCap int
 
 	Stats Stats
-}
-
-// rowScratch returns the instance's staging buffer, grown to n bytes.
-func (in *Instance) rowScratch(n int) []byte {
-	if cap(in.scratch) < n {
-		in.scratch = make([]byte, n)
-	}
-	return in.scratch[:n]
 }
 
 // NewInstance builds (and loads) an instance on the given cores.
@@ -346,16 +333,16 @@ func (in *Instance) SumRowVersions() uint64 {
 	return sum
 }
 
-// Close hands the instance's page memory back to the process-wide chunk
-// pool and drops the buffer pool and page store, so a later Fix, Peek or
-// SumRowVersions panics instead of reading memory another deployment now
-// owns. The caller guarantees no thread of the instance will run again
-// (core.Deployment.Close kills them first). Closing twice is harmless.
+// Close hands the buffer pool's Page structs to the next pool (see
+// storage.BufferPool.Close) and drops the pool and page store, so a later
+// Fix, Peek or SumRowVersions panics instead of reading a struct another
+// deployment now owns. The caller guarantees no thread of the instance will
+// run again (core.Deployment.Close kills them first). Closing twice is
+// harmless.
 func (in *Instance) Close() {
-	if in.store == nil {
-		return
+	if in.bp != nil {
+		in.bp.Close()
 	}
-	in.store.Release()
 	in.store, in.bp = nil, nil
 }
 

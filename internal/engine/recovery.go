@@ -19,8 +19,8 @@ type RecoveryReport struct {
 // Recover rebuilds the instance's data from its log: an ARIES-style
 // analysis pass determines transaction outcomes (local commits, distributed
 // commits, aborts; prepared-but-undecided transactions are losers whose
-// fate belongs to their coordinator), then a redo pass reapplies the
-// after-images of winner updates onto freshly synthesized storage.
+// fate belongs to their coordinator), then a redo pass sets the versions of
+// winner updates and inserts onto freshly synthesized storage.
 //
 // The instance must have been created with Options.Wal.Retain; Recover is
 // meant for a *fresh* replacement instance with the same table definitions
@@ -29,14 +29,19 @@ type RecoveryReport struct {
 func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 	var rep RecoveryReport
 
-	// Analysis: classify transaction outcomes.
+	// Analysis: classify transaction outcomes. A wait-die retry reuses its
+	// transaction's timestamp, so an abort record ends one attempt, not the
+	// transaction: the updates logged before it were rolled back whatever a
+	// later attempt decides.
 	outcome := make(map[uint64]wal.RecType)
-	for _, r := range records {
+	lastAbort := make(map[uint64]int)
+	for i, r := range records {
 		rep.Analyzed++
 		switch r.Type {
 		case wal.RecCommit, wal.RecDistCommit:
 			outcome[r.Txn] = wal.RecCommit
 		case wal.RecAbort, wal.RecDistAbort:
+			lastAbort[r.Txn] = i
 			// A later commit decision must not be overridden; 2PC never
 			// aborts after committing, so first decision wins.
 			if _, decided := outcome[r.Txn]; !decided {
@@ -45,13 +50,16 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 		}
 	}
 
-	// Redo: reapply winner after-images in log order. Updates are
-	// idempotent here because the full after-image is applied.
-	for _, r := range records {
+	// Redo: reapply winner versions in log order, each into the slot the
+	// record names, onto pages kept here until the pass ends. Setting a
+	// version is idempotent.
+	pages := make(map[storage.PageID]*storage.Page)
+	var err error
+	for i, r := range records {
 		if r.Type != wal.RecUpdate {
 			continue
 		}
-		if outcome[r.Txn] != wal.RecCommit {
+		if a, ok := lastAbort[r.Txn]; outcome[r.Txn] != wal.RecCommit || ok && a > i {
 			rep.Skipped++
 			if _, seen := outcome[r.Txn]; !seen {
 				outcome[r.Txn] = wal.RecAbort // loser with no outcome record
@@ -59,13 +67,18 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 			}
 			continue
 		}
-		if len(r.After) == 0 {
-			return rep, fmt.Errorf("engine: update record for txn %d key %d has no after-image (log not retained?)", r.Txn, r.Key)
-		}
-		if err := in.redoOne(r); err != nil {
-			return rep, err
+		if err = in.redoOne(r, pages); err != nil {
+			break
 		}
 		rep.Redone++
+	}
+	// Persist: recovery writes go straight to the backing store so a
+	// subsequent cold start sees them.
+	for _, pg := range pages {
+		in.store.WriteBack(pg)
+	}
+	if err != nil {
+		return rep, err
 	}
 	for _, o := range outcome {
 		if o == wal.RecCommit {
@@ -75,43 +88,34 @@ func (in *Instance) Recover(records []wal.Record) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// redoOne applies one update/insert after-image directly to the backing
-// store (no virtual time: offline recovery).
-func (in *Instance) redoOne(r wal.Record) error {
+// redoOne sets the version of one updated or inserted row, in the slot the
+// record names on the key's page (no virtual time: offline recovery).
+func (in *Instance) redoOne(r wal.Record, pages map[storage.PageID]*storage.Page) error {
 	ts := in.table(r.Table)
 	if ts == nil {
 		return fmt.Errorf("engine: redo for unknown table %d", r.Table)
 	}
+	if r.ImageBytes == 0 {
+		return fmt.Errorf("engine: update record for txn %d key %d has no row image (log not retained?)", r.Txn, r.Key)
+	}
+	if r.ImageBytes != ts.def.RowBytes {
+		return fmt.Errorf("engine: redo image size mismatch for key %d", r.Key)
+	}
 	// Inserts beyond the loaded row count grow the table first.
-	for r.Key >= ts.def.NumRows {
-		ts.def.NumRows++
+	if r.Key >= ts.def.NumRows {
+		ts.def.NumRows = r.Key + 1
 	}
-	rid, ok := ts.idx.Search(nil, r.Key)
-	if !ok {
-		rid = ts.def.Locate(r.Key)
-	}
-	pg := in.bp.Peek(rid.Page)
+	id := ts.def.Locate(r.Key).Page
+	pg := pages[id]
 	if pg == nil {
-		pg = in.store.Fetch(rid.Page)
+		if pg = in.bp.Peek(id); pg == nil {
+			pg = in.store.Fetch(id)
+		}
+		pages[id] = pg
 	}
-	row, ok := pg.Get(rid.Slot)
-	if !ok {
-		slot, ins := pg.Insert(r.After)
-		if !ins {
-			return fmt.Errorf("engine: redo insert failed on %v", rid.Page)
-		}
-		rid = storage.RID{Page: rid.Page, Slot: slot}
-	} else {
-		if len(row) != len(r.After) {
-			return fmt.Errorf("engine: redo image size mismatch for key %d", r.Key)
-		}
-		if !pg.Update(rid.Slot, r.After) {
-			return fmt.Errorf("engine: redo update failed for key %d", r.Key)
-		}
+	if !pg.Place(r.Slot, r.Key, r.Version) {
+		return fmt.Errorf("engine: redo of key %d into slot %d failed on %v", r.Key, r.Slot, id)
 	}
-	ts.idx.Insert(nil, r.Key, rid)
-	// Persist: recovery writes go straight to the backing store so a
-	// subsequent cold start sees them.
-	in.store.WriteBack(pg)
+	ts.idx.Insert(nil, r.Key, storage.RID{Page: id, Slot: r.Slot})
 	return nil
 }

@@ -23,26 +23,14 @@ type Txn struct {
 	lastLSN    wal.LSN
 	undo       []undoEntry
 
-	// undoBuf is the arena behind the undo entries' before-images: one
-	// growing buffer per transaction instead of one allocation per updated
-	// row.
-	undoBuf []byte
-
 	next *Txn // free-list link
-}
-
-// saveBefore copies a before-image into the transaction's undo arena.
-func (t *Txn) saveBefore(row []byte) []byte {
-	n := len(t.undoBuf)
-	t.undoBuf = append(t.undoBuf, row...)
-	return t.undoBuf[n:len(t.undoBuf):len(t.undoBuf)]
 }
 
 type undoEntry struct {
 	table  storage.TableID
 	rid    storage.RID
 	key    int64
-	before []byte
+	before uint64 // the row's version before an update
 	insert bool
 }
 
@@ -56,7 +44,7 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 	ctx.Bucket(prev)
 	t := in.txnFree
 	if t == nil {
-		t = &Txn{in: in, undo: make([]undoEntry, 0, in.undoCap), undoBuf: make([]byte, 0, in.undoBufCap)}
+		t = &Txn{in: in, undo: make([]undoEntry, 0, in.undoCap)}
 	} else {
 		in.txnFree = t.next
 		t.next = nil
@@ -66,16 +54,13 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 }
 
 // putTxn recycles a finished attempt's Txn, keeping the capacity of its undo
-// log and image arena for the next attempt and raising the instance's
-// high-water marks that size a fresh one. Call it only once commit, abort
-// or the read-only release is done with the undo log and nothing else — a
-// pending registration, a handler still running — references t. The images
-// it handed to wal.Append are not a reference: Append deep-copies them under
-// Retain and otherwise reads only their length.
+// log for the next attempt and raising the instance's high-water mark that
+// sizes a fresh one. Call it only once commit, abort or the read-only
+// release is done with the undo log and nothing else — a pending
+// registration, a handler still running — references t.
 func (in *Instance) putTxn(t *Txn) {
 	in.undoCap = max(in.undoCap, cap(t.undo))
-	in.undoBufCap = max(in.undoBufCap, cap(t.undoBuf))
-	*t = Txn{in: in, undo: t.undo[:0], undoBuf: t.undoBuf[:0], next: in.txnFree}
+	*t = Txn{in: in, undo: t.undo[:0], next: in.txnFree}
 	in.txnFree = t
 }
 
@@ -124,13 +109,11 @@ func (t *Txn) readRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 		pg.Latch.AcquireShared(ctx)
 	}
 	ctx.ReadLine(&pg.HeaderLine)
-	// A read looks at the row's key and length only, and KeyAt answers both
-	// without synthesizing a row nobody wrote.
-	got, n, ok := pg.KeyAt(rid.Slot)
-	if !ok || got != key {
+	// A read looks at the row's key only: the check that pins index -> RID.
+	if got, ok := pg.Key(rid.Slot); !ok || got != key {
 		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
 	}
-	ctx.ReadData(&in.ws, n)
+	ctx.ReadData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
 	if in.opts.Latching {
 		pg.Latch.ReleaseShared(ctx)
@@ -158,24 +141,17 @@ func (t *Txn) updateRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 		pg.Latch.AcquireExclusive(ctx)
 	}
 	ctx.WriteLine(&pg.HeaderLine)
-	row, ok := pg.Get(rid.Slot)
-	if !ok || storage.RowKey(row) != key {
+	if got, ok := pg.Key(rid.Slot); !ok || got != key {
 		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
 	}
-	// Both images live in the transaction's arena: virtual time passes
-	// between here and the log append, so a shared scratch buffer could be
-	// overwritten by a concurrent worker before the log retains the record.
-	before := t.saveBefore(row)
-	after := t.saveBefore(row)
-	storage.BumpRowVersion(after)
-	if !pg.Update(rid.Slot, after) {
-		panic("engine: in-place update failed")
-	}
-	ctx.WriteData(&in.ws, len(after))
+	// The update is the version bump; undo keeps the old version.
+	before, _ := pg.Version(rid.Slot)
+	pg.SetVersion(rid.Slot, before+1)
+	ctx.WriteData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
 	t.lastLSN = in.wal.Append(ctx, wal.Record{
-		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key,
-		Before: before, After: after,
+		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key, Slot: rid.Slot,
+		Version: before + 1, ImageBytes: ts.def.RowBytes,
 		// Physiological logging: the update touches a few bytes, not the
 		// full before/after images.
 		WireBytes: 48,
@@ -211,31 +187,21 @@ func (t *Txn) insertRow(ctx *exec.Ctx, ts *tableState) error {
 	}
 	ctx.WriteLine(&pg.HeaderLine)
 	rid := want
-	row, ok := pg.Get(want.Slot)
-	if ok && storage.RowKey(row) == key {
-		// The page was formatted after NumRows grew, so it already has a
-		// slot for the key; Get just synthesized the row.
-	} else {
-		// The scratch is used strictly synchronously: Insert copies it into
-		// the page before any virtual time can pass, and row then aliases
-		// the page-resident (pinned, X-locked) copy.
-		buf := in.rowScratch(ts.def.RowBytes)
-		ts.def.SynthesizeRow(key, buf)
-		slot, ok := pg.Insert(buf)
+	// A page formatted after NumRows grew already has a slot for the key.
+	if got, ok := pg.Key(want.Slot); !ok || got != key {
+		slot, ok := pg.Insert(key)
 		if !ok {
 			panic("engine: insert into full page")
 		}
-		rid = storage.RID{Page: want.Page, Slot: slot}
-		row, _ = pg.Get(slot)
+		rid.Slot = slot
 	}
+	version, _ := pg.Version(rid.Slot)
 	ctx.WriteData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
 	ts.idx.Insert(ctx, key, rid)
-	// Append reads only the image length (and deep-copies under Retain), so
-	// passing the transient row is safe.
 	t.lastLSN = in.wal.Append(ctx, wal.Record{
-		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key,
-		After: row,
+		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key, Slot: rid.Slot,
+		Version: version, ImageBytes: ts.def.RowBytes,
 	})
 	t.undo = append(t.undo, undoEntry{table: ts.def.ID, rid: rid, key: key, insert: true})
 	t.updated = true
@@ -289,7 +255,7 @@ func (t *Txn) abortLocal(ctx *exec.Ctx) {
 		if u.insert {
 			ts.idx.Delete(ctx, u.key)
 			pg.Delete(u.rid.Slot)
-		} else if !pg.Update(u.rid.Slot, u.before) {
+		} else if !pg.SetVersion(u.rid.Slot, u.before) {
 			panic("engine: undo failed")
 		}
 		ctx.Charge(CostUndoPerRow)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 
 	"islands/internal/exec"
 	"islands/internal/mem"
@@ -41,12 +42,14 @@ type BufferPool struct {
 	ring   []*Page
 	hand   int
 
-	// free holds the zeroed structs of evicted pages and slab the unused
-	// rest of the last block of pageSlab structs allocated. A page takes its
-	// struct from free first, so the pool holds at most its high-water mark
-	// of structs and, once warm, a miss allocates nothing.
-	free []*Page
-	slab []Page
+	// free holds the zeroed structs of evicted pages, slab the unused rest
+	// of the last slab of pageSlab structs taken and slabs every slab taken
+	// (see frameSlabs). A page takes its struct from free first, so the
+	// pool holds at most its high-water mark of structs and, once warm, a
+	// miss allocates nothing.
+	free  []*Page
+	slab  []Page
+	slabs [][]Page
 
 	bucketLines [bucketLineCount]mem.Line
 
@@ -77,7 +80,8 @@ func (bp *BufferPool) newPage(id PageID) *Page {
 		bp.free = bp.free[:n]
 	} else {
 		if len(bp.slab) == 0 {
-			bp.slab = make([]Page, pageSlab)
+			bp.slab = takeSlab()
+			bp.slabs = append(bp.slabs, bp.slab)
 		}
 		p = &bp.slab[0]
 		bp.slab = bp.slab[1:]
@@ -93,6 +97,45 @@ func frameIndex(id PageID) (table, chunk, slot int) {
 		panic("storage: page id out of range: " + id.String())
 	}
 	return int(id.Table), int(id.No / frameChunkPages), int(id.No % frameChunkPages)
+}
+
+// frameSlabs is the process-wide free list of zeroed Page-struct slabs. A
+// sweep builds and tears down a deployment per cell, and each caches a
+// 256-byte Page per page it touches: most of what a cold cell allocates.
+// Handing the slabs from one deployment's pools to the next spares that,
+// and keeps the garbage collector's goal above what a cell allocates;
+// without it a cold study_sweep_store repetition collects about six times
+// instead of once. It holds at most the peak of simultaneously cached pages.
+var frameSlabs struct {
+	sync.Mutex
+	free [][]Page
+}
+
+func takeSlab() []Page {
+	frameSlabs.Lock()
+	defer frameSlabs.Unlock()
+	if n := len(frameSlabs.free) - 1; n >= 0 {
+		s := frameSlabs.free[n]
+		frameSlabs.free[n] = nil
+		frameSlabs.free = frameSlabs.free[:n]
+		return s
+	}
+	return make([]Page, pageSlab)
+}
+
+// Close zeroes the pool's Page structs and hands their slabs to the next
+// pool that needs one, and empties the pool: a later Fix panics. The caller
+// guarantees that nothing touches a page of the pool again
+// (core.Deployment.Close kills every thread first). Closing twice is
+// harmless.
+func (bp *BufferPool) Close() {
+	for _, s := range bp.slabs {
+		clear(s)
+	}
+	frameSlabs.Lock()
+	frameSlabs.free = append(frameSlabs.free, bp.slabs...)
+	frameSlabs.Unlock()
+	*bp = BufferPool{}
 }
 
 // frame returns the cached page for id, nil when not resident.
@@ -206,7 +249,7 @@ func (bp *BufferPool) Unfix(ctx *exec.Ctx, p *Page, dirty bool) {
 }
 
 // evict selects a clock victim and removes it from the table atomically;
-// a dirty victim's image reaches the backing store before any virtual time
+// a dirty victim's arrays reach the backing store before any virtual time
 // passes, so concurrent re-fetches always observe current contents. The
 // device write is charged afterwards.
 func (bp *BufferPool) evict(ctx *exec.Ctx) {
@@ -235,7 +278,6 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 			bp.store.WriteBack(p)
 			p.Dirty = false
 		}
-		bp.store.Recycle(p)
 		// Nothing holds an unpinned page, so its struct can serve the next
 		// miss. (Instance.Restore drops a crashed pool, free list and all:
 		// threads of the dead epoch may still hold its pages.)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,8 +55,7 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 		store, bp, tab := newFixture(4)
 		// Dirty page 0.
 		p := bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
-		row, _ := p.Get(0)
-		BumpRowVersion(row)
+		p.SetVersion(0, 1)
 		bp.Unfix(ctx, p, true)
 		// Stream enough pages through to force page 0 out.
 		for no := int64(1); no <= 8; no++ {
@@ -72,9 +70,8 @@ func TestBufferPoolEvictionWritesBackDirty(t *testing.T) {
 		}
 		// Re-fix page 0: the update must have survived.
 		p = bp.Fix(ctx, PageID{Table: tab.ID, No: 0})
-		row, _ = p.Get(0)
-		if RowVersion(row) != 1 {
-			t.Errorf("row version = %d after eviction round-trip, want 1", RowVersion(row))
+		if v, _ := p.Version(0); v != 1 {
+			t.Errorf("row version = %d after eviction round-trip, want 1", v)
 		}
 		bp.Unfix(ctx, p, false)
 	})
@@ -134,8 +131,7 @@ func TestBufferPoolFlushAll(t *testing.T) {
 		store, bp, tab := newFixture(8)
 		for no := int64(0); no < 3; no++ {
 			p := bp.Fix(ctx, PageID{Table: tab.ID, No: no})
-			row, _ := p.Get(0)
-			BumpRowVersion(row)
+			p.SetVersion(0, 1)
 			bp.Unfix(ctx, p, true)
 		}
 		bp.FlushAll(ctx)
@@ -154,15 +150,13 @@ func TestPageStoreSynthesizeVsRestore(t *testing.T) {
 	if store.Synthesized != 1 {
 		t.Error("expected synthesis on first fetch")
 	}
-	row, _ := p.Get(0)
-	BumpRowVersion(row)
+	p.SetVersion(0, 1)
 	store.WriteBack(p)
 	q := store.Fetch(PageID{Table: tab.ID, No: 5})
 	if store.Restored != 1 {
 		t.Error("expected restore after write-back")
 	}
-	row2, _ := q.Get(0)
-	if RowVersion(row2) != 1 {
+	if v, _ := q.Version(0); v != 1 {
 		t.Error("restored page lost update")
 	}
 }
@@ -201,7 +195,6 @@ func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func
 	withCtx(b, func(ctx *exec.Ctx) {
 		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 31 * 4096}
 		store := NewPageStore()
-		defer store.Release()
 		store.AddTable(tab)
 		bp := NewBufferPool(store, MMapDisk(), int(tab.NumPages()))
 		bp.Prewarm(0)
@@ -228,50 +221,46 @@ func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func
 }
 
 // BenchmarkFixHit is the resident-page path of every row access: probe the
-// frame directory, pin, read one (already synthesized) row, unpin. It must
-// not allocate (CI gates on it).
+// frame directory, pin, read one written row's version, unpin. It must not
+// allocate (CI gates on it).
 func BenchmarkFixHit(b *testing.B) {
 	benchHits(b,
 		func(bp *BufferPool, rids []RID) {
 			for _, rid := range rids {
-				bp.Peek(rid.Page).Get(rid.Slot) // first touch synthesizes; not this benchmark's subject
+				bp.Peek(rid.Page).SetVersion(rid.Slot, 1) // the first write cuts the page's array; not this benchmark's subject
 			}
 		},
 		func(p *Page, slot uint16) int {
-			row, _ := p.Get(slot)
-			return len(row)
+			v, _ := p.Version(slot)
+			return int(v)
 		},
 		func(*BufferPool) {})
 }
 
 // BenchmarkReadUnwrittenRowKey is BenchmarkFixHit for a row nobody wrote,
-// read the way the engine reads it: KeyAt answers from the Page struct, so
-// the access allocates nothing (CI gates on it) and, checked here over
-// poisoned buffers, neither reads nor writes a byte of any page.
+// read the way the engine reads it: Key answers from the Page struct, so
+// the access allocates nothing (CI gates on it) and, checked here, cuts no
+// array from the store's arena.
 func BenchmarkReadUnwrittenRowKey(b *testing.B) {
-	untouched := bytes.Repeat([]byte{poison}, PageSize)
+	var rest int
 	benchHits(b,
-		func(bp *BufferPool, _ []RID) {
-			for _, p := range bp.ring {
-				copy(p.data, untouched) // a lazy page's buffer is arbitrary: make it recognizable
-			}
-		},
+		func(bp *BufferPool, _ []RID) { rest = len(bp.store.arena.vers) },
 		func(p *Page, slot uint16) int {
-			key, n, _ := p.KeyAt(slot)
-			return int(key) + n
+			key, _ := p.Key(slot)
+			return int(key)
 		},
 		func(bp *BufferPool) {
 			for _, p := range bp.ring {
-				if !bytes.Equal(p.data, untouched) || p.filled != [filledWords]uint64{} {
-					b.Fatalf("page %v: key reads touched the page", p.ID)
+				if p.vers != nil || p.keys != nil || p.Dirty || len(bp.store.arena.vers) != rest {
+					b.Fatalf("page %v: key reads wrote to the page", p.ID)
 				}
 			}
 		})
 }
 
 // TestEvictedStructServesTheNextMissFresh: a Page struct evicted dirty,
-// partly filled, with a hole, after its latch was taken and released, serves
-// a later miss — of the same page, restored from its image, and of a page
+// written, with a hole, after its latch was taken and released, serves
+// a later miss — of the same page, restored from its arrays, and of a page
 // synthesized anew — indistinguishable from the struct a fresh pool returns
 // for that miss.
 func TestEvictedStructServesTheNextMissFresh(t *testing.T) {
@@ -283,8 +272,7 @@ func TestEvictedStructServesTheNextMissFresh(t *testing.T) {
 			p.Latch.ReleaseExclusive(ctx)
 			p.Latch.AcquireShared(ctx)
 			p.Latch.ReleaseShared(ctx)
-			row, _ := p.Get(1)
-			p.Update(2, bumped(row))
+			p.SetVersion(2, 1)
 			p.Delete(3)
 			bp.Unfix(ctx, p, true)
 		}
@@ -296,9 +284,7 @@ func TestEvictedStructServesTheNextMissFresh(t *testing.T) {
 				t.Fatalf("miss on %v took a new struct, not the evicted one", id)
 			}
 			want := ref.Fix(ctx, id)
-			got, fresh := *p, *want
-			got.data, fresh.data = nil, nil // a synthesized page's buffer is any recycled one
-			if !reflect.DeepEqual(got, fresh) {
+			if got, fresh := *p, *want; !reflect.DeepEqual(got, fresh) {
 				t.Errorf("reused struct for %v differs from a fresh one:\n got %+v\nwant %+v", id, got, fresh)
 			}
 			ref.Unfix(ctx, want, false)
@@ -308,7 +294,7 @@ func TestEvictedStructServesTheNextMissFresh(t *testing.T) {
 		use(p0)
 		p1 := bp.Fix(ctx, PageID{Table: tab.ID, No: 1}) // evicts page 0, dirty
 		use(p1)
-		missInto(p0, 0) // restored from its image; evicts page 1
+		missInto(p0, 0) // restored from its arrays; evicts page 1
 		if store.Restored != 2 || bp.Evictions != 2 || bp.DirtyWriteBacks != 2 {
 			t.Fatalf("restored=%d evictions=%d writebacks=%d, want 2, 2, 2", store.Restored, bp.Evictions, bp.DirtyWriteBacks)
 		}
@@ -356,8 +342,65 @@ func TestPoolNeverHandsOutAResidentStruct(t *testing.T) {
 }
 
 // BenchmarkFixMiss is a full pool that evicts on every Fix: once warm, a
-// miss allocates nothing — its struct is the last victim's and its buffer a
-// recycled one (CI gates on it).
+// miss allocates nothing — its struct is the last victim's, and a page
+// nobody wrote holds no array (CI gates on it).
 func BenchmarkFixMiss(b *testing.B) {
 	benchMisses(b, func(*Page) {})
+}
+
+// TestClosedPoolSlabsServeTheNextPool: Close hands a pool's Page-struct
+// slabs — structs of written, reshaped and latched pages among them — to the
+// next pool that needs one, each struct zeroed: the next pool's miss gets a
+// struct from a closed pool's slab, indistinguishable from one a pool that
+// reuses nothing would return. The closed pool refuses further use, and
+// closing twice hands nothing back twice.
+func TestClosedPoolSlabsServeTheNextPool(t *testing.T) {
+	withCtx(t, func(ctx *exec.Ctx) {
+		store, bp, tab := newFixture(8)
+		for no := int64(0); no < 4; no++ {
+			p := bp.Fix(ctx, PageID{Table: tab.ID, No: no})
+			p.Latch.AcquireExclusive(ctx)
+			p.SetVersion(1, 3)
+			p.Delete(2)
+			p.Latch.ReleaseExclusive(ctx)
+			bp.Unfix(ctx, p, true)
+		}
+		closed := map[*Page]bool{}
+		for _, s := range bp.slabs {
+			for i := range s {
+				closed[&s[i]] = true
+			}
+		}
+		bp.Close()
+		bp.Close()
+		frameSlabs.Lock()
+		seen := map[*Page]bool{}
+		for _, s := range frameSlabs.free {
+			if seen[&s[0]] {
+				t.Error("a slab is on the free list twice")
+			}
+			seen[&s[0]] = true
+		}
+		frameSlabs.Unlock()
+
+		next := NewBufferPool(store, MMapDisk(), 8)
+		id := PageID{Table: tab.ID, No: 1}
+		p := next.Fix(ctx, id)
+		defer next.Unfix(ctx, p, false)
+		if !closed[p] {
+			t.Fatal("the next pool's miss did not take a struct from the closed pool's slab")
+		}
+		fresh := &Page{ID: id}
+		fresh.pins, fresh.ref = 1, true
+		store.fetchInto(fresh)
+		if !reflect.DeepEqual(*p, *fresh) {
+			t.Errorf("reused struct differs from a fresh one:\n got %+v\nwant %+v", *p, *fresh)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("Fix on a closed pool did not panic")
+			}
+		}()
+		bp.Fix(ctx, id)
+	})
 }

@@ -5,7 +5,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"islands/internal/latch"
@@ -21,14 +20,6 @@ const pageHeaderSize = 16
 
 // slotSize is one slot directory entry: offset(2) length(2).
 const slotSize = 4
-
-// minRowBytes is the smallest table row (key + version, see SynthesizeRow);
-// it bounds the slots of a synthesized page and so the filled bitmap.
-const minRowBytes = 16
-
-// filledWords sizes Page.filled for the most slots a synthesized page can
-// have (408 rows of minRowBytes).
-const filledWords = ((PageSize-pageHeaderSize)/(minRowBytes+slotSize) + 63) / 64
 
 // TableID identifies a table within a deployment.
 type TableID int32
@@ -57,326 +48,237 @@ type RID struct {
 	Slot uint16
 }
 
-// Page is a slotted page. Records grow from the header down; the slot
-// directory grows from the end up. A deleted slot has length 0 and may be
-// reused by a later insert of equal or smaller size.
+// holeKey is the key a reshaped page's key array holds for a deleted slot.
+const holeKey = -1
+
+// Page is one slotted page of a table, held as what a transaction can change
+// and nothing else. Every row the engine holds is its table's synthesized
+// row (Table.SynthesizeRow) with the version counter moved, so a page keeps,
+// per slot, the row's version — and its key and liveness only once an Insert
+// or Delete has made them differ from the table's arithmetic, slot i live
+// with key firstKey+i. The space arithmetic is the slotted page's: every
+// slot, live or deleted, holds a RowBytes row and a slot directory entry
+// (FreeSpace), so slot numbers, page-full and hole reuse are those of the
+// byte page the engine kept until it held versions
+// (TestPageMatchesByteReference).
 //
 // HeaderLine is the coherence-tracked proxy for the page's hot metadata
 // (header word, latch word): every fix/latch of the page touches it, so
 // cross-core sharing of pages shows up in the memory model.
 //
 // The fields are ordered for the host's cache, not for reading: what a
-// buffer-pool hit followed by Get touches comes first — on 64-bit hosts the
-// struct is 256 bytes, and alone or in a buffer pool's slab (see
+// buffer-pool hit followed by Key or Version touches comes first — on 64-bit
+// hosts the struct is 256 bytes, and alone or in a buffer pool's slab (see
 // BufferPool.newPage) it starts on a 256-byte boundary, so its first 64 bytes
-// are one cache line — then HeaderLine; the path reads one word of filled
-// while the page is lazy and goes to the 8 KB buffer only for the row itself.
-// TestPageHitPathLeadsTheStruct pins the order.
+// are one cache line — then HeaderLine, then the key array of a reshaped
+// page, the table and the latch. TestPageHitPathLeadsTheStruct pins the
+// order.
 type Page struct {
-	data []byte
-
-	// slots mirrors the slot count in the buffer's header word (setNSlots
-	// writes both), so bounds checks never read the buffer.
-	slots int
-
-	// Lazy synthesis state. A page synthesized from its table definition is
-	// formatted over an arbitrary, unzeroed buffer, and format writes none of
-	// it. While lazy is non-nil, the row at slot i holds defined bytes only
-	// once bit i of filled is set (Get synthesizes it, Update overwrites it);
-	// the header words, the slot directory and the free gap between the last
-	// row and the directory are undefined. materialize defines everything
-	// that is left and clears lazy. No byte of data is read before the bitmap
-	// or materialize says it was written — the invariant that lets the store
-	// recycle buffers without clearing them, and a read-only page never touch
-	// its buffer at all (see KeyAt).
-	//
-	// A lazy page's layout is a function of its table: slot i is RowBytes
-	// long at pageHeaderSize + i*RowBytes and the free space starts after the
-	// last row, because every operation that changes the layout (Insert,
-	// Delete) materializes first. So slot and freeOff answer a lazy page by
-	// that arithmetic, and the slot count lives in the struct.
-	lazy     *Table
-	firstKey int64 // key of slot 0 while lazy
+	// vers holds every slot's version; nil while the page was never written,
+	// when every version is 0. The page's first write cuts it from the
+	// store's arena, with room for RowsPerPage slots.
+	vers     []uint64
+	slots    int
+	firstKey int64 // key of slot 0 while the page is not reshaped
 
 	// Buffer-pool frame state, owned by the BufferPool caching the page.
 	pins    int
 	ref     bool
 	loading bool
 
+	// reshaped says keys is set: a read of a page that is not tests this
+	// and stays on the leading cache line.
+	reshaped   bool
 	Dirty      bool
-	ownsData   bool // buffer came from the store's arena (see PageStore.Recycle)
 	HeaderLine mem.Line
 
 	ID      PageID
 	PageLSN uint64
 	holes   int // deleted slots available for reuse
+
+	// keys holds every slot's key, holeKey for a deleted one, once the page
+	// is reshaped: the first Insert or Delete that breaks slot i = key
+	// firstKey+i cuts it from the store's arena, with room for RowsPerPage
+	// slots.
+	keys    []int64
+	tab     *Table
+	arena   *arena
 	waiters []*sim.Proc
-	filled  [filledWords]uint64
 	Latch   latch.RW
+	_       [24]byte // fills the struct to 256 bytes (see above)
 }
 
-// NewPage returns an empty formatted page.
-func NewPage(id PageID) *Page {
-	p := &Page{ID: id, data: make([]byte, PageSize)}
-	p.setFreeOff(pageHeaderSize)
-	return p
-}
-
-// format makes p page no of table t over p.data, whose prior contents are
-// arbitrary and stay so: the page is lazy, its layout implied by t (see
-// Page.lazy) until materialize writes it down.
+// format makes p page no of table t as a miss finds it: nobody wrote it, so
+// it holds no array, and its slots are implied by t.
 func (p *Page) format(t *Table, no int64) {
 	lo, hi := t.KeyRangeOfPage(no)
-	p.slots = int(hi - lo)
-	p.lazy, p.firstKey = t, lo
+	p.tab, p.firstKey, p.slots = t, lo, int(hi-lo)
 }
 
-// unfilled reports whether the row at slot of a lazy page is still
-// undefined; always false once the page is materialized.
-func (p *Page) unfilled(slot int) bool {
-	return p.lazy != nil && p.filled[slot>>6]&(1<<(slot&63)) == 0
-}
+// capacity is the most slots the page can have: RowsPerPage, the rows of its
+// table that fit it with their directory entries.
+func (p *Page) capacity() int { return int(p.tab.RowsPerPage()) }
 
-func (p *Page) setFilled(slot int) { p.filled[slot>>6] |= 1 << (slot & 63) }
-
-// fill synthesizes the row at slot of a lazy page.
-func (p *Page) fill(slot int) {
-	off, length := p.slot(slot)
-	p.lazy.SynthesizeRow(p.firstKey+int64(slot), p.data[off:off+length])
-	p.setFilled(slot)
-}
-
-// materialize defines every byte of a lazy page that is still undefined —
-// the header, the slot directory, the unsynthesized rows and the free gap —
-// and ends the lazy state. Every operation that reads or moves bytes beyond
-// a single row calls it first.
-func (p *Page) materialize() {
-	t := p.lazy
-	if t == nil {
-		return
-	}
-	n := p.slots
-	off := pageHeaderSize
-	for i := 0; i < n; i++ {
-		if p.unfilled(i) {
-			p.fill(i)
-		}
-		p.setSlot(i, off, t.RowBytes)
-		off += t.RowBytes
-	}
-	clear(p.data[:pageHeaderSize])
-	p.setNSlots(n)
-	p.setFreeOff(off)
-	clear(p.data[off : PageSize-n*slotSize])
-	p.lazy = nil
-}
-
-// LoadPage wraps an existing image (from the backing store) as a page.
-func LoadPage(id PageID, img []byte) *Page {
-	p := &Page{ID: id}
-	p.load(img)
-	return p
-}
-
-func (p *Page) load(img []byte) {
-	if len(img) != PageSize {
-		panic("storage: page image has wrong size")
-	}
-	p.data = img
-	p.slots = int(binary.LittleEndian.Uint16(img[0:2]))
-	for i := 0; i < p.slots; i++ {
-		if _, length := p.slot(i); length == 0 {
-			p.holes++
-		}
-	}
-}
-
-// Image returns a copy of the page bytes for the backing store.
-func (p *Page) Image() []byte {
-	p.materialize()
-	img := make([]byte, PageSize)
-	copy(img, p.data)
-	return img
-}
-
-// setNSlots sets the slot count, in the struct and in the on-page header
-// (which Image persists and load reads back).
-func (p *Page) setNSlots(n int) {
-	p.slots = n
-	binary.LittleEndian.PutUint16(p.data[0:2], uint16(n))
-}
-
-// freeOff returns where the free space starts: after the last row of a lazy
-// page (see Page.lazy), from the header word otherwise.
-func (p *Page) freeOff() int {
-	if t := p.lazy; t != nil {
-		return pageHeaderSize + p.slots*t.RowBytes
-	}
-	return int(binary.LittleEndian.Uint16(p.data[2:4]))
-}
-func (p *Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.data[2:4], uint16(o)) }
-
-func (p *Page) slotPos(i int) int { return PageSize - (i+1)*slotSize }
-
-// slot returns the offset and length of slot i, which must be < p.slots:
-// by arithmetic while the page is lazy (see Page.lazy), from the slot
-// directory otherwise.
-func (p *Page) slot(i int) (off, length int) {
-	if t := p.lazy; t != nil {
-		return pageHeaderSize + i*t.RowBytes, t.RowBytes
-	}
-	return p.dirSlot(i)
-}
-
-// dirSlot reads slot i's entry from the slot directory.
-func (p *Page) dirSlot(i int) (off, length int) {
-	pos := p.slotPos(i)
-	return int(binary.LittleEndian.Uint16(p.data[pos : pos+2])),
-		int(binary.LittleEndian.Uint16(p.data[pos+2 : pos+4]))
-}
-
-func (p *Page) setSlot(i, off, length int) {
-	pos := p.slotPos(i)
-	binary.LittleEndian.PutUint16(p.data[pos:pos+2], uint16(off))
-	binary.LittleEndian.PutUint16(p.data[pos+2:pos+4], uint16(length))
-}
-
-// NumSlots returns the number of slot directory entries (including deleted).
+// NumSlots returns the number of slots, deleted ones included.
 func (p *Page) NumSlots() int { return p.slots }
 
-// FreeSpace returns the bytes available for a new record plus its slot.
+// FreeSpace returns the bytes available for a new record plus its slot: the
+// page less its header and, for every slot, live or deleted, a RowBytes row
+// and a directory entry.
 func (p *Page) FreeSpace() int {
-	free := PageSize - p.slots*slotSize - p.freeOff() - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
+	return max(PageSize-pageHeaderSize-p.slots*(p.tab.RowBytes+slotSize)-slotSize, 0)
 }
 
-// Insert stores rec and returns its slot. ok is false when the page is full.
-// Records must be at least 2 bytes so deleted slots can remember their hole
-// capacity in place.
-func (p *Page) Insert(rec []byte) (slot uint16, ok bool) {
-	if len(rec) < 2 || len(rec) > PageSize {
+// live reports whether slot holds a row: in range and not deleted.
+func (p *Page) live(slot uint16) bool {
+	return int(slot) < p.slots && (!p.reshaped || p.keys[slot] != holeKey)
+}
+
+// Key returns the key of the row at slot; ok is false for out-of-range or
+// deleted slots. It writes nothing: a read defines no array.
+func (p *Page) Key(slot uint16) (key int64, ok bool) {
+	switch {
+	case !p.live(slot):
+		return 0, false
+	case p.reshaped:
+		return p.keys[slot], true
+	}
+	return p.firstKey + int64(slot), true
+}
+
+// Version returns the version counter of the row at slot; ok is false for
+// out-of-range or deleted slots.
+func (p *Page) Version(slot uint16) (v uint64, ok bool) {
+	if !p.live(slot) {
 		return 0, false
 	}
-	p.materialize()
-	// Reuse a deleted slot when the record fits in its hole; the hole's
-	// capacity is stored in its first two bytes (see Delete). The hole
-	// counter lets the common hole-free page skip the directory scan.
+	if p.vers != nil {
+		v = p.vers[slot]
+	}
+	return v, true
+}
+
+// SetVersion sets the version counter of the row at slot — an update, its
+// undo or its redo — and dirties the page; ok is false for out-of-range or
+// deleted slots.
+func (p *Page) SetVersion(slot uint16, v uint64) bool {
+	if !p.live(slot) {
+		return false
+	}
+	if p.vers == nil {
+		p.vers = cut(&p.arena.vers, p.slots, p.capacity())
+		clear(p.vers)
+	}
+	p.vers[slot] = v
+	p.Dirty = true
+	return true
+}
+
+// reshape gives the page its key array, before the first Insert or Delete
+// that makes a slot differ from firstKey+slot.
+func (p *Page) reshape() {
+	if p.reshaped {
+		return
+	}
+	p.reshaped = true
+	p.keys = cut(&p.arena.keys, p.slots, p.capacity())
+	for i := range p.keys {
+		p.keys[i] = p.firstKey + int64(i)
+	}
+}
+
+// grow appends a slot holding key, or a deleted one for holeKey, at version
+// 0; the caller has checked that the page has room for it.
+func (p *Page) grow(key int64) {
+	n := p.slots
+	if key != p.firstKey+int64(n) {
+		p.reshape()
+	}
+	if p.reshaped {
+		p.keys = append(p.keys, key)
+	}
+	if p.vers != nil {
+		p.vers = append(p.vers, 0)
+	}
+	if key == holeKey {
+		p.holes++
+	}
+	p.slots++
+}
+
+// Insert adds a row for key, at version 0, and returns its slot: the lowest
+// deleted slot, else a new one after the last. ok is false when the page is
+// full or key is negative.
+func (p *Page) Insert(key int64) (slot uint16, ok bool) {
+	if key < 0 {
+		return 0, false
+	}
+	// The hole counter lets the common hole-free page skip the scan.
 	if p.holes > 0 {
-		for i := 0; i < p.slots; i++ {
-			off, length := p.slot(i)
-			if length != 0 {
-				continue
-			}
-			capacity := int(binary.LittleEndian.Uint16(p.data[off : off+2]))
-			if capacity >= len(rec) {
-				p.setSlot(i, off, len(rec))
-				copy(p.data[off:off+len(rec)], rec)
+		for i, k := range p.keys {
+			if k == holeKey {
+				p.keys[i] = key
+				if p.vers != nil {
+					p.vers[i] = 0
+				}
 				p.holes--
 				p.Dirty = true
 				return uint16(i), true
 			}
 		}
 	}
-	off := p.freeOff()
-	if PageSize-p.slots*slotSize-off < len(rec)+slotSize {
+	if p.FreeSpace() < p.tab.RowBytes {
 		return 0, false
 	}
-	copy(p.data[off:off+len(rec)], rec)
-	n := p.slots
-	p.setSlot(n, off, len(rec))
-	p.setNSlots(n + 1)
-	p.setFreeOff(off + len(rec))
+	p.grow(key)
 	p.Dirty = true
-	return uint16(n), true
+	return uint16(p.slots - 1), true
 }
 
-// Get returns the record at slot. ok is false for out-of-range or deleted
-// slots. The returned slice aliases page memory: callers must copy if they
-// retain it.
-func (p *Page) Get(slot uint16) (rec []byte, ok bool) {
-	if int(slot) >= p.slots {
-		return nil, false
-	}
-	off, length := p.slot(int(slot))
-	if length == 0 {
-		return nil, false
-	}
-	if p.unfilled(int(slot)) {
-		p.fill(int(slot))
-	}
-	return p.data[off : off+length], true
-}
-
-// KeyAt returns the key and length of the record at slot without defining a
-// byte of it: a row of a lazy page that was never written still is what
-// SynthesizeRow would make it, so its key is firstKey+slot and its length
-// RowBytes by the arithmetic slot uses; any other row answers from its
-// stored bytes. A page that is only ever asked this never has its buffer
-// touched. ok is false for out-of-range or deleted slots.
-func (p *Page) KeyAt(slot uint16) (key int64, length int, ok bool) {
-	if int(slot) >= p.slots {
-		return 0, 0, false
-	}
-	if p.unfilled(int(slot)) {
-		return p.firstKey + int64(slot), p.lazy.RowBytes, true
-	}
-	off, length := p.slot(int(slot))
-	if length == 0 {
-		return 0, 0, false
-	}
-	return RowKey(p.data[off : off+length]), length, true
-}
-
-// Update overwrites the record at slot in place. The new record must have
-// the same length (fixed-width tables); ok is false otherwise.
-func (p *Page) Update(slot uint16, rec []byte) bool {
-	if int(slot) >= p.slots {
-		return false
-	}
-	off, length := p.slot(int(slot))
-	if length != len(rec) || length == 0 {
-		return false
-	}
-	copy(p.data[off:off+length], rec)
-	if p.lazy != nil {
-		p.setFilled(int(slot))
-	}
-	p.Dirty = true
-	return true
-}
-
-// Delete removes the record at slot, leaving a reusable hole.
+// Delete removes the row at slot, leaving a hole for a later Insert.
 func (p *Page) Delete(slot uint16) bool {
-	if int(slot) >= p.slots {
+	if !p.live(slot) {
 		return false
 	}
-	off, length := p.slot(int(slot))
-	if length == 0 {
-		return false
-	}
-	p.materialize()
-	// Remember the hole capacity in the hole itself, mark deleted with
-	// length 0 so Get refuses the slot but Insert can reuse the space.
-	binary.LittleEndian.PutUint16(p.data[off:off+2], uint16(length))
-	p.setSlot(int(slot), off, 0)
+	p.reshape()
+	p.keys[slot] = holeKey
 	p.holes++
 	p.Dirty = true
 	return true
 }
 
+// Place makes slot a live row of key at version v — redo of a logged update
+// or insert, which names the slot the row held — first growing the page
+// with deleted slots up to it if it lies beyond the last. ok is false for a
+// slot the page cannot have or a negative key.
+func (p *Page) Place(slot uint16, key int64, v uint64) bool {
+	if int(slot) >= p.capacity() || key < 0 {
+		return false
+	}
+	for p.slots < int(slot) {
+		p.grow(holeKey)
+	}
+	if p.slots == int(slot) {
+		p.grow(key)
+	}
+	if k, ok := p.Key(slot); !ok || k != key {
+		p.reshape()
+		if p.keys[slot] == holeKey {
+			p.holes--
+		}
+		p.keys[slot] = key
+	}
+	return p.SetVersion(slot, v)
+}
+
 // RowVersionSum sums the version counters of the page's rows and leaves the
-// page untouched: a row not yet synthesized has version 0 by definition.
+// page untouched.
 func (p *Page) RowVersionSum() uint64 {
 	var sum uint64
-	for i, n := 0, p.slots; i < n; i++ {
-		off, length := p.slot(i)
-		if length == 0 || p.unfilled(i) {
-			continue
+	for i, v := range p.vers {
+		if p.live(uint16(i)) {
+			sum += v
 		}
-		sum += RowVersion(p.data[off : off+length])
 	}
 	return sum
 }

@@ -1,38 +1,46 @@
 package storage
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-func rec(n int, fill byte) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = fill
+// emptyPage returns page 0 of an empty table of rowBytes-byte rows: no slot
+// until an Insert.
+func emptyPage(rowBytes int) *Page {
+	return (&Table{ID: 1, Name: "rows", RowBytes: rowBytes}).SynthesizePage(0)
+}
+
+// rowAt returns the key and version of the row at slot, ok false for an
+// out-of-range or deleted slot, and fails the test if Key and Version
+// disagree on whether the slot holds a row.
+func rowAt(t testing.TB, p *Page, slot uint16) (key int64, v uint64, ok bool) {
+	t.Helper()
+	key, ok = p.Key(slot)
+	v, vok := p.Version(slot)
+	if ok != vok {
+		t.Fatalf("slot %d: Key says live=%v, Version live=%v", slot, ok, vok)
 	}
-	return b
+	return key, v, ok
 }
 
 func TestPageInsertGetRoundtrip(t *testing.T) {
-	p := NewPage(PageID{Table: 1, No: 0})
-	s1, ok := p.Insert(rec(100, 'a'))
+	p := emptyPage(100)
+	s1, ok := p.Insert(10)
 	if !ok {
 		t.Fatal("insert failed on empty page")
 	}
-	s2, ok := p.Insert(rec(100, 'b'))
+	s2, ok := p.Insert(11)
 	if !ok || s2 == s1 {
 		t.Fatal("second insert failed or reused slot")
 	}
-	got, ok := p.Get(s1)
-	if !ok || !bytes.Equal(got, rec(100, 'a')) {
-		t.Error("Get(s1) mismatch")
+	if key, v, ok := rowAt(t, p, s1); !ok || key != 10 || v != 0 {
+		t.Errorf("slot %d = key %d version %d (%v), want key 10 version 0", s1, key, v, ok)
 	}
-	got, ok = p.Get(s2)
-	if !ok || !bytes.Equal(got, rec(100, 'b')) {
-		t.Error("Get(s2) mismatch")
+	if key, _, ok := rowAt(t, p, s2); !ok || key != 11 {
+		t.Errorf("slot %d = key %d (%v), want 11", s2, key, ok)
 	}
 	if !p.Dirty {
 		t.Error("page not marked dirty after insert")
@@ -40,48 +48,47 @@ func TestPageInsertGetRoundtrip(t *testing.T) {
 }
 
 func TestPageUpdateInPlace(t *testing.T) {
-	p := NewPage(PageID{})
-	s, _ := p.Insert(rec(64, 'x'))
-	if !p.Update(s, rec(64, 'y')) {
-		t.Fatal("update failed")
+	p := emptyPage(64)
+	s, _ := p.Insert(0)
+	if !p.SetVersion(s, 5) {
+		t.Fatal("SetVersion failed")
 	}
-	got, _ := p.Get(s)
-	if !bytes.Equal(got, rec(64, 'y')) {
-		t.Error("update not visible")
+	if _, v, _ := rowAt(t, p, s); v != 5 {
+		t.Errorf("version = %d, want 5", v)
 	}
-	if p.Update(s, rec(63, 'z')) {
-		t.Error("update with different length should fail (fixed-width)")
+	if p.SetVersion(s+1, 1) {
+		t.Error("SetVersion of an absent slot succeeded")
 	}
 }
 
 func TestPageDeleteAndReuse(t *testing.T) {
-	p := NewPage(PageID{})
-	s1, _ := p.Insert(rec(100, 'a'))
-	p.Insert(rec(100, 'b'))
+	p := emptyPage(100)
+	s1, _ := p.Insert(0)
+	p.Insert(1)
+	p.SetVersion(s1, 3)
 	if !p.Delete(s1) {
 		t.Fatal("delete failed")
 	}
-	if _, ok := p.Get(s1); ok {
+	if _, _, ok := rowAt(t, p, s1); ok {
 		t.Error("deleted slot still readable")
 	}
-	if p.Delete(s1) {
-		t.Error("double delete succeeded")
+	if p.Delete(s1) || p.SetVersion(s1, 1) {
+		t.Error("double delete or update of a hole succeeded")
 	}
-	s3, ok := p.Insert(rec(100, 'c'))
+	s3, ok := p.Insert(7)
 	if !ok || s3 != s1 {
 		t.Errorf("insert did not reuse hole: slot %d, want %d", s3, s1)
 	}
-	got, _ := p.Get(s3)
-	if !bytes.Equal(got, rec(100, 'c')) {
-		t.Error("reused slot content wrong")
+	if key, v, _ := rowAt(t, p, s3); key != 7 || v != 0 {
+		t.Errorf("reused slot holds key %d version %d, want 7 and 0", key, v)
 	}
 }
 
 func TestPageFillsUntilFull(t *testing.T) {
-	p := NewPage(PageID{})
+	p := emptyPage(250)
 	n := 0
 	for {
-		if _, ok := p.Insert(rec(250, 'r')); !ok {
+		if _, ok := p.Insert(int64(n)); !ok {
 			break
 		}
 		n++
@@ -96,49 +103,73 @@ func TestPageFillsUntilFull(t *testing.T) {
 }
 
 func TestPageRejectsDegenerateRecords(t *testing.T) {
-	p := NewPage(PageID{})
-	if _, ok := p.Insert([]byte{1}); ok {
-		t.Error("1-byte record accepted")
+	p := emptyPage(100)
+	if _, ok := p.Insert(-1); ok {
+		t.Error("negative key accepted")
 	}
-	if _, ok := p.Insert(make([]byte, PageSize+1)); ok {
-		t.Error("oversized record accepted")
+	if _, _, ok := rowAt(t, p, 99); ok {
+		t.Error("read of absent slot succeeded")
 	}
-	if _, ok := p.Get(99); ok {
-		t.Error("Get of absent slot succeeded")
+	if p.SetVersion(99, 1) || p.Delete(99) {
+		t.Error("write of absent slot succeeded")
+	}
+	if p.Place(uint16(p.capacity()), 5, 1) || p.Place(0, -1, 1) {
+		t.Error("Place beyond the page's capacity or of a negative key succeeded")
 	}
 }
 
+// TestPageImageRoundtrip: a written page retained by its store comes back,
+// slot for slot, on the next fetch.
 func TestPageImageRoundtrip(t *testing.T) {
-	p := NewPage(PageID{Table: 2, No: 7})
-	s, _ := p.Insert(rec(100, 'q'))
-	img := p.Image()
-	q := LoadPage(p.ID, img)
-	got, ok := q.Get(s)
-	if !ok || !bytes.Equal(got, rec(100, 'q')) {
-		t.Error("image roundtrip lost record")
+	tab := &Table{ID: 2, Name: "rows", RowBytes: 100, NumRows: 100}
+	s := NewPageStore()
+	s.AddTable(tab)
+	id := PageID{Table: 2, No: 1}
+	p := s.Fetch(id)
+	p.SetVersion(3, 9)
+	p.Delete(4)
+	slot, _ := p.Insert(500)
+	s.WriteBack(p)
+	q := s.Fetch(id)
+	if s.Restored != 1 || q.NumSlots() != p.NumSlots() {
+		t.Fatalf("restored %d pages, %d slots; want 1 and %d", s.Restored, q.NumSlots(), p.NumSlots())
+	}
+	for i := 0; i < p.NumSlots(); i++ {
+		k1, v1, ok1 := rowAt(t, p, uint16(i))
+		k2, v2, ok2 := rowAt(t, q, uint16(i))
+		if k1 != k2 || v1 != v2 || ok1 != ok2 {
+			t.Errorf("slot %d: %d/%d/%v before the round trip, %d/%d/%v after", i, k1, v1, ok1, k2, v2, ok2)
+		}
+	}
+	if key, _, _ := rowAt(t, q, slot); key != 500 {
+		t.Errorf("inserted key came back as %d", key)
 	}
 }
 
 // TestPageModelProperty runs random operations against a map model.
 func TestPageModelProperty(t *testing.T) {
+	type row struct {
+		key int64
+		v   uint64
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPage(PageID{})
-		model := map[uint16]byte{}
+		p := emptyPage(80)
+		model := map[uint16]row{}
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(3) {
 			case 0:
-				fill := byte(rng.Intn(256))
-				if s, ok := p.Insert(rec(80, fill)); ok {
-					model[s] = fill
+				key := rng.Int63n(1000)
+				if s, ok := p.Insert(key); ok {
+					model[s] = row{key: key}
 				}
 			case 1:
-				for s := range model {
-					fill := byte(rng.Intn(256))
-					if !p.Update(s, rec(80, fill)) {
+				for s, r := range model {
+					r.v = rng.Uint64()
+					if !p.SetVersion(s, r.v) {
 						return false
 					}
-					model[s] = fill
+					model[s] = r
 					break
 				}
 			case 2:
@@ -151,9 +182,10 @@ func TestPageModelProperty(t *testing.T) {
 				}
 			}
 		}
-		for s, fill := range model {
-			got, ok := p.Get(s)
-			if !ok || !bytes.Equal(got, rec(80, fill)) {
+		for s := 0; s < p.NumSlots(); s++ {
+			key, v, ok := rowAt(t, p, uint16(s))
+			want, live := model[uint16(s)]
+			if ok != live || ok && (key != want.key || v != want.v) {
 				return false
 			}
 		}
@@ -190,19 +222,13 @@ func TestSynthesizePageContents(t *testing.T) {
 		t.Fatalf("page has %d slots, want %d", p.NumSlots(), hi-lo)
 	}
 	for key := lo; key < hi; key++ {
-		row, ok := p.Get(uint16(key - lo))
-		if !ok {
-			t.Fatalf("row %d missing", key)
-		}
-		if RowKey(row) != key {
-			t.Errorf("row %d has key %d", key, RowKey(row))
-		}
-		if RowVersion(row) != 0 {
-			t.Errorf("fresh row version = %d", RowVersion(row))
+		got, v, ok := rowAt(t, p, uint16(key-lo))
+		if !ok || got != key || v != 0 {
+			t.Errorf("row %d: key %d version %d (%v)", key, got, v, ok)
 		}
 	}
-	if p.Dirty {
-		t.Error("synthesized page should start clean")
+	if p.Dirty || p.vers != nil || p.keys != nil {
+		t.Error("synthesized page should start clean, with no array")
 	}
 }
 
@@ -221,25 +247,26 @@ func TestRowVersionBump(t *testing.T) {
 }
 
 // TestPageHitPathLeadsTheStruct pins the field order Page documents: what a
-// buffer-pool hit and a Get read sits in the struct's first 64 bytes, ahead
-// of the filled bitmap and the latch, and the struct fills its 256-byte
-// allocation class exactly (so the runtime aligns it to host cache lines),
-// as does every struct a buffer pool cuts from its slabs.
+// buffer-pool hit and a Key or Version read sits in the struct's first 64
+// bytes, ahead of the key array and the latch, and the struct fills its
+// 256-byte allocation class exactly (so the runtime aligns it to host cache
+// lines), as does every struct a buffer pool cuts from its slabs.
 func TestPageHitPathLeadsTheStruct(t *testing.T) {
 	var p Page
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout is pinned for 64-bit hosts")
 	}
 	for name, off := range map[string]uintptr{
-		"data": unsafe.Offsetof(p.data), "slots": unsafe.Offsetof(p.slots), "lazy": unsafe.Offsetof(p.lazy),
+		"vers": unsafe.Offsetof(p.vers), "slots": unsafe.Offsetof(p.slots), "firstKey": unsafe.Offsetof(p.firstKey),
 		"pins": unsafe.Offsetof(p.pins), "ref": unsafe.Offsetof(p.ref), "loading": unsafe.Offsetof(p.loading),
+		"reshaped": unsafe.Offsetof(p.reshaped),
 	} {
 		if off >= 64 {
 			t.Errorf("Page.%s at offset %d: off the leading cache line", name, off)
 		}
 	}
-	if line := unsafe.Offsetof(p.HeaderLine); line >= unsafe.Offsetof(p.filled) || line >= unsafe.Offsetof(p.Latch) {
-		t.Errorf("Page.HeaderLine at offset %d: behind the bitmap or the latch", line)
+	if line := unsafe.Offsetof(p.HeaderLine); line >= unsafe.Offsetof(p.keys) || line >= unsafe.Offsetof(p.Latch) {
+		t.Errorf("Page.HeaderLine at offset %d: behind the key array or the latch", line)
 	}
 	if size := unsafe.Sizeof(p); size != 256 {
 		t.Errorf("Page is %d bytes, want 256", size)

@@ -1,104 +1,55 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PageStore is the backing store behind a buffer pool: it resolves a page
-// miss either from the images of previously evicted dirty pages or by
-// synthesizing the page's initial contents from its table definition.
+// miss either from the image of a previously evicted dirty page or by
+// formatting the page from its table definition.
 type PageStore struct {
 	tables []*Table // by TableID; nil where none is registered
-	images map[PageID][]byte
-
-	// arena carves page buffers out of chunks taken from the process-wide
-	// chunk pool: synthesizing a partition touches thousands of pages, and
-	// allocating (and zeroing) each 8 KB buffer separately made the
-	// allocator, not the simulation, the hot path. chunks remembers every
-	// chunk taken, for Release. freeData recycles the buffers of evicted
-	// synthesized pages, so a hot page never pins a whole chunk of
-	// otherwise-dead neighbors. Buffers are handed out with arbitrary
-	// contents; the page's filled bitmap and Page.materialize define every
-	// byte before it is read.
-	chunks   [][]byte
-	arena    []byte
-	freeData [][]byte
+	images map[PageID]image
+	arena  arena
 
 	Synthesized uint64
 	Restored    uint64
 }
 
-// arenaChunkPages is how many page buffers one arena chunk holds.
-const arenaChunkPages = 64
-
-// chunkPool is the process-wide free list of arena chunks. A sweep builds
-// and tears down one deployment per cell, each touching tens of megabytes
-// of pages; passing the chunks from one deployment to the next spares every
-// cell the page faults and the clearing of fresh memory. It is process-wide
-// because cells are built by many goroutines with no common owner, and it
-// never shrinks: it holds at most the peak of simultaneously live chunks.
-var chunkPool struct {
-	sync.Mutex
-	free [][]byte
+// image is what the store retains of a dirty-evicted page: its slot count
+// and its arrays, handed over by the page, not copied — a restored page
+// writes them in place, as the page it was did.
+type image struct {
+	vers  []uint64
+	keys  []int64
+	slots int
 }
 
-func getChunk() []byte {
-	chunkPool.Lock()
-	if n := len(chunkPool.free) - 1; n >= 0 {
-		c := chunkPool.free[n]
-		chunkPool.free[n] = nil
-		chunkPool.free = chunkPool.free[:n]
-		chunkPool.Unlock()
-		return c
-	}
-	chunkPool.Unlock() // allocate (and zero) half a megabyte outside the lock
-	return make([]byte, arenaChunkPages*PageSize)
+// arena holds the unused rest of the chunks the store's pages cut their
+// arrays from (see Page.vers and Page.keys): a page's first write takes 8
+// bytes per slot from it, not one allocation of its own. Contents are
+// arbitrary; a page defines every element of its arrays before reading it.
+type arena struct {
+	vers []uint64
+	keys []int64
 }
 
-func (s *PageStore) newPageData() []byte {
-	if n := len(s.freeData) - 1; n >= 0 {
-		d := s.freeData[n]
-		s.freeData[n] = nil
-		s.freeData = s.freeData[:n]
-		return d
-	}
-	if len(s.arena) < PageSize {
-		s.arena = getChunk()
-		s.chunks = append(s.chunks, s.arena)
-	}
-	d := s.arena[:PageSize:PageSize]
-	s.arena = s.arena[PageSize:]
-	return d
-}
+// arenaWords is the length of one arena chunk: 32 KB, the version arrays of
+// 128 pages of 250-byte rows.
+const arenaWords = 4096
 
-// Recycle returns an evicted page's buffer to the store, contents and all
-// (see PageStore.arena). Only pages whose buffers the store itself handed
-// out are reclaimed; restored pages alias the retained image and must not
-// be reused.
-func (s *PageStore) Recycle(p *Page) {
-	if !p.ownsData {
-		return
+// cut returns n elements of *free with capacity c, starting a new chunk when
+// the rest of the current one is shorter than c.
+func cut[T uint64 | int64](free *[]T, n, c int) []T {
+	if len(*free) < c {
+		*free = make([]T, max(arenaWords, c))
 	}
-	p.ownsData = false
-	s.freeData = append(s.freeData, p.data)
-	p.data = nil
-}
-
-// Release hands the store's chunks back to the process-wide pool and empties
-// the store; any later Fetch panics. The caller guarantees that nothing can
-// touch a page of this store again — the next store to take a chunk
-// overwrites it.
-func (s *PageStore) Release() {
-	chunkPool.Lock()
-	chunkPool.free = append(chunkPool.free, s.chunks...)
-	chunkPool.Unlock()
-	*s = PageStore{}
+	s := (*free)[:n:c]
+	*free = (*free)[c:]
+	return s
 }
 
 // NewPageStore returns an empty store.
 func NewPageStore() *PageStore {
-	return &PageStore{images: make(map[PageID][]byte)}
+	return &PageStore{images: make(map[PageID]image)}
 }
 
 // MaxTableID bounds table ids: tables are looked up by id in a slice.
@@ -137,8 +88,7 @@ func (s *PageStore) SortedTables() []*Table {
 }
 
 // Fetch returns the current contents of page id: the retained image of a
-// dirty-evicted page, or a page formatted from its table definition whose
-// rows are synthesized on first touch.
+// dirty-evicted page, or the page as its table definition formats it.
 func (s *PageStore) Fetch(id PageID) *Page {
 	p := &Page{ID: id}
 	s.fetchInto(p)
@@ -149,38 +99,47 @@ func (s *PageStore) Fetch(id PageID) *Page {
 // the frame before the I/O and receives the contents after it).
 func (s *PageStore) fetchInto(p *Page) {
 	id := p.ID
-	if img, ok := s.images[id]; ok {
-		s.Restored++
-		p.load(img)
-		return
-	}
 	t := s.Table(id.Table)
 	if t == nil {
 		panic("storage: fetch of page for unknown table")
+	}
+	p.arena = &s.arena
+	if img, ok := s.images[id]; ok {
+		s.Restored++
+		p.tab, p.firstKey = t, id.No*t.RowsPerPage()
+		p.load(img)
+		return
 	}
 	if id.No < 0 || id.No >= t.NumPages() {
 		panic("storage: fetch of page beyond table end")
 	}
 	s.Synthesized++
-	p.data, p.ownsData = s.newPageData(), true
 	p.format(t, id.No)
 }
 
-// WriteBack persists the image of a dirty page being evicted.
+// load gives p the slots and arrays of a retained image.
+func (p *Page) load(img image) {
+	p.vers, p.keys, p.slots, p.reshaped = img.vers, img.keys, img.slots, img.keys != nil
+	for _, k := range p.keys {
+		if k == holeKey {
+			p.holes++
+		}
+	}
+}
+
+// WriteBack retains a dirty page being evicted: its slot count and arrays.
 func (s *PageStore) WriteBack(p *Page) {
-	s.images[p.ID] = p.Image()
+	s.images[p.ID] = image{vers: p.vers, keys: p.keys, slots: p.slots}
 }
 
 // RetainedRowVersionSum is Page.RowVersionSum over the retained image of
-// page id, read in place; 0 when the store retains none (a page that was
-// never dirtied holds only version-0 rows).
+// page id; 0 when the store retains none (a page that was never dirtied
+// holds only version-0 rows).
 func (s *PageStore) RetainedRowVersionSum(id PageID) uint64 {
-	img, ok := s.images[id]
-	if !ok {
-		return 0
-	}
-	return LoadPage(id, img).RowVersionSum()
+	var p Page
+	p.load(s.images[id])
+	return p.RowVersionSum()
 }
 
-// ImageCount returns how many dirty-evicted page images are retained.
+// ImageCount returns how many dirty-evicted pages are retained.
 func (s *PageStore) ImageCount() int { return len(s.images) }

@@ -43,20 +43,25 @@ var recTypeNames = map[RecType]string{
 
 func (t RecType) String() string { return recTypeNames[t] }
 
-// Record is a log record. Before/After images are retained only when the
-// manager's Retain option is set (recovery tests). WireBytes, when non-zero,
-// overrides the logged payload size: physiological logging writes a small
-// diff (e.g. a counter update) rather than full images, and the paper's
-// update microbenchmark modifies only a few bytes per row.
+// Record is a log record. An update or insert names the row it wrote —
+// table, key and the slot it holds on the key's page — and carries the
+// row's new version: a row is its table's synthesized image with the
+// version written in, so the version is all redo needs. ImageBytes is the
+// length of the row's after-image, the payload that sizes the record in the
+// log; WireBytes, when non-zero, overrides it: physiological
+// logging writes a small diff (e.g. a counter update) rather than full
+// images, and the paper's update microbenchmark modifies only a few bytes
+// per row. Records are kept only when the manager's Retain option is set.
 type Record struct {
-	LSN       LSN
-	Type      RecType
-	Txn       uint64
-	Table     storage.TableID
-	Key       int64
-	Before    []byte
-	After     []byte
-	WireBytes int
+	LSN        LSN
+	Type       RecType
+	Slot       uint16
+	Table      storage.TableID
+	Txn        uint64
+	Key        int64
+	Version    uint64
+	ImageBytes int
+	WireBytes  int
 }
 
 const recHeaderBytes = 40
@@ -66,7 +71,7 @@ func (r *Record) Size() int {
 	if r.WireBytes > 0 {
 		return recHeaderBytes + r.WireBytes
 	}
-	return recHeaderBytes + len(r.Before) + len(r.After)
+	return recHeaderBytes + r.ImageBytes
 }
 
 // Cost constants for log operations.
@@ -184,14 +189,6 @@ func (m *Manager) Records() []Record { return m.records }
 func (m *Manager) Append(ctx *exec.Ctx, rec Record) LSN {
 	prev := ctx.Bucket(exec.BLog)
 	defer ctx.Bucket(prev)
-
-	if m.opts.Retain {
-		// Deep-copy the images before any virtual time can pass: callers
-		// pass arena- or page-backed slices that concurrent workers may
-		// overwrite while this append blocks on the insertion mutex.
-		rec.Before = append([]byte(nil), rec.Before...)
-		rec.After = append([]byte(nil), rec.After...)
-	}
 
 	if !m.opts.Consolidate {
 		ctx.LockSim(&m.mu)

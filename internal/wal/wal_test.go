@@ -23,7 +23,7 @@ func TestAppendAdvancesLSN(t *testing.T) {
 	m := NewManager(k.DefaultDomain(), DefaultOptions())
 	k.Spawn("w", func(p *sim.Proc) {
 		ctx := ctxFor(p, model)
-		rec := Record{Type: RecUpdate, Txn: 1, Key: 5, Before: make([]byte, 100), After: make([]byte, 100)}
+		rec := Record{Type: RecUpdate, Txn: 1, Key: 5, Version: 1, ImageBytes: 200}
 		end1 := m.Append(ctx, rec)
 		end2 := m.Append(ctx, rec)
 		if end1 != LSN(rec.Size()) || end2 != LSN(2*rec.Size()) {
@@ -144,12 +144,13 @@ func TestRetainKeepsRecords(t *testing.T) {
 	m := NewManager(k.DefaultDomain(), opts)
 	k.Spawn("w", func(p *sim.Proc) {
 		ctx := ctxFor(p, model)
-		m.Append(ctx, Record{Type: RecUpdate, Txn: 9, Table: 1, Key: 42})
+		m.Append(ctx, Record{Type: RecUpdate, Txn: 9, Table: 1, Key: 42, Slot: 10, Version: 3, ImageBytes: 250})
 		m.Append(ctx, Record{Type: RecPrepare, Txn: 9})
 	})
 	k.Run()
 	recs := m.Records()
-	if len(recs) != 2 || recs[0].Key != 42 || recs[1].Type != RecPrepare {
+	if len(recs) != 2 || recs[0].Key != 42 || recs[0].Slot != 10 || recs[0].Version != 3 || recs[0].Size() != 290 ||
+		recs[1].Type != RecPrepare {
 		t.Errorf("retained records wrong: %+v", recs)
 	}
 	if recs[1].LSN <= recs[0].LSN {
