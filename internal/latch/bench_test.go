@@ -66,3 +66,47 @@ func BenchmarkRWContended(b *testing.B) {
 		b.Fatalf("%d of %d acquires contended, want most", l.Contended, l.Acquires)
 	}
 }
+
+// BenchmarkRWFirstContended is the first contended acquire of a latch that
+// was never contended before, as on a page new to the buffer pool: one proc
+// holds a zero-value RW exclusively while another queues for it in shared
+// mode, then both move on to the next fresh latch. A latch whose queue is a
+// slice allocates its first array here; one queued through the waiting
+// proc's own wait node allocates nothing (CI gates on 0 allocs/op).
+func BenchmarkRWFirstContended(b *testing.B) {
+	k := sim.NewKernel()
+	defer k.Close()
+	model := mem.NewModel(topology.QuadSocket())
+	latches := make([]RW, 64)
+	var contended uint64
+	k.Spawn("holder", func(p *sim.Proc) {
+		ctx := ctxFor(p, model)
+		for i := range b.N {
+			l := &latches[i%len(latches)]
+			*l = RW{}
+			l.AcquireExclusive(ctx)
+			p.Advance(1000)
+			l.ReleaseExclusive(ctx)
+			p.Advance(1000)
+		}
+	})
+	k.Spawn("waiter", func(p *sim.Proc) {
+		ctx := ctxFor(p, model)
+		for i := range b.N {
+			l := &latches[i%len(latches)]
+			for _, held := l.Holders(); !held; _, held = l.Holders() {
+				p.Advance(100)
+			}
+			l.AcquireShared(ctx)
+			contended += l.Contended
+			l.ReleaseShared(ctx)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	if contended != uint64(b.N) {
+		b.Fatalf("%d of %d first acquires contended, want all", contended, b.N)
+	}
+}

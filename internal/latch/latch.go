@@ -13,16 +13,16 @@ import (
 // AcquireCPU is the compute cost of an uncontended latch operation.
 const AcquireCPU = 40 * sim.Nanosecond
 
-type waiter struct {
-	p  *sim.Proc
-	ex bool
-}
-
 // RW is a FIFO reader-writer latch. The zero value is unlatched.
+//
+// Its waiters form an intrusive queue through their procs' wait nodes
+// (sim.WaitNode), so a contended acquire allocates nothing, not even on a
+// latch contended for the first time.
 type RW struct {
 	readers int
 	writer  *sim.Proc
-	queue   []waiter
+	head    *sim.Proc // first waiter; nil when none waits
+	tail    *sim.Proc
 
 	Acquires  uint64
 	Contended uint64
@@ -33,15 +33,16 @@ type RW struct {
 func (l *RW) AcquireShared(ctx *exec.Ctx) {
 	l.Acquires++
 	ctx.Charge(AcquireCPU)
-	if l.writer == nil && len(l.queue) == 0 {
+	if l.writer == nil && l.head == nil {
 		l.readers++
 		return
 	}
 	l.Contended++
-	l.queue = append(l.queue, waiter{p: ctx.P, ex: false})
+	l.enqueue(ctx.P, false)
 	prev := ctx.Bucket(exec.BLatch)
 	ctx.Block(func() {
-		for !l.grantedShared(ctx.P) {
+		// Granted once admit dequeued it and no writer got in since.
+		for ctx.P.Wait.Queued || l.writer != nil {
 			ctx.P.Park()
 		}
 	})
@@ -52,12 +53,12 @@ func (l *RW) AcquireShared(ctx *exec.Ctx) {
 func (l *RW) AcquireExclusive(ctx *exec.Ctx) {
 	l.Acquires++
 	ctx.Charge(AcquireCPU)
-	if l.writer == nil && l.readers == 0 && len(l.queue) == 0 {
+	if l.writer == nil && l.readers == 0 && l.head == nil {
 		l.writer = ctx.P
 		return
 	}
 	l.Contended++
-	l.queue = append(l.queue, waiter{p: ctx.P, ex: true})
+	l.enqueue(ctx.P, true)
 	prev := ctx.Bucket(exec.BLatch)
 	ctx.Block(func() {
 		for l.writer != ctx.P {
@@ -67,17 +68,26 @@ func (l *RW) AcquireExclusive(ctx *exec.Ctx) {
 	ctx.Bucket(prev)
 }
 
-func (l *RW) grantedShared(p *sim.Proc) bool {
-	if l.writer != nil {
-		return false
+// enqueue appends p's wait node to the queue.
+func (l *RW) enqueue(p *sim.Proc, ex bool) {
+	p.Wait = sim.WaitNode{Exclusive: ex, Queued: true}
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.Wait.Next = p
 	}
-	// Granted once dequeued by admit().
-	for _, w := range l.queue {
-		if w.p == p {
-			return false
-		}
+	l.tail = p
+}
+
+// dequeue takes the first waiter off the queue.
+func (l *RW) dequeue() *sim.Proc {
+	p := l.head
+	l.head = p.Wait.Next
+	if l.head == nil {
+		l.tail = nil
 	}
-	return true
+	p.Wait = sim.WaitNode{}
+	return p
 }
 
 // ReleaseShared releases a read latch.
@@ -103,34 +113,21 @@ func (l *RW) ReleaseExclusive(ctx *exec.Ctx) {
 // admit grants the head of the queue: one writer, or a maximal batch of
 // consecutive readers.
 func (l *RW) admit() {
-	if len(l.queue) == 0 || l.writer != nil {
+	if l.head == nil || l.writer != nil {
 		return
 	}
-	if l.queue[0].ex {
+	if l.head.Wait.Exclusive {
 		if l.readers > 0 {
 			return
 		}
-		w := l.queue[0]
-		l.dequeue()
-		l.writer = w.p
-		w.p.Unpark()
+		l.writer = l.dequeue()
+		l.writer.Unpark()
 		return
 	}
-	for len(l.queue) > 0 && !l.queue[0].ex {
-		w := l.queue[0]
-		l.dequeue()
+	for l.head != nil && !l.head.Wait.Exclusive {
 		l.readers++
-		w.p.Unpark()
+		l.dequeue().Unpark()
 	}
-}
-
-// dequeue drops the queue's first waiter. It shifts the rest down rather
-// than reslicing, so the queue keeps its capacity and a later append reuses
-// it instead of reallocating.
-func (l *RW) dequeue() {
-	n := copy(l.queue, l.queue[1:])
-	l.queue[n] = waiter{}
-	l.queue = l.queue[:n]
 }
 
 // Holders returns current (readers, hasWriter) for assertions in tests.

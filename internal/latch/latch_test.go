@@ -2,6 +2,7 @@ package latch
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"islands/internal/exec"
@@ -151,4 +152,59 @@ func TestLatchReleaseWithoutHoldPanics(t *testing.T) {
 		}
 	}()
 	k.Run()
+}
+
+// TestFirstContendedAcquireAllocatesNothing: a zero-value latch — a page new
+// to the buffer pool — queues its first waiters without allocating: one proc
+// holds each of 200 fresh latches exclusively, latch i from virtual time
+// 2000i for 1000 ns, while two others queue for it at 2000i+500, one shared
+// and one exclusive.
+func TestFirstContendedAcquireAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // count this test's allocations alone
+	const fresh = 200
+	k := sim.NewKernel()
+	defer k.Close()
+	model := mem.NewModel(topology.QuadSocket())
+	latches := make([]RW, fresh+1)
+	var before, after runtime.MemStats
+	var contended uint64
+	k.Spawn("holder", func(p *sim.Proc) {
+		ctx := ctxFor(p, model)
+		for i := range latches {
+			if i == 1 {
+				runtime.ReadMemStats(&before) // latch 0 warmed the kernel's queues
+			}
+			p.Advance(sim.Time(i)*2000 - p.Now())
+			latches[i].AcquireExclusive(ctx)
+			p.Advance(1000)
+			latches[i].ReleaseExclusive(ctx)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	for _, ex := range []bool{false, true} {
+		k.Spawn("waiter", func(p *sim.Proc) {
+			ctx := ctxFor(p, model)
+			for i := range latches {
+				p.Advance(sim.Time(i)*2000 + 500 - p.Now())
+				l := &latches[i]
+				if ex {
+					l.AcquireExclusive(ctx)
+					l.ReleaseExclusive(ctx)
+				} else {
+					l.AcquireShared(ctx)
+					l.ReleaseShared(ctx)
+				}
+			}
+		})
+	}
+	k.Run()
+	for i := range latches {
+		contended += latches[i].Contended
+	}
+	if contended != 2*uint64(len(latches)) {
+		t.Fatalf("%d of %d waiters' acquires contended, want all", contended, 2*len(latches))
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d first contended acquires allocated %d objects, want 0", 2*fresh, n)
+	}
 }

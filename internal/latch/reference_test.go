@@ -12,10 +12,11 @@ import (
 	"islands/internal/topology"
 )
 
-// refRW is the latch as it was before its queue shifted down on dequeue: it
-// reslices the granted waiters off the front, so the queue's capacity shrinks
-// with every contended handoff. It is kept, verbatim but for the name, as the
-// reference TestRWMatchesReference drives side by side with RW.
+// refRW is the latch as it was before its queue shifted down on dequeue and
+// then became intrusive: a slice of waiters that reslices the granted ones
+// off the front, so the queue's capacity shrinks with every contended
+// handoff. It is kept, verbatim but for the name, as the reference
+// TestRWMatchesReference drives side by side with RW.
 type refRW struct {
 	readers int
 	writer  *sim.Proc
@@ -23,6 +24,11 @@ type refRW struct {
 
 	Acquires  uint64
 	Contended uint64
+}
+
+type waiter struct {
+	p  *sim.Proc
+	ex bool
 }
 
 // AcquireShared latches the page for reading, blocking while a writer holds

@@ -126,8 +126,9 @@ type waitReq struct {
 }
 
 // head is one locked key: its grants and FIFO waiters, linked into its
-// bucket's chain. granted starts out backed by inline, which holds the one
-// or two grants a key usually has without a separate allocation.
+// bucket's chain. granted is backed by inline, which holds the one or two
+// grants a key usually has, until a third holder moves it to an array of the
+// manager's (see lists).
 type head struct {
 	key     Key
 	next    *head
@@ -172,13 +173,16 @@ type Manager struct {
 	// owners holds the live transactions' held sets in no particular order;
 	// the slots past its length keep their heads' capacity for reuse.
 	owners []ownerLocks
-	// heldCap is the largest held-set capacity an owner has reached; a
-	// fresh owner slot starts at it instead of growing from empty.
-	heldCap   int
-	freeHeads []*head       // recycled lock heads, granted/waiters capacity kept
-	headSlab  []head        // heads not yet handed out (see newHead)
-	freeReqs  []*waitReq    // recycled wait requests (see Acquire)
-	lineBufs  [][]*mem.Line // ReleaseAll scratch, one buffer per concurrent call
+
+	// Every list the table grows by append, by kind (see lists).
+	held    lists[*head]     // owners' held sets
+	granted lists[entry]     // heads' grants past the two inline ones
+	waiters lists[*waitReq]  // heads' wait queues
+	lines   lists[*mem.Line] // ReleaseAll scratch, one per concurrent call
+
+	freeHeads []*head    // recycled lock heads
+	headSlab  []head     // heads not yet handed out (see newHead)
+	freeReqs  []*waitReq // recycled wait requests (see Acquire)
 
 	// condemned marks a manager whose instance crashed: every waiter has
 	// been aborted and every new request dies immediately. The replacement
@@ -328,7 +332,7 @@ func (m *Manager) Acquire(ctx *exec.Ctx, owner uint64, key Key, mode Mode) error
 		req = new(waitReq)
 	}
 	*req = waitReq{owner: owner, mode: want, proc: ctx.P}
-	h.waiters = append(h.waiters, req)
+	h.waiters = m.waiters.push(h.waiters, req)
 	if holds {
 		// Upgrades go to the front: the owner already holds the object and
 		// blocks everyone behind it anyway.
@@ -373,6 +377,21 @@ func (m *Manager) newHead() *head {
 	return h
 }
 
+// freeHead recycles an unlinked head with no grants or waiters. Arrays its
+// lists grew go back to their kinds, for whichever head next needs one: few
+// keys at a time have more than two holders or any waiter.
+func (m *Manager) freeHead(h *head) {
+	if cap(h.granted) > len(h.inline) {
+		m.granted.put(h.granted)
+		h.granted = h.inline[:0]
+	}
+	if h.waiters != nil {
+		m.waiters.put(h.waiters)
+		h.waiters = nil
+	}
+	m.freeHeads = append(m.freeHeads, h)
+}
+
 // Condemn aborts every queued waiter and marks the manager dead: the
 // instance that owned it crashed, so held locks will never be released and
 // waiting on them would hang forever. Waiters wake with ErrDie in ascending
@@ -407,33 +426,67 @@ func (m *Manager) grantable(h *head, owner uint64, mode Mode) bool {
 	return true
 }
 
+// lists recycles the arrays of one kind of list: the largest capacity one
+// has reached (hw), and the arrays of lists that were let go. A list that is
+// full moves to one of those, or to a new array at hw — at once to what the
+// manager needed before, not doubling there from a small start — so once a
+// kind's arrays have grown to what the load needs, it allocates nothing.
+type lists[T any] struct {
+	hw   int
+	free [][]T
+}
+
+// push appends v to list.
+func (l *lists[T]) push(list []T, v T) []T {
+	if len(list) == cap(list) {
+		a := l.get()
+		if cap(a) <= len(list) {
+			a = make([]T, 0, max(l.hw, 2*len(list), 1))
+			l.hw = cap(a)
+		}
+		list = append(a, list...)
+	}
+	return append(list, v)
+}
+
+// get returns an empty array let go of before, or nil.
+func (l *lists[T]) get() []T {
+	n := len(l.free) - 1
+	if n < 0 {
+		return nil
+	}
+	a := l.free[n]
+	l.free = l.free[:n]
+	return a
+}
+
+// put lets go of a list's array for a later get or push.
+func (l *lists[T]) put(a []T) { l.free = append(l.free, a[:0]) }
+
 // addGrant records owner's grant in the head, replacing an existing entry
 // on upgrade so an owner never has two entries (a duplicate would survive
 // ReleaseAll as a phantom grant and wedge the key).
-func addGrant(h *head, owner uint64, mode Mode) *entry {
+func (m *Manager) addGrant(h *head, owner uint64, mode Mode) *entry {
 	if e := grantOf(h, owner); e != nil {
 		e.mode = mode
 		return e
 	}
-	h.granted = append(h.granted, entry{owner: owner, mode: mode})
+	h.granted = m.granted.push(h.granted, entry{owner: owner, mode: mode})
 	return &h.granted[len(h.granted)-1]
 }
 
 // grant records the grant in the head and, unless it is there already, the
 // head in the owner's held set.
 func (m *Manager) grant(h *head, owner uint64, mode Mode) {
-	e := addGrant(h, owner, mode)
+	e := m.addGrant(h, owner, mode)
 	if e.held == None {
 		o := m.heldBy(owner)
 		if o == nil {
 			m.owners = slices.Grow(m.owners, 1)[:len(m.owners)+1]
 			o = &m.owners[len(m.owners)-1]
 			o.owner = owner
-			if o.heads == nil {
-				o.heads = make([]*head, 0, m.heldCap)
-			}
 		}
-		o.heads = append(o.heads, h)
+		o.heads = m.held.push(o.heads, h)
 	}
 	e.held = mode
 }
@@ -455,14 +508,10 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 	// duration of the call: the charge loop consumes virtual time, so a
 	// concurrently releasing transaction can re-enter ReleaseAll and must
 	// not reuse this call's backing array.
-	var lines []*mem.Line
-	if n := len(m.lineBufs) - 1; n >= 0 {
-		lines = m.lineBufs[n][:0]
-		m.lineBufs = m.lineBufs[:n]
-	}
+	lines := m.lines.get()
 	for _, h := range hm.heads {
 		b := m.bucketOf(h.key)
-		lines = append(lines, &b.line)
+		lines = m.lines.push(lines, &b.line)
 		for i := range h.granted {
 			if h.granted[i].owner == owner {
 				h.granted = append(h.granted[:i], h.granted[i+1:]...)
@@ -479,12 +528,11 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 				pp = &(*pp).next
 			}
 			*pp = h.next
-			m.freeHeads = append(m.freeHeads, h)
+			m.freeHead(h)
 		}
 	}
 	// Swap the held set to the end and shrink past it: the slot keeps its
 	// heads' capacity for the next owner.
-	m.heldCap = max(m.heldCap, cap(hm.heads))
 	last := len(m.owners) - 1
 	*hm, m.owners[last] = m.owners[last], *hm
 	m.owners[last].heads = m.owners[last].heads[:0]
@@ -493,7 +541,7 @@ func (m *Manager) ReleaseAll(ctx *exec.Ctx, owner uint64) {
 		ctx.WriteLine(line)
 		ctx.Charge(CostReleaseCPU)
 	}
-	m.lineBufs = append(m.lineBufs, lines)
+	m.lines.put(lines)
 }
 
 // dispatch grants the maximal FIFO prefix of compatible waiters.
@@ -517,7 +565,7 @@ func (m *Manager) dispatch(h *head) {
 		h.waiters = h.waiters[:n]
 		// Provisional grant so the next waiter's compatibility check sees
 		// it; replaces the owner's old entry when this is an upgrade.
-		addGrant(h, w.owner, w.mode)
+		m.addGrant(h, w.owner, w.mode)
 		w.granted = true
 		w.proc.Unpark()
 	}

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"islands/internal/exec"
@@ -396,4 +397,81 @@ func TestSteadyStateAcquireReleaseAllocatesNothing(t *testing.T) {
 			}
 		},
 	)
+}
+
+// TestSharedKeyOnRecycledHeadsAllocatesNothing: three transactions
+// share-lock one key and X-lock twenty private keys each, then release, so
+// each round the shared key lands on the recycled head that last served a
+// private key, and its three holders outgrow the two grants inline in a head.
+// After the first round, which grows the manager's lists, no round may
+// allocate: the grant array a freed head grew goes back to the manager for
+// the next head that needs one. Heads that kept their own grown arrays made
+// each of the 41 heads in rotation allocate once.
+func TestSharedKeyOnRecycledHeadsAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // count this test's allocations alone
+	const holders, private = 3, 20
+	m := NewManager(true)
+	shared := Key{Space: 1, ID: 0}
+	run(t, func(p *sim.Proc, ctx *exec.Ctx) {
+		owner := uint64(0)
+		round := func() {
+			for h := range holders {
+				o := owner + uint64(h)
+				if err := m.Acquire(ctx, o, shared, S); err != nil {
+					t.Fatal(err)
+				}
+				for j := range private {
+					if err := m.Acquire(ctx, o, Key{Space: 1, ID: int64(1 + h*private + j)}, X); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if h := m.bucketOf(shared).find(shared); len(h.granted) != holders {
+				t.Fatalf("shared key has %d grants, want %d", len(h.granted), holders)
+			}
+			for h := range holders {
+				m.ReleaseAll(ctx, owner+uint64(h))
+			}
+			owner += holders
+		}
+		round()
+		const rounds = 2 * holders * private
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%d rounds allocated %d objects, want 0", rounds, n)
+		}
+	})
+}
+
+// TestFullListGrowsToHighWaterAtOnce: once one transaction has held two
+// hundred locks, one that takes a hundred on a fresh owner slot grows its held
+// set once, straight to the manager's high-water for held sets (256), not by
+// doubling from empty (which stops at 128).
+func TestFullListGrowsToHighWaterAtOnce(t *testing.T) {
+	const locks = 100
+	m := NewManager(true)
+	run(t, func(p *sim.Proc, ctx *exec.Ctx) {
+		take := func(owner uint64, base, n int64) {
+			for i := range n {
+				if err := m.Acquire(ctx, owner, Key{Space: 1, ID: base + i}, X); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		take(1, 0, 2*locks)
+		hw := cap(m.heldBy(1).heads)
+		m.ReleaseAll(ctx, 1)
+		take(2, 0, locks)     // reuses owner 1's slot and its held set
+		take(3, locks, locks) // a fresh slot
+		if got := cap(m.heldBy(3).heads); got != hw || hw < 2*locks {
+			t.Errorf("a fresh owner's held set of %d locks has capacity %d, want the high-water %d", locks, got, hw)
+		}
+		m.ReleaseAll(ctx, 2)
+		m.ReleaseAll(ctx, 3)
+	})
 }

@@ -37,6 +37,19 @@ type Proc struct {
 	started bool
 	dead    bool
 	fn      func(*Proc)
+
+	// Wait is the proc's node in a wait queue kept outside the kernel, such
+	// as a page latch's (package latch).
+	Wait WaitNode
+}
+
+// WaitNode links a Proc into a FIFO of waiters through the Proc itself. A
+// Proc waits for one thing at a time, so one node per Proc queues it
+// anywhere without an allocation.
+type WaitNode struct {
+	Next      *Proc // the proc queued behind this one
+	Exclusive bool  // waiting for exclusive access
+	Queued    bool  // still waiting: not yet granted
 }
 
 func (k *Kernel) newProc(d *Domain, name string, fn func(*Proc)) *Proc {

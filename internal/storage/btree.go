@@ -38,6 +38,33 @@ type BTree struct {
 	height int
 	size   int
 	locate func(key int64) RID // BulkLoadRange's rid function; resolves dense leaves
+
+	// The nodes and arrays that inserts add — a split's right half, a new
+	// root, a dense leaf's expanded arrays, a bulk-loaded node's first
+	// regrowth — are cut from these slabs, never allocated one by one.
+	nodes slab[bnode]
+	keys  slab[int64]
+	rids  slab[RID]
+	kids  slab[*bnode]
+}
+
+// slab hands out equal pieces of arrays it allocates whole. Each array holds
+// twice the pieces of the one before, from 2 up to maxSlabPieces, so a tree
+// that rarely splits keeps a small one and a growing tree allocates once
+// per maxSlabPieces splits.
+type slab[T any] struct {
+	free   []T
+	pieces int
+}
+
+const maxSlabPieces = 64
+
+// cut returns a piece of length n and capacity size (see the package's cut).
+func (s *slab[T]) cut(n, size int) []T {
+	if len(s.free) < size {
+		s.pieces = min(max(2*s.pieces, 2), maxSlabPieces)
+	}
+	return cut(&s.free, n, size, s.pieces*size)
 }
 
 // bnode's first fields are the ones a probe reads (the line is touched on
@@ -65,15 +92,15 @@ func (n *bnode) size() int {
 
 // expand turns a dense leaf into the explicit leaf it stands for, the keys
 // and RIDs BulkLoad would have given it. Every mutation of a leaf calls it
-// first; an explicit leaf is never made dense again. Its arrays are allocated
-// once at the most a leaf holds before it splits, as a split's right half is,
-// so the insert that expanded it does not reallocate them at once.
+// first; an explicit leaf is never made dense again. Its arrays are cut at
+// the most a leaf holds before it splits, as a split's right half is, so the
+// insert that expanded it does not regrow them.
 func (t *BTree) expand(n *bnode) {
 	if !n.dense() {
 		return
 	}
-	n.keys = make([]int64, n.count, t.order+1)
-	n.rids = make([]RID, n.count, t.order+1)
+	n.keys = t.keys.cut(int(n.count), t.order+1)
+	n.rids = t.rids.cut(int(n.count), t.order+1)
 	for i := range n.keys {
 		k := n.first + int64(i)
 		n.keys[i] = k
@@ -207,21 +234,22 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 			n.rids[i] = rid
 			return 0, nil, false
 		}
-		n.keys = append(n.keys, 0)
+		n.keys = append(room(&t.keys, n.keys, t.order+1), 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.rids = append(n.rids, RID{})
+		n.rids = append(room(&t.rids, n.rids, t.order+1), RID{})
 		copy(n.rids[i+1:], n.rids[i:])
 		n.rids[i] = rid
 		if len(n.keys) <= t.order {
 			return 0, nil, true
 		}
-		// As for inner nodes (newInner), the right half's arrays are
-		// allocated once at full capacity and the left half keeps its own.
+		// As for inner nodes (newInner), the right half's arrays are cut at
+		// full capacity and the left half keeps its own.
 		mid := len(n.keys) / 2
-		r := &bnode{leaf: true, next: n.next,
-			keys: make([]int64, len(n.keys)-mid, t.order+1),
-			rids: make([]RID, len(n.rids)-mid, t.order+1)}
+		r := t.newNode()
+		r.leaf, r.next = true, n.next
+		r.keys = t.keys.cut(len(n.keys)-mid, t.order+1)
+		r.rids = t.rids.cut(len(n.rids)-mid, t.order+1)
 		copy(r.keys, n.keys[mid:])
 		copy(r.rids, n.rids[mid:])
 		n.keys = n.keys[:mid]
@@ -237,10 +265,10 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 		return 0, nil, added
 	}
 	t.touch(ctx, n, true)
-	n.keys = append(n.keys, 0)
+	n.keys = append(room(&t.keys, n.keys, t.order+1), 0)
 	copy(n.keys[ci+1:], n.keys[ci:])
 	n.keys[ci] = promoted
-	n.children = append(n.children, nil)
+	n.children = append(room(&t.kids, n.children, t.order+2), nil)
 	copy(n.children[ci+2:], n.children[ci+1:])
 	n.children[ci+1] = right
 	if len(n.keys) <= t.order {
@@ -258,14 +286,29 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 }
 
 // newInner returns an inner node of nkeys keys and nkeys+1 children, its
-// arrays allocated once at the most a node holds before it splits. A split
-// gives its right half fresh arrays of that capacity, and its left half keeps
-// the arrays it had, so neither reallocates as inserts refill it.
+// arrays cut at the most a node holds before it splits. A split gives its
+// right half fresh arrays of that capacity, and its left half keeps the
+// arrays it had, so neither regrows as inserts refill it.
 func (t *BTree) newInner(nkeys int) *bnode {
-	return &bnode{
-		keys:     make([]int64, nkeys, t.order+1),
-		children: make([]*bnode, nkeys+1, t.order+2),
+	n := t.newNode()
+	n.keys = t.keys.cut(nkeys, t.order+1)
+	n.children = t.kids.cut(nkeys+1, t.order+2)
+	return n
+}
+
+// newNode returns a zero node from the tree's node slab.
+func (t *BTree) newNode() *bnode { return &t.nodes.cut(1, 1)[0] }
+
+// room returns a node's array with room for one more entry: as it is, or
+// moved to a piece of s at full capacity when it is full — a new tree's
+// empty root leaf, or a bulk-loaded node whose arrays were cut to its length.
+func room[T any](s *slab[T], a []T, size int) []T {
+	if len(a) < cap(a) {
+		return a
 	}
+	b := s.cut(len(a), size)
+	copy(b, a)
+	return b
 }
 
 // Delete removes key, reporting whether it existed. Leaves are not

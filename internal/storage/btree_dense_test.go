@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -294,7 +295,9 @@ func TestRangeLoadedInnerNodesHaveExactCapacity(t *testing.T) {
 // host cache lines, and the fields a probe reads (line, leaf, count, first)
 // lie within 48 bytes of its start, so in a slab whose start is 16-byte
 // aligned within a line — a large slab starts on a page, a small one after
-// at most its 8-byte header — every node's probe fields share one line.
+// at most its 8-byte header — every node's probe fields share one line. That
+// holds for the leaves bulkLoad cuts and for those splits cut from the
+// tree's node slabs.
 func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 	var n bnode
 	if size := unsafe.Sizeof(n); size%64 != 0 {
@@ -306,6 +309,9 @@ func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 	for _, rows := range []int64{100, 1000, 100000} {
 		bt := NewBTree(DefaultBTreeOrder)
 		bt.BulkLoadRange(rows, ridFor, 0.9)
+		for k := rows; k < rows+5000; k++ {
+			bt.Insert(nil, k, ridFor(k))
+		}
 		for leaf := bt.root; leaf != nil; leaf = leaf.next {
 			for !leaf.leaf {
 				leaf = leaf.children[0]
@@ -318,8 +324,9 @@ func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 }
 
 // TestFirstInsertPastRangeAllocatesTwice: the insert that expands a dense
-// leaf allocates its key and RID arrays once, with room to grow to a split,
-// so appending the first key past a range-loaded tree costs two objects.
+// leaf cuts its key and RID arrays from the tree's slabs, with room to grow
+// to a split, so appending the first key past a fresh range-loaded tree
+// costs two objects: the first key slab and the first RID slab.
 func TestFirstInsertPastRangeAllocatesTwice(t *testing.T) {
 	const rows, runs = 1000, 20
 	trees := make([]*BTree, runs+1) // AllocsPerRun runs once more to warm up
@@ -342,6 +349,146 @@ func TestFirstInsertPastRangeAllocatesTwice(t *testing.T) {
 		if msg := bt.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}
+	}
+}
+
+// forEachNode calls fn for every node of the tree, parents first.
+func (t *BTree) forEachNode(fn func(n *bnode)) {
+	var walk func(n *bnode)
+	walk = func(n *bnode) {
+		fn(n)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+}
+
+// TestSplitNodesAreCutFromSlabs: what inserts add to a tree — a split's right
+// half, a new root, a dense leaf's expanded arrays, a bulk-loaded node's
+// regrowth — is cut from the tree's slabs. Thousands of appended and random
+// inserts into a new tree and a range-loaded one must keep the tree equal to
+// a map after every step; leave every array an insert gave a node at the
+// capacity a node holds before it splits (order+1 keys and RIDs, order+2
+// children); let a node be appended to up to that capacity without changing
+// a slab neighbour; and allocate far less than once per split.
+func TestSplitNodesAreCutFromSlabs(t *testing.T) {
+	for _, c := range []struct {
+		order int
+		rows  int64
+	}{{4, 0}, {5, 0}, {8, 0}, {8, 300}, {DefaultBTreeOrder, 0}, {DefaultBTreeOrder, 5000}} {
+		bt := NewBTree(c.order)
+		want := map[int64]RID{}
+		if c.rows > 0 {
+			bt.BulkLoadRange(c.rows, ridFor, 0.9)
+			for k := range c.rows {
+				want[k] = ridFor(k)
+			}
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("order %d rows %d: %s", c.order, c.rows, fmt.Sprintf(format, args...))
+		}
+		same := func(step int) {
+			t.Helper()
+			if msg := bt.CheckInvariants(); msg != "" {
+				fail("step %d: %s", step, msg)
+			}
+			n := 0
+			bt.Range(nil, -1<<62, 1<<62, func(k int64, rid RID) bool {
+				if w, ok := want[k]; !ok || w != rid {
+					fail("step %d: key %d -> %v, want %v (present %v)", step, k, rid, w, ok)
+				}
+				n++
+				return true
+			})
+			if n != len(want) || bt.Size() != len(want) {
+				fail("step %d: %d keys in range, size %d, want %d", step, n, bt.Size(), len(want))
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(c.order)*7 + c.rows))
+		next := c.rows
+		insert := func(step int) {
+			var k int64
+			if step%3 == 0 {
+				k = rng.Int63n(next+20) - 10 // random: a miss, a replace or a hole
+			} else {
+				k, next = next, next+1 // append, as TPC-C's inserts do
+			}
+			rid := RID{Page: PageID{Table: 3, No: k}, Slot: uint16(step)}
+			bt.Insert(nil, k, rid)
+			want[k] = rid
+		}
+		for step := range 3000 {
+			insert(step)
+			same(step)
+		}
+
+		// Capacities: every array an insert gave a node is a full piece. A
+		// bulk-loaded inner node no insert reached keeps its exact share.
+		explicit := 0
+		bt.forEachNode(func(n *bnode) {
+			switch {
+			case n.dense():
+			case n.leaf:
+				explicit++
+				if cap(n.keys) != c.order+1 || cap(n.rids) != c.order+1 {
+					fail("leaf with %d/%d keys, %d/%d rids (len/cap), want cap %d",
+						len(n.keys), cap(n.keys), len(n.rids), cap(n.rids), c.order+1)
+				}
+			case cap(n.keys) == len(n.keys) && cap(n.children) == len(n.children) && c.rows > 0:
+			default:
+				if cap(n.keys) != c.order+1 || cap(n.children) != c.order+2 {
+					fail("inner node with %d/%d keys, %d/%d children (len/cap), want caps %d and %d",
+						len(n.keys), cap(n.keys), len(n.children), cap(n.children), c.order+1, c.order+2)
+				}
+			}
+		})
+		if explicit < 20 {
+			fail("%d explicit leaves; the inserts split too little", explicit)
+		}
+
+		// Neighbours: fill every node's spare capacity as an append would; no
+		// node may see it, and the tree must not change.
+		sentinel := &bnode{}
+		bt.forEachNode(func(n *bnode) {
+			for i := len(n.keys); i < cap(n.keys); i++ {
+				n.keys[:cap(n.keys)][i] = -1 << 62
+			}
+			for i := len(n.rids); i < cap(n.rids); i++ {
+				n.rids[:cap(n.rids)][i] = RID{Slot: 0xdead}
+			}
+			for i := len(n.children); i < cap(n.children); i++ {
+				n.children[:cap(n.children)][i] = sentinel
+			}
+		})
+		bt.forEachNode(func(n *bnode) {
+			if slices.Contains(n.keys, -1<<62) || slices.Contains(n.rids, RID{Slot: 0xdead}) || slices.Contains(n.children, sentinel) {
+				fail("a node's spare capacity overlaps a neighbour's entries")
+			}
+		})
+		same(3000)
+
+		// Allocations: past the slabs' first doublings, at most one object
+		// per ten splits under appends.
+		nodes := 0
+		bt.forEachNode(func(*bnode) { nodes++ })
+		first := next
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 5000 {
+				bt.Insert(nil, next, ridFor(next))
+				next++
+			}
+		})
+		for k := first; k < next; k++ {
+			want[k] = ridFor(k)
+		}
+		splits := -nodes
+		bt.forEachNode(func(*bnode) { splits++ })
+		if splits < 50 || allocs > float64(splits)/20 {
+			fail("%v objects in 5,000 appends, %d splits in 10,000; want at most one per ten splits", allocs, splits)
+		}
+		same(3001)
 	}
 }
 

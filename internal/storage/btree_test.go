@@ -226,10 +226,10 @@ func nodeCount(n *bnode) int {
 // BenchmarkBTreeInsertAppend appends ascending keys to an index, as TPC-C's
 // inserts do: every insert lands in the rightmost leaf, and every order/2 of
 // them split it. It reports the heap objects allocated per split
-// (allocs/split; CI gates it at 3): a split allocates its new node and that
-// node's two arrays once, at full capacity, and the left half keeps its
-// arrays, so no insert regrows one. The count starts after the tree's first
-// split, once the root leaf, which NewBTree makes empty, has grown to full.
+// (allocs/split; CI gates it at 0.1): a split cuts its new node and that
+// node's two arrays from the tree's slabs, at full capacity, and the left
+// half keeps its arrays, so no insert regrows one; a slab of 64 pieces is
+// three objects per 64 splits. The count starts after the tree's first split.
 func BenchmarkBTreeInsertAppend(b *testing.B) {
 	bt := NewBTree(DefaultBTreeOrder)
 	key := int64(0)

@@ -105,7 +105,7 @@ type Page struct {
 	arena   *arena
 	waiters []*sim.Proc
 	Latch   latch.RW
-	_       [24]byte // fills the struct to 256 bytes (see above)
+	_       [32]byte // fills the struct to 256 bytes (see above)
 }
 
 // format makes p page no of table t as a miss finds it: nobody wrote it, so
@@ -166,7 +166,7 @@ func (p *Page) SetVersion(slot uint16, v uint64) bool {
 		return false
 	}
 	if p.vers == nil {
-		p.vers = cut(&p.arena.vers, p.slots, p.capacity())
+		p.vers = cut(&p.arena.vers, p.slots, p.capacity(), arenaWords)
 		clear(p.vers)
 	}
 	p.vers[slot] = v
@@ -181,7 +181,7 @@ func (p *Page) reshape() {
 		return
 	}
 	p.reshaped = true
-	p.keys = cut(&p.arena.keys, p.slots, p.capacity())
+	p.keys = cut(&p.arena.keys, p.slots, p.capacity(), arenaWords)
 	for i := range p.keys {
 		p.keys[i] = p.firstKey + int64(i)
 	}

@@ -36,11 +36,13 @@ type arena struct {
 // 128 pages of 250-byte rows.
 const arenaWords = 4096
 
-// cut returns n elements of *free with capacity c, starting a new chunk when
-// the rest of the current one is shorter than c.
-func cut[T uint64 | int64](free *[]T, n, c int) []T {
+// cut returns n elements of *free with capacity c, starting a new chunk of
+// chunk elements (at least c) when the rest of the current one is shorter
+// than c. The capacity ends where the next cut begins, so an append within it
+// never reaches a neighbour. The arena and the B-tree's slabs cut this way.
+func cut[T any](free *[]T, n, c, chunk int) []T {
 	if len(*free) < c {
-		*free = make([]T, max(arenaWords, c))
+		*free = make([]T, max(chunk, c))
 	}
 	s := (*free)[:n:c]
 	*free = (*free)[c:]

@@ -270,6 +270,7 @@ type Mix struct {
 	streams map[[2]int32]*mixStream
 	cum     [NumTxnKinds]float64 // normalized cumulative weights
 	single  int                  // the only active kind, or -1
+	maxOps  int                  // the longest request an active kind can make
 }
 
 // NewMix builds the generator.
@@ -298,6 +299,9 @@ func NewMix(cfg MixConfig, part PartitionInfo) *Mix {
 	for k, w := range cfg.Weights {
 		acc += w / total
 		g.cum[k] = acc
+		if w > 0 {
+			g.maxOps = max(g.maxOps, maxOps(TxnKind(k), g.sizing))
+		}
 	}
 	g.cum[NumTxnKinds-1] = 1 // guard against rounding
 	return g
@@ -324,12 +328,32 @@ func (g *Mix) stream(inst engine.InstanceID, worker int) *mixStream {
 	if st == nil {
 		g.mu.Lock()
 		if st = g.streams[k]; st == nil {
-			st = &mixStream{rng: rand.New(rand.NewSource(g.cfg.Seed + int64(inst)*40503 + int64(worker)*9973))}
+			st = &mixStream{rng: rand.New(rand.NewSource(g.cfg.Seed + int64(inst)*40503 + int64(worker)*9973)),
+				ops: make([]engine.Op, 0, g.maxOps)}
 			g.streams[k] = st
 		}
 		g.mu.Unlock()
 	}
 	return st
+}
+
+// maxOps returns the most ops one request of kind can hold at sizing s, what
+// the generator below adds at most: a stream's op buffer is allocated once at
+// the largest of its mix's kinds and never grows.
+func maxOps(kind TxnKind, s Sizing) int {
+	switch kind {
+	case TxnNewOrder: // five rows, then an item, a stock row and an order line per line
+		return 5 + 3*MaxOrderLines
+	case TxnPayment:
+		return 4
+	case TxnOrderStatus: // customer, order, its lines
+		return 2 + int(s.OrderLinesPerOrder)
+	case TxnDelivery: // per district: new-order, order, its lines, customer
+		return DistrictsPerWarehouse * (3 + int(s.OrderLinesPerOrder))
+	case TxnStockLevel: // district, then an order line and a stock row per order
+		return 1 + 2*StockLevelOrders
+	}
+	return 0
 }
 
 // localWarehouses returns the warehouse range of an instance.

@@ -329,3 +329,40 @@ func TestMixLocalOnlyWhenRemoteZero(t *testing.T) {
 		}
 	}
 }
+
+// TestMixStreamOpBufferNeverGrows: a stream's op buffer is allocated once,
+// with the stream, at the longest request its mix's kinds can make, so no
+// later Next allocates. The bound is tight: over 2,000 requests each mix
+// makes one exactly that long (for the standard mix, a Delivery).
+func TestMixStreamOpBufferNeverGrows(t *testing.T) {
+	for _, sizing := range []Sizing{SpecSizing(), SpecSizing().Scaled(10), {OrderLinesPerOrder: 3}} {
+		mixes := []MixWeights{StandardMix()}
+		for k := range NumTxnKinds {
+			var w MixWeights
+			w[k] = 1
+			mixes = append(mixes, w)
+		}
+		for _, weights := range mixes {
+			cfg := MixConfig{Warehouses: 4, Weights: weights, RemotePct: 0.15, RemoteItemPct: 0.01,
+				Sizing: sizing, Seed: 11}
+			g := NewMix(cfg, mixPart(2, cfg.Warehouses, weights, sizing))
+			first := g.Next(1, 0).Ops
+			longest := len(first)
+			allocs := testing.AllocsPerRun(1, func() {
+				for range 2000 {
+					ops := g.Next(1, 0).Ops
+					longest = max(longest, len(ops))
+					if cap(ops) != cap(first) || &ops[:1][0] != &first[:1][0] {
+						t.Fatalf("%v %+v: op buffer moved (cap %d -> %d)", weights, sizing, cap(first), cap(ops))
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v %+v: 2000 Nexts allocated %v objects, want 0", weights, sizing, allocs)
+			}
+			if cap(first) != longest {
+				t.Errorf("%v %+v: op buffer cap %d, longest request %d; want equal", weights, sizing, cap(first), longest)
+			}
+		}
+	}
+}
