@@ -156,6 +156,12 @@ func (in *Instance) putCoordScratch(s *coordScratch) {
 // attemptTxn runs one attempt of the request as coordinator. attempt tags
 // the attempt's messages so fault-mode retries can tell live traffic from
 // stale; healthy runs never look at it.
+//
+// It holds the partition token, the attempt's Txn and its scratch around
+// runAttempt and releases them in reverse order on every return — committed,
+// aborted or abandoned to a crash — without defers, which this frame would
+// otherwise pay on every transaction. A panic skips the releases: it means
+// the kernel is being closed, which abandons the instance anyway.
 func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Request, reply *ipc.Endpoint[Msg]) (multisite bool, err error) {
 	epoch := in.epoch
 	if in.serial != nil {
@@ -167,22 +173,27 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 			// "granted" died with the old instance.
 			return false, errCrashed
 		}
-		defer func() {
-			// The token is volatile state: if the instance crashed under
-			// this attempt, the replacement token was never held by us.
-			if in.epoch == epoch {
-				in.serial.Release()
-			}
-		}()
 	}
-	// The coordinator's Txn never leaves this frame, so every return —
-	// committed, aborted or abandoned to a crash — may recycle it.
+	// The coordinator's Txn never leaves runAttempt, so every return may
+	// recycle it.
 	txn := in.newTxn(ctx, ts, false)
-	defer in.putTxn(txn)
-
-	// Split operations into the local part and per-participant parts.
 	s := in.getCoordScratch()
-	defer in.putCoordScratch(s)
+	multisite, err = in.runAttempt(ctx, ts, attempt, epoch, req, reply, txn, s)
+	in.putCoordScratch(s)
+	in.putTxn(txn)
+	// The token is volatile state: if the instance crashed under this
+	// attempt, the replacement token was never held by us.
+	if in.serial != nil && in.epoch == epoch {
+		in.serial.Release()
+	}
+	return multisite, err
+}
+
+// runAttempt is attemptTxn's body: it runs the attempt with the Txn and
+// scratch attemptTxn holds for it. epoch is the instance's epoch when the
+// attempt began.
+func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, req Request, reply *ipc.Endpoint[Msg], txn *Txn, s *coordScratch) (multisite bool, err error) {
+	// Split operations into the local part and per-participant parts.
 	for _, op := range req.Ops {
 		iid, lk := in.part.Locate(op.Table, op.Key)
 		lop := localOp{Table: int32(op.Table), Key: lk, Kind: op.Kind}

@@ -258,9 +258,13 @@ func TestStoreRepairsPartialHeader(t *testing.T) {
 	var k Key
 	k[0] = 9
 	for i, ref := range testLogs(t, "") {
+		// One directory per log, emptied before each cut: a fresh
+		// t.TempDir per cut makes the test's cleanup remove one directory
+		// per header byte.
+		dir := t.TempDir()
+		log := testLogs(t, dir)[i]
 		for n := 1; n < len(ref.header); n++ {
-			dir := t.TempDir()
-			log := testLogs(t, dir)[i]
+			emptyDir(t, dir)
 			if err := os.WriteFile(log.path, log.header[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -291,8 +295,7 @@ func TestStoreRepairsPartialHeader(t *testing.T) {
 
 		// A whole header's worth of bytes that are not the header is foreign:
 		// Open refuses it and leaves it alone.
-		dir := t.TempDir()
-		log := testLogs(t, dir)[i]
+		emptyDir(t, dir)
 		bad := append([]byte(nil), log.header...)
 		bad[0] ^= 0x20
 		if err := os.WriteFile(log.path, bad, 0o644); err != nil {
@@ -304,6 +307,20 @@ func TestStoreRepairsPartialHeader(t *testing.T) {
 		}
 		if got, _ := os.ReadFile(log.path); !bytes.Equal(got, bad) {
 			t.Fatalf("log %d: Open rewrote a foreign file", i)
+		}
+	}
+}
+
+// emptyDir removes everything in dir, leaving dir itself.
+func emptyDir(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

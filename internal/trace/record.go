@@ -24,10 +24,12 @@ type KindReporter interface {
 // deployment without one, timestamps fall back to 0 (ordering within a
 // stream is still generation order).
 //
-// Per-stream buffers are created lazily under an RWMutex (the same idiom
-// as the workload generators): worker goroutines from different kernel
-// shards may call concurrently, but each (instance, worker) stream is
-// always the same goroutine, so records within a stream need no lock.
+// Per-stream buffers are created lazily in a map under an RWMutex: worker
+// goroutines from different kernel shards may call concurrently, but each
+// (instance, worker) stream is always the same goroutine, so records within
+// a stream need no lock. (The workload generators need neither map nor
+// lock: they are built knowing the instance count and keep one row of
+// streams per instance. The recorder is built without it.)
 // Trace bytes are therefore deterministic regardless of shard count or
 // scheduling: each stream's records are its own call sequence, and Finish
 // sorts streams canonically.

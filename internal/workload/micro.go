@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-	"sync"
-
 	"islands/internal/engine"
 	"islands/internal/storage"
 )
@@ -32,97 +29,110 @@ type MicroConfig struct {
 	Seed         int64
 }
 
-// microStream is one (instance, worker) request stream: its RNG, the
-// instance's key range and samplers, resolved once, and reusable
-// per-request scratch. The closed-loop worker consumes a request fully
-// before asking for the next one, and the engine copies whatever it keeps,
-// so reusing the op buffer per stream is safe and keeps Next
+// microStream is one (instance, worker) request stream: its generator and
+// reusable per-request scratch. The closed-loop worker consumes a request
+// fully before asking for the next one, and the engine copies whatever it
+// keeps, so reusing the op buffer per stream is safe and keeps Next
 // allocation-free in steady state (guarded by BenchmarkMicroNext).
 type microStream struct {
-	rng   *rand.Rand
+	src source
+	ops []engine.Op
+}
+
+// microInstance is what an instance's streams share, resolved once by
+// NewMicro: the instance's key range and its sampler.
+type microInstance struct {
 	base  int64 // first global key of the instance's range
 	local *Zipf // over the instance's range
-	// global is over the whole table. It is resolved on the stream's first
-	// multisite draw, not before: for s > 0 building it is O(GlobalRows),
-	// and a deployment with no multisite work never needs it.
-	global *Zipf
-	ops    []engine.Op
+	// streams is indexed by worker. Only the kernel partition that runs the
+	// instance calls Next for it, so it grows without a lock.
+	streams []*microStream
 }
 
 // Micro generates microbenchmark requests. It is deterministic per
-// (instance, worker) stream and safe for the simulator's single-threaded
-// execution model.
+// (instance, worker) stream, and streams of different instances may be
+// driven concurrently.
 type Micro struct {
-	cfg   MicroConfig
-	part  PartitionInfo
-	zipfs *zipfCache
-	kind  engine.OpKind
-
-	// streams is lazily populated; each entry's content is a pure function
-	// of its (instance, worker) key and the seed, so creation order is
-	// irrelevant — the lock only makes concurrent first access from
-	// different kernel shards race-free.
-	mu      sync.RWMutex
-	streams map[[2]int32]*microStream
+	cfg    MicroConfig
+	kind   engine.OpKind
+	insts  []microInstance
+	global *Zipf // over the whole table; nil without multisite work
 }
 
-// NewMicro builds a generator over the deployment described by part.
+// NewMicro builds a generator over the deployment described by part. It
+// resolves every sampler the generator can draw from: one per distinct
+// instance range size and, with multisite work, one over the whole table.
+// For s > 0 building one is O(rows), so equal sizes share one.
 func NewMicro(cfg MicroConfig, part PartitionInfo) *Micro {
 	if cfg.RowsPerTxn < 1 {
 		panic("workload: RowsPerTxn must be >= 1")
 	}
-	kind := engine.OpRead
+	m := &Micro{cfg: cfg, kind: engine.OpRead, insts: make([]microInstance, part.Instances())}
 	if cfg.Write {
-		kind = engine.OpUpdate
+		m.kind = engine.OpUpdate
 	}
-	return &Micro{cfg: cfg, part: part, zipfs: newZipfCache(), kind: kind, streams: make(map[[2]int32]*microStream)}
+	var zipfs []*Zipf
+	sampler := func(n int64) *Zipf {
+		for _, z := range zipfs {
+			if z.n == n {
+				return z
+			}
+		}
+		z := NewZipf(n, cfg.ZipfS)
+		zipfs = append(zipfs, z)
+		return z
+	}
+	for i := range m.insts {
+		base, rows := part.Range(cfg.Table, i)
+		m.insts[i] = microInstance{base: base, local: sampler(rows)}
+	}
+	if cfg.PctMultisite > 0 {
+		m.global = sampler(cfg.GlobalRows)
+	}
+	return m
 }
 
-func (m *Micro) stream(inst engine.InstanceID, worker int) *microStream {
-	k := [2]int32{int32(inst), int32(worker)}
-	m.mu.RLock()
-	st := m.streams[k]
-	m.mu.RUnlock()
-	if st == nil {
-		m.mu.Lock()
-		if st = m.streams[k]; st == nil {
-			base, rows := m.part.Range(m.cfg.Table, int(inst))
-			st = &microStream{
-				rng:   rand.New(rand.NewSource(m.cfg.Seed + int64(inst)*1315423911 + int64(worker)*2654435761)),
-				base:  base,
-				local: m.zipfs.get(rows, m.cfg.ZipfS),
-				ops:   make([]engine.Op, 0, m.cfg.RowsPerTxn),
-			}
-			m.streams[k] = st
-		}
-		m.mu.Unlock()
+// stream returns the (inst, worker) stream, creating it on first use.
+func (m *Micro) stream(in *microInstance, inst engine.InstanceID, worker int) *microStream {
+	if worker < len(in.streams) && in.streams[worker] != nil {
+		return in.streams[worker]
 	}
+	st := &microStream{ops: make([]engine.Op, 0, m.cfg.RowsPerTxn)}
+	st.src.seed(m.cfg.Seed + int64(inst)*1315423911 + int64(worker)*2654435761)
+	in.streams = placeStream(in.streams, worker, st)
 	return st
+}
+
+// placeStream stores st at streams[worker], growing streams as needed.
+func placeStream[S any](streams []*S, worker int, st *S) []*S {
+	if worker >= len(streams) {
+		streams = append(streams, make([]*S, worker+1-len(streams))...)
+	}
+	streams[worker] = st
+	return streams
 }
 
 // Next implements engine.RequestSource. The returned request's op slice is
 // valid until the same stream's next call (the closed-loop worker finishes
 // one request before requesting the next).
 func (m *Micro) Next(inst engine.InstanceID, worker int) engine.Request {
-	st := m.stream(inst, worker)
-	rng := st.rng
-	multisite := rng.Float64() < m.cfg.PctMultisite
+	in := &m.insts[inst]
+	st := m.stream(in, inst, worker)
+	src := &st.src
+	multisite := src.Float64() < m.cfg.PctMultisite
 	// First row is always local to the submitting worker's partition.
-	ops := append(st.ops[:0], engine.Op{Table: m.cfg.Table, Key: st.base + st.local.Sample(rng), Kind: m.kind})
-	base, z := st.base, st.local
+	ops := append(st.ops[:0], engine.Op{Table: m.cfg.Table, Key: in.base + in.local.sample(src), Kind: m.kind})
+	base, z := in.base, in.local
 	if multisite {
-		if st.global == nil {
-			st.global = m.zipfs.get(m.cfg.GlobalRows, m.cfg.ZipfS)
-		}
-		base, z = 0, st.global
+		base, z = 0, m.global
 	}
 	// Draw until a key the request does not hold yet appears; under heavy
 	// skew a duplicate is accepted after eight tries (the engine treats
 	// re-locked rows as already covered).
 	for len(ops) < m.cfg.RowsPerTxn {
-		key := base + z.Sample(rng)
+		key := base + z.sample(src)
 		for tries := 0; tries < 8 && drawn(ops, key); tries++ {
-			key = base + z.Sample(rng)
+			key = base + z.sample(src)
 		}
 		ops = append(ops, engine.Op{Table: m.cfg.Table, Key: key, Kind: m.kind})
 	}

@@ -11,7 +11,8 @@ import (
 // their samplers once and found duplicates by a scan: a per-request seen map,
 // two closures and a locked sampler lookup per draw. It is kept, verbatim but
 // for the names, as the reference TestMicroMatchesReference drives side by
-// side with Micro.
+// side with Micro. Its sampler cache, zipfCache, went from the package with
+// it.
 type refMicroStream struct {
 	rng  *rand.Rand
 	ops  []engine.Op
@@ -107,4 +108,33 @@ func (m *refMicro) Next(inst engine.InstanceID, worker int) engine.Request {
 	}
 	st.ops = ops // keep the (possibly regrown) buffer for the next request
 	return engine.Request{Ops: ops}
+}
+
+// zipfCache memoizes samplers by (n, s): partitions of equal size share one.
+type zipfCache struct {
+	mu sync.RWMutex
+	m  map[zipfKey]*Zipf
+}
+
+type zipfKey struct {
+	n int64
+	s float64
+}
+
+func newZipfCache() *zipfCache { return &zipfCache{m: make(map[zipfKey]*Zipf)} }
+
+func (c *zipfCache) get(n int64, s float64) *Zipf {
+	k := zipfKey{n, s}
+	c.mu.RLock()
+	z := c.m[k]
+	c.mu.RUnlock()
+	if z == nil {
+		c.mu.Lock()
+		if z = c.m[k]; z == nil {
+			z = NewZipf(n, s)
+			c.m[k] = z
+		}
+		c.mu.Unlock()
+	}
+	return z
 }

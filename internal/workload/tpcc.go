@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-	"sync"
-
 	"islands/internal/engine"
 	"islands/internal/storage"
 )
@@ -239,12 +236,12 @@ type TPCCConfig struct {
 	Seed       int64
 }
 
-// mixStream is one (instance, worker) request stream: its RNG plus the
+// mixStream is one (instance, worker) request stream: its generator plus the
 // reusable op buffer (the worker consumes a request fully — commit or
 // retry-to-commit — before asking for the next one, so per-stream reuse is
 // safe; the engine copies whatever it keeps).
 type mixStream struct {
-	rng  *rand.Rand
+	src  source
 	ops  []engine.Op
 	kind TxnKind // kind of the most recent Next (for trace recording)
 }
@@ -258,16 +255,15 @@ func (st *mixStream) add(table storage.TableID, key int64, kind engine.OpKind) {
 // submitting instance's partition (clients connect to the instance that
 // owns their warehouse, as in the paper's setup), so every transaction is
 // home-local except Payment's remote customers and NewOrder's remote stock
-// updates.
+// updates. Streams of different instances may be driven concurrently.
 type Mix struct {
 	cfg    MixConfig
 	sizing Sizing
 	part   PartitionInfo
-	// streams is lazily populated; entries are pure functions of their key
-	// and seed, so the lock only guards concurrent first access from
-	// different kernel shards (see Micro.stream).
-	mu      sync.RWMutex
-	streams map[[2]int32]*mixStream
+	// streams is indexed by instance, then worker. Only the kernel
+	// partition that runs an instance calls Next for it, so an instance's
+	// row grows without a lock.
+	streams [][]*mixStream
 	cum     [NumTxnKinds]float64 // normalized cumulative weights
 	single  int                  // the only active kind, or -1
 	maxOps  int                  // the longest request an active kind can make
@@ -292,7 +288,7 @@ func NewMix(cfg MixConfig, part PartitionInfo) *Mix {
 		cfg:     cfg,
 		sizing:  cfg.Sizing.orDefault(),
 		part:    part,
-		streams: make(map[[2]int32]*mixStream),
+		streams: make([][]*mixStream, part.Instances()),
 		single:  cfg.Weights.single(),
 	}
 	acc := 0.0
@@ -320,20 +316,15 @@ func NewPayment(cfg TPCCConfig, part PartitionInfo) *Mix {
 	}, part)
 }
 
+// stream returns the (inst, worker) stream, creating it on first use.
 func (g *Mix) stream(inst engine.InstanceID, worker int) *mixStream {
-	k := [2]int32{int32(inst), int32(worker)}
-	g.mu.RLock()
-	st := g.streams[k]
-	g.mu.RUnlock()
-	if st == nil {
-		g.mu.Lock()
-		if st = g.streams[k]; st == nil {
-			st = &mixStream{rng: rand.New(rand.NewSource(g.cfg.Seed + int64(inst)*40503 + int64(worker)*9973)),
-				ops: make([]engine.Op, 0, g.maxOps)}
-			g.streams[k] = st
-		}
-		g.mu.Unlock()
+	streams := g.streams[inst]
+	if worker < len(streams) && streams[worker] != nil {
+		return streams[worker]
 	}
+	st := &mixStream{ops: make([]engine.Op, 0, g.maxOps)}
+	st.src.seed(g.cfg.Seed + int64(inst)*40503 + int64(worker)*9973)
+	g.streams[inst] = placeStream(streams, worker, st)
 	return st
 }
 
@@ -379,7 +370,7 @@ func (g *Mix) localItem(inst int, item int64) int64 {
 }
 
 // otherWarehouse draws a warehouse different from w, uniformly.
-func otherWarehouse(rng *rand.Rand, w int64, warehouses int) int64 {
+func otherWarehouse(rng *source, w int64, warehouses int) int64 {
 	for {
 		o := rng.Int63n(int64(warehouses))
 		if o != w {
@@ -393,7 +384,7 @@ func otherWarehouse(rng *rand.Rand, w int64, warehouses int) int64 {
 // one request before requesting the next).
 func (g *Mix) Next(inst engine.InstanceID, worker int) engine.Request {
 	st := g.stream(inst, worker)
-	rng := st.rng
+	rng := &st.src
 	st.ops = st.ops[:0]
 
 	kind := TxnKind(g.single)
@@ -463,7 +454,7 @@ func (g *Mix) stockKey(w, i int64) int64 { return w*g.sizing.Items + i }
 // probability RemoteItemPct) and insert the order line. Inserts go to the
 // home partition; the engine assigns fresh keys on the owning instance.
 func (g *Mix) newOrder(st *mixStream, inst engine.InstanceID, w int64) {
-	rng := st.rng
+	rng := &st.src
 	s := g.sizing
 	d := rng.Int63n(DistrictsPerWarehouse)
 	c := rng.Int63n(s.CustomersPerDistrict)
@@ -494,7 +485,7 @@ func (g *Mix) newOrder(st *mixStream, inst engine.InstanceID, w int64) {
 // warehouse. This branch preserves the historical generator's RNG sequence
 // exactly (fingerprint compatibility of the Payment-only experiments).
 func (g *Mix) payment(st *mixStream, inst engine.InstanceID, w int64) {
-	rng := st.rng
+	rng := &st.src
 	s := g.sizing
 	d := rng.Int63n(DistrictsPerWarehouse)
 
@@ -520,7 +511,7 @@ func (g *Mix) payment(st *mixStream, inst engine.InstanceID, w int64) {
 // orderStatus: read the customer, their most recent order, and its lines.
 // Read-only and home-local.
 func (g *Mix) orderStatus(st *mixStream, w int64) {
-	rng := st.rng
+	rng := &st.src
 	s := g.sizing
 	d := rng.Int63n(DistrictsPerWarehouse)
 	c := rng.Int63n(s.CustomersPerDistrict)
@@ -538,7 +529,7 @@ func (g *Mix) orderStatus(st *mixStream, w int64) {
 // deletes), stamp the order's carrier, stamp its lines' delivery dates, and
 // credit the customer. Update-heavy and home-local.
 func (g *Mix) delivery(st *mixStream, w int64) {
-	rng := st.rng
+	rng := &st.src
 	s := g.sizing
 	for d := int64(0); d < DistrictsPerWarehouse; d++ {
 		n := rng.Int63n(s.NewOrdersPerDistrict)
@@ -557,7 +548,7 @@ func (g *Mix) delivery(st *mixStream, w int64) {
 // StockLevelOrders orders and the corresponding stock row. Read-only and
 // home-local; the heaviest read transaction, as in the specification.
 func (g *Mix) stockLevel(st *mixStream, w int64) {
-	rng := st.rng
+	rng := &st.src
 	s := g.sizing
 	d := rng.Int63n(DistrictsPerWarehouse)
 	st.add(TPCCDistrict, g.districtKey(w, d), engine.OpRead)

@@ -9,7 +9,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Zipf samples ranks in [0, n) with P(k) proportional to 1/(k+1)^s, using
@@ -19,6 +18,7 @@ import (
 type Zipf struct {
 	n     int64
 	s     float64
+	bound int64 // s = 0: the largest Int63 draw Int63n(n) keeps
 	zetan float64
 	theta float64
 	alpha float64
@@ -32,6 +32,7 @@ func NewZipf(n int64, s float64) *Zipf {
 	}
 	z := &Zipf{n: n, s: s, theta: s}
 	if s == 0 {
+		z.bound = rejectAbove(n)
 		return z
 	}
 	z.zetan = zeta(n, s)
@@ -60,7 +61,20 @@ func (z *Zipf) Sample(rng *rand.Rand) int64 {
 	if z.s == 0 {
 		return rng.Int63n(z.n)
 	}
-	u := rng.Float64()
+	return z.skewed(rng.Float64())
+}
+
+// sample is Sample on a request stream's generator: the same draws, with a
+// uniform range's rejection bound taken from the sampler, not recomputed.
+func (z *Zipf) sample(src *source) int64 {
+	if z.s == 0 {
+		return src.below(z.n, z.bound)
+	}
+	return z.skewed(src.Float64())
+}
+
+// skewed inverts the skewed distribution at u in [0, 1).
+func (z *Zipf) skewed(u float64) int64 {
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
@@ -76,36 +90,4 @@ func (z *Zipf) Sample(rng *rand.Rand) int64 {
 		k = z.n - 1
 	}
 	return k
-}
-
-// zipfCache memoizes samplers by (n, s): partitions of equal size share one.
-// A sampler is a pure function of its key, so concurrent creation from
-// different kernel shards only needs the lock for map safety, not for
-// determinism.
-type zipfCache struct {
-	mu sync.RWMutex
-	m  map[zipfKey]*Zipf
-}
-
-type zipfKey struct {
-	n int64
-	s float64
-}
-
-func newZipfCache() *zipfCache { return &zipfCache{m: make(map[zipfKey]*Zipf)} }
-
-func (c *zipfCache) get(n int64, s float64) *Zipf {
-	k := zipfKey{n, s}
-	c.mu.RLock()
-	z := c.m[k]
-	c.mu.RUnlock()
-	if z == nil {
-		c.mu.Lock()
-		if z = c.m[k]; z == nil {
-			z = NewZipf(n, s)
-			c.m[k] = z
-		}
-		c.mu.Unlock()
-	}
-	return z
 }
