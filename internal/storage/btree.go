@@ -39,6 +39,12 @@ type BTree struct {
 	size   int
 	locate func(key int64) RID // BulkLoadRange's rid function; resolves dense leaves
 
+	// While computed is set, the tree is exactly what BulkLoadRange built
+	// and Search computes its path (see computedLeaf) from flat: each level's
+	// node array, leaves first. The first Insert or Delete clears it for good.
+	computed bool
+	flat     [maxFlatLevels]flatLevel
+
 	// The nodes and arrays that inserts add — a split's right half, a new
 	// root, a dense leaf's expanded arrays, a bulk-loaded node's first
 	// regrowth — are cut from these slabs, never allocated one by one.
@@ -47,6 +53,20 @@ type BTree struct {
 	rids  slab[RID]
 	kids  slab[*bnode]
 }
+
+// flatLevel is one level of a range-loaded tree: its node array and
+// ⌈2⁶⁴/span⌉, where span is the number of keys under one of its nodes. The
+// high word of j·recip is ⌊j/span⌋ for every j < 2³² (Lemire, Kaser and
+// Kurz, "Faster remainder by direct computation", 2019), so no probe divides.
+// The root's recip is 0: its index is always 0.
+type flatLevel struct {
+	nodes []bnode
+	recip uint64
+}
+
+// maxFlatLevels bounds the height of a tree that keeps the computed form:
+// at the default fill, order 4 puts 3·4¹⁵ ≈ 3.2 billion keys in 16 levels.
+const maxFlatLevels = 16
 
 // slab hands out equal pieces of arrays it allocates whole. Each array holds
 // twice the pieces of the one before, from 2 up to maxSlabPieces, so a tree
@@ -140,10 +160,11 @@ func (t *BTree) touch(ctx *exec.Ctx, n *bnode, write bool) {
 
 // Search returns the RID for key.
 func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
-	n := t.root
-	for !n.leaf {
-		t.touch(ctx, n, false)
-		n = n.children[childIndex(n.keys, key)]
+	var n *bnode
+	if t.computed {
+		n = t.computedLeaf(ctx, key)
+	} else {
+		n = t.walk(ctx, key)
 	}
 	t.touch(ctx, n, false)
 	if n.dense() {
@@ -157,6 +178,33 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 		return n.rids[i], true
 	}
 	return RID{}, false
+}
+
+// walk touches the inner nodes from the root down to the leaf that covers
+// key, and returns that leaf untouched.
+func (t *BTree) walk(ctx *exec.Ctx, key int64) *bnode {
+	n := t.root
+	for !n.leaf {
+		t.touch(ctx, n, false)
+		n = n.children[childIndex(n.keys, key)]
+	}
+	return n
+}
+
+// computedLeaf is walk for a tree still in the computed form. A key's node
+// on level l is the ⌊j/span_l⌋-th, where j is the key clamped into the
+// loaded range [0, size) — a key outside it reaches the first or last leaf,
+// as the walk does — so the same nodes are touched in the same order, with
+// no key compare and no address that waits on the node above.
+func (t *BTree) computedLeaf(ctx *exec.Ctx, key int64) *bnode {
+	j := uint64(min(max(key, 0), int64(t.size-1)))
+	for l := t.height - 1; l > 0; l-- {
+		lv := &t.flat[l]
+		hi, _ := bits.Mul64(j, lv.recip)
+		t.touch(ctx, &lv.nodes[hi], false)
+	}
+	hi, _ := bits.Mul64(j, t.flat[0].recip)
+	return &t.flat[0].nodes[hi]
 }
 
 // lowerBound returns the first index whose key is >= key; childIndex returns
@@ -211,6 +259,7 @@ const signBit = 1 << 63
 // Insert adds or replaces the mapping for key. It reports whether the key
 // was new.
 func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
+	t.computed = false
 	promoted, right, added := t.insert(ctx, t.root, key, rid)
 	if right != nil {
 		newRoot := t.newInner(1)
@@ -314,11 +363,8 @@ func room[T any](s *slab[T], a []T, size int) []T {
 // Delete removes key, reporting whether it existed. Leaves are not
 // rebalanced (lazy deletion).
 func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
-	n := t.root
-	for !n.leaf {
-		t.touch(ctx, n, false)
-		n = n.children[childIndex(n.keys, key)]
-	}
+	t.computed = false
+	n := t.walk(ctx, key)
 	t.touch(ctx, n, true)
 	t.expand(n)
 	i := lowerBound(n.keys, key)
@@ -334,12 +380,7 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 // Range calls fn for every key in [lo, hi] in ascending order until fn
 // returns false.
 func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) bool) {
-	n := t.root
-	for !n.leaf {
-		t.touch(ctx, n, false)
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	for n != nil {
+	for n := t.walk(ctx, lo); n != nil; {
 		t.touch(ctx, n, false)
 		if n.dense() {
 			// Bounds are read once, as range reads the slice header once.
@@ -374,8 +415,8 @@ func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) b
 // given leaf fill fraction (0 < fill <= 1, e.g. 0.9). It replaces the tree's
 // contents and is the fast path for loading a partition at deployment time.
 //
-// Its leaves are explicit: it is the reference the dense form is tested
-// against.
+// Its leaves are explicit and its tree is always walked: it is the reference
+// the dense leaves and the computed path are tested against.
 func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
 	t.locate = nil
 	t.bulkLoad(int64(len(keys)), fill, func(leaf *bnode, i, end int64) {
@@ -394,9 +435,10 @@ func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
 // would otherwise allocate, fill and then miss on megabytes of sequential
 // keys per instance. rid must be a pure function of the key; the tree keeps
 // it and calls it whenever a dense leaf is probed, scanned or expanded.
+// Until the first Insert or Delete, Search computes its path (computedLeaf).
 func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
 	t.locate = rid
-	t.bulkLoad(n, fill, func(leaf *bnode, i, end int64) {
+	t.computed = t.bulkLoad(n, fill, func(leaf *bnode, i, end int64) {
 		leaf.first, leaf.count = i, end-i
 	})
 }
@@ -410,7 +452,13 @@ func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
 // full slice expression, so its cap equals its len as an exactly sized array
 // would: the first insert into it reallocates, and never writes into its
 // neighbour's share.
-func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, end int64)) {
+//
+// bulkLoad keeps every level's node array in flat and reports whether the
+// computed path is exact for the tree it built: its keys are positions, so
+// the node of level l that covers position j is the ⌊j/(per·fanˡ)⌋-th. That
+// needs n < 2³² (the reciprocals' range), per ≥ 2 (⌈2⁶⁴/1⌉ does not fit a
+// word) and at most maxFlatLevels levels.
+func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, end int64)) bool {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
 	}
@@ -419,10 +467,11 @@ func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, en
 		per = 1
 	}
 	t.size = int(n)
+	t.computed, t.flat = false, [maxFlatLevels]flatLevel{}
 	if n == 0 {
 		t.root = &bnode{leaf: true}
 		t.height = 1
-		return
+		return false
 	}
 	level := make([]bnode, (n+per-1)/per)
 	for j := range level {
@@ -438,7 +487,13 @@ func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, en
 	// it p*(fan-1) deep in the level's key array.
 	t.height = 1
 	fan := int(per) + 1
-	for len(level) > 1 {
+	for {
+		if t.height <= maxFlatLevels {
+			t.flat[t.height-1].nodes = level
+		}
+		if len(level) == 1 {
+			break
+		}
 		parents := make([]bnode, (len(level)+fan-1)/fan)
 		children := make([]*bnode, len(level))
 		keys := make([]int64, len(level)-len(parents))
@@ -458,7 +513,22 @@ func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, en
 		t.height++
 	}
 	t.root = &level[0]
+	if n >= 1<<32 || per < 2 || t.height > maxFlatLevels {
+		return false
+	}
+	// Every level but the root has more than one node, so its span is
+	// below n: no product here overflows, and the last one is unused.
+	span := uint64(per)
+	for l := range t.height - 1 {
+		t.flat[l].recip = reciprocal(span)
+		span *= uint64(fan)
+	}
+	return true
 }
+
+// reciprocal returns ⌈2⁶⁴/d⌉ for 2 ≤ d: (2⁶⁴−1)/d rounds down to ⌊2⁶⁴/d⌋ but
+// for a power of two, where it is one less, so one more is the ceiling.
+func reciprocal(d uint64) uint64 { return ^uint64(0)/d + 1 }
 
 func leftmostKey(n *bnode) int64 {
 	for !n.leaf {

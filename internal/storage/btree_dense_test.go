@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -87,6 +88,11 @@ func runBTreeScript(t testing.TB, script []byte) *BTree {
 		leaves := dense.bt.denseLeaves()
 		if rows > 0 && (leaves == 0 || ref.bt.denseLeaves() != 0) {
 			t.Fatalf("BulkLoadRange built %d dense leaves, BulkLoad %d", leaves, ref.bt.denseLeaves())
+		}
+		// Until its first mutation the range-loaded tree computes its path
+		// and the reference walks, so reads pin the visit order too.
+		if dense.bt.computed != (rows > 0) || ref.bt.computed {
+			t.Fatalf("computed path: range-loaded %v, reference %v", dense.bt.computed, ref.bt.computed)
 		}
 
 		// key draws from just below the loaded range to well past it, so
@@ -529,6 +535,93 @@ func TestDenseLeafUntouchedByReads(t *testing.T) {
 	}
 }
 
+// TestComputedDescentMatchesWalk: on an untouched range-loaded tree the
+// computed path reaches the leaf the walk reaches, for keys on both sides of
+// the loaded range and at sizes on each side of a full level; after one
+// Insert or one Delete, Search walks and answers as before.
+func TestComputedDescentMatchesWalk(t *testing.T) {
+	orders := []int{4, 5, 6, 7, 8, 9, 10, 11, 12, DefaultBTreeOrder}
+	for _, order := range orders {
+		per := int64(float64(order) * 0.9)
+		sizes := []int64{1, 2, 10000, 650000}
+		for k, span := 0, per; k <= 3; k, span = k+1, span*(per+1) {
+			sizes = append(sizes, span-1, span, span+1)
+		}
+		for _, n := range sizes {
+			if n > 10_000_000 && testing.Short() {
+				continue // order 96's 56.6 M keys: an 84 MB leaf slab
+			}
+			for _, mutate := range []string{"insert", "delete"} {
+				bt := NewBTree(order)
+				bt.BulkLoadRange(n, ridFor, 0.9)
+				if !bt.computed {
+					t.Fatalf("order %d n %d: BulkLoadRange kept no computed path", order, n)
+				}
+				// Every key of a small tree; an odd stride through a large
+				// one, and always the keys around both ends.
+				step := n/100_000 | 1
+				var keys []int64
+				for k := int64(-3); k < n+3; k += step {
+					keys = append(keys, k)
+				}
+				for k := max(-3, n-3); k < n+3; k++ {
+					keys = append(keys, k)
+				}
+				for _, k := range keys {
+					if got, want := bt.computedLeaf(nil, k), bt.walk(nil, k); got != want {
+						t.Fatalf("order %d n %d key %d: computed leaf [%d,+%d), walked [%d,+%d)",
+							order, n, k, got.first, got.count, want.first, want.count)
+					}
+				}
+				gone := int64(-1)
+				if mutate == "insert" {
+					bt.Insert(nil, n/2, ridFor(n/2)) // a replace: the mapping is unchanged
+				} else {
+					gone = n / 2
+					bt.Delete(nil, gone)
+				}
+				if bt.computed {
+					t.Fatalf("order %d n %d: computed path kept after %s", order, n, mutate)
+				}
+				for _, k := range keys {
+					rid, ok := bt.Search(nil, k)
+					if want := k >= 0 && k < n && k != gone; ok != want || (ok && rid != ridFor(k)) {
+						t.Fatalf("order %d n %d after %s: Search(%d) = %v,%v", order, n, mutate, k, rid, ok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReciprocalDividesExactly checks the computed path's division for every
+// span a tree of order 4…255 can have: a leaf holds per keys, 1 ≤ per ≤ 255
+// at any fill, and level l spans per·(per+1)ˡ of them. per = 1 keeps the walk.
+func TestReciprocalDividesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	spans := 0
+	for per := uint64(2); per <= 255; per++ {
+		for d := per; d < 1<<32; d *= per + 1 {
+			spans++
+			r := reciprocal(d)
+			check := func(j uint64) {
+				if q, _ := bits.Mul64(j, r); q != j/d {
+					t.Fatalf("%d / %d: computed %d, want %d", j, d, q, j/d)
+				}
+			}
+			for _, j := range []uint64{0, d - 1, d, 1<<32 - 1} {
+				check(j)
+			}
+			for range 10_000 {
+				check(uint64(rng.Uint32()))
+			}
+		}
+	}
+	if spans < 1000 {
+		t.Fatalf("checked %d spans", spans)
+	}
+}
+
 // TestCheckInvariantsRejectsBrokenDenseLeaves corrupts dense leaves in the
 // ways CheckInvariants claims to catch.
 func TestCheckInvariantsRejectsBrokenDenseLeaves(t *testing.T) {
@@ -564,6 +657,14 @@ func TestCheckInvariantsRejectsBrokenDenseLeaves(t *testing.T) {
 func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{4, 50, 1, 0, 3, 0, 20, 5, 0, 20, 0x87, 0, 0, 30, 255, 6, 0, 0, 21})
+	// Read-only on a 6-level tree (order 4, 1,023 rows, fill 0.9): searches
+	// of keys -4…1066 from both cores, so the computed path must match the
+	// walking reference's every charge and coherence statistic.
+	read := []byte{0, 255, 3, 0}
+	for k := 0; k < 1071; k += 7 {
+		read = append(read, byte(k%2)<<7|byte(k%3), byte(k>>8), byte(k))
+	}
+	f.Add(read)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		script := make([]byte, 200)
