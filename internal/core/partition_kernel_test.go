@@ -251,3 +251,37 @@ func BenchmarkLocalOnlyWindow(b *testing.B) {
 		b.Fatalf("%d runs took %d kernel windows, want one each", b.N, got)
 	}
 }
+
+// TestColdLocalOnlyReadsMakeNoPageStruct: the paper's fine-grained islands
+// never latch, so a cold read-only LocalOnly deployment reads every row
+// through its page's frame: after a window its pools hold resident pages
+// and not one Page struct, and SumRowVersions over them reads 0, makes no
+// struct and allocates nothing.
+func TestColdLocalOnlyReadsMakeNoPageStruct(t *testing.T) {
+	cfg := DefaultConfig(topology.QuadSocket(), 24, 24000)
+	cfg.LocalOnly = true
+	d := NewDeployment(cfg)
+	defer d.Close()
+	d.Start(workload.NewMicro(workload.MicroConfig{Table: 1, GlobalRows: 24000, RowsPerTxn: 10, Seed: 1}, d.Part))
+	d.Kernel.RunFor(sim.Millisecond)
+	structs := func() (resident, structs int) {
+		for _, in := range d.Instances {
+			resident += in.BufferPool().Resident()
+			structs += in.BufferPool().PageStructs()
+		}
+		return resident, structs
+	}
+	if resident, n := structs(); resident == 0 || n != 0 {
+		t.Fatalf("%d resident pages, %d of them with a Page struct; want some and none", resident, n)
+	}
+	var sum uint64
+	allocs := testing.AllocsPerRun(10, func() {
+		sum = 0
+		for _, in := range d.Instances {
+			sum += in.SumRowVersions()
+		}
+	})
+	if _, n := structs(); allocs != 0 || sum != 0 || n != 0 {
+		t.Errorf("SumRowVersions read %d, allocated %v objects and left %d Page structs; want 0, 0 and 0", sum, allocs, n)
+	}
+}

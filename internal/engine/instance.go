@@ -309,12 +309,13 @@ func (in *Instance) WorkingSet() *mem.WorkingSet { return &in.ws }
 // SumRowVersions sums the row version counters of every table, reading the
 // current buffer-pool and page-store state without consuming any virtual
 // time and without changing either (no page is fetched, no row synthesized,
-// no counter moves): a consistent instantaneous snapshot. A page that is
-// neither resident nor retained as a dirty image holds only version-0 rows. With strict two-phase locking, at any
-// instant the machine-wide sum equals the machine-wide committed row
-// updates plus the bumps of in-flight transactions (at most one transaction
-// per worker thread): the atomicity invariant used by failure-injection
-// tests.
+// no counter moves, no page struct is made, nothing is allocated): a
+// consistent instantaneous snapshot. A page that is neither resident with a
+// struct nor retained as a dirty image holds only version-0 rows. With
+// strict two-phase locking, at any instant the machine-wide sum equals the
+// machine-wide committed row updates plus the bumps of in-flight
+// transactions (at most one transaction per worker thread): the atomicity
+// invariant used by failure-injection tests.
 func (in *Instance) SumRowVersions() uint64 {
 	var sum uint64
 	for _, ts := range in.tables {
@@ -323,8 +324,8 @@ func (in *Instance) SumRowVersions() uint64 {
 		}
 		for no := int64(0); no < ts.def.NumPages(); no++ {
 			id := storage.PageID{Table: ts.def.ID, No: no}
-			if pg := in.bp.Peek(id); pg != nil {
-				sum += pg.RowVersionSum()
+			if v, resident := in.bp.RowVersionSum(id); resident {
+				sum += v
 			} else {
 				sum += in.store.RetainedRowVersionSum(id)
 			}

@@ -104,21 +104,28 @@ func (t *Txn) readRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 	if !ok {
 		return fmt.Errorf("engine: table %s has no key %d", ts.def.Name, key)
 	}
-	pg := in.bp.Fix(ctx, rid.Page)
+	// Only the latch needs the page's struct: an unlatched read of a page
+	// nobody wrote answers from its frame.
+	var pg *storage.Page
+	var f *storage.Frame
 	if in.opts.Latching {
+		pg = in.bp.Fix(ctx, rid.Page)
 		pg.Latch.AcquireShared(ctx)
+		f = pg.Frame()
+	} else {
+		f = in.bp.FixFrame(ctx, rid.Page)
 	}
-	ctx.ReadLine(&pg.HeaderLine)
+	ctx.ReadLine(&f.Line)
 	// A read looks at the row's key only: the check that pins index -> RID.
-	if got, ok := pg.Key(rid.Slot); !ok || got != key {
+	if got, ok := f.Key(ts.def, rid); !ok || got != key {
 		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
 	}
 	ctx.ReadData(&in.ws, ts.def.RowBytes)
 	ctx.Charge(CostPerRowCPU)
-	if in.opts.Latching {
+	if pg != nil {
 		pg.Latch.ReleaseShared(ctx)
 	}
-	in.bp.Unfix(ctx, pg, false)
+	in.bp.UnfixFrame(ctx, f)
 	return nil
 }
 
@@ -140,7 +147,7 @@ func (t *Txn) updateRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 	if in.opts.Latching {
 		pg.Latch.AcquireExclusive(ctx)
 	}
-	ctx.WriteLine(&pg.HeaderLine)
+	ctx.WriteLine(pg.HeaderLine())
 	if got, ok := pg.Key(rid.Slot); !ok || got != key {
 		panic(fmt.Sprintf("engine: corrupt row at %v for key %d", rid, key))
 	}
@@ -185,7 +192,7 @@ func (t *Txn) insertRow(ctx *exec.Ctx, ts *tableState) error {
 	if in.opts.Latching {
 		pg.Latch.AcquireExclusive(ctx)
 	}
-	ctx.WriteLine(&pg.HeaderLine)
+	ctx.WriteLine(pg.HeaderLine())
 	rid := want
 	// A page formatted after NumRows grew already has a slot for the key.
 	if got, ok := pg.Key(want.Slot); !ok || got != key {

@@ -20,17 +20,18 @@ import (
 
 // Line is one tracked cache line (or page-granularity proxy line).
 // The zero value is an untouched line with no home; the first access sets
-// its home socket (first-touch NUMA policy, as Linux does).
+// its home socket (first-touch NUMA policy, as Linux does). It is 12 bytes,
+// so a buffer pool keeps one per resident page in its frame directory.
 type Line struct {
-	lastWriter topology.CoreID // most recent writer, -1 if clean
-	home       topology.SocketID
+	lastWriter int32  // most recent writer's CoreID, -1 if clean
 	sharers    uint16 // bitmask of sockets with a clean copy: MaxSockets bits
+	home       uint8  // SocketID, below MaxSockets
 	touched    bool
 	dirty      bool
 }
 
 // Home returns the line's home socket (meaningful once touched).
-func (l *Line) Home() topology.SocketID { return l.home }
+func (l *Line) Home() topology.SocketID { return topology.SocketID(l.home) }
 
 // Touched reports whether the line has ever been accessed.
 func (l *Line) Touched() bool { return l.touched }
@@ -38,7 +39,7 @@ func (l *Line) Touched() bool { return l.touched }
 // SetHome pins the line's home socket explicitly (overrides first touch),
 // modeling numactl-style memory binding for island instances.
 func (l *Line) SetHome(s topology.SocketID) {
-	l.home = s
+	l.home = uint8(s)
 	l.touched = true
 	l.lastWriter = -1
 }
@@ -180,7 +181,7 @@ func (m *Model) ComputeDilated(c topology.CoreID, instr, actual sim.Time) {
 // the uncontended common case.
 func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
 	if l.dirty {
-		if l.lastWriter == c {
+		if l.lastWriter == int32(c) {
 			return m.hit(c, m.Topo.Lat.L1, hitL1)
 		}
 	} else if l.sharers&(1<<uint(m.socketOf[c])) != 0 {
@@ -192,7 +193,7 @@ func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
 	m.bill(st, lat, kind)
 	// Reading a dirty remote line downgrades it to shared-clean everywhere.
 	s := m.socketOf[c]
-	if l.dirty && l.lastWriter != c {
+	if l.dirty && l.lastWriter != int32(c) {
 		writerSocket := m.socketOf[l.lastWriterOr(c)]
 		l.dirty = false
 		l.lastWriter = -1
@@ -201,7 +202,7 @@ func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
 	l.sharers |= 1 << uint(s)
 	if !l.touched {
 		l.touched = true
-		l.home = s
+		l.home = uint8(s)
 		l.lastWriter = -1
 	}
 	return lat
@@ -211,7 +212,7 @@ func (m *Model) Read(c topology.CoreID, l *Line) sim.Time {
 // invalidation) and returns the access latency. Rewriting a line c holds
 // dirty changes no coherence state and is billed without classifying.
 func (m *Model) Write(c topology.CoreID, l *Line) sim.Time {
-	if l.dirty && l.lastWriter == c {
+	if l.dirty && l.lastWriter == int32(c) {
 		return m.hit(c, m.Topo.Lat.L1, hitL1)
 	}
 	st := &m.PerCore[c]
@@ -221,10 +222,10 @@ func (m *Model) Write(c topology.CoreID, l *Line) sim.Time {
 	s := m.socketOf[c]
 	if !l.touched {
 		l.touched = true
-		l.home = s
+		l.home = uint8(s)
 	}
 	l.dirty = true
-	l.lastWriter = c
+	l.lastWriter = int32(c)
 	l.sharers = 1 << uint(s)
 	return lat
 }
@@ -239,7 +240,7 @@ func (m *Model) hit(c topology.CoreID, lat sim.Time, kind accessKind) sim.Time {
 
 func (l *Line) lastWriterOr(c topology.CoreID) topology.CoreID {
 	if l.lastWriter >= 0 {
-		return l.lastWriter
+		return topology.CoreID(l.lastWriter)
 	}
 	return c
 }
@@ -268,7 +269,7 @@ func (m *Model) classify(c topology.CoreID, l *Line, write bool) (sim.Time, acce
 		return topo.Lat.DRAMLocal, dramLocal
 	}
 	if l.dirty {
-		w := l.lastWriter
+		w := topology.CoreID(l.lastWriter)
 		if w == c {
 			return topo.Lat.L1, hitL1
 		}
@@ -295,7 +296,7 @@ func (m *Model) classify(c topology.CoreID, l *Line, write bool) (sim.Time, acce
 		return m.c2c[int(s)*m.sockets+other], c2cCross
 	}
 	// Nowhere cached: memory access at the line's home.
-	if l.home == s {
+	if topology.SocketID(l.home) == s {
 		return topo.Lat.DRAMLocal, dramLocal
 	}
 	return m.dram[int(s)*m.sockets+int(l.home)], dramRemote

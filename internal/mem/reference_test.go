@@ -195,7 +195,8 @@ func TestDataAccessFollowsWorkingSetChanges(t *testing.T) {
 
 // refRead and refWrite are the coherent line accesses as they were before
 // hits skipped the classifier: every access classifies, bills and then
-// updates the line's state. They are kept, verbatim but for the names, as
+// updates the line's state. They are kept, verbatim but for the names and
+// the conversions of the 12-byte Line's narrowed fields, as
 // the reference TestLineAccessMatchesReference drives side by side with
 // Read and Write.
 func refRead(m *Model, c topology.CoreID, l *Line) sim.Time {
@@ -205,7 +206,7 @@ func refRead(m *Model, c topology.CoreID, l *Line) sim.Time {
 	m.bill(st, lat, kind)
 	// Reading a dirty remote line downgrades it to shared-clean everywhere.
 	s := m.socketOf[c]
-	if l.dirty && l.lastWriter != c {
+	if l.dirty && l.lastWriter != int32(c) {
 		writerSocket := m.socketOf[l.lastWriterOr(c)]
 		l.dirty = false
 		l.lastWriter = -1
@@ -214,7 +215,7 @@ func refRead(m *Model, c topology.CoreID, l *Line) sim.Time {
 	l.sharers |= 1 << uint(s)
 	if !l.touched {
 		l.touched = true
-		l.home = s
+		l.home = uint8(s)
 		l.lastWriter = -1
 	}
 	return lat
@@ -228,10 +229,10 @@ func refWrite(m *Model, c topology.CoreID, l *Line) sim.Time {
 	s := m.socketOf[c]
 	if !l.touched {
 		l.touched = true
-		l.home = s
+		l.home = uint8(s)
 	}
 	l.dirty = true
-	l.lastWriter = c
+	l.lastWriter = int32(c)
 	l.sharers = 1 << uint(s)
 	return lat
 }

@@ -98,6 +98,7 @@ type bnode struct {
 	children []*bnode // inner nodes
 	rids     []RID    // explicit leaves
 	next     *bnode   // leaf chain
+	_        [16]byte // fills the node to 128 bytes, two host cache lines
 }
 
 func (n *bnode) dense() bool { return n.count > 0 }

@@ -29,18 +29,21 @@ type BufferPool struct {
 	capacity int
 
 	// frames is the frame directory, direct-mapped in two levels:
-	// frames[table][no/frameChunkPages][no%frameChunkPages] is the cached
-	// page, nil when not resident. A hit is plain indexing: no hashing, no
-	// bucket walk, no key compare. The top level is indexed by table id
-	// (small and dense in every deployment); chunks are allocated when a
-	// page in their range is first cached and then kept, so the directory
-	// costs 8 bytes per page of the ranges ever touched (0.1 % of those
-	// pages' bytes) however large the table is declared. The per-frame state
-	// (pins, ref bit, loading, waiters) lives in the Page itself, so Unfix
-	// needs no probe. ring holds exactly the resident pages.
+	// frames[table][no/frameChunkPages][no%frameChunkPages] is the page's
+	// Frame, resident or not. A hit is plain indexing: no hashing, no bucket
+	// walk, no key compare. The top level is indexed by table id (small and
+	// dense in every deployment); chunks are allocated when a page in their
+	// range is first cached and then kept, so the directory costs a 24-byte
+	// Frame per page of the ranges ever touched however large the table is
+	// declared. ring holds exactly the resident frames, in clock order.
 	frames [][]*frameChunk
-	ring   []*Page
+	ring   []*Frame
 	hand   int
+
+	// waiters are the threads waiting for a frame to finish loading, in the
+	// order they queued: concurrent misses on one page are rare, so the
+	// pool keeps one list rather than a list per page.
+	waiters []frameWaiter
 
 	// free holds the zeroed structs of evicted pages, slab the unused rest
 	// of the last slab of pageSlab structs taken and slabs every slab taken
@@ -56,19 +59,70 @@ type BufferPool struct {
 	Hits, Misses, Evictions, DirtyWriteBacks uint64
 }
 
+// Frame is a page's entry in its pool's frame directory: the frame state
+// (pins, clock bit, loading), the coherence line of the page's header and,
+// beside the pointer to the page's Page struct, the slot count the page was
+// loaded with. A page nobody has written needs nothing more: its slot i
+// holds key No*RowsPerPage+i at version 0, live below that count. So a
+// miss makes a struct only when the store retains an image of the page,
+// and a resident page gets one at the first fix that needs it — a write, an
+// Insert or Delete, a latched read (the latch lives in the struct), redo —
+// made exactly as the load would have made it, and keeps it until it is
+// evicted. A non-latched read of an unwritten page (FixFrame, Frame.Key)
+// touches only its 24-byte entry, where the struct is 192 bytes.
+type Frame struct {
+	page *Page
+	// Line is the coherence-tracked proxy for the page's hot metadata
+	// (header word, latch word): every fix or latch of the page touches it,
+	// so cross-core sharing of pages shows up in the memory model. It lives
+	// here, not in the struct, so it never moves when a struct is made.
+	Line  mem.Line
+	pins  uint16
+	state uint16 // the slot count at load, below frameSlotMask, and the flags
+}
+
+// Frame.state's flags, above the slot count: a page holds at most
+// (PageSize-pageHeaderSize)/slotSize = 2,044 slots, which fit 11 bits.
+const (
+	frameSlotMask = 1<<11 - 1
+	frameResident = 1 << 11
+	frameRef      = 1 << 12 // the clock's second-chance bit
+	frameLoading  = 1 << 13 // the miss's I/O is in flight; contents not yet set
+)
+
+type frameWaiter struct {
+	f *Frame
+	p *sim.Proc
+}
+
+// Key returns the key of the row at rid.Slot of the page rid.Page of t that
+// f is the frame of; ok is false for out-of-range or deleted slots. A page
+// without a struct answers from its load-time slot count and t's
+// arithmetic.
+func (f *Frame) Key(t *Table, rid RID) (key int64, ok bool) {
+	if f.page != nil {
+		return f.page.Key(rid.Slot)
+	}
+	if int(rid.Slot) >= int(f.state&frameSlotMask) {
+		return 0, false
+	}
+	return rid.Page.No*t.RowsPerPage() + int64(rid.Slot), true
+}
+
 // frameChunkPages is how many consecutive pages of a table share one
-// directory chunk (4 KB of pointers).
+// directory chunk (12 KB of frames).
 const frameChunkPages = 512
 
-type frameChunk [frameChunkPages]*Page
+type frameChunk [frameChunkPages]Frame
 
-// pageSlab is how many Page structs the pool allocates at a time. 128 of
-// them are 32 KB, past the runtime's largest small-object size class, so a
-// slab is a page-aligned allocation of its own and every struct in it starts
-// on a 256-byte boundary. A smaller slab that holds pointers gets an 8-byte
-// allocation header in front of its first struct (Go 1.22 on), which would
-// shift every struct's leading cache line (TestPageHitPathLeadsTheStruct).
-const pageSlab = 128
+// pageSlab is how many Page structs the pool allocates at a time. 256 of
+// them are 48 KB, past the runtime's largest small-object size class and a
+// whole number of its 8 KB pages, so a slab is a page-aligned allocation of
+// its own and every 192-byte struct in it starts on a cache-line boundary.
+// A smaller slab that holds pointers gets an 8-byte allocation header in
+// front of its first struct (Go 1.22 on), which would shift every struct's
+// leading cache line (TestPageHitPathLeadsTheStruct).
+const pageSlab = 256
 
 // newPage returns a zero Page struct for id, reusing an evicted one when
 // there is one.
@@ -101,11 +155,12 @@ func frameIndex(id PageID) (table, chunk, slot int) {
 
 // frameSlabs is the process-wide free list of zeroed Page-struct slabs. A
 // sweep builds and tears down a deployment per cell, and each caches a
-// 256-byte Page per page it touches: most of what a cold cell allocates.
-// Handing the slabs from one deployment's pools to the next spares that,
-// and keeps the garbage collector's goal above what a cell allocates;
-// without it a cold study_sweep_store repetition collects about six times
-// instead of once. It holds at most the peak of simultaneously cached pages.
+// Page struct per written page it touches: much of what a cold cell
+// allocates. Handing the slabs from one deployment's pools to the next
+// spares that, and keeps the garbage collector's goal above what a cell
+// allocates; without it a cold study_sweep_store repetition collected about
+// six times instead of once. It holds at most the peak of simultaneously
+// cached structs.
 var frameSlabs struct {
 	sync.Mutex
 	free [][]Page
@@ -138,18 +193,20 @@ func (bp *BufferPool) Close() {
 	*bp = BufferPool{}
 }
 
-// frame returns the cached page for id, nil when not resident.
-func (bp *BufferPool) frame(id PageID) *Page {
+// frame returns the frame of id, nil when the page is not resident.
+func (bp *BufferPool) frame(id PageID) *Frame {
 	t, c, i := frameIndex(id)
 	if t >= len(bp.frames) || c >= len(bp.frames[t]) || bp.frames[t][c] == nil {
 		return nil
 	}
-	return bp.frames[t][c][i]
+	if f := &bp.frames[t][c][i]; f.state&frameResident != 0 {
+		return f
+	}
+	return nil
 }
 
-// setFrame enters p for id, growing the directory to reach it; a nil p
-// clears the entry of a resident page.
-func (bp *BufferPool) setFrame(id PageID, p *Page) {
+// entry returns the frame of id, growing the directory to reach it.
+func (bp *BufferPool) entry(id PageID) *Frame {
 	t, c, i := frameIndex(id)
 	for t >= len(bp.frames) {
 		bp.frames = append(bp.frames, nil)
@@ -160,7 +217,35 @@ func (bp *BufferPool) setFrame(id PageID, p *Page) {
 	if bp.frames[t][c] == nil {
 		bp.frames[t][c] = new(frameChunk)
 	}
-	bp.frames[t][c][i] = p
+	return &bp.frames[t][c][i]
+}
+
+// load gives the reserved frame f of page id its contents as the store
+// resolves them: a struct holding the retained image of a dirty-evicted
+// page, else the slot count the page's table formats it with, and no struct.
+func (bp *BufferPool) load(f *Frame, id PageID) {
+	if img, retained := bp.store.resolve(id); retained {
+		bp.attach(f, id, img)
+	} else {
+		f.state |= uint16(img.slots)
+	}
+}
+
+// pageOf returns the Page struct of the resident frame f of page id, making
+// it, as the load would have, if the page has none.
+func (bp *BufferPool) pageOf(f *Frame, id PageID) *Page {
+	if f.page == nil {
+		bp.attach(f, id, image{slots: int(f.state & frameSlotMask)})
+	}
+	return f.page
+}
+
+// attach gives frame f of page id a struct holding img.
+func (bp *BufferPool) attach(f *Frame, id PageID, img image) {
+	p := bp.newPage(id)
+	p.frame = f
+	p.init(bp.store, img)
+	f.page = p
 }
 
 // NewBufferPool builds a pool of `capacity` pages over store, performing
@@ -188,37 +273,45 @@ func (bp *BufferPool) bucketLine(id PageID) *mem.Line {
 }
 
 // Fix pins page id, reading it from the backing store on a miss, and charges
-// the caller for the probe, the pin, and any I/O (I/O goes to BIO).
+// the caller for the probe, the pin, and any I/O (I/O goes to BIO). It
+// returns the page's Page struct, making it if the page has none: the fix
+// of a write, an Insert or Delete, or a latched read.
+func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
+	return bp.pageOf(bp.FixFrame(ctx, id), id)
+}
+
+// FixFrame is Fix without the Page struct: it returns the page's frame and
+// makes no struct the page does not already have — the fix of a read that
+// takes no latch (Frame.Key answers it). Release it with UnfixFrame.
 //
 // The frame table update is atomic in virtual time (reserve first, charge
 // after), so two threads missing on the same page produce one frame: the
 // second waits for the first's I/O, as with a real pool's I/O latch.
-func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
-	if p := bp.frame(id); p != nil {
+func (bp *BufferPool) FixFrame(ctx *exec.Ctx, id PageID) *Frame {
+	if f := bp.frame(id); f != nil {
 		bp.Hits++
-		p.pins++
-		p.ref = true
+		f.pins++
+		f.state |= frameRef
 		ctx.Charge(CostFixCPU)
 		ctx.WriteLine(bp.bucketLine(id))
-		if p.loading {
+		if f.state&frameLoading != 0 {
 			prev := ctx.Bucket(exec.BIO)
 			ctx.Block(func() {
-				for p.loading {
-					p.waiters = append(p.waiters, ctx.P)
+				for f.state&frameLoading != 0 {
+					bp.waiters = append(bp.waiters, frameWaiter{f, ctx.P})
 					ctx.P.Park()
 				}
 			})
 			ctx.Bucket(prev)
 		}
-		return p
+		return f
 	}
 	bp.Misses++
 	// Reserve the frame before any time passes; the page's contents arrive
 	// after the I/O (loading guards them).
-	p := bp.newPage(id)
-	p.pins, p.ref, p.loading = 1, true, true
-	bp.setFrame(id, p)
-	bp.ring = append(bp.ring, p)
+	f := bp.entry(id)
+	f.pins, f.state = 1, frameResident|frameRef|frameLoading
+	bp.ring = append(bp.ring, f)
 	if len(bp.ring) > bp.capacity {
 		bp.evict(ctx)
 	}
@@ -227,25 +320,47 @@ func (bp *BufferPool) Fix(ctx *exec.Ctx, id PageID) *Page {
 	prev := ctx.Bucket(exec.BIO)
 	bp.disk.Read(ctx)
 	ctx.Bucket(prev)
-	bp.store.fetchInto(p)
-	p.loading = false
-	for _, w := range p.waiters {
-		w.Unpark()
+	bp.load(f, id)
+	f.state &^= frameLoading
+	if len(bp.waiters) > 0 {
+		bp.wake(f)
 	}
-	p.waiters = nil
-	return p
+	return f
+}
+
+// wake unparks, in the order they queued, the threads waiting for f to load.
+func (bp *BufferPool) wake(f *Frame) {
+	kept := bp.waiters[:0]
+	for _, w := range bp.waiters {
+		if w.f == f {
+			w.p.Unpark()
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(bp.waiters[len(kept):])
+	bp.waiters = kept
 }
 
 // Unfix unpins the page; dirty marks it modified.
 func (bp *BufferPool) Unfix(ctx *exec.Ctx, p *Page, dirty bool) {
 	ctx.Charge(CostUnfixCPU)
-	if p.pins <= 0 {
+	if p.frame == nil || p.frame.pins == 0 {
 		panic("storage: Unfix of page that is not fixed: " + p.ID.String())
 	}
 	if dirty {
 		p.Dirty = true
 	}
-	p.pins--
+	p.frame.pins--
+}
+
+// UnfixFrame unpins a page fixed by FixFrame, unmodified.
+func (bp *BufferPool) UnfixFrame(ctx *exec.Ctx, f *Frame) {
+	ctx.Charge(CostUnfixCPU)
+	if f.pins == 0 {
+		panic("storage: UnfixFrame of a frame that is not fixed")
+	}
+	f.pins--
 }
 
 // evict selects a clock victim and removes it from the table atomically;
@@ -258,31 +373,33 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 			break
 		}
 		bp.hand %= len(bp.ring)
-		p := bp.ring[bp.hand]
-		if p.pins > 0 || p.loading {
+		f := bp.ring[bp.hand]
+		if f.pins > 0 || f.state&frameLoading != 0 {
 			bp.hand++
 			continue
 		}
-		if p.ref {
-			p.ref = false
+		if f.state&frameRef != 0 {
+			f.state &^= frameRef
 			bp.hand++
 			continue
 		}
 		// Victim found: unhook, persist image, then pay for the write.
 		bp.Evictions++
-		bp.setFrame(p.ID, nil)
 		bp.ring = append(bp.ring[:bp.hand], bp.ring[bp.hand+1:]...)
-		dirty := p.Dirty
+		p := f.page
+		*f = Frame{}
+		dirty := p != nil && p.Dirty
 		if dirty {
 			bp.DirtyWriteBacks++
 			bp.store.WriteBack(p)
-			p.Dirty = false
 		}
-		// Nothing holds an unpinned page, so its struct can serve the next
-		// miss. (Instance.Restore drops a crashed pool, free list and all:
-		// threads of the dead epoch may still hold its pages.)
-		*p = Page{}
-		bp.free = append(bp.free, p)
+		if p != nil {
+			// Nothing holds an unpinned page, so its struct can serve the
+			// next miss. (Instance.Restore drops a crashed pool, free list
+			// and all: threads of the dead epoch may still hold its pages.)
+			*p = Page{}
+			bp.free = append(bp.free, p)
+		}
 		if dirty {
 			prev := ctx.Bucket(exec.BIO)
 			bp.disk.Write(ctx)
@@ -293,13 +410,40 @@ func (bp *BufferPool) evict(ctx *exec.Ctx) {
 	panic(fmt.Sprintf("storage: buffer pool thrashing: all %d pages pinned", len(bp.ring)))
 }
 
-// Peek returns the cached page for id without pinning, charging, or
-// faulting it in; nil when not resident. Diagnostic use only.
+// Peek returns the Page struct of the resident page id without pinning,
+// charging, or faulting it in, making the struct if the page has none; nil
+// when not resident. For redo, which writes the resident page in place, and
+// diagnostics.
 func (bp *BufferPool) Peek(id PageID) *Page {
-	if p := bp.frame(id); p != nil && !p.loading {
-		return p
+	if f := bp.frame(id); f != nil && f.state&frameLoading == 0 {
+		return bp.pageOf(f, id)
 	}
 	return nil
+}
+
+// RowVersionSum is Page.RowVersionSum over the resident page id, without
+// making its struct: a page without one was never written, so its sum is 0.
+// resident is false, and sum 0, when the page is not resident.
+func (bp *BufferPool) RowVersionSum(id PageID) (sum uint64, resident bool) {
+	f := bp.frame(id)
+	if f == nil || f.state&frameLoading != 0 {
+		return 0, false
+	}
+	if f.page != nil {
+		sum = f.page.RowVersionSum()
+	}
+	return sum, true
+}
+
+// PageStructs returns how many resident pages have a Page struct.
+func (bp *BufferPool) PageStructs() int {
+	n := 0
+	for _, f := range bp.ring {
+		if f.page != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Prewarm fills the pool with the lowest-numbered pages of each table, up
@@ -317,28 +461,35 @@ func (bp *BufferPool) Prewarm(slack int) {
 			if bp.frame(id) != nil {
 				continue
 			}
-			p := bp.newPage(id)
-			bp.store.fetchInto(p)
-			bp.setFrame(id, p)
-			bp.ring = append(bp.ring, p)
+			f := bp.entry(id)
+			f.state = frameResident
+			bp.load(f, id)
+			bp.ring = append(bp.ring, f)
 			budget--
 		}
 	}
 }
 
 // FlushAll writes back every dirty page (used at orderly shutdown and in
-// recovery tests).
+// recovery tests). As with a dirty victim, the images reach the backing
+// store before any virtual time passes, and the device writes are charged
+// afterwards: a page is not pinned while its write is charged, so another
+// thread may evict it and its struct serve another page meanwhile.
 func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
-	for _, p := range bp.ring {
-		if p.Dirty {
+	writes := 0
+	for _, f := range bp.ring {
+		if p := f.page; p != nil && p.Dirty {
 			bp.DirtyWriteBacks++
-			prev := ctx.Bucket(exec.BIO)
-			bp.disk.Write(ctx)
-			ctx.Bucket(prev)
 			bp.store.WriteBack(p)
 			p.Dirty = false
+			writes++
 		}
 	}
+	prev := ctx.Bucket(exec.BIO)
+	for ; writes > 0; writes-- {
+		bp.disk.Write(ctx)
+	}
+	ctx.Bucket(prev)
 }
 
 // HitRate returns hits / (hits+misses), or 1 when unused.

@@ -189,9 +189,9 @@ func TestDiskStats(t *testing.T) {
 // benchHits drives b.N buffer-pool hits through a fully prewarmed pool —
 // over enough pages, in random order, that the host's cache holds neither
 // the frames nor the rows. prepare sees the pool and the RIDs before the
-// clock starts, read is the timed access between Fix and Unfix, and verify
+// clock starts, read is the timed access from fix to unfix, and verify
 // inspects the pool afterwards.
-func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func(p *Page, slot uint16) int, verify func(bp *BufferPool)) {
+func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func(ctx *exec.Ctx, bp *BufferPool, rid RID) int, verify func(bp *BufferPool)) {
 	withCtx(b, func(ctx *exec.Ctx) {
 		tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 31 * 4096}
 		store := NewPageStore()
@@ -207,10 +207,7 @@ func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rid := rids[i&(len(rids)-1)]
-			p := bp.Fix(ctx, rid.Page)
-			benchSink += read(p, rid.Slot)
-			bp.Unfix(ctx, p, false)
+			benchSink += read(ctx, bp, rids[i&(len(rids)-1)])
 		}
 		b.StopTimer()
 		if bp.Misses != 0 {
@@ -220,9 +217,9 @@ func benchHits(b *testing.B, prepare func(bp *BufferPool, rids []RID), read func
 	})
 }
 
-// BenchmarkFixHit is the resident-page path of every row access: probe the
-// frame directory, pin, read one written row's version, unpin. It must not
-// allocate (CI gates on it).
+// BenchmarkFixHit is the resident-page path of a written row's access:
+// probe the frame directory, pin, read one written row's version from the
+// page's struct, unpin. It must not allocate (CI gates on it).
 func BenchmarkFixHit(b *testing.B) {
 	benchHits(b,
 		func(bp *BufferPool, rids []RID) {
@@ -230,30 +227,35 @@ func BenchmarkFixHit(b *testing.B) {
 				bp.Peek(rid.Page).SetVersion(rid.Slot, 1) // the first write cuts the page's array; not this benchmark's subject
 			}
 		},
-		func(p *Page, slot uint16) int {
-			v, _ := p.Version(slot)
+		func(ctx *exec.Ctx, bp *BufferPool, rid RID) int {
+			p := bp.Fix(ctx, rid.Page)
+			v, _ := p.Version(rid.Slot)
+			bp.Unfix(ctx, p, false)
 			return int(v)
 		},
 		func(*BufferPool) {})
 }
 
 // BenchmarkReadUnwrittenRowKey is BenchmarkFixHit for a row nobody wrote,
-// read the way the engine reads it: Key answers from the Page struct, so
-// the access allocates nothing (CI gates on it) and, checked here, cuts no
-// array from the store's arena.
+// read the way the engine reads it without a latch: FixFrame, the header
+// line, Frame.Key, UnfixFrame. The frame answers, so the access allocates
+// nothing (CI gates on it) and, checked here, makes no Page struct and cuts
+// no array from the store's arena.
 func BenchmarkReadUnwrittenRowKey(b *testing.B) {
 	var rest int
+	var tab *Table
 	benchHits(b,
-		func(bp *BufferPool, _ []RID) { rest = len(bp.store.arena.vers) },
-		func(p *Page, slot uint16) int {
-			key, _ := p.Key(slot)
+		func(bp *BufferPool, _ []RID) { rest, tab = len(bp.store.arena.vers), bp.store.Table(1) },
+		func(ctx *exec.Ctx, bp *BufferPool, rid RID) int {
+			f := bp.FixFrame(ctx, rid.Page)
+			ctx.ReadLine(&f.Line)
+			key, _ := f.Key(tab, rid)
+			bp.UnfixFrame(ctx, f)
 			return int(key)
 		},
 		func(bp *BufferPool) {
-			for _, p := range bp.ring {
-				if p.vers != nil || p.keys != nil || p.Dirty || len(bp.store.arena.vers) != rest {
-					b.Fatalf("page %v: key reads wrote to the page", p.ID)
-				}
+			if n := bp.PageStructs(); n != 0 || len(bp.store.arena.vers) != rest {
+				b.Fatalf("key reads made %d page structs or cut an array", n)
 			}
 		})
 }
@@ -328,8 +330,9 @@ func TestPoolNeverHandsOutAResidentStruct(t *testing.T) {
 				held = held[1:]
 			}
 			seen := map[*Page]bool{}
-			for _, q := range bp.ring {
-				if seen[q] || bp.frame(q.ID) != q {
+			for _, f := range bp.ring {
+				q := f.page
+				if seen[q] || q.frame != f || bp.frame(q.ID) != f {
 					t.Fatalf("fix %d: struct of %v is resident twice or under another id", i, q.ID)
 				}
 				seen[q] = true
@@ -390,9 +393,9 @@ func TestClosedPoolSlabsServeTheNextPool(t *testing.T) {
 		if !closed[p] {
 			t.Fatal("the next pool's miss did not take a struct from the closed pool's slab")
 		}
-		fresh := &Page{ID: id}
-		fresh.pins, fresh.ref = 1, true
-		store.fetchInto(fresh)
+		fresh := &Page{ID: id, frame: p.frame}
+		img, _ := store.resolve(id)
+		fresh.init(store, img)
 		if !reflect.DeepEqual(*p, *fresh) {
 			t.Errorf("reused struct differs from a fresh one:\n got %+v\nwant %+v", *p, *fresh)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"islands/internal/latch"
 	"islands/internal/mem"
-	"islands/internal/sim"
 )
 
 // PageSize is the size of a database page in bytes (Shore-MT default).
@@ -62,17 +61,16 @@ const holeKey = -1
 // byte page the engine kept until it held versions
 // (TestPageMatchesByteReference).
 //
-// HeaderLine is the coherence-tracked proxy for the page's hot metadata
-// (header word, latch word): every fix/latch of the page touches it, so
-// cross-core sharing of pages shows up in the memory model.
+// A page in a buffer pool keeps its frame state and its header's coherence
+// line in its Frame, and has a Page struct only once something needed one
+// (see Frame); HeaderLine reaches the line from the struct.
 //
 // The fields are ordered for the host's cache, not for reading: what a
-// buffer-pool hit followed by Key or Version touches comes first — on 64-bit
-// hosts the struct is 256 bytes, and alone or in a buffer pool's slab (see
-// BufferPool.newPage) it starts on a 256-byte boundary, so its first 64 bytes
-// are one cache line — then HeaderLine, then the key array of a reshaped
-// page, the table and the latch. TestPageHitPathLeadsTheStruct pins the
-// order.
+// Key or Version read and an Unfix touch comes first — on 64-bit hosts the
+// struct is 192 bytes, and in a buffer pool's slab (see BufferPool.newPage)
+// it starts on a cache-line boundary, so its first 64 bytes are one cache
+// line — then the key array of a reshaped page, the table and the latch.
+// TestPageHitPathLeadsTheStruct pins the order.
 type Page struct {
 	// vers holds every slot's version; nil while the page was never written,
 	// when every version is 0. The page's first write cuts it from the
@@ -80,32 +78,39 @@ type Page struct {
 	vers     []uint64
 	slots    int
 	firstKey int64 // key of slot 0 while the page is not reshaped
-
-	// Buffer-pool frame state, owned by the BufferPool caching the page.
-	pins    int
-	ref     bool
-	loading bool
+	frame    *Frame
 
 	// reshaped says keys is set: a read of a page that is not tests this
 	// and stays on the leading cache line.
-	reshaped   bool
-	Dirty      bool
-	HeaderLine mem.Line
-
-	ID      PageID
-	PageLSN uint64
-	holes   int // deleted slots available for reuse
+	reshaped bool
+	Dirty    bool
+	holes    int // deleted slots available for reuse
 
 	// keys holds every slot's key, holeKey for a deleted one, once the page
 	// is reshaped: the first Insert or Delete that breaks slot i = key
 	// firstKey+i cuts it from the store's arena, with room for RowsPerPage
 	// slots.
-	keys    []int64
-	tab     *Table
-	arena   *arena
-	waiters []*sim.Proc
-	Latch   latch.RW
-	_       [32]byte // fills the struct to 256 bytes (see above)
+	keys  []int64
+	tab   *Table
+	arena *arena
+	ID    PageID
+	Latch latch.RW
+	_     [24]byte // fills the struct to 192 bytes (see above)
+}
+
+// Frame returns the buffer-pool frame of the page, nil outside a pool.
+func (p *Page) Frame() *Frame { return p.frame }
+
+// HeaderLine returns the coherence-tracked proxy for the page's hot
+// metadata (header word, latch word), which its buffer-pool frame holds.
+func (p *Page) HeaderLine() *mem.Line { return &p.frame.Line }
+
+// init makes p, whose ID is set, the page of store s that image img holds
+// (see PageStore.resolve).
+func (p *Page) init(s *PageStore, img image) {
+	t := s.Table(p.ID.Table)
+	p.tab, p.arena, p.firstKey = t, &s.arena, p.ID.No*t.RowsPerPage()
+	p.load(img)
 }
 
 // format makes p page no of table t as a miss finds it: nobody wrote it, so

@@ -246,30 +246,38 @@ func TestRowVersionBump(t *testing.T) {
 	}
 }
 
-// TestPageHitPathLeadsTheStruct pins the field order Page documents: what a
-// buffer-pool hit and a Key or Version read sits in the struct's first 64
-// bytes, ahead of the key array and the latch, and the struct fills its
-// 256-byte allocation class exactly (so the runtime aligns it to host cache
-// lines), as does every struct a buffer pool cuts from its slabs.
+// TestPageHitPathLeadsTheStruct pins the layouts Frame and Page document.
+// A frame is a 24-byte directory entry: the 8-byte struct pointer and 16
+// bytes of frame state, a 12-byte mem.Line among them — all an unlatched
+// read of an unwritten page touches. In the struct, what a Key or Version
+// read and an Unfix touch sits in the first 64 bytes, ahead of the key
+// array and the latch, and the struct is 192 bytes, so every struct a
+// buffer pool cuts from its slabs starts on a host cache line.
 func TestPageHitPathLeadsTheStruct(t *testing.T) {
-	var p Page
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout is pinned for 64-bit hosts")
 	}
+	var f Frame
+	if size := unsafe.Sizeof(f.Line); size != 12 {
+		t.Errorf("mem.Line is %d bytes, want 12", size)
+	}
+	if state := unsafe.Sizeof(f) - unsafe.Sizeof(f.page); state > 16 {
+		t.Errorf("Frame holds %d bytes of frame state beside its pointer, want <= 16", state)
+	}
+	var p Page
 	for name, off := range map[string]uintptr{
 		"vers": unsafe.Offsetof(p.vers), "slots": unsafe.Offsetof(p.slots), "firstKey": unsafe.Offsetof(p.firstKey),
-		"pins": unsafe.Offsetof(p.pins), "ref": unsafe.Offsetof(p.ref), "loading": unsafe.Offsetof(p.loading),
-		"reshaped": unsafe.Offsetof(p.reshaped),
+		"frame": unsafe.Offsetof(p.frame), "reshaped": unsafe.Offsetof(p.reshaped), "Dirty": unsafe.Offsetof(p.Dirty),
 	} {
 		if off >= 64 {
 			t.Errorf("Page.%s at offset %d: off the leading cache line", name, off)
 		}
 	}
-	if line := unsafe.Offsetof(p.HeaderLine); line >= unsafe.Offsetof(p.keys) || line >= unsafe.Offsetof(p.Latch) {
-		t.Errorf("Page.HeaderLine at offset %d: behind the key array or the latch", line)
+	if keys, l := unsafe.Offsetof(p.keys), unsafe.Offsetof(p.Latch); keys < 64 || l < 64 {
+		t.Errorf("Page.keys at %d, Page.Latch at %d: ahead of the hit path", keys, l)
 	}
-	if size := unsafe.Sizeof(p); size != 256 {
-		t.Errorf("Page is %d bytes, want 256", size)
+	if size := unsafe.Sizeof(p); size != 192 {
+		t.Errorf("Page is %d bytes, want 192", size)
 	}
 	bp := NewBufferPool(NewPageStore(), MMapDisk(), 1)
 	for i := 0; i < 2*pageSlab; i++ {

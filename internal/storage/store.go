@@ -16,7 +16,8 @@ type PageStore struct {
 
 // image is what the store retains of a dirty-evicted page: its slot count
 // and its arrays, handed over by the page, not copied — a restored page
-// writes them in place, as the page it was did.
+// writes them in place, as the page it was did. A page nobody wrote is the
+// image of its slot count alone.
 type image struct {
 	vers  []uint64
 	keys  []int64
@@ -89,34 +90,34 @@ func (s *PageStore) SortedTables() []*Table {
 	return out
 }
 
-// Fetch returns the current contents of page id: the retained image of a
-// dirty-evicted page, or the page as its table definition formats it.
+// Fetch returns the current contents of page id, outside any buffer pool:
+// the retained image of a dirty-evicted page, or the page as its table
+// definition formats it.
 func (s *PageStore) Fetch(id PageID) *Page {
 	p := &Page{ID: id}
-	s.fetchInto(p)
+	img, _ := s.resolve(id)
+	p.init(s, img)
 	return p
 }
 
-// fetchInto is Fetch into a caller-allocated page (the buffer pool reserves
-// the frame before the I/O and receives the contents after it).
-func (s *PageStore) fetchInto(p *Page) {
-	id := p.ID
+// resolve counts and returns what a miss on page id finds: the retained
+// image of a dirty-evicted page, or else (retained false) the image of the
+// page as its table formats it, which is only its slot count.
+func (s *PageStore) resolve(id PageID) (img image, retained bool) {
 	t := s.Table(id.Table)
 	if t == nil {
 		panic("storage: fetch of page for unknown table")
 	}
-	p.arena = &s.arena
-	if img, ok := s.images[id]; ok {
+	if img, retained = s.images[id]; retained {
 		s.Restored++
-		p.tab, p.firstKey = t, id.No*t.RowsPerPage()
-		p.load(img)
-		return
+		return img, true
 	}
 	if id.No < 0 || id.No >= t.NumPages() {
 		panic("storage: fetch of page beyond table end")
 	}
 	s.Synthesized++
-	p.format(t, id.No)
+	lo, hi := t.KeyRangeOfPage(id.No)
+	return image{slots: int(hi - lo)}, false
 }
 
 // load gives p the slots and arrays of a retained image.
