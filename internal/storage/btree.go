@@ -40,27 +40,32 @@ type BTree struct {
 	locate func(key int64) RID // BulkLoadRange's rid function; resolves dense leaves
 
 	// While computed is set, the tree is exactly what BulkLoadRange built
-	// and Search computes its path (see computedLeaf) from flat: each level's
-	// node array, leaves first. The first Insert or Delete clears it for good.
+	// and Search computes its path (see computedLeaf) from leaves, the leaf
+	// level's node array, and flat, each level's reciprocal and, above the
+	// leaves, its node array. The first Insert or Delete clears it for good.
 	computed bool
+	leaves   []bnode
 	flat     [maxFlatLevels]flatLevel
 
 	// The nodes and arrays that inserts add — a split's right half, a new
 	// root, a dense leaf's expanded arrays, a bulk-loaded node's first
-	// regrowth — are cut from these slabs, never allocated one by one.
-	nodes slab[bnode]
+	// regrowth — are cut from these slabs, never allocated one by one. A
+	// piece of nodes is a node with its nodeArrays; a dense leaf that
+	// expands takes one for the arrays alone.
+	nodes slab[fullNode]
 	keys  slab[int64]
 	rids  slab[RID]
 	kids  slab[*bnode]
 }
 
-// flatLevel is one level of a range-loaded tree: its node array and
-// ⌈2⁶⁴/span⌉, where span is the number of keys under one of its nodes. The
-// high word of j·recip is ⌊j/span⌋ for every j < 2³² (Lemire, Kaser and
-// Kurz, "Faster remainder by direct computation", 2019), so no probe divides.
-// The root's recip is 0: its index is always 0.
+// flatLevel is one level of a range-loaded tree: its node array, nil on
+// level 0 (BTree.leaves), and ⌈2⁶⁴/span⌉, where span is the number of keys
+// under one of its nodes. The high word of j·recip is ⌊j/span⌋ for every
+// j < 2³² (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019), so no probe divides. The root's recip is 0: its
+// index is always 0.
 type flatLevel struct {
-	nodes []bnode
+	inner []fullNode
 	recip uint64
 }
 
@@ -88,20 +93,48 @@ func (s *slab[T]) cut(n, size int) []T {
 }
 
 // bnode's first fields are the ones a probe reads (the line is touched on
-// every visit), so a visit to a dense leaf stays on one host cache line.
+// every visit), so a visit to a dense leaf stays on one host cache line, and
+// the node is that one line: the arrays only an inner node or an explicit
+// leaf has are behind one pointer, and their fields are promoted, so n.keys
+// reads through it. A leaf without arrays is dense. Most nodes of a
+// range-loaded tree are dense leaves, so a node costs 64 bytes where the
+// arrays would double it.
 type bnode struct {
-	line     mem.Line
-	leaf     bool
-	count    int64 // > 0: dense leaf of keys first..first+count-1, keys and rids nil
-	first    int64
+	line  mem.Line
+	leaf  bool
+	count int64 // dense leaf: keys first..first+count-1; 0 otherwise
+	first int64
+	next  *bnode // leaf chain
+	*nodeArrays
+	_ [16]byte // fills the node to 64 bytes, one host cache line
+}
+
+// nodeArrays are the arrays of an inner node or an explicit leaf. They are
+// never allocated alone: they live beside their node in a fullNode, or, for
+// an expanded dense leaf, in a piece of the tree's node slab.
+type nodeArrays struct {
 	keys     []int64
 	children []*bnode // inner nodes
 	rids     []RID    // explicit leaves
-	next     *bnode   // leaf chain
-	_        [16]byte // fills the node to 128 bytes, two host cache lines
 }
 
-func (n *bnode) dense() bool { return n.count > 0 }
+// fullNode is a node with its arrays in one piece: what bulkLoad cuts an
+// inner level from and the tree's node slab hands out. It is three host
+// cache lines, so in an array of them every node starts where the first
+// one does within its line.
+type fullNode struct {
+	bnode
+	arrays nodeArrays
+	_      [56]byte
+}
+
+// node returns n's node, its arrays attached.
+func (n *fullNode) node() *bnode {
+	n.nodeArrays = &n.arrays
+	return &n.bnode
+}
+
+func (n *bnode) dense() bool { return n.nodeArrays == nil }
 
 // size returns the number of keys a leaf holds.
 func (n *bnode) size() int {
@@ -120,6 +153,7 @@ func (t *BTree) expand(n *bnode) {
 	if !n.dense() {
 		return
 	}
+	n.nodeArrays = &t.nodes.cut(1, 1)[0].arrays
 	n.keys = t.keys.cut(int(n.count), t.order+1)
 	n.rids = t.rids.cut(int(n.count), t.order+1)
 	for i := range n.keys {
@@ -136,7 +170,7 @@ func NewBTree(order int) *BTree {
 	if order < 4 {
 		order = DefaultBTreeOrder
 	}
-	return &BTree{order: order, root: &bnode{leaf: true}, height: 1}
+	return &BTree{order: order, root: emptyLeaf(), height: 1}
 }
 
 // Size returns the number of keys.
@@ -202,10 +236,10 @@ func (t *BTree) computedLeaf(ctx *exec.Ctx, key int64) *bnode {
 	for l := t.height - 1; l > 0; l-- {
 		lv := &t.flat[l]
 		hi, _ := bits.Mul64(j, lv.recip)
-		t.touch(ctx, &lv.nodes[hi], false)
+		t.touch(ctx, &lv.inner[hi].bnode, false)
 	}
 	hi, _ := bits.Mul64(j, t.flat[0].recip)
-	return &t.flat[0].nodes[hi]
+	return &t.leaves[hi]
 }
 
 // lowerBound returns the first index whose key is >= key; childIndex returns
@@ -346,12 +380,17 @@ func (t *BTree) newInner(nkeys int) *bnode {
 	return n
 }
 
-// newNode returns a zero node from the tree's node slab.
-func (t *BTree) newNode() *bnode { return &t.nodes.cut(1, 1)[0] }
+// newNode returns a zero node, its arrays attached, from the tree's node
+// slab.
+func (t *BTree) newNode() *bnode { return t.nodes.cut(1, 1)[0].node() }
+
+// emptyLeaf returns the root of a tree that holds no key: a dense leaf of
+// none, which the first Insert expands as it would any dense leaf.
+func emptyLeaf() *bnode { return &bnode{leaf: true} }
 
 // room returns a node's array with room for one more entry: as it is, or
-// moved to a piece of s at full capacity when it is full — a new tree's
-// empty root leaf, or a bulk-loaded node whose arrays were cut to its length.
+// moved to a piece of s at full capacity when it is full — a bulk-loaded
+// node whose arrays were cut to its length.
 func room[T any](s *slab[T], a []T, size int) []T {
 	if len(a) < cap(a) {
 		return a
@@ -421,6 +460,7 @@ func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) b
 func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
 	t.locate = nil
 	t.bulkLoad(int64(len(keys)), fill, func(leaf *bnode, i, end int64) {
+		leaf.nodeArrays = new(nodeArrays)
 		leaf.keys = make([]int64, end-i)
 		leaf.rids = make([]RID, end-i)
 		copy(leaf.keys, keys[i:end])
@@ -448,17 +488,17 @@ func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
 // leaf for positions [i, end).
 //
 // Each level is cut from slabs: the leaves are one array of nodes, and an
-// inner level is one array of nodes plus one backing array for all its
-// children and one for all its keys. A node's share of a backing array is a
-// full slice expression, so its cap equals its len as an exactly sized array
-// would: the first insert into it reallocates, and never writes into its
-// neighbour's share.
+// inner level is one array of nodes with their arrays (fullNode) plus one
+// backing array for all its children and one for all its keys. A node's
+// share of a backing array is a full slice expression, so its cap equals its
+// len as an exactly sized array would: the first insert into it reallocates,
+// and never writes into its neighbour's share.
 //
-// bulkLoad keeps every level's node array in flat and reports whether the
-// computed path is exact for the tree it built: its keys are positions, so
-// the node of level l that covers position j is the ⌊j/(per·fanˡ)⌋-th. That
-// needs n < 2³² (the reciprocals' range), per ≥ 2 (⌈2⁶⁴/1⌉ does not fit a
-// word) and at most maxFlatLevels levels.
+// bulkLoad keeps every level's node array (leaves, flat) and reports
+// whether the computed path is exact for the tree it built: its keys are
+// positions, so the node of level l that covers position j is the
+// ⌊j/(per·fanˡ)⌋-th. That needs n < 2³² (the reciprocals' range), per ≥ 2
+// (⌈2⁶⁴/1⌉ does not fit a word) and at most maxFlatLevels levels.
 func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, end int64)) bool {
 	if fill <= 0 || fill > 1 {
 		fill = 0.9
@@ -468,52 +508,57 @@ func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, en
 		per = 1
 	}
 	t.size = int(n)
-	t.computed, t.flat = false, [maxFlatLevels]flatLevel{}
+	t.computed, t.leaves, t.flat = false, nil, [maxFlatLevels]flatLevel{}
 	if n == 0 {
-		t.root = &bnode{leaf: true}
+		t.root = emptyLeaf()
 		t.height = 1
 		return false
 	}
-	level := make([]bnode, (n+per-1)/per)
-	for j := range level {
-		leaf, i := &level[j], int64(j)*per
+	leaves := make([]bnode, (n+per-1)/per)
+	for j := range leaves {
+		leaf, i := &leaves[j], int64(j)*per
 		leaf.leaf = true
 		fillLeaf(leaf, i, min(i+per, n))
 		if j > 0 {
-			level[j-1].next = leaf
+			leaves[j-1].next = leaf
 		}
 	}
+	t.leaves = leaves
+	t.root = &leaves[0]
 	// Build inner levels: parent p takes children [p*fan, (p+1)*fan) of the
 	// level below, and the keys of every child but its first, which precede
-	// it p*(fan-1) deep in the level's key array.
+	// it p*(fan-1) deep in the level's key array. inner is the level below
+	// once it is not the leaves.
 	t.height = 1
 	fan := int(per) + 1
-	for {
-		if t.height <= maxFlatLevels {
-			t.flat[t.height-1].nodes = level
-		}
-		if len(level) == 1 {
-			break
-		}
-		parents := make([]bnode, (len(level)+fan-1)/fan)
-		children := make([]*bnode, len(level))
-		keys := make([]int64, len(level)-len(parents))
-		for j := range level {
-			children[j] = &level[j]
+	var inner []fullNode
+	for width := len(leaves); width > 1; width = len(inner) {
+		parents := make([]fullNode, (width+fan-1)/fan)
+		children := make([]*bnode, width)
+		keys := make([]int64, width-len(parents))
+		for j := range children {
+			if inner == nil {
+				children[j] = &leaves[j]
+			} else {
+				children[j] = &inner[j].bnode
+			}
 		}
 		for p := range parents {
-			a, b := p*fan, min((p+1)*fan, len(level))
-			parent := &parents[p]
+			a, b := p*fan, min((p+1)*fan, width)
+			parent := parents[p].node()
 			parent.children = children[a:b:b]
 			parent.keys = keys[a-p : b-p-1 : b-p-1]
 			for j, c := range parent.children[1:] {
 				parent.keys[j] = leftmostKey(c)
 			}
 		}
-		level = parents
+		if t.height < maxFlatLevels {
+			t.flat[t.height].inner = parents
+		}
+		inner = parents
+		t.root = &inner[0].bnode
 		t.height++
 	}
-	t.root = &level[0]
 	if n >= 1<<32 || per < 2 || t.height > maxFlatLevels {
 		return false
 	}
@@ -552,28 +597,32 @@ func (t *BTree) CheckInvariants() string {
 	var prevLeafMax *int64
 	var walk func(n *bnode, depth int, lo, hi *int64) string
 	walk = func(n *bnode, depth int, lo, hi *int64) string {
-		for i := 1; i < len(n.keys); i++ {
-			if n.keys[i-1] >= n.keys[i] {
+		var keys []int64
+		if n.nodeArrays != nil {
+			keys = n.keys
+		}
+		for i := 1; i < len(keys); i++ {
+			if keys[i-1] >= keys[i] {
 				return "keys out of order"
 			}
 		}
 		// The smallest and largest key bound every key of the node.
-		minKey, maxKey, any := int64(0), int64(0), len(n.keys) > 0
+		minKey, maxKey, any := int64(0), int64(0), len(keys) > 0
 		if any {
-			minKey, maxKey = n.keys[0], n.keys[len(n.keys)-1]
+			minKey, maxKey = keys[0], keys[len(keys)-1]
 		}
-		if n.count != 0 {
+		if n.dense() {
 			switch {
 			case !n.leaf:
-				return "inner node marked dense"
+				return "inner node without arrays"
 			case n.count < 0:
 				return "dense leaf with negative count"
-			case n.keys != nil || n.rids != nil:
-				return "dense leaf carries explicit arrays"
-			case t.locate == nil:
+			case n.count > 0 && t.locate == nil:
 				return "dense leaf in a tree without a locate function"
 			}
-			minKey, maxKey, any = n.first, n.first+n.count-1, true
+			minKey, maxKey, any = n.first, n.first+n.count-1, n.count > 0
+		} else if n.count != 0 || n.first != 0 {
+			return "explicit node with a dense key range"
 		}
 		if any {
 			if lo != nil && minKey < *lo {
@@ -588,7 +637,7 @@ func (t *BTree) CheckInvariants() string {
 			if len(depths) > 1 {
 				return "leaves at different depths"
 			}
-			if len(n.keys) != len(n.rids) {
+			if !n.dense() && len(n.keys) != len(n.rids) {
 				return "leaf keys/rids mismatch"
 			}
 			if any {

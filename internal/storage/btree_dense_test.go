@@ -219,7 +219,7 @@ func (t *BTree) levelWidths() []int {
 		widths = append(widths, len(level))
 		var below []*bnode
 		for _, n := range level {
-			below = append(below, n.children...)
+			below = append(below, childrenOf(n)...)
 		}
 		level = below
 	}
@@ -297,20 +297,29 @@ func TestRangeLoadedInnerNodesHaveExactCapacity(t *testing.T) {
 	}
 }
 
-// TestBNodeProbeFieldsShareOneHostLine: a node is a whole number of 64-byte
-// host cache lines, and the fields a probe reads (line, leaf, count, first)
-// lie within 48 bytes of its start, so in a slab whose start is 16-byte
-// aligned within a line — a large slab starts on a page, a small one after
-// at most its 8-byte header — every node's probe fields share one line. That
-// holds for the leaves bulkLoad cuts and for those splits cut from the
-// tree's node slabs.
+// TestBNodeProbeFieldsShareOneHostLine: a node is one 64-byte host cache
+// line, a node with its arrays (fullNode) a whole number of them, and the
+// fields a probe reads (line, leaf, count, first, and the arrays pointer a
+// dense leaf is told by) lie within 48 bytes of its start, so in a slab
+// whose start is 16-byte aligned within a line — a large slab starts on a
+// page, a small one after at most its 8-byte header — every node's probe
+// fields share one line. That holds for the leaves bulkLoad cuts and for
+// those splits cut from the tree's node slabs.
 func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 	var n bnode
-	if size := unsafe.Sizeof(n); size%64 != 0 {
-		t.Fatalf("bnode is %d bytes, not a multiple of 64", size)
+	if size := unsafe.Sizeof(n); size != 64 {
+		t.Fatalf("bnode is %d bytes, want 64", size)
 	}
-	if end := unsafe.Offsetof(n.first) + unsafe.Sizeof(n.first); end > 48 {
-		t.Fatalf("a probe reads bnode's first %d bytes, want <= 48", end)
+	if size := unsafe.Sizeof(fullNode{}); size%64 != 0 {
+		t.Fatalf("fullNode is %d bytes, not a multiple of 64", size)
+	}
+	for name, end := range map[string]uintptr{
+		"first":      unsafe.Offsetof(n.first) + unsafe.Sizeof(n.first),
+		"nodeArrays": unsafe.Offsetof(n.nodeArrays) + unsafe.Sizeof(n.nodeArrays),
+	} {
+		if end > 48 {
+			t.Fatalf("a probe reads bnode.%s, which ends at byte %d; want <= 48", name, end)
+		}
 	}
 	for _, rows := range []int64{100, 1000, 100000} {
 		bt := NewBTree(DefaultBTreeOrder)
@@ -329,33 +338,62 @@ func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 	}
 }
 
-// TestFirstInsertPastRangeAllocatesTwice: the insert that expands a dense
-// leaf cuts its key and RID arrays from the tree's slabs, with room to grow
-// to a split, so appending the first key past a fresh range-loaded tree
-// costs two objects: the first key slab and the first RID slab.
-func TestFirstInsertPastRangeAllocatesTwice(t *testing.T) {
-	const rows, runs = 1000, 20
+// TestFirstAppendsPastRangeAllocateThreeSlabs: the insert that expands a
+// dense leaf cuts its key and RID arrays from the tree's slabs, with room to
+// grow to a split, and the struct that holds them from its node slab, so
+// appending the first key past a fresh range-loaded tree costs three
+// objects: the first key, RID and node slabs. The appends that follow,
+// through the leaf's first split, cost two: the split's node and arrays are
+// the second pieces of those slabs, and the root it adds a child to moves
+// its exact-capacity arrays to full pieces, a second key slab and the first
+// child slab. Five in all, as when the node slab's first cut was the split.
+func TestFirstAppendsPastRangeAllocateThreeSlabs(t *testing.T) {
+	const rows, runs, more = 1000, 20, 50
 	trees := make([]*BTree, runs+1) // AllocsPerRun runs once more to warm up
 	for i := range trees {
 		trees[i] = NewBTree(DefaultBTreeOrder)
 		trees[i].BulkLoadRange(rows, ridFor, 0.9)
 	}
 	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
+	first := testing.AllocsPerRun(runs, func() {
 		bt := trees[next]
 		next++
 		if !bt.Insert(nil, rows, ridFor(rows)) {
 			t.Fatal("append reported an existing key")
 		}
 	})
-	if allocs != 2 {
-		t.Errorf("first insert past the range allocates %v objects, want 2", allocs)
+	if first != 3 {
+		t.Errorf("first insert past the range allocates %v objects, want 3", first)
+	}
+	next = 0
+	height := trees[0].Height()
+	rest := testing.AllocsPerRun(runs, func() {
+		bt := trees[next]
+		next++
+		for k := int64(rows + 1); k <= rows+more; k++ {
+			bt.Insert(nil, k, ridFor(k))
+		}
+	})
+	if rest != 2 {
+		t.Errorf("the next %d appends allocate %v objects, want 2", more, rest)
 	}
 	for _, bt := range trees {
 		if msg := bt.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}
+		if leaves := bt.levelWidths()[bt.Height()-1]; bt.Height() != height || leaves != 13 {
+			t.Fatalf("height %d, %d leaves; want one split: height %d, 13 leaves", bt.Height(), leaves, height)
+		}
 	}
+}
+
+// childrenOf returns an inner node's children, none for a leaf: a dense
+// leaf has no arrays to read them from.
+func childrenOf(n *bnode) []*bnode {
+	if n.leaf {
+		return nil
+	}
+	return n.children
 }
 
 // forEachNode calls fn for every node of the tree, parents first.
@@ -363,7 +401,7 @@ func (t *BTree) forEachNode(fn func(n *bnode)) {
 	var walk func(n *bnode)
 	walk = func(n *bnode) {
 		fn(n)
-		for _, c := range n.children {
+		for _, c := range childrenOf(n) {
 			walk(c)
 		}
 	}
@@ -458,6 +496,9 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 		// node may see it, and the tree must not change.
 		sentinel := &bnode{}
 		bt.forEachNode(func(n *bnode) {
+			if n.dense() {
+				return
+			}
 			for i := len(n.keys); i < cap(n.keys); i++ {
 				n.keys[:cap(n.keys)][i] = -1 << 62
 			}
@@ -469,7 +510,7 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 			}
 		})
 		bt.forEachNode(func(n *bnode) {
-			if slices.Contains(n.keys, -1<<62) || slices.Contains(n.rids, RID{Slot: 0xdead}) || slices.Contains(n.children, sentinel) {
+			if !n.dense() && (slices.Contains(n.keys, -1<<62) || slices.Contains(n.rids, RID{Slot: 0xdead}) || slices.Contains(n.children, sentinel)) {
 				fail("a node's spare capacity overlaps a neighbour's entries")
 			}
 		})
@@ -633,7 +674,7 @@ func TestCheckInvariantsRejectsBrokenDenseLeaves(t *testing.T) {
 		return n
 	}
 	for name, corrupt := range map[string]func(bt *BTree){
-		"skipped expand":    func(bt *BTree) { n := firstLeaf(bt); n.keys, n.rids = []int64{0}, []RID{{}} },
+		"skipped expand":    func(bt *BTree) { firstLeaf(bt).nodeArrays = &nodeArrays{keys: []int64{0}, rids: []RID{{}}} },
 		"negative count":    func(bt *BTree) { firstLeaf(bt).count = -1 },
 		"no locate":         func(bt *BTree) { bt.locate = nil },
 		"beyond separator":  func(bt *BTree) { firstLeaf(bt).count++ },

@@ -217,7 +217,7 @@ func TestBTreeQuickProperty(t *testing.T) {
 // nodeCount returns the number of nodes in the subtree rooted at n.
 func nodeCount(n *bnode) int {
 	c := 1
-	for _, ch := range n.children {
+	for _, ch := range childrenOf(n) {
 		c += nodeCount(ch)
 	}
 	return c

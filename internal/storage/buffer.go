@@ -69,7 +69,7 @@ type BufferPool struct {
 // Insert or Delete, a latched read (the latch lives in the struct), redo —
 // made exactly as the load would have made it, and keeps it until it is
 // evicted. A non-latched read of an unwritten page (FixFrame, Frame.Key)
-// touches only its 24-byte entry, where the struct is 192 bytes.
+// touches only its 24-byte entry, where the struct is 128 bytes.
 type Frame struct {
 	page *Page
 	// Line is the coherence-tracked proxy for the page's hot metadata
@@ -116,12 +116,13 @@ const frameChunkPages = 512
 type frameChunk [frameChunkPages]Frame
 
 // pageSlab is how many Page structs the pool allocates at a time. 256 of
-// them are 48 KB, past the runtime's largest small-object size class and a
-// whole number of its 8 KB pages, so a slab is a page-aligned allocation of
-// its own and every 192-byte struct in it starts on a cache-line boundary.
-// A smaller slab that holds pointers gets an 8-byte allocation header in
-// front of its first struct (Go 1.22 on), which would shift every struct's
-// leading cache line (TestPageHitPathLeadsTheStruct).
+// them are 32 KB, four of the runtime's 8 KB pages and past what it serves
+// from a small-object size class once a pointerful object's 8-byte
+// allocation header (Go 1.22 on) is added, so a slab is a page-aligned
+// allocation of its own and every 128-byte struct in it starts on a
+// cache-line boundary. A smaller slab would get that header in front of its
+// first struct, which would shift every struct's leading cache line
+// (TestPageHitPathLeadsTheStruct).
 const pageSlab = 256
 
 // newPage returns a zero Page struct for id, reusing an evicted one when

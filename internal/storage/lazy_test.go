@@ -24,8 +24,8 @@ import (
 var poison uint64 = 0xA5A5A5A5A5A5A5A5
 
 // poisonedChunk returns an arena chunk whose every word is poison.
-func poisonedChunk[T uint64 | int64]() []T {
-	c := make([]T, arenaWords)
+func poisonedChunk[T uint32 | int64]() []T {
+	c := make([]T, arenaBytes/int(unsafe.Sizeof(T(0))))
 	for i := range c {
 		c[i] = T(poison)
 	}
@@ -39,7 +39,7 @@ func poisonedStore(t testing.TB, tabs ...*Table) *PageStore {
 	for _, tab := range tabs {
 		s.AddTable(tab)
 	}
-	s.arena.vers, s.arena.keys = poisonedChunk[uint64](), poisonedChunk[int64]()
+	s.arena.vers, s.arena.keys = poisonedChunk[uint32](), poisonedChunk[int64]()
 	return s
 }
 
@@ -257,7 +257,7 @@ func TestHalfFilledDirtyPageRoundTrip(t *testing.T) {
 // inserts, through a Figure-14-shaped pool — 8 frames over 200 pages of
 // 250-byte rows — so that nearly every page is evicted dirty and fetched
 // back. The store retains each as its versions, and its keys once
-// reshaped: at most 16 bytes per slot and 64 of bookkeeping, where the byte
+// reshaped: at most 12 bytes per slot and 64 of bookkeeping, where the byte
 // page retained 8 KB. Every page fetched back holds what the byte reference
 // driven through the same writes holds.
 func TestRetainedImagesAreCompact(t *testing.T) {
@@ -300,12 +300,12 @@ func TestRetainedImagesAreCompact(t *testing.T) {
 			bp.Unfix(ctx, p, true)
 		}
 		reshaped := 0
-		limit := 16*int(tab.RowsPerPage()) + 64
+		limit := 12*int(tab.RowsPerPage()) + 64
 		for id, img := range store.images {
 			if img.keys != nil {
 				reshaped++
 			}
-			if n := int(unsafe.Sizeof(img)) + 8*cap(img.vers) + 8*cap(img.keys); n > limit {
+			if n := int(unsafe.Sizeof(img)) + 4*cap(img.vers) + 8*cap(img.keys); n > limit {
 				t.Errorf("page %v is retained in %d bytes, want <= %d", id, n, limit)
 			}
 		}
@@ -403,7 +403,7 @@ func BenchmarkFetchFirstTouch(b *testing.B) {
 // BenchmarkUpdateRowFirstTouch is the first write of a page: one row's
 // version bumped on each of many resident pages nobody wrote, in a pool
 // large enough not to evict. The write cuts the page's version array from
-// the store's arena, 8 bytes a slot, and it reports the heap objects that
+// the store's arena, 4 bytes a slot, and it reports the heap objects that
 // costs per write (allocs/write; CI gates it at 0.02): an allocation per
 // page would read 1.
 func BenchmarkUpdateRowFirstTouch(b *testing.B) {

@@ -6,6 +6,8 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"islands/internal/latch"
 	"islands/internal/mem"
@@ -61,41 +63,47 @@ const holeKey = -1
 // byte page the engine kept until it held versions
 // (TestPageMatchesByteReference).
 //
+// A row's version is below 2³²: a page keeps it in 32 bits (see
+// SetVersion), and a row would need 2³² updates to pass it.
+//
 // A page in a buffer pool keeps its frame state and its header's coherence
 // line in its Frame, and has a Page struct only once something needed one
 // (see Frame); HeaderLine reaches the line from the struct.
 //
 // The fields are ordered for the host's cache, not for reading: what a
-// Key or Version read and an Unfix touch comes first — on 64-bit hosts the
-// struct is 192 bytes, and in a buffer pool's slab (see BufferPool.newPage)
-// it starts on a cache-line boundary, so its first 64 bytes are one cache
-// line — then the key array of a reshaped page, the table and the latch.
-// TestPageHitPathLeadsTheStruct pins the order.
+// Key or Version read and an Unfix touch comes first, the key array of a
+// reshaped page right after it — on 64-bit hosts the struct is 128 bytes,
+// and in a buffer pool's slab (see BufferPool.newPage) it starts on a
+// cache-line boundary, so its first 64 bytes are one cache line — then the
+// table, the arena, the id and the latch.
+// TestPageHitPathLeadsTheStruct pins the order. Both arrays are held as a
+// pointer to their first element: their length is always slots and their
+// capacity RowsPerPage (see versions and keyArray), so two slice headers
+// would spend 32 bytes on lengths the page already has.
 type Page struct {
-	// vers holds every slot's version; nil while the page was never written,
-	// when every version is 0. The page's first write cuts it from the
-	// store's arena, with room for RowsPerPage slots.
-	vers     []uint64
-	slots    int
+	// vers points at every slot's version; nil while the page was never
+	// written, when every version is 0. The page's first write cuts it from
+	// the store's arena, with room for RowsPerPage slots.
+	vers     *uint32
 	firstKey int64 // key of slot 0 while the page is not reshaped
 	frame    *Frame
+	slots    int32
+	holes    int32 // deleted slots available for reuse
 
 	// reshaped says keys is set: a read of a page that is not tests this
 	// and stays on the leading cache line.
 	reshaped bool
 	Dirty    bool
-	holes    int // deleted slots available for reuse
 
-	// keys holds every slot's key, holeKey for a deleted one, once the page
-	// is reshaped: the first Insert or Delete that breaks slot i = key
+	// keys points at every slot's key, holeKey for a deleted one, once the
+	// page is reshaped: the first Insert or Delete that breaks slot i = key
 	// firstKey+i cuts it from the store's arena, with room for RowsPerPage
 	// slots.
-	keys  []int64
+	keys  *int64
 	tab   *Table
 	arena *arena
 	ID    PageID
 	Latch latch.RW
-	_     [24]byte // fills the struct to 192 bytes (see above)
 }
 
 // Frame returns the buffer-pool frame of the page, nil outside a pool.
@@ -117,26 +125,44 @@ func (p *Page) init(s *PageStore, img image) {
 // it holds no array, and its slots are implied by t.
 func (p *Page) format(t *Table, no int64) {
 	lo, hi := t.KeyRangeOfPage(no)
-	p.tab, p.firstKey, p.slots = t, lo, int(hi-lo)
+	p.tab, p.firstKey, p.slots = t, lo, int32(hi-lo)
 }
 
 // capacity is the most slots the page can have: RowsPerPage, the rows of its
 // table that fit it with their directory entries.
 func (p *Page) capacity() int { return int(p.tab.RowsPerPage()) }
 
+// versions returns the version array, one element per slot; nil while the
+// page has none.
+func (p *Page) versions() []uint32 {
+	if p.vers == nil {
+		return nil
+	}
+	return unsafe.Slice(p.vers, p.slots)
+}
+
+// keyArray returns the key array, one element per slot; nil while the page
+// is not reshaped.
+func (p *Page) keyArray() []int64 {
+	if p.keys == nil {
+		return nil
+	}
+	return unsafe.Slice(p.keys, p.slots)
+}
+
 // NumSlots returns the number of slots, deleted ones included.
-func (p *Page) NumSlots() int { return p.slots }
+func (p *Page) NumSlots() int { return int(p.slots) }
 
 // FreeSpace returns the bytes available for a new record plus its slot: the
 // page less its header and, for every slot, live or deleted, a RowBytes row
 // and a directory entry.
 func (p *Page) FreeSpace() int {
-	return max(PageSize-pageHeaderSize-p.slots*(p.tab.RowBytes+slotSize)-slotSize, 0)
+	return max(PageSize-pageHeaderSize-int(p.slots)*(p.tab.RowBytes+slotSize)-slotSize, 0)
 }
 
 // live reports whether slot holds a row: in range and not deleted.
 func (p *Page) live(slot uint16) bool {
-	return int(slot) < p.slots && (!p.reshaped || p.keys[slot] != holeKey)
+	return int32(slot) < p.slots && (!p.reshaped || p.keyArray()[slot] != holeKey)
 }
 
 // Key returns the key of the row at slot; ok is false for out-of-range or
@@ -146,7 +172,7 @@ func (p *Page) Key(slot uint16) (key int64, ok bool) {
 	case !p.live(slot):
 		return 0, false
 	case p.reshaped:
-		return p.keys[slot], true
+		return p.keyArray()[slot], true
 	}
 	return p.firstKey + int64(slot), true
 }
@@ -158,23 +184,28 @@ func (p *Page) Version(slot uint16) (v uint64, ok bool) {
 		return 0, false
 	}
 	if p.vers != nil {
-		v = p.vers[slot]
+		v = uint64(p.versions()[slot])
 	}
 	return v, true
 }
 
 // SetVersion sets the version counter of the row at slot — an update, its
 // undo or its redo — and dirties the page; ok is false for out-of-range or
-// deleted slots.
+// deleted slots. A version of 2³² or more breaks the page's contract (see
+// Page) and panics, naming the page and slot.
 func (p *Page) SetVersion(slot uint16, v uint64) bool {
 	if !p.live(slot) {
 		return false
 	}
-	if p.vers == nil {
-		p.vers = cut(&p.arena.vers, p.slots, p.capacity(), arenaWords)
-		clear(p.vers)
+	if v > math.MaxUint32 {
+		panic(fmt.Sprintf("storage: version %d of page %v slot %d does not fit 32 bits", v, p.ID, slot))
 	}
-	p.vers[slot] = v
+	if p.vers == nil {
+		vers := cut(&p.arena.vers, int(p.slots), p.capacity(), arenaBytes/4)
+		clear(vers)
+		p.vers = unsafe.SliceData(vers)
+	}
+	p.versions()[slot] = uint32(v)
 	p.Dirty = true
 	return true
 }
@@ -186,29 +217,35 @@ func (p *Page) reshape() {
 		return
 	}
 	p.reshaped = true
-	p.keys = cut(&p.arena.keys, p.slots, p.capacity(), arenaWords)
-	for i := range p.keys {
-		p.keys[i] = p.firstKey + int64(i)
+	keys := cut(&p.arena.keys, int(p.slots), p.capacity(), arenaBytes/8)
+	for i := range keys {
+		keys[i] = p.firstKey + int64(i)
 	}
+	p.keys = unsafe.SliceData(keys)
 }
 
 // grow appends a slot holding key, or a deleted one for holeKey, at version
-// 0; the caller has checked that the page has room for it.
+// 0; the caller has checked that the page has room for it. The arrays were
+// cut with room for every slot the page can have, so growing them is only
+// counting one more slot.
 func (p *Page) grow(key int64) {
 	n := p.slots
+	if int(n) >= p.capacity() {
+		panic("storage: page " + p.ID.String() + " grown past its capacity")
+	}
 	if key != p.firstKey+int64(n) {
 		p.reshape()
 	}
+	p.slots++
 	if p.reshaped {
-		p.keys = append(p.keys, key)
+		p.keyArray()[n] = key
 	}
 	if p.vers != nil {
-		p.vers = append(p.vers, 0)
+		p.versions()[n] = 0
 	}
 	if key == holeKey {
 		p.holes++
 	}
-	p.slots++
 }
 
 // Insert adds a row for key, at version 0, and returns its slot: the lowest
@@ -220,11 +257,12 @@ func (p *Page) Insert(key int64) (slot uint16, ok bool) {
 	}
 	// The hole counter lets the common hole-free page skip the scan.
 	if p.holes > 0 {
-		for i, k := range p.keys {
+		keys := p.keyArray()
+		for i, k := range keys {
 			if k == holeKey {
-				p.keys[i] = key
+				keys[i] = key
 				if p.vers != nil {
-					p.vers[i] = 0
+					p.versions()[i] = 0
 				}
 				p.holes--
 				p.Dirty = true
@@ -246,7 +284,7 @@ func (p *Page) Delete(slot uint16) bool {
 		return false
 	}
 	p.reshape()
-	p.keys[slot] = holeKey
+	p.keyArray()[slot] = holeKey
 	p.holes++
 	p.Dirty = true
 	return true
@@ -254,24 +292,27 @@ func (p *Page) Delete(slot uint16) bool {
 
 // Place makes slot a live row of key at version v — redo of a logged update
 // or insert, which names the slot the row held — first growing the page
-// with deleted slots up to it if it lies beyond the last. ok is false for a
-// slot the page cannot have or a negative key.
+// with deleted slots up to it if it lies beyond the last. ok is false, and
+// the page untouched, for a slot the page cannot have, a negative key or a
+// version of 2³² or more: a log record holding one is unappliable, not a
+// reason to panic.
 func (p *Page) Place(slot uint16, key int64, v uint64) bool {
-	if int(slot) >= p.capacity() || key < 0 {
+	if int(slot) >= p.capacity() || key < 0 || v > math.MaxUint32 {
 		return false
 	}
-	for p.slots < int(slot) {
+	for p.slots < int32(slot) {
 		p.grow(holeKey)
 	}
-	if p.slots == int(slot) {
+	if p.slots == int32(slot) {
 		p.grow(key)
 	}
 	if k, ok := p.Key(slot); !ok || k != key {
 		p.reshape()
-		if p.keys[slot] == holeKey {
+		keys := p.keyArray()
+		if keys[slot] == holeKey {
 			p.holes--
 		}
-		p.keys[slot] = key
+		keys[slot] = key
 	}
 	return p.SetVersion(slot, v)
 }
@@ -280,9 +321,9 @@ func (p *Page) Place(slot uint16, key int64, v uint64) bool {
 // page untouched.
 func (p *Page) RowVersionSum() uint64 {
 	var sum uint64
-	for i, v := range p.vers {
+	for i, v := range p.versions() {
 		if p.live(uint16(i)) {
-			sum += v
+			sum += uint64(v)
 		}
 	}
 	return sum

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -146,7 +149,10 @@ func TestPageImageRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPageModelProperty runs random operations against a map model.
+// TestPageModelProperty runs random operations against a map model. Writes
+// draw any 64-bit version or one that fits 32 bits: the page refuses one of
+// 2³² or more (see Page) — SetVersion panics and the page stays as it was —
+// so the model keeps the row's old version.
 func TestPageModelProperty(t *testing.T) {
 	type row struct {
 		key int64
@@ -157,15 +163,25 @@ func TestPageModelProperty(t *testing.T) {
 		p := emptyPage(80)
 		model := map[uint16]row{}
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(3) {
+			switch w := rng.Intn(4); w {
 			case 0:
 				key := rng.Int63n(1000)
 				if s, ok := p.Insert(key); ok {
 					model[s] = row{key: key}
 				}
-			case 1:
+			case 1, 3:
 				for s, r := range model {
 					r.v = rng.Uint64()
+					if w == 3 {
+						r.v = uint64(rng.Uint32())
+					}
+					if r.v > math.MaxUint32 {
+						before := *p
+						if !panics(func() { p.SetVersion(s, r.v) }) || *p != before {
+							return false
+						}
+						break
+					}
 					if !p.SetVersion(s, r.v) {
 						return false
 					}
@@ -193,6 +209,58 @@ func TestPageModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestVersionBoundary pins the 32-bit contract at its edge: 2³²−1 is written
+// and read back by SetVersion and by Place, through a write-back and a
+// fetch; 2³² makes SetVersion panic naming the page and the slot, and makes
+// Place report the record unappliable, the page untouched.
+func TestVersionBoundary(t *testing.T) {
+	tab := &Table{ID: 2, Name: "rows", RowBytes: 250, NumRows: 100}
+	s := NewPageStore()
+	s.AddTable(tab)
+	id := PageID{Table: 2, No: 1}
+	p := s.Fetch(id)
+	if !p.SetVersion(3, math.MaxUint32) || !p.Place(5, p.firstKey+5, math.MaxUint32) {
+		t.Fatal("a version of 2³²−1 was refused")
+	}
+	s.WriteBack(p)
+	p = s.Fetch(id)
+	for _, slot := range []uint16{3, 5} {
+		if v, ok := p.Version(slot); !ok || v != math.MaxUint32 {
+			t.Errorf("slot %d came back at version %d (%v), want 2³²−1", slot, v, ok)
+		}
+	}
+	if sum := p.RowVersionSum(); sum != 2*math.MaxUint32 {
+		t.Errorf("version sum %d, want %d", sum, uint64(2*math.MaxUint32))
+	}
+
+	before := *p
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, id.String()) || !strings.Contains(msg, "slot 4") {
+				t.Errorf("SetVersion(4, 2³²) panicked with %q, want the page %v and slot 4 named", msg, id)
+			}
+		}()
+		p.SetVersion(4, math.MaxUint32+1)
+	}()
+	if p.Place(4, p.firstKey+4, math.MaxUint32+1) || p.Place(40, p.firstKey+40, math.MaxUint32+1) {
+		t.Error("Place applied a version of 2³²")
+	}
+	if *p != before {
+		t.Error("a refused version changed the page")
+	}
+	if v, _ := p.Version(4); v != 0 {
+		t.Errorf("slot 4 at version %d after refused writes, want 0", v)
 	}
 }
 
@@ -251,7 +319,7 @@ func TestRowVersionBump(t *testing.T) {
 // bytes of frame state, a 12-byte mem.Line among them — all an unlatched
 // read of an unwritten page touches. In the struct, what a Key or Version
 // read and an Unfix touch sits in the first 64 bytes, ahead of the key
-// array and the latch, and the struct is 192 bytes, so every struct a
+// array, and the latch lies past them; the struct is 128 bytes, so every struct a
 // buffer pool cuts from its slabs starts on a host cache line.
 func TestPageHitPathLeadsTheStruct(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -265,19 +333,25 @@ func TestPageHitPathLeadsTheStruct(t *testing.T) {
 		t.Errorf("Frame holds %d bytes of frame state beside its pointer, want <= 16", state)
 	}
 	var p Page
-	for name, off := range map[string]uintptr{
-		"vers": unsafe.Offsetof(p.vers), "slots": unsafe.Offsetof(p.slots), "firstKey": unsafe.Offsetof(p.firstKey),
-		"frame": unsafe.Offsetof(p.frame), "reshaped": unsafe.Offsetof(p.reshaped), "Dirty": unsafe.Offsetof(p.Dirty),
+	hitEnd := uintptr(0)
+	for name, end := range map[string]uintptr{
+		"vers":     unsafe.Offsetof(p.vers) + unsafe.Sizeof(p.vers),
+		"slots":    unsafe.Offsetof(p.slots) + unsafe.Sizeof(p.slots),
+		"firstKey": unsafe.Offsetof(p.firstKey) + unsafe.Sizeof(p.firstKey),
+		"frame":    unsafe.Offsetof(p.frame) + unsafe.Sizeof(p.frame),
+		"reshaped": unsafe.Offsetof(p.reshaped) + unsafe.Sizeof(p.reshaped),
+		"Dirty":    unsafe.Offsetof(p.Dirty) + unsafe.Sizeof(p.Dirty),
 	} {
-		if off >= 64 {
-			t.Errorf("Page.%s at offset %d: off the leading cache line", name, off)
+		if end > 64 {
+			t.Errorf("Page.%s ends at byte %d: off the leading cache line", name, end)
 		}
+		hitEnd = max(hitEnd, end)
 	}
-	if keys, l := unsafe.Offsetof(p.keys), unsafe.Offsetof(p.Latch); keys < 64 || l < 64 {
-		t.Errorf("Page.keys at %d, Page.Latch at %d: ahead of the hit path", keys, l)
+	if keys, l := unsafe.Offsetof(p.keys), unsafe.Offsetof(p.Latch); keys < hitEnd || l < 64 {
+		t.Errorf("Page.keys at %d, Page.Latch at %d: ahead of the hit path, which ends at %d", keys, l, hitEnd)
 	}
-	if size := unsafe.Sizeof(p); size != 192 {
-		t.Errorf("Page is %d bytes, want 192", size)
+	if size := unsafe.Sizeof(p); size != 128 {
+		t.Errorf("Page is %d bytes, want 128", size)
 	}
 	bp := NewBufferPool(NewPageStore(), MMapDisk(), 1)
 	for i := 0; i < 2*pageSlab; i++ {

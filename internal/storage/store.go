@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // PageStore is the backing store behind a buffer pool: it resolves a page
 // miss either from the image of a previously evicted dirty page or by
@@ -19,23 +22,24 @@ type PageStore struct {
 // writes them in place, as the page it was did. A page nobody wrote is the
 // image of its slot count alone.
 type image struct {
-	vers  []uint64
+	vers  []uint32
 	keys  []int64
 	slots int
 }
 
 // arena holds the unused rest of the chunks the store's pages cut their
-// arrays from (see Page.vers and Page.keys): a page's first write takes 8
-// bytes per slot from it, not one allocation of its own. Contents are
-// arbitrary; a page defines every element of its arrays before reading it.
+// arrays from (see Page.vers and Page.keys): a page's first write takes 4
+// bytes per slot from it, its first reshape 8, not one allocation of its
+// own. Contents are arbitrary; a page defines every element of its arrays
+// before reading it.
 type arena struct {
-	vers []uint64
+	vers []uint32
 	keys []int64
 }
 
-// arenaWords is the length of one arena chunk: 32 KB, the version arrays of
-// 128 pages of 250-byte rows.
-const arenaWords = 4096
+// arenaBytes is the size of one arena chunk: 32 KB, the version arrays of
+// 256 pages of 250-byte rows (8,192 words) or the key arrays of 128.
+const arenaBytes = 32 << 10
 
 // cut returns n elements of *free with capacity c, starting a new chunk of
 // chunk elements (at least c) when the rest of the current one is shorter
@@ -122,17 +126,26 @@ func (s *PageStore) resolve(id PageID) (img image, retained bool) {
 
 // load gives p the slots and arrays of a retained image.
 func (p *Page) load(img image) {
-	p.vers, p.keys, p.slots, p.reshaped = img.vers, img.keys, img.slots, img.keys != nil
-	for _, k := range p.keys {
+	p.vers, p.keys = unsafe.SliceData(img.vers), unsafe.SliceData(img.keys)
+	p.slots, p.reshaped = int32(img.slots), img.keys != nil
+	for _, k := range img.keys {
 		if k == holeKey {
 			p.holes++
 		}
 	}
 }
 
-// WriteBack retains a dirty page being evicted: its slot count and arrays.
+// WriteBack retains a dirty page being evicted: its slot count and arrays,
+// each with the capacity it was cut with.
 func (s *PageStore) WriteBack(p *Page) {
-	s.images[p.ID] = image{vers: p.vers, keys: p.keys, slots: p.slots}
+	img := image{slots: int(p.slots)}
+	if p.vers != nil {
+		img.vers = unsafe.Slice(p.vers, p.capacity())[:p.slots]
+	}
+	if p.keys != nil {
+		img.keys = unsafe.Slice(p.keys, p.capacity())[:p.slots]
+	}
+	s.images[p.ID] = img
 }
 
 // RetainedRowVersionSum is Page.RowVersionSum over the retained image of
