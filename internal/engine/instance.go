@@ -286,14 +286,6 @@ func (in *Instance) Dilation() float64 { return in.dilation }
 // connected can only run local requests; a multisite one panics.
 func (in *Instance) Connect(peers []*Instance) { in.peers = peers }
 
-// Table returns the table state (for tests and loaders).
-func (in *Instance) TableDef(id storage.TableID) *storage.Table {
-	if ts := in.table(id); ts != nil {
-		return ts.def
-	}
-	return nil
-}
-
 // BufferPool exposes the buffer pool (metrics).
 func (in *Instance) BufferPool() *storage.BufferPool { return in.bp }
 

@@ -25,37 +25,57 @@ const (
 // matching the common production choice; structure invariants still hold
 // and are verified by CheckInvariants in tests.
 //
-// A leaf has two forms. BulkLoadRange builds dense leaves: the keys are
-// first..first+count-1 and the RID of key k is locate(k), so the leaf stores
-// neither array and a probe of it is arithmetic — no load beyond the node
-// itself. A dense leaf is exactly the explicit leaf BulkLoad would have built
-// over the same keys; the first Insert or Delete that reaches one expands it
-// into that explicit leaf, for good, and then runs the ordinary code, so tree
-// shape, split points, node visits and charges never depend on the form.
+// A range-loaded tree (BulkLoadRange) keeps only lines for the leaves
+// nobody wrote. Its keys are 0..n-1 and the RID of key k is locate(k), so
+// leaf j of the loaded range holds keys j·per up to (j+1)·per−1 (the last
+// one fewer), and all it keeps is the line a visit touches (leafLine). The
+// lowest inner level has no arrays either: a computed node's children are
+// the leaves under it, in order, and its keys their first keys. The first
+// Insert or Delete that writes a leaf gives it a node, which takes over the
+// line and holds the keys and RIDs the loader gave it (write); the first
+// split below a computed node gives it the arrays a load would have built
+// (explicate). In any node's children, nil stands for a leaf of the loaded
+// range, found by number (leafNo). So tree shape, split points, node visits
+// and charges never depend on the form: to every caller and to the
+// simulated machine the tree is the one an explicit load of the same keys
+// builds, whose leaves all hold their keys.
 type BTree struct {
 	order  int
-	root   *bnode
+	root   *bnode // nil while the root is the loaded range's only leaf
 	height int
 	size   int
-	locate func(key int64) RID // BulkLoadRange's rid function; resolves dense leaves
+
+	// The loaded range: keys [0, loaded), per to a leaf, their RIDs by
+	// locate (BulkLoadRange's rid function), a line per leaf and the nodes
+	// of the leaves written, each indexed from its leaf's line.
+	locate  func(key int64) RID
+	loaded  int64
+	per     int64
+	leaves  []leafLine
+	written []*bnode
 
 	// While computed is set, the tree is exactly what BulkLoadRange built
-	// and Search computes its path (see computedLeaf) from leaves, the leaf
-	// level's node array, and flat, each level's reciprocal and, above the
-	// leaves, its node array. The first Insert or Delete clears it for good.
+	// and Search computes its path (see computedLeaf) from flat: each
+	// level's reciprocal and, above the leaves, its node array. The first
+	// Insert or Delete clears it for good. The walk uses flat too: level 0's
+	// reciprocal numbers a key's leaf, level 1's a computed node.
 	computed bool
-	leaves   []bnode
 	flat     [maxFlatLevels]flatLevel
 
-	// The nodes and arrays that inserts add — a split's right half, a new
-	// root, a dense leaf's expanded arrays, a bulk-loaded node's first
-	// regrowth — are cut from these slabs, never allocated one by one. A
-	// piece of nodes is a node with its nodeArrays; a dense leaf that
-	// expands takes one for the arrays alone.
-	nodes slab[fullNode]
+	// The nodes and arrays that writes add — a written leaf, a split's right
+	// half, a new root, a computed node's arrays, a bulk-loaded node's first
+	// regrowth — are cut from these slabs, never allocated one by one.
+	nodes slab[bnode]
 	keys  slab[int64]
 	rids  slab[RID]
 	kids  slab[*bnode]
+}
+
+// leafLine is a leaf of the loaded range: its line while nobody wrote it,
+// and then where its node is. It is 16 bytes, four to a host cache line.
+type leafLine struct {
+	line mem.Line
+	node uint32 // 1 + the index of the leaf's node in BTree.written; 0 before
 }
 
 // flatLevel is one level of a range-loaded tree: its node array, nil on
@@ -65,13 +85,14 @@ type BTree struct {
 // computation", 2019), so no probe divides. The root's recip is 0: its
 // index is always 0.
 type flatLevel struct {
-	inner []fullNode
+	inner []bnode
 	recip uint64
 }
 
-// maxFlatLevels bounds the height of a tree that keeps the computed form:
-// at the default fill, order 4 puts 3·4¹⁵ ≈ 3.2 billion keys in 16 levels.
-const maxFlatLevels = 16
+// maxFlatLevels bounds the height of a range-loaded tree: below 2³² keys at
+// two keys to a leaf and three children to a node, 2³¹ leaves under 20
+// levels of inner nodes.
+const maxFlatLevels = 21
 
 // slab hands out equal pieces of arrays it allocates whole. Each array holds
 // twice the pieces of the one before, from 2 up to maxSlabPieces, so a tree
@@ -92,76 +113,20 @@ func (s *slab[T]) cut(n, size int) []T {
 	return cut(&s.free, n, size, s.pieces*size)
 }
 
-// bnode's first fields are the ones a probe reads (the line is touched on
-// every visit), so a visit to a dense leaf stays on one host cache line, and
-// the node is that one line: the arrays only an inner node or an explicit
-// leaf has are behind one pointer, and their fields are promoted, so n.keys
-// reads through it. A leaf without arrays is dense. Most nodes of a
-// range-loaded tree are dense leaves, so a node costs 64 bytes where the
-// arrays would double it.
+// bnode is a leaf or an inner node. Its first fields are the ones a visit
+// reads — the line, whether it is a leaf, its keys and children — so they
+// share the first of the node's two host cache lines.
 type bnode struct {
-	line  mem.Line
-	leaf  bool
-	count int64 // dense leaf: keys first..first+count-1; 0 otherwise
-	first int64
-	next  *bnode // leaf chain
-	*nodeArrays
-	_ [16]byte // fills the node to 64 bytes, one host cache line
-}
-
-// nodeArrays are the arrays of an inner node or an explicit leaf. They are
-// never allocated alone: they live beside their node in a fullNode, or, for
-// an expanded dense leaf, in a piece of the tree's node slab.
-type nodeArrays struct {
+	line     mem.Line
+	leaf     bool
 	keys     []int64
-	children []*bnode // inner nodes
-	rids     []RID    // explicit leaves
-}
-
-// fullNode is a node with its arrays in one piece: what bulkLoad cuts an
-// inner level from and the tree's node slab hands out. It is three host
-// cache lines, so in an array of them every node starts where the first
-// one does within its line.
-type fullNode struct {
-	bnode
-	arrays nodeArrays
-	_      [56]byte
-}
-
-// node returns n's node, its arrays attached.
-func (n *fullNode) node() *bnode {
-	n.nodeArrays = &n.arrays
-	return &n.bnode
-}
-
-func (n *bnode) dense() bool { return n.nodeArrays == nil }
-
-// size returns the number of keys a leaf holds.
-func (n *bnode) size() int {
-	if n.dense() {
-		return int(n.count)
-	}
-	return len(n.keys)
-}
-
-// expand turns a dense leaf into the explicit leaf it stands for, the keys
-// and RIDs BulkLoad would have given it. Every mutation of a leaf calls it
-// first; an explicit leaf is never made dense again. Its arrays are cut at
-// the most a leaf holds before it splits, as a split's right half is, so the
-// insert that expanded it does not regrow them.
-func (t *BTree) expand(n *bnode) {
-	if !n.dense() {
-		return
-	}
-	n.nodeArrays = &t.nodes.cut(1, 1)[0].arrays
-	n.keys = t.keys.cut(int(n.count), t.order+1)
-	n.rids = t.rids.cut(int(n.count), t.order+1)
-	for i := range n.keys {
-		k := n.first + int64(i)
-		n.keys[i] = k
-		n.rids[i] = t.locate(k)
-	}
-	n.count, n.first = 0, 0
+	children []*bnode // inner nodes; nil on a computed one
+	rids     []RID    // leaves
+	// The leaf after a leaf in key order is next, or, when next is nil, leaf
+	// succ of the loaded range (none when succ ≥ len(BTree.leaves)).
+	next *bnode
+	succ int
+	_    [24]byte // fills the node to 128 bytes, two host cache lines
 }
 
 // NewBTree returns an empty tree with the given order (max keys per node);
@@ -179,35 +144,39 @@ func (t *BTree) Size() int { return t.size }
 // Height returns the number of levels.
 func (t *BTree) Height() int { return t.height }
 
-// touch charges one node visit to ctx (nil ctx skips charging, for loads and
-// tests).
-func (t *BTree) touch(ctx *exec.Ctx, n *bnode, write bool) {
+// touch charges one node visit, whose line is l, to ctx (nil ctx skips
+// charging, for loads and tests).
+func (t *BTree) touch(ctx *exec.Ctx, l *mem.Line, write bool) {
 	if ctx == nil {
 		return
 	}
 	ctx.Charge(CostBTreeLevelCPU)
 	if write {
-		ctx.WriteLine(&n.line)
+		ctx.WriteLine(l)
 	} else {
-		ctx.ReadLine(&n.line)
+		ctx.ReadLine(l)
 	}
 }
 
 // Search returns the RID for key.
 func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 	var n *bnode
+	var j int
 	if t.computed {
-		n = t.computedLeaf(ctx, key)
+		j = t.computedLeaf(ctx, key)
 	} else {
-		n = t.walk(ctx, key)
+		n, j = t.walk(ctx, key)
 	}
-	t.touch(ctx, n, false)
-	if n.dense() {
-		if uint64(key-n.first) < uint64(n.count) {
+	if n == nil {
+		// A leaf nobody wrote holds all its keys: key is one of them if it
+		// is in the loaded range at all.
+		t.touch(ctx, &t.leaves[j].line, false)
+		if uint64(key) < uint64(t.loaded) {
 			return t.locate(key), true
 		}
 		return RID{}, false
 	}
+	t.touch(ctx, &n.line, false)
 	i := lowerBound(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
 		return n.rids[i], true
@@ -216,30 +185,63 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 }
 
 // walk touches the inner nodes from the root down to the leaf that covers
-// key, and returns that leaf untouched.
-func (t *BTree) walk(ctx *exec.Ctx, key int64) *bnode {
+// key, and returns that leaf untouched: its node, or nil and its number for
+// a leaf of the loaded range nobody wrote.
+func (t *BTree) walk(ctx *exec.Ctx, key int64) (*bnode, int) {
 	n := t.root
-	for !n.leaf {
-		t.touch(ctx, n, false)
-		n = n.children[childIndex(n.keys, key)]
+	for n != nil && !n.leaf {
+		t.touch(ctx, &n.line, false)
+		n = n.child(key)
 	}
-	return n
+	if n != nil {
+		return n, 0
+	}
+	j := t.leafNo(key)
+	return t.leaf(j), j
+}
+
+// child returns the child of inner node n that covers key, nil for a leaf
+// of the loaded range.
+func (n *bnode) child(key int64) *bnode {
+	if n.children == nil {
+		return nil
+	}
+	return n.children[childIndex(n.keys, key)]
+}
+
+// leafNo returns the number of the loaded range's leaf that covers key: the
+// ⌊j/per⌋-th for j = clamp(key). A nil child reached by key is that leaf: no
+// separator ever lies inside a leaf of the range.
+func (t *BTree) leafNo(key int64) int {
+	hi, _ := bits.Mul64(t.clamp(key), t.flat[0].recip)
+	return int(hi)
+}
+
+// clamp returns key clamped into the loaded range [0, loaded): a key outside
+// it falls to the range's first or last leaf, as in the walk.
+func (t *BTree) clamp(key int64) uint64 { return uint64(min(max(key, 0), t.loaded-1)) }
+
+// leaf returns leaf j of the loaded range's node, nil if nobody wrote it.
+func (t *BTree) leaf(j int) *bnode {
+	if w := t.leaves[j].node; w != 0 {
+		return t.written[w-1]
+	}
+	return nil
 }
 
 // computedLeaf is walk for a tree still in the computed form. A key's node
-// on level l is the ⌊j/span_l⌋-th, where j is the key clamped into the
-// loaded range [0, size) — a key outside it reaches the first or last leaf,
-// as the walk does — so the same nodes are touched in the same order, with
-// no key compare and no address that waits on the node above.
-func (t *BTree) computedLeaf(ctx *exec.Ctx, key int64) *bnode {
-	j := uint64(min(max(key, 0), int64(t.size-1)))
+// on level l is the ⌊j/span_l⌋-th, where j = clamp(key), so the same nodes
+// are touched in the same order, with no key compare and no address that
+// waits on the node above. It returns the number of the leaf, which nobody
+// wrote.
+func (t *BTree) computedLeaf(ctx *exec.Ctx, key int64) int {
+	j := t.clamp(key)
 	for l := t.height - 1; l > 0; l-- {
 		lv := &t.flat[l]
 		hi, _ := bits.Mul64(j, lv.recip)
-		t.touch(ctx, &lv.inner[hi].bnode, false)
+		t.touch(ctx, &lv.inner[hi].line, false)
 	}
-	hi, _ := bits.Mul64(j, t.flat[0].recip)
-	return &t.leaves[hi]
+	return t.leafNo(key)
 }
 
 // lowerBound returns the first index whose key is >= key; childIndex returns
@@ -309,10 +311,14 @@ func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
 	return added
 }
 
+// insert adds key under n, nil for the leaf of the loaded range that covers
+// key.
 func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted int64, right *bnode, added bool) {
+	if n == nil {
+		n = t.write(t.leafNo(key))
+	}
 	if n.leaf {
-		t.touch(ctx, n, true)
-		t.expand(n)
+		t.touch(ctx, &n.line, true)
 		i := lowerBound(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			n.rids[i] = rid
@@ -331,7 +337,7 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 		// full capacity and the left half keeps its own.
 		mid := len(n.keys) / 2
 		r := t.newNode()
-		r.leaf, r.next = true, n.next
+		r.leaf, r.next, r.succ = true, n.next, n.succ
 		r.keys = t.keys.cut(len(n.keys)-mid, t.order+1)
 		r.rids = t.rids.cut(len(n.rids)-mid, t.order+1)
 		copy(r.keys, n.keys[mid:])
@@ -342,13 +348,16 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 		return r.keys[0], r, true
 	}
 
-	t.touch(ctx, n, false)
-	ci := childIndex(n.keys, key)
-	promoted, right, added = t.insert(ctx, n.children[ci], key, rid)
+	t.touch(ctx, &n.line, false)
+	promoted, right, added = t.insert(ctx, n.child(key), key, rid)
 	if right == nil {
 		return 0, nil, added
 	}
-	t.touch(ctx, n, true)
+	t.touch(ctx, &n.line, true)
+	if n.children == nil {
+		t.explicate(n, key)
+	}
+	ci := childIndex(n.keys, key)
 	n.keys = append(room(&t.keys, n.keys, t.order+1), 0)
 	copy(n.keys[ci+1:], n.keys[ci:])
 	n.keys[ci] = promoted
@@ -369,6 +378,47 @@ func (t *BTree) insert(ctx *exec.Ctx, n *bnode, key int64, rid RID) (promoted in
 	return up, r, added
 }
 
+// write returns the node of leaf j of the loaded range, made at the leaf's
+// first write: it takes over the leaf's line and holds the keys and RIDs the
+// loader gave it, in arrays cut at the most a leaf holds before it splits,
+// as a split's right half's are, so the insert that wrote it does not regrow
+// them. A leaf keeps its node for good.
+func (t *BTree) write(j int) *bnode {
+	if n := t.leaf(j); n != nil {
+		return n
+	}
+	first := int64(j) * t.per
+	n := t.newNode()
+	n.line, n.leaf, n.succ = t.leaves[j].line, true, j+1
+	n.keys = t.keys.cut(int(min(t.per, t.loaded-first)), t.order+1)
+	n.rids = t.rids.cut(len(n.keys), t.order+1)
+	for i := range n.keys {
+		k := first + int64(i)
+		n.keys[i], n.rids[i] = k, t.locate(k)
+	}
+	t.written = append(t.written, n)
+	t.leaves[j].node = uint32(len(t.written))
+	return n
+}
+
+// explicate gives a computed node, which a walk for key reached, the arrays
+// a load with explicit leaves would have built for it: as keys the first
+// keys of its leaves but the first, and a nil child (a leaf of the loaded
+// range) for each, cut at the most a node holds before it splits. It is
+// level 1's ⌊clamp(key)/span⌋-th node, p, and its leaves are the fan (the
+// last node's maybe fewer) from p·fan.
+func (t *BTree) explicate(n *bnode, key int64) {
+	p, _ := bits.Mul64(t.clamp(key), t.flat[1].recip)
+	fan := int(t.per) + 1
+	a := int(p) * fan
+	width := min(fan, len(t.leaves)-a)
+	n.keys = t.keys.cut(width-1, t.order+1)
+	n.children = t.kids.cut(width, t.order+2)
+	for i := range n.keys {
+		n.keys[i] = int64(a+i+1) * t.per
+	}
+}
+
 // newInner returns an inner node of nkeys keys and nkeys+1 children, its
 // arrays cut at the most a node holds before it splits. A split gives its
 // right half fresh arrays of that capacity, and its left half keeps the
@@ -380,17 +430,16 @@ func (t *BTree) newInner(nkeys int) *bnode {
 	return n
 }
 
-// newNode returns a zero node, its arrays attached, from the tree's node
-// slab.
-func (t *BTree) newNode() *bnode { return t.nodes.cut(1, 1)[0].node() }
+// newNode returns a zero node from the tree's node slab.
+func (t *BTree) newNode() *bnode { return &t.nodes.cut(1, 1)[0] }
 
-// emptyLeaf returns the root of a tree that holds no key: a dense leaf of
-// none, which the first Insert expands as it would any dense leaf.
+// emptyLeaf returns the root of a tree that holds no key: a leaf without
+// arrays, which the first Insert cuts.
 func emptyLeaf() *bnode { return &bnode{leaf: true} }
 
 // room returns a node's array with room for one more entry: as it is, or
 // moved to a piece of s at full capacity when it is full — a bulk-loaded
-// node whose arrays were cut to its length.
+// node whose arrays were cut to its length, or an empty root's.
 func room[T any](s *slab[T], a []T, size int) []T {
 	if len(a) < cap(a) {
 		return a
@@ -404,9 +453,11 @@ func room[T any](s *slab[T], a []T, size int) []T {
 // rebalanced (lazy deletion).
 func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 	t.computed = false
-	n := t.walk(ctx, key)
-	t.touch(ctx, n, true)
-	t.expand(n)
+	n, j := t.walk(ctx, key)
+	if n == nil {
+		n = t.write(j)
+	}
+	t.touch(ctx, &n.line, true)
 	i := lowerBound(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
 		return false
@@ -420,148 +471,76 @@ func (t *BTree) Delete(ctx *exec.Ctx, key int64) bool {
 // Range calls fn for every key in [lo, hi] in ascending order until fn
 // returns false.
 func (t *BTree) Range(ctx *exec.Ctx, lo, hi int64, fn func(key int64, rid RID) bool) {
-	for n := t.walk(ctx, lo); n != nil; {
-		t.touch(ctx, n, false)
-		if n.dense() {
+	n, j := t.walk(ctx, lo)
+	for {
+		if n == nil {
+			t.touch(ctx, &t.leaves[j].line, false)
 			// Bounds are read once, as range reads the slice header once.
-			k, end := n.first, n.first+n.count
-			if k < lo {
-				k = lo
-			}
+			k, end := max(int64(j)*t.per, lo), min(int64(j+1)*t.per, t.loaded)
 			for ; k < end; k++ {
 				if k > hi || !fn(k, t.locate(k)) {
 					return
 				}
 			}
-			n = n.next
-			continue
-		}
-		for i, k := range n.keys {
-			if k < lo {
+			j++
+		} else {
+			t.touch(ctx, &n.line, false)
+			for i, k := range n.keys {
+				if k < lo {
+					continue
+				}
+				if k > hi {
+					return
+				}
+				if !fn(k, n.rids[i]) {
+					return
+				}
+			}
+			if n.next != nil {
+				n = n.next
 				continue
 			}
-			if k > hi {
-				return
-			}
-			if !fn(k, n.rids[i]) {
-				return
-			}
+			j = n.succ
 		}
-		n = n.next
+		if j >= len(t.leaves) {
+			return
+		}
+		n = t.leaf(j)
 	}
 }
 
-// BulkLoad builds the tree from keys that MUST be sorted ascending, with the
-// given leaf fill fraction (0 < fill <= 1, e.g. 0.9). It replaces the tree's
-// contents and is the fast path for loading a partition at deployment time.
-//
-// Its leaves are explicit and its tree is always walked: it is the reference
-// the dense leaves and the computed path are tested against.
-func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
-	t.locate = nil
-	t.bulkLoad(int64(len(keys)), fill, func(leaf *bnode, i, end int64) {
-		leaf.nodeArrays = new(nodeArrays)
-		leaf.keys = make([]int64, end-i)
-		leaf.rids = make([]RID, end-i)
-		copy(leaf.keys, keys[i:end])
-		for j, k := range leaf.keys {
-			leaf.rids[j] = rid(k)
-		}
-	})
-}
-
-// BulkLoadRange bulk-loads the dense key range [0, n) — the common case of
-// loading a freshly partitioned table — as dense leaves (see BTree): one slab
-// of nodes per level and no key or RID arrays, where a 240K-row partition
-// would otherwise allocate, fill and then miss on megabytes of sequential
-// keys per instance. rid must be a pure function of the key; the tree keeps
-// it and calls it whenever a dense leaf is probed, scanned or expanded.
-// Until the first Insert or Delete, Search computes its path (computedLeaf).
+// BulkLoadRange bulk-loads the key range [0, n), n < 2³² — the common case
+// of loading a freshly partitioned table — as a range-loaded tree (see
+// BTree): a line per leaf, a node without arrays per fan of them, and one
+// slab of nodes plus one key and one child array per level above, where a
+// 240K-row partition would otherwise allocate, fill and then miss on
+// megabytes of sequential keys per instance. rid must be a pure function of
+// the key; the tree keeps it and calls it whenever a leaf of the range is
+// probed, scanned or written. Until the first Insert or Delete, Search
+// computes its path (computedLeaf).
 func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
-	t.locate = rid
-	t.computed = t.bulkLoad(n, fill, func(leaf *bnode, i, end int64) {
-		leaf.first, leaf.count = i, end-i
-	})
-}
-
-// bulkLoad builds the tree over key positions [0, n); fillLeaf fills in the
-// leaf for positions [i, end).
-//
-// Each level is cut from slabs: the leaves are one array of nodes, and an
-// inner level is one array of nodes with their arrays (fullNode) plus one
-// backing array for all its children and one for all its keys. A node's
-// share of a backing array is a full slice expression, so its cap equals its
-// len as an exactly sized array would: the first insert into it reallocates,
-// and never writes into its neighbour's share.
-//
-// bulkLoad keeps every level's node array (leaves, flat) and reports
-// whether the computed path is exact for the tree it built: its keys are
-// positions, so the node of level l that covers position j is the
-// ⌊j/(per·fanˡ)⌋-th. That needs n < 2³² (the reciprocals' range), per ≥ 2
-// (⌈2⁶⁴/1⌉ does not fit a word) and at most maxFlatLevels levels.
-func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, end int64)) bool {
-	if fill <= 0 || fill > 1 {
-		fill = 0.9
+	if uint64(n) >= 1<<32 {
+		panic("storage: BulkLoadRange of a negative count or 2³² keys or more")
 	}
-	per := int64(float64(t.order) * fill)
-	if per < 1 {
-		per = 1
-	}
-	t.size = int(n)
-	t.computed, t.leaves, t.flat = false, nil, [maxFlatLevels]flatLevel{}
+	per := leafKeys(t.order, fill)
+	t.locate, t.loaded, t.per, t.size = rid, n, per, int(n)
+	t.flat, t.written, t.leaves = [maxFlatLevels]flatLevel{}, nil, nil
+	t.root, t.height, t.computed = nil, 1, n > 0
 	if n == 0 {
 		t.root = emptyLeaf()
-		t.height = 1
-		return false
+		return
 	}
-	leaves := make([]bnode, (n+per-1)/per)
-	for j := range leaves {
-		leaf, i := &leaves[j], int64(j)*per
-		leaf.leaf = true
-		fillLeaf(leaf, i, min(i+per, n))
-		if j > 0 {
-			leaves[j-1].next = leaf
-		}
+	t.leaves = make([]leafLine, (n+per-1)/per)
+	fan := per + 1
+	if len(t.leaves) > 1 {
+		lowest := make([]bnode, (int64(len(t.leaves))+fan-1)/fan)
+		t.flat[1].inner = lowest
+		t.root, t.height = &lowest[0], 2
+		t.buildInner(lowest, per*fan, func(pos int64) int64 { return pos })
 	}
-	t.leaves = leaves
-	t.root = &leaves[0]
-	// Build inner levels: parent p takes children [p*fan, (p+1)*fan) of the
-	// level below, and the keys of every child but its first, which precede
-	// it p*(fan-1) deep in the level's key array. inner is the level below
-	// once it is not the leaves.
-	t.height = 1
-	fan := int(per) + 1
-	var inner []fullNode
-	for width := len(leaves); width > 1; width = len(inner) {
-		parents := make([]fullNode, (width+fan-1)/fan)
-		children := make([]*bnode, width)
-		keys := make([]int64, width-len(parents))
-		for j := range children {
-			if inner == nil {
-				children[j] = &leaves[j]
-			} else {
-				children[j] = &inner[j].bnode
-			}
-		}
-		for p := range parents {
-			a, b := p*fan, min((p+1)*fan, width)
-			parent := parents[p].node()
-			parent.children = children[a:b:b]
-			parent.keys = keys[a-p : b-p-1 : b-p-1]
-			for j, c := range parent.children[1:] {
-				parent.keys[j] = leftmostKey(c)
-			}
-		}
-		if t.height < maxFlatLevels {
-			t.flat[t.height].inner = parents
-		}
-		inner = parents
-		t.root = &inner[0].bnode
-		t.height++
-	}
-	if n >= 1<<32 || per < 2 || t.height > maxFlatLevels {
-		return false
-	}
+	// Room for one written leaf under each computed node, so the writes a
+	// window makes — appends write a range's last leaf — never grow it.
+	t.written = make([]*bnode, 0, max(len(t.flat[1].inner), 1))
 	// Every level but the root has more than one node, so its span is
 	// below n: no product here overflows, and the last one is unused.
 	span := uint64(per)
@@ -569,60 +548,142 @@ func (t *BTree) bulkLoad(n int64, fill float64, fillLeaf func(leaf *bnode, i, en
 		t.flat[l].recip = reciprocal(span)
 		span *= uint64(fan)
 	}
-	return true
+}
+
+// leafKeys returns how many keys a bulk load puts in a leaf: fill of the
+// order (0 < fill ≤ 1, else 0.9), and at least two, so that a leaf's span
+// has a reciprocal (⌈2⁶⁴/1⌉ does not fit a word).
+func leafKeys(order int, fill float64) int64 {
+	if fill <= 0 || fill > 1 {
+		fill = 0.9
+	}
+	return max(int64(float64(order)*fill), 2)
+}
+
+// buildInner builds the inner levels above below, a level whose node i
+// covers the keys from position i·span on, key(pos) being the key at a
+// position, and records each in flat. Parent p takes children [p·fan,
+// (p+1)·fan) of the level below, and the first keys of every child but its
+// first, which precede it p·(fan−1) deep in the level's key array.
+//
+// Each level is one slab of nodes plus one backing array for all its
+// children and one for all its keys. A node's share of a backing array is a
+// full slice expression, so its cap equals its len as an exactly sized
+// array would: the first insert into it reallocates, and never writes into
+// its neighbour's share.
+func (t *BTree) buildInner(below []bnode, span int64, key func(pos int64) int64) {
+	fan := int(t.per) + 1
+	for width := len(below); width > 1; width = len(below) {
+		parents := make([]bnode, (width+fan-1)/fan)
+		children := make([]*bnode, width)
+		keys := make([]int64, width-len(parents))
+		for j := range children {
+			children[j] = &below[j]
+		}
+		for p := range parents {
+			a, b := p*fan, min((p+1)*fan, width)
+			parent := &parents[p]
+			parent.children = children[a:b:b]
+			parent.keys = keys[a-p : b-p-1 : b-p-1]
+			for j := range parent.keys {
+				parent.keys[j] = key(int64(a+j+1) * span)
+			}
+		}
+		t.flat[t.height].inner = parents
+		below, span = parents, span*int64(fan)
+		t.root = &below[0]
+		t.height++
+	}
 }
 
 // reciprocal returns ⌈2⁶⁴/d⌉ for 2 ≤ d: (2⁶⁴−1)/d rounds down to ⌊2⁶⁴/d⌋ but
 // for a power of two, where it is one less, so one more is the ceiling.
 func reciprocal(d uint64) uint64 { return ^uint64(0)/d + 1 }
 
-func leftmostKey(n *bnode) int64 {
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if n.dense() {
-		return n.first
-	}
-	return n.keys[0]
-}
-
 // CheckInvariants verifies structural invariants: sorted keys, uniform leaf
-// depth, separator correctness, child counts and leaf-chain order. A dense
-// leaf is validated as it stands, never expanded: its form must be consistent
-// (a positive count, no explicit arrays, a locate function to resolve it) and
-// its implied keys must obey the same bounds and chain order. It returns a
-// description of the first violation, or "".
+// depth equal to the height, separator correctness, child counts, and a
+// leaf chain that visits the leaves the tree holds, in order, and exactly
+// size keys. A leaf of the loaded range is checked as it stands, never
+// written: a nil child must cover the keys of one leaf, a computed node must
+// be the loaded one its keys reach, the written leaves' indexes must map
+// leaves to nodes one to one, and a tree on the computed path must have
+// none. It returns a description of the first violation, or "".
 func (t *BTree) CheckInvariants() string {
-	depths := map[int]bool{}
-	var prevLeafMax *int64
-	var walk func(n *bnode, depth int, lo, hi *int64) string
-	walk = func(n *bnode, depth int, lo, hi *int64) string {
-		var keys []int64
-		if n.nodeArrays != nil {
-			keys = n.keys
+	seen := make([]bool, len(t.written))
+	for _, ll := range t.leaves {
+		switch w := int(ll.node); {
+		case w == 0:
+		case w > len(t.written):
+			return "written index out of range"
+		case seen[w-1]:
+			return "two leaves share a written node"
+		default:
+			seen[w-1] = true
 		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				return "keys out of order"
+	}
+	for _, s := range seen {
+		if !s {
+			return "a written node no leaf indexes"
+		}
+	}
+	if t.computed && len(t.written) > 0 {
+		return "computed path on a written tree"
+	}
+
+	// A leaf in key order: its node, or nil and its number.
+	type leafRef struct {
+		n *bnode
+		j int
+	}
+	var order []leafRef
+	leafDepth := 0
+	var prevLeafMax *int64
+	// rangeLeaf returns the leaf of the loaded range that a nil child with
+	// bounds [lo, hi) stands for: every key in them must reach one leaf.
+	rangeLeaf := func(lo, hi *int64) (int, string) {
+		if len(t.leaves) == 0 || t.locate == nil {
+			return 0, "leaf of a loaded range in a tree without one"
+		}
+		first, last := int64(0), t.loaded-1
+		if lo != nil {
+			first = *lo
+		}
+		if hi != nil {
+			last = *hi - 1
+		}
+		if j := t.leafNo(first); t.leafNo(last) == j {
+			return j, ""
+		}
+		return 0, "a leaf of the loaded range under bounds that span more than one"
+	}
+	var visit func(n *bnode, depth int, lo, hi *int64) string
+	visit = func(n *bnode, depth int, lo, hi *int64) string {
+		j := -1
+		if n == nil {
+			var msg string
+			if j, msg = rangeLeaf(lo, hi); msg != "" {
+				return msg
+			}
+			if n = t.leaf(j); n != nil && !n.leaf {
+				return "a written leaf's node is an inner node"
 			}
 		}
 		// The smallest and largest key bound every key of the node.
-		minKey, maxKey, any := int64(0), int64(0), len(keys) > 0
-		if any {
-			minKey, maxKey = keys[0], keys[len(keys)-1]
-		}
-		if n.dense() {
-			switch {
-			case !n.leaf:
-				return "inner node without arrays"
-			case n.count < 0:
-				return "dense leaf with negative count"
-			case n.count > 0 && t.locate == nil:
-				return "dense leaf in a tree without a locate function"
+		var minKey, maxKey int64
+		any := false
+		if n == nil {
+			minKey = int64(j) * t.per
+			maxKey = min(minKey+t.per, t.loaded) - 1
+			any = true
+		} else {
+			for i := 1; i < len(n.keys); i++ {
+				if n.keys[i-1] >= n.keys[i] {
+					return "keys out of order"
+				}
 			}
-			minKey, maxKey, any = n.first, n.first+n.count-1, n.count > 0
-		} else if n.count != 0 || n.first != 0 {
-			return "explicit node with a dense key range"
+			if any = len(n.keys) > 0; any {
+				minKey, maxKey = n.keys[0], n.keys[len(n.keys)-1]
+			}
 		}
 		if any {
 			if lo != nil && minKey < *lo {
@@ -632,12 +693,13 @@ func (t *BTree) CheckInvariants() string {
 				return "key above subtree bound"
 			}
 		}
-		if n.leaf {
-			depths[depth] = true
-			if len(depths) > 1 {
+		if n == nil || n.leaf {
+			if leafDepth == 0 {
+				leafDepth = depth
+			} else if depth != leafDepth {
 				return "leaves at different depths"
 			}
-			if !n.dense() && len(n.keys) != len(n.rids) {
+			if n != nil && len(n.keys) != len(n.rids) {
 				return "leaf keys/rids mismatch"
 			}
 			if any {
@@ -646,40 +708,91 @@ func (t *BTree) CheckInvariants() string {
 				}
 				prevLeafMax = &maxKey
 			}
+			order = append(order, leafRef{n, j})
+			return ""
+		}
+		if n.children == nil {
+			// A computed node: the leaves from its index times fan.
+			if len(t.flat[1].inner) == 0 {
+				return "computed node in a tree without a loaded range"
+			}
+			fan := int(t.per) + 1
+			a := 0
+			if lo != nil {
+				a = t.leafNo(*lo)
+			}
+			if a%fan != 0 || a/fan >= len(t.flat[1].inner) || n != &t.flat[1].inner[a/fan] {
+				return "computed node is not the loaded node its keys reach"
+			}
+			width := min(fan, len(t.leaves)-a)
+			for i := range width {
+				clo, chi := lo, hi
+				if i > 0 {
+					k := int64(a+i) * t.per
+					clo = &k
+				}
+				if i < width-1 {
+					k := int64(a+i+1) * t.per
+					chi = &k
+				}
+				if msg := visit(nil, depth+1, clo, chi); msg != "" {
+					return msg
+				}
+			}
 			return ""
 		}
 		if len(n.children) != len(n.keys)+1 {
 			return "inner child count mismatch"
 		}
 		for i, c := range n.children {
-			var clo, chi *int64
+			clo, chi := lo, hi
 			if i > 0 {
 				clo = &n.keys[i-1]
-			} else {
-				clo = lo
 			}
 			if i < len(n.keys) {
 				chi = &n.keys[i]
-			} else {
-				chi = hi
 			}
-			if msg := walk(c, depth+1, clo, chi); msg != "" {
+			if msg := visit(c, depth+1, clo, chi); msg != "" {
 				return msg
 			}
 		}
 		return ""
 	}
-	if msg := walk(t.root, 1, nil, nil); msg != "" {
+	if msg := visit(t.root, 1, nil, nil); msg != "" {
 		return msg
 	}
-	// Leaf chain must enumerate exactly size keys.
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+	if leafDepth != t.height {
+		return "height disagrees with the leaves' depth"
 	}
+
+	// The leaf chain must visit the same leaves and hold exactly size keys.
 	count := 0
-	for ; n != nil; n = n.next {
-		count += n.size()
+	cur := order[0]
+	for i := 0; ; i++ {
+		if i == len(order) {
+			return "leaf chain longer than the tree"
+		}
+		if o := order[i]; cur.n != o.n || (cur.n == nil && cur.j != o.j) {
+			return "leaf chain disagrees with the tree"
+		}
+		next := cur.j + 1
+		if cur.n != nil {
+			count += len(cur.n.keys)
+			if cur.n.next != nil {
+				cur = leafRef{cur.n.next, -1}
+				continue
+			}
+			next = cur.n.succ
+		} else {
+			count += int(min(int64(next)*t.per, t.loaded) - int64(cur.j)*t.per)
+		}
+		if next >= len(t.leaves) {
+			if i+1 != len(order) {
+				return "leaf chain shorter than the tree"
+			}
+			break
+		}
+		cur = leafRef{t.leaf(next), next}
 	}
 	if count != t.size {
 		return "leaf chain count disagrees with size"

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -14,10 +16,12 @@ import (
 	"islands/internal/topology"
 )
 
-// The tests in this file pin the invariant behind dense leaves: a tree built
-// by BulkLoadRange is, to every caller and to the simulated machine, the tree
-// BulkLoad builds over the same keys. They drive both through one script and
-// compare after every step.
+// The tests in this file pin the invariant behind the range-loaded form: a
+// tree built by BulkLoadRange — lines for the leaves nobody wrote, computed
+// nodes above them — is, to every caller and to the simulated machine, the
+// tree BulkLoad builds over the same keys with every leaf and node explicit.
+// They drive both through one script and compare after every step. "Dense
+// leaves" are the range's leaves nobody wrote.
 
 // treeUnderTest is one tree with its own memory model and two contexts on
 // cores of different sockets; ops alternate between them, so which node an
@@ -38,19 +42,83 @@ func newTreeUnderTest(p *sim.Proc, order int) *treeUnderTest {
 	return u
 }
 
-// denseLeaves counts the leaves still in dense form.
-func (t *BTree) denseLeaves() int {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	dense := 0
-	for ; n != nil; n = n.next {
-		if n.dense() {
-			dense++
+// denseLeaves counts the leaves of the loaded range nobody wrote.
+func (t *BTree) denseLeaves() int { return len(t.leaves) - len(t.written) }
+
+// eachNode calls fn for every node of the tree, parents first and children
+// in key order, with its depth (the root's is 1): a leaf of the loaded range
+// as its number j and its node, nil while nobody wrote it; any other node as
+// itself and j = -1.
+func (t *BTree) eachNode(fn func(n *bnode, j, depth int)) {
+	var visit func(n *bnode, j, depth int, lo int64)
+	visit = func(n *bnode, j, depth int, lo int64) {
+		if n == nil {
+			j = t.leafNo(lo)
+			n = t.leaf(j)
+		}
+		fn(n, j, depth)
+		switch {
+		case n == nil || n.leaf:
+		case n.children == nil:
+			a := t.leafNo(lo)
+			for c := a; c < min(a+int(t.per)+1, len(t.leaves)); c++ {
+				visit(nil, c, depth+1, int64(c)*t.per)
+			}
+		default:
+			for i, c := range n.children {
+				clo := lo
+				if i > 0 {
+					clo = n.keys[i-1]
+				}
+				visit(c, -1, depth+1, clo)
+			}
 		}
 	}
-	return dense
+	visit(t.root, -1, 1, math.MinInt64)
+}
+
+// forEachNode calls fn for every node the tree has, parents first: not the
+// leaves of the loaded range nobody wrote.
+func (t *BTree) forEachNode(fn func(n *bnode)) {
+	t.eachNode(func(n *bnode, _, _ int) {
+		if n != nil {
+			fn(n)
+		}
+	})
+}
+
+// nodeCount returns the number of nodes the tree has.
+func (t *BTree) nodeCount() int {
+	nodes := 0
+	t.forEachNode(func(*bnode) { nodes++ })
+	return nodes
+}
+
+// levelWidths returns the number of nodes on each level, root first,
+// counting the leaves nobody wrote.
+func (t *BTree) levelWidths() []int {
+	var widths []int
+	t.eachNode(func(_ *bnode, _, depth int) {
+		for len(widths) < depth {
+			widths = append(widths, 0)
+		}
+		widths[depth-1]++
+	})
+	return widths
+}
+
+// lines returns the state of every node's line, in eachNode's order: the
+// lines the tree's visits have touched, as the simulated machine sees them.
+func (t *BTree) lines() []mem.Line {
+	var lines []mem.Line
+	t.eachNode(func(n *bnode, j, _ int) {
+		if n != nil {
+			lines = append(lines, n.line)
+		} else {
+			lines = append(lines, t.leaves[j].line)
+		}
+	})
+	return lines
 }
 
 type rangeHit struct {
@@ -61,8 +129,9 @@ type rangeHit struct {
 // runBTreeScript interprets script as a tree geometry followed by operations
 // and applies every operation to a BulkLoadRange-built tree and to a
 // BulkLoad-built reference, failing on the first difference in results,
-// Size, Height, virtual time charged, memory statistics or invariants. It
-// returns the range-loaded tree as the script left it.
+// Size, Height, shape, the state of every node's line, virtual time charged,
+// memory statistics or invariants. It returns the range-loaded tree as the
+// script left it.
 func runBTreeScript(t testing.TB, script []byte) *BTree {
 	t.Helper()
 	next := func() int {
@@ -160,6 +229,19 @@ func runBTreeScript(t testing.TB, script []byte) *BTree {
 			if ds, rs := dense.model.TotalStats(nil), ref.model.TotalStats(nil); ds != rs {
 				fail("memory statistics\n%+v, reference\n%+v", ds, rs)
 			}
+			// Same shape, and each node's line in the state the reference's
+			// is in: a visit that touched another node's line shows here
+			// even where the totals agree.
+			if dw, rw := dense.bt.levelWidths(), ref.bt.levelWidths(); !slices.Equal(dw, rw) {
+				fail("level widths %v, reference %v", dw, rw)
+			}
+			if dl, rl := dense.bt.lines(), ref.bt.lines(); !slices.Equal(dl, rl) {
+				i := 0
+				for i < min(len(dl), len(rl)) && dl[i] == rl[i] {
+					i++
+				}
+				fail("node lines differ from node %d of %d/%d on", i, len(dl), len(rl))
+			}
 			if msg := dense.bt.CheckInvariants(); msg != "" {
 				fail("dense tree invariant: %s", msg)
 			}
@@ -194,10 +276,95 @@ func runBTreeScript(t testing.TB, script []byte) *BTree {
 	return final
 }
 
-// TestDenseLeavesMatchExplicitReference runs random scripts of every length
-// from read-only probes of an untouched tree to enough mutations to expand
-// and split most leaves.
+// btreeScript assembles a runBTreeScript script operation by operation.
+type btreeScript []byte
+
+// newBTreeScript starts a script over a tree of the given order (4…12),
+// rows (below 1,024) and fill (0 for 0.9, 1 for 0.5, 2 for 1).
+func newBTreeScript(order, rows, fill int) *btreeScript {
+	return &btreeScript{byte(order - 4), byte(rows >> 2), byte(rows & 3), byte(fill)}
+}
+
+// op appends operation op from core, then its operands: keys (each at least
+// -4 and below rows+44) and bytes.
+func (s *btreeScript) op(op, core int, keys []int64, bytes ...byte) {
+	*s = append(*s, byte(op|core<<7))
+	for _, k := range keys {
+		*s = append(*s, byte((k+4)>>8), byte(k+4))
+	}
+	*s = append(*s, bytes...)
+}
+
+func (s *btreeScript) search(core int, k int64)  { s.op(0, core, []int64{k}) }
+func (s *btreeScript) replace(core int, k int64) { s.op(3, core, []int64{k}) }
+func (s *btreeScript) remove(core int, k int64)  { s.op(5, core, []int64{k}) }
+func (s *btreeScript) appendKey(core int)        { s.op(6, core, nil) }
+
+// scan ranges from lo over width keys, stopping after 39 hits.
+func (s *btreeScript) scan(core int, lo int64, width byte) {
+	s.op(7, core, []int64{lo}, 39, width)
+}
+
+// shapeScripts are the mutation shapes TPC-C gives a range-loaded index,
+// each with the reads that follow it, as runBTreeScript scripts.
+func shapeScripts() map[string][]byte {
+	// Appends past the loaded range (order line, order, history): the last
+	// leaf is written and splits over and over, the computed node above it
+	// gets its arrays, and that node and the levels above it split.
+	// Searches and scans cross from unwritten leaves into appended ones.
+	appends := newBTreeScript(5, 1000, 0) // 250 leaves, height 5
+	for i := range 300 {
+		appends.appendKey(i % 2)
+		if i%10 == 9 {
+			appends.search(0, int64(999-i%8))
+			appends.search(1, int64(i*37%1000))
+			appends.search(0, 1040)
+			appends.scan(1, 988, 255)
+		}
+	}
+	// Deletes from the range's front (Delivery's new orders): leaf after
+	// leaf of the range is written and emptied, and scans start among the
+	// deleted keys and run on into leaves nobody wrote.
+	front := newBTreeScript(8, 700, 0) // 100 leaves, height 4
+	for k := range int64(120) {
+		front.remove(int(k%2), k)
+		front.search(1, k)
+		front.search(0, k+7)
+		if k%7 == 6 {
+			front.scan(int(k/7%2), 0, 200)
+		}
+	}
+	// Scans across written and unwritten leaves: every fifth leaf written
+	// by a replace that keeps its mapping, every seventh losing a key, the
+	// first split by keys below the range; then scans from everywhere.
+	mixed := newBTreeScript(6, 600, 1) // 200 leaves of 3 keys, height 5
+	for j := int64(0); j < 200; j += 5 {
+		mixed.replace(int(j%2), 3*j)
+	}
+	for j := int64(3); j < 200; j += 7 {
+		mixed.remove(int(j%2), 3*j+1)
+	}
+	for k := int64(-4); k < 0; k++ {
+		mixed.replace(1, k)
+	}
+	for lo := int64(-4); lo < 610; lo += 11 {
+		mixed.scan(int(lo%2+2)%2, lo, byte(lo%60))
+	}
+	return map[string][]byte{"appends": *appends, "front deletes": *front, "mixed scans": *mixed}
+}
+
+// TestDenseLeavesMatchExplicitReference runs TPC-C's mutation shapes, then
+// random scripts of every length from read-only probes of an untouched tree
+// to enough mutations to write and split most leaves.
 func TestDenseLeavesMatchExplicitReference(t *testing.T) {
+	for name, script := range shapeScripts() {
+		t.Run(name, func(t *testing.T) {
+			bt := runBTreeScript(t, script)
+			if bt.denseLeaves() == 0 || len(bt.written) == 0 {
+				t.Fatalf("%d leaves left unwritten, %d written: the shape crosses no boundary", bt.denseLeaves(), len(bt.written))
+			}
+		})
+	}
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 4+rng.Intn(600))
@@ -210,20 +377,6 @@ func TestDenseLeavesMatchExplicitReference(t *testing.T) {
 		}
 		runBTreeScript(t, script)
 	}
-}
-
-// levelWidths returns the number of nodes on each level, root first.
-func (t *BTree) levelWidths() []int {
-	var widths []int
-	for level := []*bnode{t.root}; len(level) > 0; {
-		widths = append(widths, len(level))
-		var below []*bnode
-		for _, n := range level {
-			below = append(below, childrenOf(n)...)
-		}
-		level = below
-	}
-	return widths
 }
 
 // TestRangeLoadedTreeSplitsEveryInnerLevel fills every node of a range-loaded
@@ -266,7 +419,8 @@ func TestRangeLoadedTreeSplitsEveryInnerLevel(t *testing.T) {
 
 // TestRangeLoadedInnerNodesHaveExactCapacity: every inner node's share of its
 // level's key and child arrays ends where its len does, so its first insert
-// reallocates instead of growing into its neighbour's share.
+// reallocates instead of growing into its neighbour's share; and the lowest
+// inner level has no arrays at all, its children being computed.
 func TestRangeLoadedInnerNodesHaveExactCapacity(t *testing.T) {
 	for _, c := range []struct {
 		order int
@@ -276,50 +430,54 @@ func TestRangeLoadedInnerNodesHaveExactCapacity(t *testing.T) {
 		bt := NewBTree(c.order)
 		bt.BulkLoadRange(c.rows, ridFor, c.fill)
 		inner := 0
-		var walk func(n *bnode)
-		walk = func(n *bnode) {
+		bt.forEachNode(func(n *bnode) {
 			if n.leaf {
-				return
+				t.Fatalf("%+v: a leaf of a fresh range-loaded tree has a node", c)
 			}
 			inner++
 			if cap(n.keys) != len(n.keys) || cap(n.children) != len(n.children) {
 				t.Fatalf("%+v: inner node with %d/%d keys and %d/%d children (len/cap)",
 					c, len(n.keys), cap(n.keys), len(n.children), cap(n.children))
 			}
-			for _, ch := range n.children {
-				walk(ch)
+		})
+		lowest := bt.flat[1].inner
+		for i := range lowest {
+			if n := &lowest[i]; n.keys != nil || n.children != nil {
+				t.Fatalf("%+v: lowest inner node %d has arrays", c, i)
 			}
 		}
-		walk(bt.root)
-		if bt.Height() < 3 || inner < 2 {
-			t.Fatalf("%+v: height %d, %d inner nodes; want at least two inner levels", c, bt.Height(), inner)
+		if bt.Height() < 3 || inner < 2 || len(lowest) != bt.levelWidths()[bt.Height()-2] {
+			t.Fatalf("%+v: height %d, %d inner nodes, %d lowest; want at least two inner levels", c, bt.Height(), inner, len(lowest))
 		}
 	}
 }
 
-// TestBNodeProbeFieldsShareOneHostLine: a node is one 64-byte host cache
-// line, a node with its arrays (fullNode) a whole number of them, and the
-// fields a probe reads (line, leaf, count, first, and the arrays pointer a
-// dense leaf is told by) lie within 48 bytes of its start, so in a slab
-// whose start is 16-byte aligned within a line — a large slab starts on a
-// page, a small one after at most its 8-byte header — every node's probe
-// fields share one line. That holds for the leaves bulkLoad cuts and for
-// those splits cut from the tree's node slabs.
+// TestBNodeProbeFieldsShareOneHostLine: a node is two 64-byte host cache
+// lines and a leaf of the loaded range's line a quarter of one. The fields
+// a leaf's visit reads (line, leaf, keys) lie within 48 bytes of the node's
+// start, so in a slab whose start is 16-byte aligned within a line — a large
+// slab starts on a page, a small one after at most its 8-byte header — they
+// share one line, and an inner node's children follow at most one line on.
+// That holds for the levels bulkLoad cuts and for the nodes writes cut from
+// the tree's node slabs.
 func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 	var n bnode
-	if size := unsafe.Sizeof(n); size != 64 {
-		t.Fatalf("bnode is %d bytes, want 64", size)
+	if size := unsafe.Sizeof(n); size != 128 {
+		t.Fatalf("bnode is %d bytes, want 128", size)
 	}
-	if size := unsafe.Sizeof(fullNode{}); size%64 != 0 {
-		t.Fatalf("fullNode is %d bytes, not a multiple of 64", size)
+	if size := unsafe.Sizeof(leafLine{}); size != 16 {
+		t.Fatalf("leafLine is %d bytes, want 16", size)
 	}
 	for name, end := range map[string]uintptr{
-		"first":      unsafe.Offsetof(n.first) + unsafe.Sizeof(n.first),
-		"nodeArrays": unsafe.Offsetof(n.nodeArrays) + unsafe.Sizeof(n.nodeArrays),
+		"leaf": unsafe.Offsetof(n.leaf) + unsafe.Sizeof(n.leaf),
+		"keys": unsafe.Offsetof(n.keys) + unsafe.Sizeof(n.keys),
 	} {
 		if end > 48 {
-			t.Fatalf("a probe reads bnode.%s, which ends at byte %d; want <= 48", name, end)
+			t.Fatalf("a leaf's visit reads bnode.%s, which ends at byte %d; want <= 48", name, end)
 		}
+	}
+	if end := unsafe.Offsetof(n.children) + unsafe.Sizeof(n.children); end > 64 {
+		t.Fatalf("an inner node's visit reads bnode.children, which ends at byte %d; want <= 64", end)
 	}
 	for _, rows := range []int64{100, 1000, 100000} {
 		bt := NewBTree(DefaultBTreeOrder)
@@ -327,26 +485,24 @@ func TestBNodeProbeFieldsShareOneHostLine(t *testing.T) {
 		for k := rows; k < rows+5000; k++ {
 			bt.Insert(nil, k, ridFor(k))
 		}
-		for leaf := bt.root; leaf != nil; leaf = leaf.next {
-			for !leaf.leaf {
-				leaf = leaf.children[0]
+		bt.forEachNode(func(n *bnode) {
+			if at := uintptr(unsafe.Pointer(n)) % 64; at+48 > 64 {
+				t.Fatalf("%d rows: a node starts %d bytes into a host line; its probe fields span two", rows, at)
 			}
-			if at := uintptr(unsafe.Pointer(leaf)) % 64; at+48 > 64 {
-				t.Fatalf("%d rows: a leaf starts %d bytes into a host line; its probe fields span two", rows, at)
-			}
-		}
+		})
 	}
 }
 
-// TestFirstAppendsPastRangeAllocateThreeSlabs: the insert that expands a
-// dense leaf cuts its key and RID arrays from the tree's slabs, with room to
-// grow to a split, and the struct that holds them from its node slab, so
-// appending the first key past a fresh range-loaded tree costs three
-// objects: the first key, RID and node slabs. The appends that follow,
+// TestFirstAppendsPastRangeAllocateThreeSlabs: the insert that writes a leaf
+// of the loaded range cuts its node from the tree's node slab and its key
+// and RID arrays from the key and RID slabs, with room to grow to a split,
+// so appending the first key past a fresh range-loaded tree costs three
+// objects: the first node, key and RID slabs. The appends that follow,
 // through the leaf's first split, cost two: the split's node and arrays are
-// the second pieces of those slabs, and the root it adds a child to moves
-// its exact-capacity arrays to full pieces, a second key slab and the first
-// child slab. Five in all, as when the node slab's first cut was the split.
+// the second pieces of those slabs, and the root it adds a child to, a
+// computed node, gets its arrays as full pieces, a third key piece (a
+// second key slab) and the first child slab. Five in all, as when the node
+// slab's first cut was the split.
 func TestFirstAppendsPastRangeAllocateThreeSlabs(t *testing.T) {
 	const rows, runs, more = 1000, 20, 50
 	trees := make([]*BTree, runs+1) // AllocsPerRun runs once more to warm up
@@ -387,30 +543,9 @@ func TestFirstAppendsPastRangeAllocateThreeSlabs(t *testing.T) {
 	}
 }
 
-// childrenOf returns an inner node's children, none for a leaf: a dense
-// leaf has no arrays to read them from.
-func childrenOf(n *bnode) []*bnode {
-	if n.leaf {
-		return nil
-	}
-	return n.children
-}
-
-// forEachNode calls fn for every node of the tree, parents first.
-func (t *BTree) forEachNode(fn func(n *bnode)) {
-	var walk func(n *bnode)
-	walk = func(n *bnode) {
-		fn(n)
-		for _, c := range childrenOf(n) {
-			walk(c)
-		}
-	}
-	walk(t.root)
-}
-
 // TestSplitNodesAreCutFromSlabs: what inserts add to a tree — a split's right
-// half, a new root, a dense leaf's expanded arrays, a bulk-loaded node's
-// regrowth — is cut from the tree's slabs. Thousands of appended and random
+// half, a new root, a written leaf's node and arrays, a computed node's
+// arrays, a bulk-loaded node's regrowth — is cut from the tree's slabs. Thousands of appended and random
 // inserts into a new tree and a range-loaded one must keep the tree equal to
 // a map after every step; leave every array an insert gave a node at the
 // capacity a node holds before it splits (order+1 keys and RIDs, order+2
@@ -469,11 +604,11 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 		}
 
 		// Capacities: every array an insert gave a node is a full piece. A
-		// bulk-loaded inner node no insert reached keeps its exact share.
+		// bulk-loaded inner node no split reached keeps its exact share, or
+		// none if it is computed.
 		explicit := 0
 		bt.forEachNode(func(n *bnode) {
 			switch {
-			case n.dense():
 			case n.leaf:
 				explicit++
 				if cap(n.keys) != c.order+1 || cap(n.rids) != c.order+1 {
@@ -496,9 +631,6 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 		// node may see it, and the tree must not change.
 		sentinel := &bnode{}
 		bt.forEachNode(func(n *bnode) {
-			if n.dense() {
-				return
-			}
 			for i := len(n.keys); i < cap(n.keys); i++ {
 				n.keys[:cap(n.keys)][i] = -1 << 62
 			}
@@ -510,7 +642,7 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 			}
 		})
 		bt.forEachNode(func(n *bnode) {
-			if !n.dense() && (slices.Contains(n.keys, -1<<62) || slices.Contains(n.rids, RID{Slot: 0xdead}) || slices.Contains(n.children, sentinel)) {
+			if slices.Contains(n.keys, -1<<62) || slices.Contains(n.rids, RID{Slot: 0xdead}) || slices.Contains(n.children, sentinel) {
 				fail("a node's spare capacity overlaps a neighbour's entries")
 			}
 		})
@@ -539,8 +671,8 @@ func TestSplitNodesAreCutFromSlabs(t *testing.T) {
 	}
 }
 
-// TestDenseLeafUntouchedByReads: Search and Range expand nothing; the first
-// mutation of a leaf expands that leaf and no other.
+// TestDenseLeafUntouchedByReads: Search and Range write no leaf; the first
+// mutation of a leaf gives that leaf, and no other, its node.
 func TestDenseLeafUntouchedByReads(t *testing.T) {
 	bt := NewBTree(8)
 	bt.BulkLoadRange(700, ridFor, 0.9)
@@ -567,7 +699,7 @@ func TestDenseLeafUntouchedByReads(t *testing.T) {
 	}
 	bt.Delete(nil, 350)
 	bt.Insert(nil, 350, ridFor(350))
-	bt.Insert(nil, 0, ridFor(0)) // a replace that changes nothing still expands
+	bt.Insert(nil, 0, ridFor(0)) // a replace that changes nothing still writes
 	if got := bt.denseLeaves(); got != leaves-2 {
 		t.Errorf("%d dense leaves after mutating two, want %d", got, leaves-2)
 	}
@@ -578,8 +710,12 @@ func TestDenseLeafUntouchedByReads(t *testing.T) {
 
 // TestComputedDescentMatchesWalk: on an untouched range-loaded tree the
 // computed path reaches the leaf the walk reaches, for keys on both sides of
-// the loaded range and at sizes on each side of a full level; after one
-// Insert or one Delete, Search walks and answers as before.
+// the loaded range and at sizes on each side of a full level. After one
+// Insert, one Delete, or TPC-C's shapes — appends past the range, deletes
+// from its front — the tree walks, and Search and a Range across written
+// and unwritten leaves answer as the mapping says; up to 20,000 keys, as an
+// explicitly loaded reference given the same writes answers, in a tree of
+// the same shape.
 func TestComputedDescentMatchesWalk(t *testing.T) {
 	orders := []int{4, 5, 6, 7, 8, 9, 10, 11, 12, DefaultBTreeOrder}
 	for _, order := range orders {
@@ -589,10 +725,7 @@ func TestComputedDescentMatchesWalk(t *testing.T) {
 			sizes = append(sizes, span-1, span, span+1)
 		}
 		for _, n := range sizes {
-			if n > 10_000_000 && testing.Short() {
-				continue // order 96's 56.6 M keys: an 84 MB leaf slab
-			}
-			for _, mutate := range []string{"insert", "delete"} {
+			for _, mutate := range []string{"insert", "delete", "appends", "front deletes"} {
 				bt := NewBTree(order)
 				bt.BulkLoadRange(n, ridFor, 0.9)
 				if !bt.computed {
@@ -609,26 +742,96 @@ func TestComputedDescentMatchesWalk(t *testing.T) {
 					keys = append(keys, k)
 				}
 				for _, k := range keys {
-					if got, want := bt.computedLeaf(nil, k), bt.walk(nil, k); got != want {
-						t.Fatalf("order %d n %d key %d: computed leaf [%d,+%d), walked [%d,+%d)",
-							order, n, k, got.first, got.count, want.first, want.count)
+					got := bt.computedLeaf(nil, k)
+					if node, want := bt.walk(nil, k); node != nil || got != want {
+						t.Fatalf("order %d n %d key %d: computed leaf %d, walked to %d (node %p)", order, n, k, got, want, node)
 					}
 				}
-				gone := int64(-1)
-				if mutate == "insert" {
-					bt.Insert(nil, n/2, ridFor(n/2)) // a replace: the mapping is unchanged
-				} else {
-					gone = n / 2
-					bt.Delete(nil, gone)
+
+				var ref *BTree
+				if n <= 20_000 {
+					ref = NewBTree(order)
+					ref.BulkLoad(genKeys(int(n), func(i int) int64 { return int64(i) }), ridFor, 0.9)
+				}
+				insert := func(k int64) {
+					for _, u := range []*BTree{bt, ref} {
+						if u != nil {
+							u.Insert(nil, k, ridFor(k))
+						}
+					}
+				}
+				remove := func(k int64) {
+					for _, u := range []*BTree{bt, ref} {
+						if u != nil {
+							u.Delete(nil, k)
+						}
+					}
+				}
+				present := func(k int64) bool { return k >= 0 && k < n }
+				lo, hi := n/2-per, n/2+per
+				switch mutate {
+				case "insert":
+					insert(n / 2) // a replace: the mapping is unchanged
+				case "delete":
+					present = func(k int64) bool { return k >= 0 && k < n && k != n/2 }
+					remove(n / 2)
+				case "appends":
+					// Enough to split the last leaf twice, so the computed
+					// node above it gets its arrays.
+					last := n + 2*int64(order) + 1
+					present = func(k int64) bool { return k >= 0 && k < last }
+					lo, hi = n-3*per, last+3
+					for k := n; k < last; k++ {
+						keys = append(keys, k)
+						insert(k)
+					}
+				case "front deletes":
+					gone := min(n, 3*per+1) // three leaves and a key of a fourth
+					present = func(k int64) bool { return k >= gone && k < n }
+					lo, hi = -3, gone+3*per
+					for k := range gone {
+						remove(k)
+					}
 				}
 				if bt.computed {
 					t.Fatalf("order %d n %d: computed path kept after %s", order, n, mutate)
 				}
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("order %d n %d after %s: %s", order, n, mutate, fmt.Sprintf(format, args...))
+				}
+				if msg := bt.CheckInvariants(); msg != "" {
+					fail("%s", msg)
+				}
 				for _, k := range keys {
 					rid, ok := bt.Search(nil, k)
-					if want := k >= 0 && k < n && k != gone; ok != want || (ok && rid != ridFor(k)) {
-						t.Fatalf("order %d n %d after %s: Search(%d) = %v,%v", order, n, mutate, k, rid, ok)
+					if want := present(k); ok != want || (ok && rid != ridFor(k)) {
+						fail("Search(%d) = %v,%v", k, rid, ok)
 					}
+					if ref != nil {
+						if rrid, rok := ref.Search(nil, k); rrid != rid || rok != ok {
+							fail("Search(%d) = %v,%v, reference %v,%v", k, rid, ok, rrid, rok)
+						}
+					}
+				}
+				var got, want []int64
+				bt.Range(nil, lo, hi, func(k int64, rid RID) bool {
+					if rid != ridFor(k) {
+						fail("Range yielded %d,%v", k, rid)
+					}
+					got = append(got, k)
+					return true
+				})
+				for k := lo; k <= hi; k++ {
+					if present(k) {
+						want = append(want, k)
+					}
+				}
+				if !slices.Equal(got, want) {
+					fail("Range(%d, %d) = %v, want %v", lo, hi, got, want)
+				}
+				if ref != nil && !slices.Equal(bt.levelWidths(), ref.levelWidths()) {
+					fail("level widths %v, reference %v", bt.levelWidths(), ref.levelWidths())
 				}
 			}
 		}
@@ -636,8 +839,8 @@ func TestComputedDescentMatchesWalk(t *testing.T) {
 }
 
 // TestReciprocalDividesExactly checks the computed path's division for every
-// span a tree of order 4…255 can have: a leaf holds per keys, 1 ≤ per ≤ 255
-// at any fill, and level l spans per·(per+1)ˡ of them. per = 1 keeps the walk.
+// span a tree of order 4…255 can have: a leaf holds per keys, 2 ≤ per ≤ 255
+// at any fill (leafKeys), and level l spans per·(per+1)ˡ of them.
 func TestReciprocalDividesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spans := 0
@@ -663,27 +866,34 @@ func TestReciprocalDividesExactly(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsRejectsBrokenDenseLeaves corrupts dense leaves in the
-// ways CheckInvariants claims to catch.
+// TestCheckInvariantsRejectsBrokenDenseLeaves corrupts a range-loaded tree
+// in the ways CheckInvariants claims to catch.
 func TestCheckInvariantsRejectsBrokenDenseLeaves(t *testing.T) {
-	firstLeaf := func(bt *BTree) *bnode {
-		n := bt.root
-		for !n.leaf {
-			n = n.children[0]
-		}
-		return n
-	}
 	for name, corrupt := range map[string]func(bt *BTree){
-		"skipped expand":    func(bt *BTree) { firstLeaf(bt).nodeArrays = &nodeArrays{keys: []int64{0}, rids: []RID{{}}} },
-		"negative count":    func(bt *BTree) { firstLeaf(bt).count = -1 },
-		"no locate":         func(bt *BTree) { bt.locate = nil },
-		"beyond separator":  func(bt *BTree) { firstLeaf(bt).count++ },
-		"chain overlap":     func(bt *BTree) { firstLeaf(bt).next.first-- },
-		"size disagreement": func(bt *BTree) { n := firstLeaf(bt); n.first++; n.count-- },
-		"dense inner node":  func(bt *BTree) { bt.root.count = 3 },
+		"no locate":                  func(bt *BTree) { bt.locate = nil },
+		"written index out of range": func(bt *BTree) { bt.leaves[1].node = 1 },
+		"two leaves share a node": func(bt *BTree) {
+			bt.Insert(nil, 7, ridFor(7))
+			bt.leaves[2].node = bt.leaves[1].node
+		},
+		"unindexed written node":   func(bt *BTree) { bt.written = append(bt.written, &bnode{leaf: true}) },
+		"written on computed path": func(bt *BTree) { bt.write(3) },
+		"beyond separator": func(bt *BTree) {
+			bt.Insert(nil, 7, ridFor(7))
+			n := bt.leaf(1)
+			n.keys, n.rids = append(n.keys, 14), append(n.rids, ridFor(14))
+		},
+		"chain skips a leaf": func(bt *BTree) {
+			bt.Insert(nil, 0, ridFor(0))
+			bt.leaf(0).succ = 2
+		},
+		"size disagreement":             func(bt *BTree) { bt.size++ },
+		"height disagreement":           func(bt *BTree) { bt.height++ },
+		"computed node not the loaded":  func(bt *BTree) { bt.root.children[1] = &bnode{} },
+		"nil child over several leaves": func(bt *BTree) { bt.root.children[0] = nil },
 	} {
 		bt := NewBTree(8)
-		bt.BulkLoadRange(200, ridFor, 0.9)
+		bt.BulkLoadRange(200, ridFor, 0.9) // 29 leaves under 4 computed nodes
 		if msg := bt.CheckInvariants(); msg != "" {
 			t.Fatalf("fresh tree: %s", msg)
 		}
@@ -711,6 +921,12 @@ func FuzzBTreeOps(f *testing.F) {
 		script := make([]byte, 200)
 		rng.Read(script)
 		f.Add(script)
+	}
+	// TPC-C's mutation shapes: appends past the range, deletes from its
+	// front, scans across written and unwritten leaves.
+	shapes := shapeScripts()
+	for _, name := range slices.Sorted(maps.Keys(shapes)) {
+		f.Add(shapes[name])
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2000 {

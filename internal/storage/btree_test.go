@@ -214,15 +214,6 @@ func TestBTreeQuickProperty(t *testing.T) {
 	}
 }
 
-// nodeCount returns the number of nodes in the subtree rooted at n.
-func nodeCount(n *bnode) int {
-	c := 1
-	for _, ch := range childrenOf(n) {
-		c += nodeCount(ch)
-	}
-	return c
-}
-
 // BenchmarkBTreeInsertAppend appends ascending keys to an index, as TPC-C's
 // inserts do: every insert lands in the rightmost leaf, and every order/2 of
 // them split it. It reports the heap objects allocated per split
@@ -237,7 +228,7 @@ func BenchmarkBTreeInsertAppend(b *testing.B) {
 		bt.Insert(nil, key, ridFor(key))
 		key++
 	}
-	nodes := nodeCount(bt.root)
+	nodes := bt.nodeCount()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
@@ -248,7 +239,7 @@ func BenchmarkBTreeInsertAppend(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if splits := nodeCount(bt.root) - nodes; splits > 0 {
+	if splits := bt.nodeCount() - nodes; splits > 0 {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(splits), "allocs/split")
 	}
 }

@@ -471,28 +471,6 @@ func (bp *BufferPool) Prewarm(slack int) {
 	}
 }
 
-// FlushAll writes back every dirty page (used at orderly shutdown and in
-// recovery tests). As with a dirty victim, the images reach the backing
-// store before any virtual time passes, and the device writes are charged
-// afterwards: a page is not pinned while its write is charged, so another
-// thread may evict it and its struct serve another page meanwhile.
-func (bp *BufferPool) FlushAll(ctx *exec.Ctx) {
-	writes := 0
-	for _, f := range bp.ring {
-		if p := f.page; p != nil && p.Dirty {
-			bp.DirtyWriteBacks++
-			bp.store.WriteBack(p)
-			p.Dirty = false
-			writes++
-		}
-	}
-	prev := ctx.Bucket(exec.BIO)
-	for ; writes > 0; writes-- {
-		bp.disk.Write(ctx)
-	}
-	ctx.Bucket(prev)
-}
-
 // HitRate returns hits / (hits+misses), or 1 when unused.
 func (bp *BufferPool) HitRate() float64 {
 	total := bp.Hits + bp.Misses
