@@ -15,9 +15,9 @@ import (
 	"islands"
 )
 
-// benchOpts keeps benchmark runs fast; `islandsbench` (without -quick) runs
-// the full sweeps.
-var benchOpts = islands.ExperimentOptions{Quick: true, Seed: 42}
+// benchOpts keeps benchmark runs fast; `islands run -full` runs the full
+// sweeps.
+var benchOpts = islands.StudyOptions{Quick: true, Seed: 42}
 
 // BenchmarkExperiment runs every registered reproduction, one per
 // sub-benchmark iteration, and reports the first table's first row as

@@ -1,71 +1,56 @@
-// Command islandsadvisor recommends an island size (number of database
-// instances) for a workload on a machine — the paper's stated future work:
-// "determining the ideal size of each island automatically for the given
-// hardware and workload".
-//
-// It answers the question for two workload sources through one sweep of
-// island size × geometry candidates. The synthetic mode (default) measures
-// a generated microbenchmark on every candidate and calibrates the paper's
-// throughput model beside it. The trace mode answers it for *your*
-// workload: record a trace from a running deployment, then replay it on
-// every candidate. Both rank by measured throughput, with ±σ over -seeds.
-//
-// Usage:
-//
-//	# synthetic advisor
-//	islandsadvisor [-machine quad|octo | -geometry 4:6:12,8:10:30:ring]
-//	               [-latscale 0.5,1,2] [-sizes 1,4,24] [-seeds 3] [-full]
-//	               -rows 240000 -rowstxn 10 -write -multisite 0.2 -skew 0.5
-//
-//	# record a trace from a quick TPC-C (or micro) run
-//	islandsadvisor -record tpcc.trace [-workload tpcc|micro] [-instances N]
-//	               [-warehouses 24] [-geometry S:C:LLC[:fabric]] [-full]
-//
-//	# trace-driven advisor: replay the trace across candidates
-//	islandsadvisor -trace tpcc.trace [-geometry 4:6:8:ring,8:10:30]
-//	               [-latscale 0.5,1,2] [-sizes 1,4,24] [-seeds 3] [-full]
-//
-//	# inspect a trace file
-//	islandsadvisor -dump tpcc.trace [-maxrecords 5]
-//
-// -geometry uses the same S:C:LLC-MB[:fabric] spec language as
-// islandsprobe and works in every mode; -machine is a shorthand for the two
-// testbed machines. -latscale fans every -geometry machine across
-// interconnect latency scales.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
-	"islands"
+	"islands/internal/harness"
+	"islands/internal/topology"
+	"islands/internal/trace"
+	"islands/internal/workload"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// run is main with its inputs and outputs as parameters: it returns the exit
-// status (2 for a usage error, which leaves stdout empty). Every flag is
-// validated before the first simulation runs.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("islandsadvisor", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// advise is "islands advise": it recommends an island size (number of
+// database instances) for a workload on a machine — the paper's stated
+// future work, "determining the ideal size of each island automatically
+// for the given hardware and workload".
+//
+// One sweep of island size × geometry candidates answers it for two
+// workload sources. The synthetic mode (default) measures a generated
+// microbenchmark on every candidate and calibrates the paper's throughput
+// model beside it. The trace mode answers it for a recorded workload:
+// -record a trace from a running deployment, then replay it with -trace on
+// every candidate. Both rank by measured throughput, with ±σ over -seeds.
+// -dump renders a trace file as text.
+//
+//	islands advise [-machine quad|octo | -geometry 4:6:12,8:10:30:ring]
+//	               [-latscale 0.5,1,2] [-sizes 1,4,24] [-seeds 3] [-full]
+//	               -rows 240000 -rowstxn 10 -write -multisite 0.2 -skew 0.5
+//	islands advise -record tpcc.trace [-workload tpcc|micro] [-instances N]
+//	               [-warehouses 24] [-geometry S:C:LLC[:fabric]] [-full]
+//	islands advise -trace tpcc.trace [-geometry ...] [-latscale ...]
+//	               [-sizes 1,4,24] [-seeds 3] [-full]
+//	islands advise -dump tpcc.trace [-maxrecords 5]
+//
+// -geometry works in every mode; -machine is a shorthand for the two
+// testbed machines. Every flag is validated before the first simulation
+// runs.
+func advise(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("advise", stderr)
 	machine := fs.String("machine", "quad", "machine model shorthand: quad or octo")
-	geometry := fs.String("geometry", "", "machine geometries sockets:cores:LLC-MB[:fabric], comma-separated (overrides -machine; -record takes one)")
-	latscale := fs.String("latscale", "", "interconnect latency scales (e.g. 0.5,1,2) fanning every -geometry machine")
+	machineSweep := machineSweepFlags(fs)
 
-	record := fs.String("record", "", "record a trace from a measured run into FILE and exit")
+	record := fs.String("record", "", "record a trace from a measured run into FILE and exit (one -geometry)")
 	workloadKind := fs.String("workload", "tpcc", "-record workload: tpcc or micro")
 	instances := fs.Int("instances", 0, "-record island count (0 = one per socket)")
 	warehouses := fs.Int("warehouses", 24, "-record TPC-C warehouse count")
 
 	traceFile := fs.String("trace", "", "replay trace FILE across candidates and rank them")
 	sizes := fs.String("sizes", "", "island sizes to try, comma-separated (default: every size dividing the machine)")
-	seeds := fs.Int("seeds", 3, "seed replicas for ±σ (-trace replicas rotate the stream deal)")
+	seeds := seedsFlag(fs, 3)
 
 	dump := fs.String("dump", "", "print a text rendering of trace FILE and exit")
 	maxRecords := fs.Int("maxrecords", 3, "-dump records shown per stream (0 = all)")
@@ -75,15 +60,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	write := fs.Bool("write", false, "synthetic/micro: update workload (default read-only)")
 	multisite := fs.Float64("multisite", 0.2, "synthetic/micro: fraction of multisite transactions (0..1)")
 	skew := fs.Float64("skew", 0, "synthetic/micro: Zipfian skew factor (0 = uniform)")
-	seed := fs.Int64("seed", 42, "workload and placement seed")
-	full := fs.Bool("full", false, "use the full (non-quick) measurement window")
+	seed := seedFlag(fs)
+	full := fullFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "islandsadvisor: %v\n", err)
-		return 2
-	}
+	fail := func(err error) int { return usageError(stderr, "advise", err) }
 
 	switch {
 	case *rows < 1:
@@ -101,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *workloadKind != "tpcc" && *workloadKind != "micro":
 		return fail(fmt.Errorf("unknown -workload %q (want tpcc or micro)", *workloadKind))
 	}
-	geos, err := islands.ParseMachineSweep(*geometry, *latscale)
+	geos, err := machineSweep()
 	if err == nil && geos == nil {
 		geos, err = testbedGeometry(*machine)
 	}
@@ -117,12 +99,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	mc := islands.MicroConfig{RowsPerTxn: *rowsTxn, Write: *write, PctMultisite: *multisite, ZipfS: *skew}
-	opt := islands.StudyOptions{Quick: !*full, Seed: *seed}
+	mc := workload.MicroConfig{RowsPerTxn: *rowsTxn, Write: *write, PctMultisite: *multisite, ZipfS: *skew}
+	opt := harness.Options{Quick: !*full, Seed: *seed}
 
 	switch {
 	case *dump != "":
-		t, err := islands.ReadTraceFile(*dump)
+		t, err := trace.ReadFile(*dump)
 		if err != nil {
 			return fail(err)
 		}
@@ -144,15 +126,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *workloadKind == "micro" && *rows < int64(n) {
 			return fail(fmt.Errorf("-rows %d cannot be spread over %d islands", *rows, n))
 		}
-		var t *islands.Trace
+		var t *trace.Trace
 		if *workloadKind == "tpcc" {
-			t = islands.RecordTPCCTrace(islands.TPCCCellSpec{
+			t = harness.RecordTPCC(harness.TPCCSpec{
 				Machine: g.Machine, Instances: n, Warehouses: *warehouses,
-				Mix: islands.StandardMix(), RemotePct: 0.15, RemoteItemPct: 0.01,
-				Sizing: islands.SpecTPCCSizing().Scaled(20),
+				Mix: workload.StandardMix(), RemotePct: 0.15, RemoteItemPct: 0.01,
+				Sizing: workload.SpecSizing().Scaled(20),
 			}, opt)
 		} else {
-			t = islands.RecordMicroTrace(islands.MicroCellSpec{
+			t = harness.RecordMicro(harness.MicroSpec{
 				Machine: g.Machine, Instances: n, Rows: *rows, MC: mc,
 			}, opt)
 		}
@@ -163,11 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*record, len(t.Records), len(t.Streams), t.Span())
 
 	case *traceFile != "":
-		t, err := islands.ReadTraceFile(*traceFile)
+		t, err := trace.ReadFile(*traceFile)
 		if err != nil {
 			return fail(err)
 		}
-		adv, err := islands.TraceAdvise(t, geos, sizeList, *seeds, opt)
+		adv, err := harness.AdviseTrace(t, geos, sizeList, *seeds, opt)
 		if err != nil {
 			return fail(err)
 		}
@@ -175,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			t.Label, len(t.Records), len(t.Streams), t.Span(), adv.Format())
 
 	default:
-		adv, err := islands.Advise(mc, *rows, geos, sizeList, *seeds, opt)
+		adv, err := harness.AdviseMicro(mc, *rows, geos, sizeList, *seeds, opt)
 		if err != nil {
 			return fail(err)
 		}
@@ -186,17 +168,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // testbedGeometry resolves the -machine shorthand into its geometry.
-func testbedGeometry(machine string) ([]islands.Geometry, error) {
-	var m *islands.Machine
-	switch machine {
-	case "quad":
-		m = islands.QuadSocket()
-	case "octo":
-		m = islands.OctoSocket()
-	default:
+func testbedGeometry(machine string) ([]harness.Geometry, error) {
+	build := map[string]func() *topology.Machine{"quad": topology.QuadSocket, "octo": topology.OctoSocket}[machine]
+	if build == nil {
 		return nil, fmt.Errorf("unknown machine %q (want quad, octo, or use -geometry)", machine)
 	}
-	return []islands.Geometry{{
+	m := build()
+	return []harness.Geometry{{
 		Name:           m.Name,
 		Sockets:        m.SocketCount,
 		CoresPerSocket: m.CoresPerSocket,

@@ -1,40 +1,39 @@
-// Command topoprobe prints the built-in machine models: geometry, hop
-// matrices, transfer costs, and the island partitions each instance count
-// produces — a quick way to see what "hardware islands" means for a
-// deployment before running experiments.
-package main
+// Package topoprobe is the body of "islands topo": it prints the built-in
+// machine models' geometry, hop matrices, transfer costs and the island
+// partitions each instance count produces — what "hardware islands" means
+// for a deployment. It is a library, not a command: cmd/islands is the one
+// binary, and its topo subcommand calls Run.
+package topoprobe
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"islands/internal/topology"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// run is main with its inputs and outputs as parameters: it returns the exit
-// status (2 for a usage error, which leaves stdout empty).
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("topoprobe", flag.ContinueOnError)
+// Run is "islands topo" with the arguments after the subcommand's name: it
+// takes no flag and no argument, and returns the exit status (2 for a usage
+// error, which leaves stdout empty).
+func Run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("islands topo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "topoprobe: unexpected argument %q\n", fs.Arg(0))
+		fmt.Fprintf(stderr, "islands topo: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	for _, m := range []*topology.Machine{topology.QuadSocket(), topology.OctoSocket()} {
-		probe(stdout, m)
+		printMachine(stdout, m)
 		fmt.Fprintln(stdout)
 	}
 	return 0
 }
 
-func probe(w io.Writer, m *topology.Machine) {
+func printMachine(w io.Writer, m *topology.Machine) {
 	fmt.Fprintln(w, m)
 	fmt.Fprintf(w, "  interconnect: %s, mean socket distance %.2f hops\n", m.Interconnect.Name, m.MeanHops())
 

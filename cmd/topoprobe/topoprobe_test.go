@@ -1,4 +1,4 @@
-package main
+package topoprobe
 
 import (
 	"bytes"
@@ -10,7 +10,7 @@ import (
 // matrix and island partitions, on stdout; exit 0 and a silent stderr.
 func TestProbe(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+	if code := Run(nil, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
 	}
 	for _, want := range []string{
@@ -31,7 +31,7 @@ func TestProbe(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-nosuch"}, {"quad"}} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+		if code := Run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, stdout.String(), stderr.String())
 		}
 	}

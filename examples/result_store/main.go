@@ -72,7 +72,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("The store persists across processes: point a later run (or")
-	fmt.Println("`islandsprobe -experiments -store DIR`) at the same directory and")
+	fmt.Println("`islands probe -experiments -store DIR`) at the same directory and")
 	fmt.Println("it resumes where this one stopped. Keys are salted with the")
 	fmt.Println("build's golden fingerprint, so a store can never serve results")
 	fmt.Println("the current code would not itself produce.")

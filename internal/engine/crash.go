@@ -32,9 +32,6 @@ func (in *Instance) FaultMode() bool { return in.faulty }
 // Down reports whether the instance is currently crashed.
 func (in *Instance) Down() bool { return in.down }
 
-// Epoch returns the crash epoch (number of crashes so far).
-func (in *Instance) Epoch() uint32 { return in.epoch }
-
 // Crash models a fail-stop failure of the whole instance process. Runs in
 // kernel context (a fault-injector callback): no virtual time passes, the
 // instance simply stops being there.

@@ -69,7 +69,7 @@ func studyFabric(opt Options) *Study {
 	// mode: the whole point of the experiment is that the hop penalty is
 	// measured through the stack, not modeled away, and the full window
 	// keeps it clear of commit-count quantization. ForceFull also makes
-	// these cells the plan's wall-clock outliers (confirmed via islandsprobe
+	// these cells the plan's wall-clock outliers (confirmed via islands probe
 	// -celltimes), so MicroCell's cost hint front-loads them under parallel
 	// dispatch.
 	maxPct := pcts[len(pcts)-1]

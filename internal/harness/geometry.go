@@ -15,8 +15,8 @@ import (
 // field names the socket fabric — full, ring, mesh, torus or hypercube —
 // built over the socket count (mesh and torus factor it into the most-
 // square grid; hypercube requires a power of two); omitted means fully
-// connected. This is the shared spec language of islandsprobe's and
-// islandsadvisor's -geometry flags.
+// connected. This is the spec language of the -geometry flag of
+// `islands probe` and `islands advise`.
 func ParseGeometry(s string) (Geometry, error) {
 	f := strings.Split(strings.TrimSpace(s), ":")
 	if len(f) != 3 && len(f) != 4 {
@@ -143,7 +143,7 @@ func ParseLatencyScales(s string) ([]float64, error) {
 	return out, nil
 }
 
-// ParseMachineSweep resolves the cmds' -geometry and -latscale flags into
+// ParseMachineSweep resolves the -geometry and -latscale flags into
 // the machines to sweep: the parsed geometries, each fanned across the
 // latency scales when latscale is non-empty. An empty geometry flag means
 // no sweep (nil), and then a latscale has nothing to scale.

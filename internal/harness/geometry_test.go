@@ -79,7 +79,7 @@ func TestParseLatencyScalesErrors(t *testing.T) {
 	}
 }
 
-// TestParseMachineSweep covers the cmds' shared -geometry/-latscale
+// TestParseMachineSweep covers the shared -geometry/-latscale
 // resolution: every geometry fanned across every scale, no sweep without a
 // geometry, and a scale with nothing to scale refused.
 func TestParseMachineSweep(t *testing.T) {

@@ -359,7 +359,7 @@ func Machines(geos ...Geometry) []func() *topology.Machine {
 // Fingerprint writes every table value of the result at full float
 // precision, one "<id>/<table>/<row>/<col> = <value>" line per cell.
 // Two builds of the repo simulate identically if and only if their
-// fingerprints are byte-identical; islandsprobe prints these for every
+// fingerprints are byte-identical; `islands probe` prints these for every
 // experiment and CI diffs sequential against parallel runs.
 func (r *Result) Fingerprint(w io.Writer) {
 	for _, t := range r.Tables {

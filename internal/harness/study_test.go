@@ -13,7 +13,7 @@ import (
 // TestQuickFingerprintGolden pins the registered experiments to a recorded
 // fingerprint: every table value of every experiment at quick mode, seed 42,
 // byte-identical both sequentially and at 4-way parallelism. Regenerate the
-// golden file with `go run ./cmd/islandsprobe -experiments | tail -n +4`
+// golden file with `go run ./cmd/islands probe -experiments | tail -n +4`
 // only for a change that intentionally alters simulated behavior. Last
 // re-baselined for the sharded kernel (PR 7), whose mapping-invariant event
 // keys required per-instance timestamp striding, per-instance mmap disks, a

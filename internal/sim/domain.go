@@ -39,9 +39,6 @@ func (k *Kernel) DefaultDomain() *Domain { return k.domains[0] }
 // Kernel returns the owning kernel.
 func (d *Domain) Kernel() *Kernel { return d.sh.k }
 
-// Shard returns the index of the shard this domain is pinned to.
-func (d *Domain) Shard() int { return d.sh.id }
-
 // Now returns the domain's shard-local virtual clock — the authoritative
 // "now" for this domain even while a parallel window is executing.
 func (d *Domain) Now() Time { return d.sh.now }

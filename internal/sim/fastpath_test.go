@@ -176,12 +176,11 @@ func TestInlineFnPanicPropagates(t *testing.T) {
 }
 
 // TestCloseDuringBlockedPrimitives verifies Close unwinds procs parked deep
-// inside synchronization primitives (mutex queues, queue pops, cond waits),
-// not just bare Park.
+// inside synchronization primitives (mutex queues, queue pops), not just
+// bare Park.
 func TestCloseDuringBlockedPrimitives(t *testing.T) {
 	k := NewKernel()
 	var mu Mutex
-	var cond Cond
 	q := NewQueue[int](k)
 	k.Spawn("holder", func(p *Proc) {
 		mu.Lock(p)
@@ -193,12 +192,9 @@ func TestCloseDuringBlockedPrimitives(t *testing.T) {
 	k.Spawn("popper", func(p *Proc) {
 		q.Pop(p)
 	})
-	k.Spawn("condwait", func(p *Proc) {
-		cond.Wait(p)
-	})
 	k.Run()
-	if live := k.LiveProcs(); live != 4 {
-		t.Fatalf("LiveProcs = %d, want 4", live)
+	if live := k.LiveProcs(); live != 3 {
+		t.Fatalf("LiveProcs = %d, want 3", live)
 	}
 	k.Close()
 	if live := k.LiveProcs(); live != 0 {

@@ -269,39 +269,6 @@ func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
 	k.Run()
 }
 
-func TestCondSignalAndBroadcast(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	var c Cond
-	ready := false
-	var woke []Time
-	for i := 0; i < 3; i++ {
-		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for !ready {
-				c.Wait(p)
-			}
-			woke = append(woke, p.Now())
-		})
-	}
-	k.Spawn("signaler", func(p *Proc) {
-		p.Advance(100)
-		ready = true
-		c.Broadcast()
-	})
-	k.Run()
-	if len(woke) != 3 {
-		t.Fatalf("woke %d waiters, want 3", len(woke))
-	}
-	for _, w := range woke {
-		if w != 100 {
-			t.Errorf("waiter woke at %v, want 100", w)
-		}
-	}
-	if c.Waiters() != 0 {
-		t.Errorf("Waiters = %d after broadcast, want 0", c.Waiters())
-	}
-}
-
 func TestFIFOProperty(t *testing.T) {
 	// Pushing then popping any sequence preserves order even across the
 	// internal compaction threshold.

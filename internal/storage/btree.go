@@ -41,7 +41,7 @@ const (
 // builds, whose leaves all hold their keys.
 type BTree struct {
 	order  int
-	root   *bnode // nil while the root is the loaded range's only leaf
+	root   *bnode // nil while the root is the loaded range's only leaf (see top)
 	height int
 	size   int
 
@@ -130,12 +130,23 @@ type bnode struct {
 }
 
 // NewBTree returns an empty tree with the given order (max keys per node);
-// order < 4 falls back to DefaultBTreeOrder.
+// order < 4 falls back to DefaultBTreeOrder. It allocates no root: a tree
+// that BulkLoadRange loads next never needs the empty one (see top).
 func NewBTree(order int) *BTree {
 	if order < 4 {
 		order = DefaultBTreeOrder
 	}
-	return &BTree{order: order, root: emptyLeaf(), height: 1}
+	return &BTree{order: order, height: 1}
+}
+
+// top returns the root: nil while the root is the loaded range's only leaf,
+// and for a tree that holds no loaded range, its root node, made on first
+// use as an empty leaf without arrays, which the first Insert cuts.
+func (t *BTree) top() *bnode {
+	if t.root == nil && t.leaves == nil {
+		t.root = &bnode{leaf: true}
+	}
+	return t.root
 }
 
 // Size returns the number of keys.
@@ -188,7 +199,7 @@ func (t *BTree) Search(ctx *exec.Ctx, key int64) (RID, bool) {
 // key, and returns that leaf untouched: its node, or nil and its number for
 // a leaf of the loaded range nobody wrote.
 func (t *BTree) walk(ctx *exec.Ctx, key int64) (*bnode, int) {
-	n := t.root
+	n := t.top()
 	for n != nil && !n.leaf {
 		t.touch(ctx, &n.line, false)
 		n = n.child(key)
@@ -297,7 +308,7 @@ const signBit = 1 << 63
 // was new.
 func (t *BTree) Insert(ctx *exec.Ctx, key int64, rid RID) bool {
 	t.computed = false
-	promoted, right, added := t.insert(ctx, t.root, key, rid)
+	promoted, right, added := t.insert(ctx, t.top(), key, rid)
 	if right != nil {
 		newRoot := t.newInner(1)
 		newRoot.keys[0] = promoted
@@ -433,10 +444,6 @@ func (t *BTree) newInner(nkeys int) *bnode {
 // newNode returns a zero node from the tree's node slab.
 func (t *BTree) newNode() *bnode { return &t.nodes.cut(1, 1)[0] }
 
-// emptyLeaf returns the root of a tree that holds no key: a leaf without
-// arrays, which the first Insert cuts.
-func emptyLeaf() *bnode { return &bnode{leaf: true} }
-
 // room returns a node's array with room for one more entry: as it is, or
 // moved to a piece of s at full capacity when it is full — a bulk-loaded
 // node whose arrays were cut to its length, or an empty root's.
@@ -527,7 +534,6 @@ func (t *BTree) BulkLoadRange(n int64, rid func(key int64) RID, fill float64) {
 	t.flat, t.written, t.leaves = [maxFlatLevels]flatLevel{}, nil, nil
 	t.root, t.height, t.computed = nil, 1, n > 0
 	if n == 0 {
-		t.root = emptyLeaf()
 		return
 	}
 	t.leaves = make([]leafLine, (n+per-1)/per)
@@ -758,7 +764,7 @@ func (t *BTree) CheckInvariants() string {
 		}
 		return ""
 	}
-	if msg := visit(t.root, 1, nil, nil); msg != "" {
+	if msg := visit(t.top(), 1, nil, nil); msg != "" {
 		return msg
 	}
 	if leafDepth != t.height {

@@ -74,7 +74,7 @@ func (t *BTree) eachNode(fn func(n *bnode, j, depth int)) {
 			}
 		}
 	}
-	visit(t.root, -1, 1, math.MinInt64)
+	visit(t.top(), -1, 1, math.MinInt64)
 }
 
 // forEachNode calls fn for every node the tree has, parents first: not the
@@ -961,10 +961,31 @@ func BenchmarkBTreeSearchDense(b *testing.B) {
 	})
 }
 
+// A tree that escapes, as every instance's index does, is one object until
+// it is used: BulkLoadRange replaces the root, so NewBTree makes none (an
+// empty leaf each, 128 bytes, before), and the first operation on a tree
+// nothing was loaded into makes the empty root leaf.
+func TestNewBTreeAllocatesNoRoot(t *testing.T) {
+	var bt *BTree
+	if n := testing.AllocsPerRun(100, func() { bt = NewBTree(DefaultBTreeOrder) }); n != 1 {
+		t.Errorf("NewBTree allocates %v objects, want 1", n)
+	}
+	if _, ok := bt.Search(nil, 7); ok || bt.Height() != 1 || bt.Size() != 0 || bt.CheckInvariants() != "" {
+		t.Fatalf("fresh tree: found 7, height %d, size %d, %q", bt.Height(), bt.Size(), bt.CheckInvariants())
+	}
+	if !bt.Insert(nil, 7, RID{Slot: 3}) {
+		t.Fatal("first insert not new")
+	}
+	if rid, ok := bt.Search(nil, 7); !ok || rid.Slot != 3 || bt.CheckInvariants() != "" {
+		t.Fatalf("after insert: %v %v, %q", rid, ok, bt.CheckInvariants())
+	}
+}
+
 // BenchmarkBulkLoadRange loads the same index; allocs/op is the number to
 // watch (CI gates it at 12): one slab of nodes per level, one key and one
 // child array per inner level, and no key or RID arrays in the leaves,
-// however many leaves there are.
+// however many leaves there are. Here the tree does not escape, so it stays
+// on the stack; the seventh object is the tab.Locate method value.
 func BenchmarkBulkLoadRange(b *testing.B) {
 	tab := &Table{ID: 1, Name: "rows", RowBytes: 250, NumRows: 100000}
 	b.ReportAllocs()

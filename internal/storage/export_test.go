@@ -32,7 +32,7 @@ func (t *BTree) BulkLoad(keys []int64, rid func(key int64) RID, fill float64) {
 	per, n := leafKeys(t.order, fill), int64(len(keys))
 	t.locate, t.loaded, t.per, t.size = nil, 0, per, len(keys)
 	t.flat, t.written = [maxFlatLevels]flatLevel{}, nil
-	t.root, t.height, t.leaves, t.computed = emptyLeaf(), 1, nil, false
+	t.root, t.height, t.leaves, t.computed = nil, 1, nil, false
 	if n == 0 {
 		return
 	}

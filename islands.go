@@ -49,10 +49,14 @@
 //     deterministic parallel executor: results are bit-identical at every
 //     Parallel setting.
 //
-// See examples/ for runnable walkthroughs (examples/custom_study builds a
-// from-scratch seed-replicated geometry study) and DESIGN.md for how the
-// simulation substitutes for the paper's hardware and for the study API's
-// determinism contract.
+// The command cmd/islands reaches the same artifacts from a shell:
+// `islands run` regenerates the experiments, `islands probe` prints the
+// determinism fingerprint, `islands advise` is the advisor (synthetic or
+// trace-driven) and `islands topo` prints the machine models. See examples/
+// for runnable walkthroughs (examples/custom_study builds a from-scratch
+// seed-replicated geometry study) and DESIGN.md for how the simulation
+// substitutes for the paper's hardware and for the study API's determinism
+// contract.
 package islands
 
 import (
@@ -286,14 +290,6 @@ func Advise(mc MicroConfig, rows int64, geos []Geometry, sizes []int, seeds int,
 // Experiment reproduces one of the paper's tables or figures.
 type Experiment = harness.Experiment
 
-// ExperimentOptions tune experiment runs. Experiments are declarative cell
-// plans executed on a worker pool: Parallel sets the number of
-// concurrently-run cells (0 = GOMAXPROCS, 1 = sequential; results are
-// identical at any setting), Progress optionally observes per-cell
-// completion, and CellTime optionally receives each cell's measured
-// wall-clock.
-type ExperimentOptions = harness.Options
-
 // ExperimentResult is an experiment's formatted output.
 type ExperimentResult = harness.Result
 
@@ -308,7 +304,7 @@ func ExperimentIDs() []string { return harness.IDs() }
 
 // RunExperiment runs the experiment with the given id ("fig9", "table1",
 // ...). Unknown ids return an error naming every valid id.
-func RunExperiment(id string, opt ExperimentOptions) (*ExperimentResult, error) {
+func RunExperiment(id string, opt StudyOptions) (*ExperimentResult, error) {
 	res, err := harness.Run(id, opt)
 	if err != nil {
 		return nil, fmt.Errorf("islands: %w", err)
@@ -340,7 +336,12 @@ type Metrics = harness.Metrics
 // Table is one printable result grid of a study.
 type Table = harness.Table
 
-// StudyOptions tune a study run; identical to ExperimentOptions.
+// StudyOptions tune a study or experiment run. Studies are declarative
+// cell plans executed on a worker pool: Parallel sets the number of
+// concurrently-run cells (0 = GOMAXPROCS, 1 = sequential; results are
+// identical at any setting), Progress optionally observes per-cell
+// completion, and CellTime optionally receives each cell's measured
+// wall-clock.
 type StudyOptions = harness.Options
 
 // MicroCellSpec declares a microbenchmark deployment cell: machine
@@ -438,18 +439,10 @@ func SourceCell(name string, s SourceCellSpec, emits ...Emit) Cell {
 }
 
 // ParseGeometry parses one "sockets:coresPerSocket:LLC-MB[:fabric]" spec
-// (e.g. "4:6:8:ring") — the shared -geometry flag language of islandsprobe
-// and islandsadvisor. The optional fabric is full, ring, mesh, torus or
+// (e.g. "4:6:8:ring") — the -geometry flag language of `islands probe`
+// and `islands advise`. The optional fabric is full, ring, mesh, torus or
 // hypercube.
 func ParseGeometry(s string) (Geometry, error) { return harness.ParseGeometry(s) }
-
-// ParseMachineSweep resolves the cmds' -geometry and -latscale flag values
-// into the machines to sweep: the comma-separated geometry specs, each
-// fanned across the comma-separated latency scales (finite, 0.001..1e6;
-// empty = unscaled). An empty geometry yields nil, and rejects a latscale.
-func ParseMachineSweep(geometry, latscale string) ([]Geometry, error) {
-	return harness.ParseMachineSweep(geometry, latscale)
-}
 
 // Trace is a recorded workload: one compact record per transaction
 // (virtual timestamp, transaction kind, worker stream, row operations with
@@ -517,11 +510,6 @@ func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
 // real trace without wiring a recorder by hand.
 func RecordTPCCTrace(s TPCCCellSpec, opt StudyOptions) *Trace {
 	return harness.RecordTPCC(s, opt)
-}
-
-// RecordMicroTrace is RecordTPCCTrace for a microbenchmark cell spec.
-func RecordMicroTrace(s MicroCellSpec, opt StudyOptions) *Trace {
-	return harness.RecordMicro(s, opt)
 }
 
 // TraceAdvise replays one recorded trace across island size × machine

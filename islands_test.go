@@ -126,11 +126,11 @@ func TestExperimentsRegistryViaFacade(t *testing.T) {
 	if len(islands.Experiments()) < 12 {
 		t.Fatalf("only %d experiments registered", len(islands.Experiments()))
 	}
-	res, err := islands.RunExperiment("fig6", islands.ExperimentOptions{Quick: true, Seed: 1})
+	res, err := islands.RunExperiment("fig6", islands.StudyOptions{Quick: true, Seed: 1})
 	if err != nil || len(res.Tables) == 0 {
 		t.Fatalf("fig6 did not run via facade: %v", err)
 	}
-	_, err = islands.RunExperiment("nope", islands.ExperimentOptions{})
+	_, err = islands.RunExperiment("nope", islands.StudyOptions{})
 	if err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
