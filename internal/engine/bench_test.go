@@ -39,7 +39,7 @@ func BenchmarkLocalCommit(b *testing.B) {
 			{Table: 1, Key: (key + 1800) % 2400, Kind: OpRead},
 		}})
 	}
-	in.StartWorkersOnly(src)
+	in.Start(src)
 	k.RunFor(5 * sim.Millisecond)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

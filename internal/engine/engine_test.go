@@ -77,7 +77,7 @@ func TestLocalReadOnlyTxnCommits(t *testing.T) {
 		{Table: 1, Key: 10, Kind: OpRead},
 		{Table: 1, Key: 20, Kind: OpRead},
 	}})
-	ins[0].StartWorkersOnly(src)
+	ins[0].Start(src)
 	k.RunFor(2 * sim.Millisecond)
 	if ins[0].Stats.Committed == 0 {
 		t.Fatal("no transactions committed")
@@ -97,7 +97,7 @@ func TestLocalUpdateTxnLogsAndFlushes(t *testing.T) {
 	src := newFixedSource(Request{Ops: []Op{
 		{Table: 1, Key: 5, Kind: OpUpdate},
 	}})
-	ins[0].StartWorkersOnly(src)
+	ins[0].Start(src)
 	k.RunFor(2 * sim.Millisecond)
 	st := ins[0].Stats
 	if st.Committed == 0 {
@@ -274,7 +274,7 @@ func TestInsertGrowsTable(t *testing.T) {
 	ins := testDeployment(k, 1, 240, true)
 	before := ins[0].TableDef(1).NumRows
 	src := newFixedSource(Request{Ops: []Op{{Table: 1, Key: 0, Kind: OpInsert}}})
-	ins[0].StartWorkersOnly(src)
+	ins[0].Start(src)
 	k.RunFor(1 * sim.Millisecond)
 	st := ins[0].Stats
 	if st.Committed == 0 {
@@ -293,7 +293,7 @@ func TestConflictingUpdatesSerializeViaWaitDie(t *testing.T) {
 	// All workers update the same row: wait-die aborts must occur and every
 	// committed txn must bump the version exactly once.
 	src := newFixedSource(Request{Ops: []Op{{Table: 1, Key: 42, Kind: OpUpdate}}})
-	ins[0].StartWorkersOnly(src)
+	ins[0].Start(src)
 	k.RunFor(3 * sim.Millisecond)
 	if ins[0].Stats.Committed == 0 {
 		t.Fatal("no commits under contention")
@@ -346,7 +346,7 @@ func TestSumRowVersionsIsReadOnly(t *testing.T) {
 	for key := int64(0); key < 1800; key += 37 { // leaves the table's tail untouched
 		reqs = append(reqs, Request{Ops: []Op{{Table: 1, Key: key, Kind: OpUpdate}, {Table: 1, Key: key + 1, Kind: OpRead}}})
 	}
-	in.StartWorkersOnly(newFixedSource(reqs...))
+	in.Start(newFixedSource(reqs...))
 	k.RunFor(3 * sim.Millisecond)
 
 	type counters struct {
@@ -396,7 +396,7 @@ func TestRestoreKeepsCrashedStoreOutOfThePool(t *testing.T) {
 	defer k.Close()
 	in := soloInstance(k, 1, func(o *Options) { o.Wal.Retain = true })
 	in.EnableFaultMode()
-	in.StartWorkersOnly(newFixedSource(Request{Ops: []Op{{Table: 1, Key: 5, Kind: OpUpdate}}}))
+	in.Start(newFixedSource(Request{Ops: []Op{{Table: 1, Key: 5, Kind: OpUpdate}}}))
 	k.RunFor(sim.Millisecond)
 
 	crashed := in.store
@@ -442,7 +442,7 @@ func TestRestoreLeavesCrashedPoolStructsAlone(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		reqs = append(reqs, Request{Ops: []Op{{Table: 1, Key: int64(i*37) % 2400, Kind: OpUpdate}}})
 	}
-	in.StartWorkersOnly(newFixedSource(reqs...))
+	in.Start(newFixedSource(reqs...))
 	k.RunFor(sim.Millisecond)
 
 	crashed := map[*storage.Page]storage.PageID{}
@@ -484,7 +484,7 @@ func TestRestoreRebuildsIndexAndRedoesInserts(t *testing.T) {
 	defer k.Close()
 	in := soloInstance(k, 2, func(o *Options) { o.Wal.Retain = true })
 	in.EnableFaultMode()
-	in.StartWorkersOnly(newFixedSource(
+	in.Start(newFixedSource(
 		Request{Ops: []Op{{Table: 1, Kind: OpInsert}, {Table: 1, Key: 77, Kind: OpUpdate}}},
 		Request{Ops: []Op{{Table: 1, Key: 2399, Kind: OpUpdate}, {Table: 1, Kind: OpInsert}}},
 	))

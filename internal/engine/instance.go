@@ -348,17 +348,24 @@ func (in *Instance) newCtx(p *sim.Proc, i int) *exec.Ctx {
 }
 
 // Start spawns the instance's threads: one worker per core executing
-// requests from src, one service thread per core executing subordinate work
-// for remote coordinators, and one control thread per core handling 2PC
-// prepare/commit/abort. Control traffic is segregated from work traffic so
-// lock releases can never be starved by queued work (which would otherwise
-// allow distributed stalls).
+// requests from src and, only if the instance has a peer other than itself,
+// one service thread per core executing subordinate work for remote
+// coordinators and one control thread per core handling 2PC
+// prepare/commit/abort. Every message to those two mailboxes comes from a
+// peer, so an unconnected (Config.LocalOnly) or lone instance spawns its
+// workers alone. Control traffic is segregated from work traffic so lock
+// releases can never be starved by queued work (which would otherwise allow
+// distributed stalls).
 func (in *Instance) Start(src RequestSource) {
+	remote := len(in.peers) > 1
 	for i := range in.Cores {
 		i := i
 		in.dom.Spawn(fmt.Sprintf("i%d/worker%d", in.ID, i), func(p *sim.Proc) {
-			in.workerLoop(p, i, src)
+			in.workerLoop(p, i, src, remote)
 		})
+		if !remote {
+			continue
+		}
 		in.dom.Spawn(fmt.Sprintf("i%d/service%d", in.ID, i), func(p *sim.Proc) {
 			in.serviceLoop(p, i)
 		})
@@ -368,20 +375,12 @@ func (in *Instance) Start(src RequestSource) {
 	}
 }
 
-// StartWorkersOnly spawns only request-executing workers; used by unit tests
-// and single-instance deployments where no 2PC traffic can arrive.
-func (in *Instance) StartWorkersOnly(src RequestSource) {
-	for i := range in.Cores {
-		i := i
-		in.dom.Spawn(fmt.Sprintf("i%d/worker%d", in.ID, i), func(p *sim.Proc) {
-			in.workerLoop(p, i, src)
-		})
-	}
-}
-
-func (in *Instance) workerLoop(p *sim.Proc, i int, src RequestSource) {
+func (in *Instance) workerLoop(p *sim.Proc, i int, src RequestSource, remote bool) {
 	ctx := in.newCtx(p, i)
-	reply := in.net.NewEndpointIn(in.dom, ctx.Core)
+	var reply *ipc.Endpoint[Msg]
+	if remote {
+		reply = in.net.NewEndpointIn(in.dom, ctx.Core)
+	}
 	timed, _ := src.(TimedRequestSource)
 	for {
 		if in.opts.ThinkTime > 0 {

@@ -40,7 +40,7 @@ func TestRecoverReappliesCommittedUpdates(t *testing.T) {
 		{Table: 1, Key: 7, Kind: OpUpdate},
 		{Table: 1, Key: 100, Kind: OpUpdate},
 	}})
-	victim.StartWorkersOnly(src)
+	victim.Start(src)
 	k.RunFor(2 * sim.Millisecond)
 	committed := victim.Stats.RowsCommitted
 	if committed == 0 {
@@ -332,7 +332,7 @@ func TestRecoverReproducesCommittedVersions(t *testing.T) {
 			Request{Ops: []Op{{Table: 1, Key: i * 67 % rows, Kind: OpUpdate}, {Table: 1, Kind: OpInsert}}},
 			Request{Ops: []Op{{Table: 1, Key: 7, Kind: OpUpdate}, {Table: 1, Key: i * 131 % rows, Kind: OpUpdate}}})
 	}
-	victim.StartWorkersOnly(src)
+	victim.Start(src)
 	k.RunFor(3 * sim.Millisecond)
 	log := victim.Wal().Records()
 

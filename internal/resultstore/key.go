@@ -45,11 +45,14 @@ type Hasher struct {
 // NewHasher returns an empty hasher.
 func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
 
-func (h *Hasher) emit(tag byte, payload []byte) {
+// emit frames a variable-length payload: its tag, its length and the
+// payload itself, appended to h.buf and written once, so a string payload is
+// never copied to the heap.
+func emit[P string | []byte](h *Hasher, tag byte, payload P) {
 	h.buf = append(h.buf[:0], tag)
 	h.buf = binary.AppendUvarint(h.buf, uint64(len(payload)))
+	h.buf = append(h.buf, payload...)
 	h.h.Write(h.buf)
-	h.h.Write(payload)
 }
 
 func (h *Hasher) fixed(tag byte, v uint64) {
@@ -59,10 +62,10 @@ func (h *Hasher) fixed(tag byte, v uint64) {
 }
 
 // Str hashes a string input.
-func (h *Hasher) Str(s string) { h.emit('s', []byte(s)) }
+func (h *Hasher) Str(s string) { emit(h, 's', s) }
 
 // Bytes hashes an opaque byte-string input (salts, content digests).
-func (h *Hasher) Bytes(b []byte) { h.emit('b', b) }
+func (h *Hasher) Bytes(b []byte) { emit(h, 'b', b) }
 
 // I64 hashes a signed integer input.
 func (h *Hasher) I64(v int64) { h.fixed('i', uint64(v)) }

@@ -433,3 +433,47 @@ func TestHasherPanicsOnFuncs(t *testing.T) {
 	}()
 	NewHasher().Value(struct{ F func() }{func() {}})
 }
+
+// TestHasherKeyPinned pins the bytes a fixed input sequence hashes to: a
+// change to the framing of Str, Bytes, I64 or Value changes every cell key
+// and strands every existing store, so it must bump the store's epoch
+// instead. The constant was computed when a string was copied to a []byte
+// and written apart from its frame; one write of both hashes the same bytes.
+func TestHasherKeyPinned(t *testing.T) {
+	type spec struct {
+		Name  string
+		Cores int
+		Skew  float64
+	}
+	h := NewHasher()
+	h.Str("fig7")
+	h.Str("")
+	h.Bytes([]byte{0, 1, 0xff})
+	h.I64(-42)
+	h.Value(spec{Name: "24ISL", Cores: 24, Skew: 0.5})
+	const want = "df9741e94dd99a4789945b701a28c1f92b9a599a2d5165ce0dd1d92e000a2ec7"
+	if got := h.Sum(); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("key = %x, want %s", got[:], want)
+	}
+}
+
+// TestHasherStrAllocatesNothing checks that a warm hasher frames and writes
+// a string without copying it to the heap.
+func TestHasherStrAllocatesNothing(t *testing.T) {
+	h := NewHasher()
+	h.Str("warm up the frame buffer")
+	if n := testing.AllocsPerRun(100, func() { h.Str("config field name") }); n != 0 {
+		t.Fatalf("Str allocated %v objects per call, want 0", n)
+	}
+}
+
+// BenchmarkHasherStr hashes one string on a warm hasher (CI gates it at 0
+// allocs/op).
+func BenchmarkHasherStr(b *testing.B) {
+	h := NewHasher()
+	h.Str("warm up the frame buffer")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Str("config field name")
+	}
+}
