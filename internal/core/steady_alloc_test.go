@@ -14,7 +14,8 @@ import (
 // measured window of TestSteadyStateAllocations may allocate. The window
 // measured 0.088–0.092 when the bound was set, 0.093–0.095 under -race (it
 // was 0.81 before B-tree splits, lock-table lists, first contended latches
-// and the mix's op buffers stopped allocating). What is left is what pages
+// and the mix's op buffers stopped allocating; 0.043–0.048 once the 2PC
+// path's buffers started at their bounds). What is left is what pages
 // and rows new to the window add — the I/O wait lists of pages read while
 // another thread waits for them, the Page structs and version arena chunks
 // of pages first touched, the slabs of B-trees still growing — and the last

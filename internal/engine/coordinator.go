@@ -95,37 +95,36 @@ func (in *Instance) runTxn(ctx *exec.Ctx, req Request, reply *ipc.Endpoint[Msg])
 	}
 }
 
-// coordScratch holds one coordinator attempt's staging state: the op split
-// (local part, dense per-participant parts) and the writer votes. Attempts
-// block mid-flight (work replies, lock waits), and every core of an
-// instance runs a worker, so attempts of different transactions can be live
-// on one instance at once: each attempt takes a scratch from the instance's
-// free list and returns it when done. Steady state allocates nothing.
+// coordScratch holds one coordinator attempt's staging state: the request's
+// ops, localized and grouped by owner — the local part first, then one run
+// per participant in remoteIDs order, each sent as a full slice expression
+// of ops — and the writer votes. Attempts block mid-flight (work replies,
+// lock waits), and every core of an instance runs a worker, so attempts of
+// different transactions can be live on one instance at once: each attempt
+// takes a scratch from the instance's free list and returns it when done.
+// A scratch is sized once: ops on first use, at the request's length, and
+// the participant lists at the instance's peer count. Steady state
+// allocates nothing.
 type coordScratch struct {
-	local     []localOp
-	remote    [][]localOp // dense by participant order
-	remoteIDs []InstanceID
-	writers   []InstanceID
+	ops       []localOp
+	ends      []int32       // ends[i]: the end of remoteIDs[i]'s run in ops
+	remoteIDs []InstanceID  // participants, in order of first appearance
+	writers   []InstanceID  // participants that wrote, in reply order
 	next      *coordScratch // free-list link
 }
 
-// scratchCaps is the largest capacity each of a coordScratch's slices has
-// reached on one instance; a fresh scratch starts at it.
-type scratchCaps struct {
-	local, remoteOps, remoteIDs, writers int
-}
-
 // getCoordScratch pops a scratch off the instance free list (procs of one
-// kernel run strictly one at a time, so no locking is needed).
+// kernel run strictly one at a time, so no locking is needed), or makes
+// one whose participant lists hold every peer but the instance itself.
 func (in *Instance) getCoordScratch() *coordScratch {
 	s := in.coordFree
 	if s == nil {
-		c := in.coordCaps
+		n := max(len(in.peers)-1, 0)
+		ids := make([]InstanceID, 2*n)
 		return &coordScratch{
-			local:     make([]localOp, 0, c.local),
-			remote:    make([][]localOp, 0, c.remoteIDs),
-			remoteIDs: make([]InstanceID, 0, c.remoteIDs),
-			writers:   make([]InstanceID, 0, c.writers),
+			ends:      make([]int32, 0, n),
+			remoteIDs: ids[:0:n],
+			writers:   ids[n:n],
 		}
 	}
 	in.coordFree = s.next
@@ -133,24 +132,52 @@ func (in *Instance) getCoordScratch() *coordScratch {
 	return s
 }
 
-// putCoordScratch resets and recycles a scratch. By the time an attempt
-// returns, every participant has replied — and a participant replies only
-// after it consumed the ops slice its work message referenced — so the
-// remote buffers are free to reuse.
+// putCoordScratch resets and recycles a scratch. Only an attempt every
+// participant replied to may hand its scratch back: a participant replies
+// only after it consumed the ops its work message referenced.
 func (in *Instance) putCoordScratch(s *coordScratch) {
-	c := &in.coordCaps
-	c.local = max(c.local, cap(s.local))
-	c.remoteIDs = max(c.remoteIDs, cap(s.remoteIDs))
-	c.writers = max(c.writers, cap(s.writers))
-	for _, ops := range s.remote {
-		c.remoteOps = max(c.remoteOps, cap(ops))
-	}
-	s.local = s.local[:0]
-	s.remote = s.remote[:0] // inner slice headers survive past len for reuse
+	s.ends = s.ends[:0]
 	s.remoteIDs = s.remoteIDs[:0]
 	s.writers = s.writers[:0]
 	s.next = in.coordFree
 	in.coordFree = s
+}
+
+// split localizes req's ops into s.ops, grouped by owner, and returns the
+// local part. A first pass counts each participant's ops, in order of first
+// appearance (a linear scan: there are at most as many participants as
+// peers); a second places every op at the next position of its owner's run,
+// so each run keeps the request's order and ends[i] ends at its run's end.
+func (s *coordScratch) split(in *Instance, req Request) []localOp {
+	if cap(s.ops) < len(req.Ops) {
+		s.ops = make([]localOp, len(req.Ops))
+	}
+	nLocal := int32(0)
+	for _, op := range req.Ops {
+		if iid, _ := in.part.Locate(op.Table, op.Key); iid == in.ID {
+			nLocal++
+		} else if i := slices.Index(s.remoteIDs, iid); i >= 0 {
+			s.ends[i]++
+		} else {
+			s.remoteIDs = append(s.remoteIDs, iid)
+			s.ends = append(s.ends, 1)
+		}
+	}
+	next := nLocal // each ends[i] now holds its run's start
+	for i, n := range s.ends {
+		s.ends[i], next = next, next+n
+	}
+	local := int32(0)
+	for _, op := range req.Ops {
+		iid, lk := in.part.Locate(op.Table, op.Key)
+		at := &local
+		if iid != in.ID {
+			at = &s.ends[slices.Index(s.remoteIDs, iid)]
+		}
+		s.ops[*at] = localOp{Table: int32(op.Table), Key: lk, Kind: op.Kind}
+		*at++
+	}
+	return s.ops[:nLocal]
 }
 
 // attemptTxn runs one attempt of the request as coordinator. attempt tags
@@ -159,9 +186,10 @@ func (in *Instance) putCoordScratch(s *coordScratch) {
 //
 // It holds the partition token, the attempt's Txn and its scratch around
 // runAttempt and releases them in reverse order on every return — committed,
-// aborted or abandoned to a crash — without defers, which this frame would
-// otherwise pay on every transaction. A panic skips the releases: it means
-// the kernel is being closed, which abandons the instance anyway.
+// aborted or abandoned to a crash; a scratch a participant may still read
+// is dropped instead — without defers, which this frame would otherwise
+// pay on every transaction. A panic skips the releases: it means the
+// kernel is being closed, which abandons the instance anyway.
 func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Request, reply *ipc.Endpoint[Msg]) (multisite bool, err error) {
 	epoch := in.epoch
 	if in.serial != nil {
@@ -179,7 +207,13 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 	txn := in.newTxn(ctx, ts, false)
 	s := in.getCoordScratch()
 	multisite, err = in.runAttempt(ctx, ts, attempt, epoch, req, reply, txn, s)
-	in.putCoordScratch(s)
+	// An attempt that ended on its deadline or on its instance's crash may
+	// have a participant still holding a work message whose ops are this
+	// scratch's: it is dropped, not recycled. Every other return comes after
+	// all participants replied, and a reply means the ops were consumed.
+	if err != errTimeout && err != errCrashed {
+		in.putCoordScratch(s)
+	}
 	in.putTxn(txn)
 	// The token is volatile state: if the instance crashed under this
 	// attempt, the replacement token was never held by us.
@@ -193,29 +227,7 @@ func (in *Instance) attemptTxn(ctx *exec.Ctx, ts uint64, attempt uint32, req Req
 // scratch attemptTxn holds for it. epoch is the instance's epoch when the
 // attempt began.
 func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, req Request, reply *ipc.Endpoint[Msg], txn *Txn, s *coordScratch) (multisite bool, err error) {
-	// Split operations into the local part and per-participant parts.
-	for _, op := range req.Ops {
-		iid, lk := in.part.Locate(op.Table, op.Key)
-		lop := localOp{Table: int32(op.Table), Key: lk, Kind: op.Kind}
-		if iid == in.ID {
-			s.local = append(s.local, lop)
-			continue
-		}
-		// A linear scan: there are at most as many participants as
-		// instances.
-		idx := slices.Index(s.remoteIDs, iid)
-		if idx < 0 {
-			idx = len(s.remoteIDs)
-			s.remoteIDs = append(s.remoteIDs, iid)
-			// Slots past the length keep their buffers for reuse.
-			s.remote = slices.Grow(s.remote, 1)[:idx+1]
-			if s.remote[idx] == nil {
-				s.remote[idx] = make([]localOp, 0, in.coordCaps.remoteOps)
-			}
-			s.remote[idx] = s.remote[idx][:0]
-		}
-		s.remote[idx] = append(s.remote[idx], lop)
-	}
+	local := s.split(in, req)
 	remoteIDs := s.remoteIDs
 	multisite = len(remoteIDs) > 0
 	if multisite && in.peers == nil {
@@ -234,17 +246,20 @@ func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, 
 	}
 
 	// Dispatch work to participants before doing local work, so remote
-	// execution overlaps local execution.
+	// execution overlaps local execution. Each gets its run of s.ops.
+	start := int32(len(local))
 	for i, iid := range remoteIDs {
+		end := s.ends[i]
 		in.net.Send(ctx, in.peers[iid].workQ, Msg{
-			Kind: msgWork, From: in.ID, Txn: ts, Attempt: attempt, Ops: s.remote[i], ReplyTo: reply,
+			Kind: msgWork, From: in.ID, Txn: ts, Attempt: attempt, Ops: s.ops[start:end:end], ReplyTo: reply,
 		})
+		start = end
 	}
 
 	// Local execution.
 	prev := ctx.Bucket(exec.BExec)
 	localErr := error(nil)
-	for _, op := range s.local {
+	for _, op := range local {
 		if localErr = txn.apply(ctx, op); localErr != nil {
 			break
 		}
@@ -256,56 +271,20 @@ func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, 
 
 	// Collect work replies.
 	died := localErr != nil
-	timedOut := false
-	if in.faulty {
-		for got := 0; got < len(remoteIDs); {
-			m := reply.Recv(ctx)
-			if in.epoch != epoch {
-				return multisite, errCrashed
-			}
-			switch {
-			case m.Kind == msgTimeout:
-				if m.Txn == ts && m.Attempt == attempt {
-					timedOut = true
-				} else {
-					continue // an earlier attempt's deadline going off late
-				}
-			case m.Txn != ts || m.Attempt != attempt:
-				continue // stale reply from a timed-out attempt
-			case !m.OK:
-				died = true
-				got++
-			case !m.ReadOnly:
-				s.writers = append(s.writers, m.From)
-				got++
-			default:
-				got++
-			}
-			if timedOut {
-				break
-			}
+	if err := in.collect(ctx, reply, txn, attempt, epoch, remoteIDs, len(remoteIDs), func(m Msg) {
+		switch {
+		case !m.OK:
+			died = true // participant died; it cleaned up locally
+		case !m.ReadOnly:
+			s.writers = append(s.writers, m.From)
 		}
-	} else {
-		for range remoteIDs {
-			m := reply.Recv(ctx)
-			switch {
-			case !m.OK:
-				died = true // participant died; it cleaned up locally
-			case !m.ReadOnly:
-				s.writers = append(s.writers, m.From)
-			}
-		}
+	}); err != nil {
+		return multisite, err
 	}
 	writers := s.writers
-
-	if timedOut {
-		return multisite, in.timeoutAbort(ctx, txn, ts, attempt, remoteIDs)
-	}
 	if died {
 		txn.abortLocal(ctx)
-		for _, iid := range writers {
-			in.net.Send(ctx, in.peers[iid].ctrlQ, Msg{Kind: msgAbort, From: in.ID, Txn: ts, Attempt: attempt})
-		}
+		in.tell(ctx, writers, Msg{Kind: msgAbort, From: in.ID, Txn: ts, Attempt: attempt})
 		return multisite, errAborted
 	}
 
@@ -322,50 +301,16 @@ func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, 
 	}
 
 	// Standard two-phase commit over the writing participants.
-	for _, iid := range writers {
-		in.net.Send(ctx, in.peers[iid].ctrlQ, Msg{Kind: msgPrepare, From: in.ID, Txn: ts, Attempt: attempt, ReplyTo: reply})
-	}
+	in.tell(ctx, writers, Msg{Kind: msgPrepare, From: in.ID, Txn: ts, Attempt: attempt, ReplyTo: reply})
 	allYes := true
-	if in.faulty {
-		for got := 0; got < len(writers); {
-			m := reply.Recv(ctx)
-			if in.epoch != epoch {
-				return multisite, errCrashed
-			}
-			switch {
-			case m.Kind == msgTimeout:
-				if m.Txn == ts && m.Attempt == attempt {
-					timedOut = true
-				} else {
-					continue
-				}
-			case m.Txn != ts || m.Attempt != attempt:
-				continue // stale vote (or reply) from a timed-out attempt
-			default:
-				if !m.OK {
-					allYes = false
-				}
-				got++
-			}
-			if timedOut {
-				break
-			}
-		}
-		if timedOut {
-			return multisite, in.timeoutAbort(ctx, txn, ts, attempt, remoteIDs)
-		}
-	} else {
-		for range writers {
-			if m := reply.Recv(ctx); !m.OK {
-				allYes = false
-			}
-		}
+	if err := in.collect(ctx, reply, txn, attempt, epoch, remoteIDs, len(writers), func(m Msg) {
+		allYes = allYes && m.OK
+	}); err != nil {
+		return multisite, err
 	}
 	if !allYes {
 		txn.abortLocal(ctx)
-		for _, iid := range writers {
-			in.net.Send(ctx, in.peers[iid].ctrlQ, Msg{Kind: msgAbort, From: in.ID, Txn: ts, Attempt: attempt})
-		}
+		in.tell(ctx, writers, Msg{Kind: msgAbort, From: in.ID, Txn: ts, Attempt: attempt})
 		return multisite, errAborted
 	}
 
@@ -381,10 +326,7 @@ func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, 
 		// coordinator-crash-after-force (see DESIGN.md).
 		return multisite, nil
 	}
-
-	for _, iid := range writers {
-		in.net.Send(ctx, in.peers[iid].ctrlQ, Msg{Kind: msgCommit, From: in.ID, Txn: ts, Attempt: attempt})
-	}
+	in.tell(ctx, writers, Msg{Kind: msgCommit, From: in.ID, Txn: ts, Attempt: attempt})
 
 	// Local effects commit under the dist-commit record; the end record is
 	// written lazily (not forced).
@@ -397,20 +339,50 @@ func (in *Instance) runAttempt(ctx *exec.Ctx, ts uint64, attempt, epoch uint32, 
 	return multisite, nil
 }
 
+// collect receives n answers of the attempt's current round — work replies
+// or votes — on reply and hands each to each. Messages of an earlier
+// attempt (a late deadline, a stale reply or vote) are skipped: only fault
+// mode, where attempts time out, produces them. In fault mode collect also
+// returns early: errCrashed when the instance crashed under the attempt,
+// and, on the attempt's own deadline, whatever timeoutAbort returns after
+// tearing it down.
+func (in *Instance) collect(ctx *exec.Ctx, reply *ipc.Endpoint[Msg], txn *Txn, attempt, epoch uint32,
+	participants []InstanceID, n int, each func(Msg)) error {
+	for got := 0; got < n; {
+		m := reply.Recv(ctx)
+		switch {
+		case in.epoch != epoch:
+			return errCrashed
+		case m.Txn != txn.TS || m.Attempt != attempt:
+			continue
+		case m.Kind == msgTimeout:
+			return in.timeoutAbort(ctx, txn, attempt, participants)
+		}
+		each(m)
+		got++
+	}
+	return nil
+}
+
+// tell sends m to the control mailbox of each of iids.
+func (in *Instance) tell(ctx *exec.Ctx, iids []InstanceID, m Msg) {
+	for _, iid := range iids {
+		in.net.Send(ctx, in.peers[iid].ctrlQ, m)
+	}
+}
+
 // timeoutAbort tears down an attempt whose 2PC deadline expired: roll back
 // the local part, tell every participant to abort (those that never got the
 // work, or are down, ignore it; down islands drop the message anyway), and
 // bill the teardown to the timeout bucket so deadline aborts are separable
 // from wait-die aborts in the breakdown.
-func (in *Instance) timeoutAbort(ctx *exec.Ctx, txn *Txn, ts uint64, attempt uint32, participants []InstanceID) error {
+func (in *Instance) timeoutAbort(ctx *exec.Ctx, txn *Txn, attempt uint32, participants []InstanceID) error {
 	in.Stats.TimeoutAborts++
 	prev := ctx.Bucket(exec.BTimeout)
 	ctx.Charge(CostTimeoutCPU)
 	ctx.Bucket(prev)
 	txn.abortLocal(ctx)
-	for _, iid := range participants {
-		in.net.Send(ctx, in.peers[iid].ctrlQ, Msg{Kind: msgAbort, From: in.ID, Txn: ts, Attempt: attempt})
-	}
+	in.tell(ctx, participants, Msg{Kind: msgAbort, From: in.ID, Txn: txn.TS, Attempt: attempt})
 	return errTimeout
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"islands/internal/exec"
@@ -162,13 +161,14 @@ type Instance struct {
 	// coordScratch in coordinator.go). One scratch per concurrently-live
 	// coordinator attempt; recycled, so the steady state allocates nothing.
 	coordFree *coordScratch
-	coordCaps scratchCaps
 
 	// txnFree is the free list of finished attempts' Txns (see putTxn), so
 	// undo logs are grown once per concurrently-live attempt, not once per
-	// attempt. A fresh Txn starts at the largest undo-log capacity a
-	// recycled one has reached.
+	// attempt; txnSlab holds the Txns not yet handed out (see newTxn). An
+	// undo log that fills moves at once to undoCap, the largest capacity one
+	// has reached on the instance (see pushUndo).
 	txnFree *Txn
+	txnSlab []Txn
 	undoCap int
 
 	Stats Stats
@@ -198,7 +198,6 @@ func NewInstance(k *sim.Kernel, topo *topology.Machine, model *mem.Model,
 		dom:      dom,
 		tsStride: uint64(part.Instances()),
 		opts:     opts,
-		pending:  make(map[uint64]*Txn),
 	}
 	// Threads bound to the same physical core share its run queue (the OS
 	// placement strategy can double up workers on a core).
@@ -283,8 +282,19 @@ func (in *Instance) Dilation() float64 { return in.dilation }
 
 // Connect wires the instance to its peers (including itself, indexed by
 // InstanceID). Must be called before Start. An instance that is never
-// connected can only run local requests; a multisite one panics.
-func (in *Instance) Connect(peers []*Instance) { in.peers = peers }
+// connected can only run local requests; a multisite one panics. The
+// pending-txn table is made here, sized for one subordinate per remote
+// worker: a coordinator runs one attempt at a time.
+func (in *Instance) Connect(peers []*Instance) {
+	in.peers = peers
+	remote := 0
+	for _, p := range peers {
+		if p != in {
+			remote += len(p.Cores)
+		}
+	}
+	in.pending = make(map[uint64]*Txn, remote)
+}
 
 // BufferPool exposes the buffer pool (metrics).
 func (in *Instance) BufferPool() *storage.BufferPool { return in.bp }
@@ -355,21 +365,22 @@ func (in *Instance) newCtx(p *sim.Proc, i int) *exec.Ctx {
 // peer, so an unconnected (Config.LocalOnly) or lone instance spawns its
 // workers alone. Control traffic is segregated from work traffic so lock
 // releases can never be starved by queued work (which would otherwise allow
-// distributed stalls).
+// distributed stalls). Threads are named by role alone; a thread's
+// String adds its kernel-unique id and its domain, the instance's island.
 func (in *Instance) Start(src RequestSource) {
 	remote := len(in.peers) > 1
 	for i := range in.Cores {
 		i := i
-		in.dom.Spawn(fmt.Sprintf("i%d/worker%d", in.ID, i), func(p *sim.Proc) {
+		in.dom.Spawn("worker", func(p *sim.Proc) {
 			in.workerLoop(p, i, src, remote)
 		})
 		if !remote {
 			continue
 		}
-		in.dom.Spawn(fmt.Sprintf("i%d/service%d", in.ID, i), func(p *sim.Proc) {
+		in.dom.Spawn("service", func(p *sim.Proc) {
 			in.serviceLoop(p, i)
 		})
-		in.dom.Spawn(fmt.Sprintf("i%d/ctrl%d", in.ID, i), func(p *sim.Proc) {
+		in.dom.Spawn("ctrl", func(p *sim.Proc) {
 			in.ctrlLoop(p, i)
 		})
 	}

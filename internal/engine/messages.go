@@ -40,7 +40,8 @@ type Msg struct {
 	// injection a coordinator can time an attempt out and retry while
 	// messages of the dead attempt are still in flight; every reply, vote
 	// and decision carries the attempt so stale traffic is filtered instead
-	// of being mistaken for the live attempt. Always zero in healthy runs.
+	// of being mistaken for the live attempt. In healthy runs no attempt
+	// ends before every answer it awaits has arrived, so none is stale.
 	Attempt uint32
 
 	Ops []localOp // msgWork

@@ -34,9 +34,13 @@ type undoEntry struct {
 	insert bool
 }
 
+// txnsPerSlab is how many Txns newTxn cuts from one allocation.
+const txnsPerSlab = 16
+
 // newTxn begins a transaction attempt and charges begin bookkeeping. The
-// Txn comes off the instance free list when one is there (procs of one
-// instance run strictly one at a time, so no locking is needed).
+// Txn comes off the instance free list when one is there, else from the
+// instance's slab (procs of one instance run strictly one at a time, so no
+// locking is needed).
 func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 	prev := ctx.Bucket(exec.BXct)
 	ctx.Charge(CostBegin)
@@ -44,7 +48,12 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 	ctx.Bucket(prev)
 	t := in.txnFree
 	if t == nil {
-		t = &Txn{in: in, undo: make([]undoEntry, 0, in.undoCap)}
+		if len(in.txnSlab) == 0 {
+			in.txnSlab = make([]Txn, txnsPerSlab)
+		}
+		t = &in.txnSlab[0]
+		in.txnSlab = in.txnSlab[1:]
+		t.in = in
 	} else {
 		in.txnFree = t.next
 		t.next = nil
@@ -54,14 +63,25 @@ func (in *Instance) newTxn(ctx *exec.Ctx, ts uint64, subordinate bool) *Txn {
 }
 
 // putTxn recycles a finished attempt's Txn, keeping the capacity of its undo
-// log for the next attempt and raising the instance's high-water mark that
-// sizes a fresh one. Call it only once commit, abort or the read-only
-// release is done with the undo log and nothing else — a pending
+// log for the next attempt. Call it only once commit, abort or the
+// read-only release is done with the undo log and nothing else — a pending
 // registration, a handler still running — references t.
 func (in *Instance) putTxn(t *Txn) {
-	in.undoCap = max(in.undoCap, cap(t.undo))
 	*t = Txn{in: in, undo: t.undo[:0], next: in.txnFree}
 	in.txnFree = t
+}
+
+// pushUndo appends u to t's undo log. A full log moves to a new array at
+// the instance's high-water mark — at once to what an attempt needed
+// before, not doubling there from a small start — or, past it, at twice
+// its length, which raises the mark.
+func (t *Txn) pushUndo(u undoEntry) {
+	if len(t.undo) == cap(t.undo) {
+		in := t.in
+		in.undoCap = max(in.undoCap, 2*len(t.undo), 1)
+		t.undo = append(make([]undoEntry, 0, in.undoCap), t.undo...)
+	}
+	t.undo = append(t.undo, u)
 }
 
 // apply executes one already-localized operation.
@@ -163,7 +183,7 @@ func (t *Txn) updateRow(ctx *exec.Ctx, ts *tableState, key int64) error {
 		// full before/after images.
 		WireBytes: 48,
 	})
-	t.undo = append(t.undo, undoEntry{table: ts.def.ID, rid: rid, key: key, before: before})
+	t.pushUndo(undoEntry{table: ts.def.ID, rid: rid, key: key, before: before})
 	t.updated = true
 	t.nUpdates++
 	if in.opts.Latching {
@@ -210,7 +230,7 @@ func (t *Txn) insertRow(ctx *exec.Ctx, ts *tableState) error {
 		Type: wal.RecUpdate, Txn: t.TS, Table: ts.def.ID, Key: key, Slot: rid.Slot,
 		Version: version, ImageBytes: ts.def.RowBytes,
 	})
-	t.undo = append(t.undo, undoEntry{table: ts.def.ID, rid: rid, key: key, insert: true})
+	t.pushUndo(undoEntry{table: ts.def.ID, rid: rid, key: key, insert: true})
 	t.updated = true
 	if in.opts.Latching {
 		pg.Latch.ReleaseExclusive(ctx)

@@ -9,7 +9,7 @@ package sim
 // (none is needed — Procs already run one at a time).
 type Mutex struct {
 	owner   *Proc
-	waiters fifo[*Proc]
+	waiters waitList
 
 	// Acquires counts Lock calls; Contended counts Lock calls that had to
 	// wait. WaitTime accumulates total virtual time spent blocked.
@@ -49,7 +49,7 @@ func (m *Mutex) TryLock(p *Proc) bool {
 // Unlocking a mutex not owned by p panics: it indicates an engine bug.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
-		panic("sim: Mutex.Unlock by non-owner " + p.name)
+		panic("sim: Mutex.Unlock by non-owner " + p.String())
 	}
 	w, ok := m.waiters.pop()
 	if !ok {
@@ -65,6 +65,3 @@ func (m *Mutex) Held() bool { return m.owner != nil }
 
 // HeldBy reports whether p currently owns the mutex.
 func (m *Mutex) HeldBy(p *Proc) bool { return m.owner == p }
-
-// Waiters returns the number of Procs queued behind the owner.
-func (m *Mutex) Waiters() int { return m.waiters.len() }

@@ -38,7 +38,8 @@ type Proc struct {
 	dead    bool
 	fn      func(*Proc)
 
-	// Wait is the proc's node in a wait queue kept outside the kernel, such
+	// Wait is the proc's node in the wait queue it is parked in: a Mutex's,
+	// Resource's or Queue's (waitList), or one kept outside the kernel, such
 	// as a page latch's (package latch).
 	Wait WaitNode
 }
@@ -50,6 +51,35 @@ type WaitNode struct {
 	Next      *Proc // the proc queued behind this one
 	Exclusive bool  // waiting for exclusive access
 	Queued    bool  // still waiting: not yet granted
+}
+
+// waitList is a FIFO of procs linked through their wait nodes' Next: the
+// kernel's primitives queue waiters without a list of their own, so the
+// first wait on one allocates nothing.
+type waitList struct {
+	head, tail *Proc
+}
+
+func (l *waitList) push(p *Proc) {
+	p.Wait.Next = nil
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.Wait.Next = p
+	}
+	l.tail = p
+}
+
+func (l *waitList) pop() (*Proc, bool) {
+	p := l.head
+	if p == nil {
+		return nil, false
+	}
+	l.head, p.Wait.Next = p.Wait.Next, nil
+	if l.head == nil {
+		l.tail = nil
+	}
+	return p, true
 }
 
 func (k *Kernel) newProc(d *Domain, name string, fn func(*Proc)) *Proc {
@@ -221,4 +251,4 @@ func (p *Proc) Unpark() { schedProc(p.dom.sh.now, p) }
 func (p *Proc) UnparkAfter(d Time) { schedProc(p.dom.sh.now+d, p) }
 
 // String implements fmt.Stringer for diagnostics.
-func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name) }
+func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s, domain %d)", p.id, p.name, p.dom.id) }

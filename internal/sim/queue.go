@@ -19,7 +19,7 @@ import "fmt"
 type Queue[T any] struct {
 	dom     *Domain
 	items   fifo[T]
-	waiters fifo[*Proc]
+	waiters waitList
 	popFn   func(T)
 
 	// Deferred-delivery buffers: values park in slots, and the timeline
@@ -51,29 +51,45 @@ func NewQueueIn[T any](d *Domain) *Queue[T] {
 	return &Queue[T]{dom: d}
 }
 
-// slotTable parks values awaiting deferred delivery; released slots are
-// reused, so a steady stream of deliveries allocates nothing.
+// firstCap is the capacity of a queue's first item array and of its slot
+// tables' first arrays: one allocation holds what most queues ever hold at
+// once, where growing by append from nothing took one per doubling up to
+// there.
+const firstCap = 8
+
+// slotTable parks values awaiting deferred delivery. Released slots form
+// a free list threaded through vals and are reused first, so a steady
+// stream of deliveries allocates nothing.
 type slotTable[T any] struct {
-	vals []T
-	free []uint32
+	vals []slot[T]
+	free uint32 // 1 + the first free slot's index; 0 when none is free
+}
+
+type slot[T any] struct {
+	v    T
+	next uint32 // while free: the free list's next link, like slotTable.free
 }
 
 func (t *slotTable[T]) put(v T) uint32 {
-	if n := len(t.free) - 1; n >= 0 {
-		slot := t.free[n]
-		t.free = t.free[:n]
-		t.vals[slot] = v
-		return slot
+	if t.free != 0 {
+		i := t.free - 1
+		t.free = t.vals[i].next
+		t.vals[i].v = v
+		return i
 	}
-	t.vals = append(t.vals, v)
+	if t.vals == nil {
+		t.vals = make([]slot[T], 0, firstCap)
+	}
+	t.vals = append(t.vals, slot[T]{v: v})
 	return uint32(len(t.vals) - 1)
 }
 
-func (t *slotTable[T]) take(slot uint32) T {
-	v := t.vals[slot]
+func (t *slotTable[T]) take(i uint32) T {
+	s := &t.vals[i]
+	v := s.v
 	var zero T
-	t.vals[slot] = zero
-	t.free = append(t.free, slot)
+	s.v, s.next = zero, t.free
+	t.free = i + 1
 	return v
 }
 
@@ -87,6 +103,9 @@ func (q *Queue[T]) Push(v T) {
 		q.Pops++
 		q.popFn(v)
 		return
+	}
+	if q.items.items == nil {
+		q.items.items = make([]T, 0, firstCap)
 	}
 	q.items.push(v)
 	if d := q.items.len(); d > q.MaxDepth {

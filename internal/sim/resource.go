@@ -6,7 +6,7 @@ package sim
 type Resource struct {
 	capacity int
 	inUse    int
-	waiters  fifo[*Proc]
+	waiters  waitList
 
 	// Acquires counts successful acquisitions, Contended those that queued,
 	// BusyTime integrates holders-over-time for utilization reporting.

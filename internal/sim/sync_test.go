@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +349,90 @@ func TestFIFOEmptiedQueueReusesItsFront(t *testing.T) {
 	}
 	if c := cap(q.items); c > 2 {
 		t.Errorf("queue of at most two items has capacity %d, want <= 2", c)
+	}
+}
+
+// TestFirstWaitsAllocateNothing: Mutex, Resource and Queue queue their
+// waiters through the procs' wait nodes, so the first contended waits on
+// fresh primitives allocate nothing. Each round, three procs meet at a
+// fresh mutex, then at a fresh one-server resource, then two of them wait
+// on a fresh queue until the third pushes; the rounds after the first,
+// which grows the kernel's own buffers, must not allocate.
+func TestFirstWaitsAllocateNothing(t *testing.T) {
+	const rounds, span = 50, Time(100)
+	k := NewKernel()
+	defer k.Close()
+	mus := make([]Mutex, rounds)
+	res := make([]*Resource, rounds)
+	qs := make([]*Queue[int], rounds)
+	for i := range qs {
+		res[i] = NewResource(1)
+		qs[i] = NewQueue[int](k)
+		qs[i].Push(0) // the item array is not a waiter's
+		qs[i].TryPop()
+	}
+	for w := 0; w < 3; w++ {
+		k.Spawn(fmt.Sprintf("p%d", w), func(p *Proc) {
+			for i := range rounds {
+				p.Advance(Time(i)*span - p.Now())
+				mus[i].Lock(p)
+				p.Advance(1)
+				mus[i].Unlock(p)
+				p.Advance(Time(i)*span + 10 - p.Now())
+				res[i].Use(p, 1)
+				p.Advance(Time(i)*span + 20 - p.Now())
+				if w < 2 {
+					qs[i].Pop(p)
+				} else {
+					p.Advance(1)
+					qs[i].Push(1)
+					qs[i].Push(2)
+				}
+			}
+		})
+	}
+	k.RunUntil(span)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k.RunUntil(rounds * span)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("%d rounds of first waits allocated %d objects, want 0", rounds-1, got)
+	}
+	for i := range rounds {
+		if mus[i].Contended != 2 || res[i].Contended != 2 || qs[i].Pops != 3 {
+			t.Fatalf("round %d: %d and %d contended acquires, %d pops; want 2, 2 and 3",
+				i, mus[i].Contended, res[i].Contended, qs[i].Pops)
+		}
+	}
+}
+
+// TestSlotTableAllocatesOnce: a slot table's first put makes one array of
+// firstCap slots, and releasing slots threads them onto a free list inside
+// it, newest first, so parking and delivering up to firstCap values at
+// once allocates nothing more.
+func TestSlotTableAllocatesOnce(t *testing.T) {
+	var tab slotTable[string]
+	allocs := testing.AllocsPerRun(1, func() {
+		tab = slotTable[string]{}
+		for i := range firstCap {
+			if got := tab.put("v"); got != uint32(i) {
+				t.Fatalf("put %d took slot %d", i, got)
+			}
+		}
+		for _, i := range []uint32{2, 5, 0} {
+			tab.take(i)
+		}
+		for _, want := range []uint32{0, 5, 2} {
+			if got := tab.put("w"); got != want {
+				t.Fatalf("put after releases took slot %d, want %d", got, want)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("filling, releasing and refilling a slot table allocates %.0f objects, want 1", allocs)
+	}
+	if got := tab.take(5); got != "w" || tab.vals[5].v != "" {
+		t.Errorf("take(5) = %q and left %q in the slot, want \"w\" and \"\"", got, tab.vals[5].v)
 	}
 }
