@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"islands/cmd/topoprobe"
 	"islands/internal/harness"
 	"islands/internal/topology"
 )
@@ -57,7 +56,7 @@ var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
 	"run":    runExperiments,
 	"probe":  probe,
 	"advise": advise,
-	"topo":   topoprobe.Run,
+	"topo":   topo,
 }
 
 // run is main with its inputs and outputs as parameters: it returns the exit

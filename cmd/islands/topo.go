@@ -1,30 +1,23 @@
-// Package topoprobe is the body of "islands topo": it prints the built-in
-// machine models' geometry, hop matrices, transfer costs and the island
-// partitions each instance count produces — what "hardware islands" means
-// for a deployment. It is a library, not a command: cmd/islands is the one
-// binary, and its topo subcommand calls Run.
-package topoprobe
+package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 
 	"islands/internal/topology"
 )
 
-// Run is "islands topo" with the arguments after the subcommand's name: it
-// takes no flag and no argument, and returns the exit status (2 for a usage
-// error, which leaves stdout empty).
-func Run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("islands topo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// topo is "islands topo": the built-in machine models' geometry, hop
+// matrices, transfer costs and the island partitions each instance count
+// produces — what "hardware islands" means for a deployment. It takes no
+// flag and no argument.
+func topo(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("topo", stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "islands topo: unexpected argument %q\n", fs.Arg(0))
-		return 2
+		return usageError(stderr, "topo", fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 	for _, m := range []*topology.Machine{topology.QuadSocket(), topology.OctoSocket()} {
 		printMachine(stdout, m)

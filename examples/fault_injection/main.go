@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"strings"
 
 	"islands"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	machine := islands.QuadSocket()
 
 	cfg := islands.DefaultConfig(machine, 4, 240000)
@@ -41,14 +50,14 @@ func main() {
 	// Eight 1ms windows after a 1ms warmup: the crash lands in window 1.
 	ws := d.RunWindows(1*islands.Millisecond, 1*islands.Millisecond, 8)
 
-	fmt.Printf("deployment: %s on %s, island 0 crashes at 2ms for 2ms\n\n", d.Label(), machine)
-	fmt.Printf("%-8s %10s %8s %8s %10s %8s\n",
+	fmt.Fprintf(w, "deployment: %s on %s, island 0 crashes at 2ms for 2ms\n\n", d.Label(), machine)
+	fmt.Fprintf(w, "%-8s %10s %8s %8s %10s %8s\n",
 		"window", "KTps", "avail", "abort%", "timeouts", "expired")
-	for i, w := range ws {
-		bar := strings.Repeat("#", int(w.ThroughputTPS/8000))
-		fmt.Printf("w%-7d %10.1f %8.3f %8.1f %10d %8d  %s\n",
-			i, w.ThroughputTPS/1e3, w.Availability, w.AbortRate*100,
-			w.TimeoutAborts, w.Expired, bar)
+	for i, win := range ws {
+		bar := strings.Repeat("#", int(win.ThroughputTPS/8000))
+		fmt.Fprintf(w, "w%-7d %10.1f %8.3f %8.1f %10d %8d  %s\n",
+			i, win.ThroughputTPS/1e3, win.Availability, win.AbortRate*100,
+			win.TimeoutAborts, win.Expired, bar)
 	}
 
 	total := d.SumWindows(ws)
@@ -56,8 +65,9 @@ func main() {
 	for _, in := range d.Instances {
 		recovery += in.Stats.RecoveryTime
 	}
-	fmt.Printf("\ncrashes: %d   timeout aborts: %d   dropped messages: %d   WAL replay time: %v\n",
+	fmt.Fprintf(w, "\ncrashes: %d   timeout aborts: %d   dropped messages: %d   WAL replay time: %v\n",
 		total.Crashes, total.TimeoutAborts, total.Dropped, recovery)
-	fmt.Println("\nno coordinator ever hangs: multisite transactions touching the dead")
-	fmt.Println("island abort on the 2PC deadline and retry with backoff until it returns.")
+	fmt.Fprintln(w, "\nno coordinator ever hangs: multisite transactions touching the dead")
+	fmt.Fprintln(w, "island abort on the 2PC deadline and retry with backoff until it returns.")
+	return nil
 }

@@ -5,11 +5,20 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"islands"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A 4-socket, 24-core server like the paper's quad-socket Xeon box.
 	machine := islands.QuadSocket()
 
@@ -32,19 +41,20 @@ func main() {
 	d.Start(src)
 	m := d.Run(2*islands.Millisecond, 20*islands.Millisecond)
 
-	fmt.Printf("deployment: %s on %s\n", d.Label(), machine)
-	fmt.Printf("throughput: %.0f transactions/second\n", m.ThroughputTPS)
-	fmt.Printf("latency:    %v average\n", m.AvgLatency)
-	fmt.Printf("txns:       %d committed (%d local, %d multisite), %d wait-die retries\n",
+	fmt.Fprintf(w, "deployment: %s on %s\n", d.Label(), machine)
+	fmt.Fprintf(w, "throughput: %.0f transactions/second\n", m.ThroughputTPS)
+	fmt.Fprintf(w, "latency:    %v average\n", m.AvgLatency)
+	fmt.Fprintf(w, "txns:       %d committed (%d local, %d multisite), %d wait-die retries\n",
 		m.Committed, m.Local, m.Multisite, m.Aborted)
-	fmt.Printf("messages:   %d exchanged (%d across sockets)\n", m.Msgs, m.CrossMsgs)
-	fmt.Printf("2PC:        %d subordinate executions, %d prepares\n", m.SubWork, m.Prepares)
+	fmt.Fprintf(w, "messages:   %d exchanged (%d across sockets)\n", m.Msgs, m.CrossMsgs)
+	fmt.Fprintf(w, "2PC:        %d subordinate executions, %d prepares\n", m.SubWork, m.Prepares)
 
 	bd := m.BreakdownPerTxn()
-	fmt.Println("per-transaction time breakdown:")
+	fmt.Fprintln(w, "per-transaction time breakdown:")
 	for b, v := range bd {
 		if v > 0 {
-			fmt.Printf("  %-14s %v\n", islands.Bucket(b), v)
+			fmt.Fprintf(w, "  %-14s %v\n", islands.Bucket(b), v)
 		}
 	}
+	return nil
 }

@@ -17,23 +17,29 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	"islands"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "islands-store")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
 	store, err := islands.OpenResultStore(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer store.Close()
 
@@ -51,7 +57,7 @@ func main() {
 		}}
 	var cold bytes.Buffer
 	study.Run(opt).Fingerprint(&cold)
-	fmt.Printf("cold run:  %d hits, %d misses (%d cells archived)\n", hits, misses, store.Len())
+	fmt.Fprintf(w, "cold run:  %d hits, %d misses (%d cells archived)\n", hits, misses, store.Len())
 
 	// Warm: same cells, different parallelism — a wall-clock-only knob,
 	// excluded from the keys — so every cell is served from the archive
@@ -61,21 +67,22 @@ func main() {
 	wopt.Parallel = 4
 	var warm bytes.Buffer
 	study.Run(wopt).Fingerprint(&warm)
-	fmt.Printf("warm run:  %d hits, %d misses, byte-identical tables: %v\n",
+	fmt.Fprintf(w, "warm run:  %d hits, %d misses, byte-identical tables: %v\n",
 		hits, misses, bytes.Equal(cold.Bytes(), warm.Bytes()))
 
 	// Seed replication shares the archive too: replica 0 runs at the cold
 	// run's seed and is served from its records; only replica 1 simulates.
 	hits, misses = 0, 0
 	study.Seeds(2).Run(opt)
-	fmt.Printf("seeds(2):  %d hits, %d misses (only the new seed simulated)\n", hits, misses)
+	fmt.Fprintf(w, "seeds(2):  %d hits, %d misses (only the new seed simulated)\n", hits, misses)
 
-	fmt.Println()
-	fmt.Println("The store persists across processes: point a later run (or")
-	fmt.Println("`islands probe -experiments -store DIR`) at the same directory and")
-	fmt.Println("it resumes where this one stopped. Keys are salted with the")
-	fmt.Println("build's golden fingerprint, so a store can never serve results")
-	fmt.Println("the current code would not itself produce.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "The store persists across processes: point a later run (or")
+	fmt.Fprintln(w, "`islands probe -experiments -store DIR`) at the same directory and")
+	fmt.Fprintln(w, "it resumes where this one stopped. Keys are salted with the")
+	fmt.Fprintln(w, "build's golden fingerprint, so a store can never serve results")
+	fmt.Fprintln(w, "the current code would not itself produce.")
+	return nil
 }
 
 // buildStudy is a small island-size sweep on a hypothetical 8-socket

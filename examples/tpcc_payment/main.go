@@ -7,11 +7,15 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"islands"
 )
 
-func run(machine *islands.Machine, instances, warehouses int, remotePct float64) islands.Measurement {
+// measure runs Payment on one deployment of the machine.
+func measure(machine *islands.Machine, instances, warehouses int, remotePct float64) islands.Measurement {
 	cfg := islands.Config{
 		Machine:   machine,
 		Instances: instances,
@@ -32,26 +36,33 @@ func run(machine *islands.Machine, instances, warehouses int, remotePct float64)
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	machine := islands.QuadSocket()
 	const warehouses = 24
 
-	fmt.Println("TPC-C Payment,", warehouses, "warehouses on", machine)
-	fmt.Println()
-	fmt.Println("perfectly partitionable (0% remote customers) — Figure 7:")
+	fmt.Fprintln(w, "TPC-C Payment,", warehouses, "warehouses on", machine)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "perfectly partitionable (0% remote customers) — Figure 7:")
 	configs := []int{24, 4, 1}
 	base := map[int]float64{}
 	for _, n := range configs {
-		m := run(machine, n, warehouses, 0)
+		m := measure(machine, n, warehouses, 0)
 		base[n] = m.ThroughputTPS
-		fmt.Printf("  %5dISL: %7.0f KTps  (latency %v)\n", n, m.ThroughputTPS/1e3, m.AvgLatency)
+		fmt.Fprintf(w, "  %5dISL: %7.0f KTps  (latency %v)\n", n, m.ThroughputTPS/1e3, m.AvgLatency)
 	}
-	fmt.Printf("  fine-grained vs shared-everything: %.1fx\n\n", base[24]/base[1])
+	fmt.Fprintf(w, "  fine-grained vs shared-everything: %.1fx\n\n", base[24]/base[1])
 
-	fmt.Println("standard mix (15% remote customers -> distributed payments):")
+	fmt.Fprintln(w, "standard mix (15% remote customers -> distributed payments):")
 	for _, n := range configs {
-		m := run(machine, n, warehouses, 0.15)
+		m := measure(machine, n, warehouses, 0.15)
 		delta := 100 * (m.ThroughputTPS - base[n]) / base[n]
-		fmt.Printf("  %5dISL: %7.0f KTps  (%+.0f%% vs local-only, %d prepares)\n",
+		fmt.Fprintf(w, "  %5dISL: %7.0f KTps  (%+.0f%% vs local-only, %d prepares)\n",
 			n, m.ThroughputTPS/1e3, delta, m.Prepares)
 	}
+	return nil
 }

@@ -7,9 +7,7 @@ import (
 
 	"islands/internal/exec"
 	"islands/internal/ipc"
-	"islands/internal/lock"
 	"islands/internal/sim"
-	"islands/internal/storage"
 	"islands/internal/wal"
 )
 
@@ -571,9 +569,4 @@ func (in *Instance) handleCtrl(ctx *exec.Ctx, m Msg) {
 	default:
 		panic("engine: unexpected control message " + m.Kind.String())
 	}
-}
-
-// LockKeyFor builds the lock key for a row (exported for tests).
-func LockKeyFor(table storage.TableID, key int64) lock.Key {
-	return lock.Key{Space: uint32(table), ID: key}
 }

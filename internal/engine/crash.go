@@ -26,9 +26,6 @@ const (
 // their event sequences are untouched.
 func (in *Instance) EnableFaultMode() { in.faulty = true }
 
-// FaultMode reports whether fault injection is armed.
-func (in *Instance) FaultMode() bool { return in.faulty }
-
 // Down reports whether the instance is currently crashed.
 func (in *Instance) Down() bool { return in.down }
 
@@ -134,6 +131,3 @@ func (in *Instance) waitUp(ctx *exec.Ctx) {
 	})
 	ctx.Bucket(prev)
 }
-
-// WalRecordCount exposes the retained log length (tests, diagnostics).
-func (in *Instance) WalRecordCount() int { return len(in.wal.Records()) }

@@ -143,9 +143,6 @@ func (c *Ctx) Deschedule() {
 	c.CPU.Unlock(c.P)
 }
 
-// Scheduled reports whether the thread currently holds its core.
-func (c *Ctx) Scheduled() bool { return c.CPU == nil || c.scheduled }
-
 // Every charge below bumps the clock through sim.Proc.TryAdvance, inlined
 // here, and falls back to Advance only when something on the shard is due
 // first: the uncontended access costs one compare, not a call.
@@ -197,19 +194,6 @@ func (c *Ctx) ReadData(ws *mem.WorkingSet, n int) {
 // WriteData charges a bulk write of n bytes to working set ws.
 func (c *Ctx) WriteData(ws *mem.WorkingSet, n int) {
 	d := c.Mem.DataWrite(c.Core, ws, n)
-	if !c.P.TryAdvance(d) {
-		c.P.Advance(d)
-	}
-	c.bill(d)
-}
-
-// Stall consumes d of virtual time that is neither compute nor a blocking
-// wait (e.g. wire latency observed synchronously). Billed to the current
-// bucket but not to the core's busy time.
-func (c *Ctx) Stall(d sim.Time) {
-	if d <= 0 {
-		return
-	}
 	if !c.P.TryAdvance(d) {
 		c.P.Advance(d)
 	}

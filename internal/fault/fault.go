@@ -225,9 +225,8 @@ type Injector struct {
 	OnUp       func(island int)
 	OnWALStall func(island int, extra sim.Time)
 
-	// Per-island stats; see Crashes/Drops for the barrier-time totals.
+	// Per-island crash counts; see Crashes for the barrier-time total.
 	crashCount []uint64
-	dropCount  []uint64
 }
 
 // rngStride decorrelates per-island drop streams derived from one seed.
@@ -252,7 +251,6 @@ func NewInjector(doms []*sim.Domain, seed int64, plan *Plan) (*Injector, error) 
 		downAcc:    make([]sim.Time, islands),
 		stall:      make([]sim.Time, islands),
 		crashCount: make([]uint64, islands),
-		dropCount:  make([]uint64, islands),
 	}
 	for i := range inj.rngs {
 		inj.rngs[i] = rand.New(rand.NewSource(seed + int64(uint64(i)*rngStride)))
@@ -339,16 +337,6 @@ func (inj *Injector) Crashes() uint64 {
 	return n
 }
 
-// Drops returns the whole-run sender-side drop count summed over islands.
-// Barrier-time read.
-func (inj *Injector) Drops() uint64 {
-	var n uint64
-	for _, c := range inj.dropCount {
-		n += c
-	}
-	return n
-}
-
 // DownTime returns the cumulative outage time summed over islands,
 // including in-progress outages up to the current instant — the input to
 // windowed availability. Barrier-time read.
@@ -390,10 +378,10 @@ func (inj *Injector) linkScaleAt(from, to int, now sim.Time) float64 {
 // at the sender's virtual time `now`: dropped (sender down, or a MsgDrop
 // window hit) and, if delivered, the factor to scale its wire latency by
 // (link degradation). It runs on the *sender's* shard and touches only
-// sender-local mutable state: the sender's down flag, drop counter, and RNG
-// stream (consumed only while a drop window is active, so plans without
-// MsgDrop events never touch it — and island i's draws are the same no
-// matter how many shards the kernel runs).
+// sender-local mutable state: the sender's down flag and RNG stream
+// (consumed only while a drop window is active, so plans without MsgDrop
+// events never touch it — and island i's draws are the same no matter how
+// many shards the kernel runs).
 //
 // Messages to a down island are delivered, not dropped here: a receiver's
 // down flag belongs to the receiver's shard, so the engine drops them at
@@ -402,11 +390,9 @@ func (inj *Injector) linkScaleAt(from, to int, now sim.Time) float64 {
 // read.
 func (inj *Injector) Deliver(from, to int, now sim.Time) (drop bool, scale float64) {
 	if inj.down[from] {
-		inj.dropCount[from]++
 		return true, 0
 	}
 	if p := inj.dropProbAt(now); p > 0 && inj.rngs[from].Float64() < p {
-		inj.dropCount[from]++
 		return true, 0
 	}
 	return false, inj.linkScaleAt(from, to, now)

@@ -233,10 +233,6 @@ func (p *Proc) TryAdvance(d Time) bool {
 	return true
 }
 
-// Yield reschedules the Proc at the current time, letting other ready Procs
-// run first (FIFO within the same timestamp and domain).
-func (p *Proc) Yield() { p.Advance(0) }
-
 // Park blocks the Proc until another Proc (or a timer) unparks it.
 // Primitives that use Park must tolerate spurious wakeups by re-checking
 // their condition in a loop.

@@ -25,12 +25,6 @@ func NewResource(capacity int) *Resource {
 	return &Resource{capacity: capacity}
 }
 
-// Capacity returns the number of servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of current holders.
-func (r *Resource) InUse() int { return r.inUse }
-
 func (r *Resource) accountTo(now Time) {
 	r.BusyTime += Time(r.inUse) * (now - r.lastChange)
 	r.lastChange = now

@@ -40,6 +40,3 @@ func (t Time) String() string {
 
 // Seconds returns the time as a floating-point number of virtual seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Micros returns the time as a floating-point number of virtual microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }

@@ -262,9 +262,6 @@ func NewBufferPool(store *PageStore, disk *Disk, capacity int) *BufferPool {
 	}
 }
 
-// Capacity returns the pool size in pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Resident returns the number of cached pages.
 func (bp *BufferPool) Resident() int { return len(bp.ring) }
 

@@ -15,12 +15,6 @@ type Disk struct {
 	Reads, Writes uint64
 }
 
-// NewDisk builds a disk with `servers` independent channels and the given
-// service times.
-func NewDisk(servers int, read, write sim.Time) *Disk {
-	return &Disk{res: sim.NewResource(servers), readService: read, writeService: write}
-}
-
 // MMapDisk models the paper's default I/O setup: data and log files on
 // memory-mapped "disks", so an I/O is little more than a page copy. High
 // parallelism, microsecond service.
@@ -46,13 +40,3 @@ func (d *Disk) Write(ctx *exec.Ctx) {
 	d.Writes++
 	ctx.UseResource(d.res, d.writeService)
 }
-
-// WriteAsyncLatency returns the device's write service time, for components
-// (log flusher) that model the wait themselves.
-func (d *Disk) WriteAsyncLatency() sim.Time { return d.writeService }
-
-// Use exposes the underlying resource for custom access patterns.
-func (d *Disk) Use(p *sim.Proc, service sim.Time) { d.res.Use(p, service) }
-
-// Utilization reports mean busy channels / channels over [0, now].
-func (d *Disk) Utilization(now sim.Time) float64 { return d.res.Utilization(now) }

@@ -115,9 +115,6 @@ func (m *Machine) CrossC2C(h int) sim.Time {
 	return m.ScaleCross(m.Lat.C2CCrossBase + sim.Time(h-1)*m.Lat.C2CCrossPerHop)
 }
 
-// SameSocket reports whether two cores share a socket.
-func (m *Machine) SameSocket(a, b CoreID) bool { return m.SocketOf(a) == m.SocketOf(b) }
-
 // TransferCost returns the latency for core "to" to obtain a cache line last
 // owned by core "from" — the fundamental quantity behind every contention
 // effect in the paper.

@@ -6,19 +6,19 @@
 // all executed on a deterministic discrete-event simulation of multisocket
 // multicore machines.
 //
-// The public API re-exports the building blocks a downstream user needs:
+// The public API re-exports the building blocks the examples use:
 //
-//   - machines: QuadSocket, OctoSocket, Custom (hardware topology models),
+//   - machines: QuadSocket and CustomMachine (hardware topology models),
 //     with first-class socket fabrics (Interconnect: FullyConnected, Ring,
 //     Mesh2D, Torus2D, Hypercube, CustomHops) and a LatencyScale knob that
 //     answers "what if the interconnect were 2x faster?" as one parameter;
 //   - deployments: Config/NewDeployment build N range-partitioned engine
 //     instances placed as islands (or deliberately spread), Run measures
 //     throughput and breakdowns over simulated time;
-//   - workloads: the paper's microbenchmarks (NewMicroWorkload) and the
-//     TPC-C transaction mix (NewTPCCWorkload for the full five-transaction
+//   - workloads: the paper's microbenchmarks (NewMicroWorkload), the TPC-C
+//     transaction mix (NewTPCCWorkload for the full five-transaction
 //     standard mix, NewPaymentWorkload for the historical Payment-only
-//     stream);
+//     stream) and any user-defined RequestSource;
 //   - the advisor: Advise ranks island size × machine geometry candidates
 //     for a generated microbenchmark, with ±σ and the paper's throughput
 //     model calibrated beside the measurement, answering the paper's
@@ -27,11 +27,10 @@
 //   - experiments: Experiments/RunExperiment regenerate every table and
 //     figure of the paper;
 //   - fault injection: Config.Faults schedules a deterministic FaultPlan
-//     (IslandCrash, LinkDegrade, MsgDrop, WALStall) on the simulation
-//     kernel; Deployment.RunWindows measures per-window throughput,
-//     abort-rate and availability series, so crashes show up as a dip and
-//     recovery as the climb back — same seed, same faults, bit-identical
-//     output;
+//     (an IslandCrash, say) on the simulation kernel;
+//     Deployment.RunWindows measures per-window throughput, abort-rate and
+//     availability series, so a crash shows up as a dip and recovery as the
+//     climb back — same seed, same faults, bit-identical output;
 //   - traces: NewTraceRecorder tees any workload into a compact versioned
 //     binary trace (one record per transaction: timestamp, kind, stream,
 //     rows touched); NewTraceReplayer feeds a trace back deterministically
@@ -39,24 +38,24 @@
 //     round-robin deal on any other geometry; TraceAdvise replays one
 //     trace across island size × geometry candidates and ranks them with
 //     ±σ, answering the advisor's question for *your* workload;
-//   - the study API: Study, Cell, Emit, Table and Metrics expose the
-//     declarative plan layer the experiments themselves are built on.
-//     MicroCell, TPCCCell and ScalarCell build cells from specs, Grid
-//     enumerates cross products, Study.Seeds replicates every cell over N
-//     seeds and reports mean ±σ columns, and Geometry/Machines sweep
-//     hypothetical machine geometries (Interconnects and LatencyScales fan
-//     a geometry across fabrics and wire speeds). Study.Run executes on the
-//     deterministic parallel executor: results are bit-identical at every
-//     Parallel setting.
+//   - the study API: Study, Cell, Emit and Table expose the declarative
+//     plan layer the experiments themselves are built on. MicroCell builds
+//     a cell from its spec, Grid enumerates cross products, Study.Seeds
+//     replicates every cell over N seeds and reports mean ±σ columns, and
+//     Geometry/Machines sweep hypothetical machine geometries
+//     (Interconnects and LatencyScales fan a geometry across fabrics and
+//     wire speeds). Study.Run executes on the deterministic parallel
+//     executor: results are bit-identical at every Parallel setting, and a
+//     ResultStore memoizes cells across runs.
 //
 // The command cmd/islands reaches the same artifacts from a shell:
 // `islands run` regenerates the experiments, `islands probe` prints the
 // determinism fingerprint, `islands advise` is the advisor (synthetic or
 // trace-driven) and `islands topo` prints the machine models. See examples/
-// for runnable walkthroughs (examples/custom_study builds a from-scratch
-// seed-replicated geometry study) and DESIGN.md for how the simulation
-// substitutes for the paper's hardware and for the study API's determinism
-// contract.
+// for runnable walkthroughs (examples/study builds from-scratch
+// seed-replicated geometry and fabric studies) and DESIGN.md for how the
+// simulation substitutes for the paper's hardware and for the study API's
+// determinism contract.
 package islands
 
 import (
@@ -83,11 +82,8 @@ type Machine = topology.Machine
 // CoreID identifies a hardware core.
 type CoreID = topology.CoreID
 
-// Machines of the paper's testbed (Table 2).
-var (
-	QuadSocket = topology.QuadSocket
-	OctoSocket = topology.OctoSocket
-)
+// QuadSocket is the paper's quad-socket testbed machine (Table 2).
+var QuadSocket = topology.QuadSocket
 
 // CustomMachine builds a fully-connected machine with the given geometry.
 func CustomMachine(name string, sockets, coresPerSocket int, llcBytes int64) *Machine {
@@ -130,24 +126,11 @@ type TableDecl = storage.TableDecl
 const (
 	PlacementIslands = core.PlacementIslands
 	PlacementSpread  = core.PlacementSpread
-	PlacementOS      = core.PlacementOS
 )
 
-// Disk choices.
-const (
-	DiskMMap = core.DiskMMap
-	DiskHDD  = core.DiskHDD
-)
-
-// Mechanisms for the IPC layer (Figure 6). UnixSocket is the default and
-// the paper's choice.
-const (
-	UnixSocket = ipc.UnixSocket
-	TCPSocket  = ipc.TCPSocket
-	Pipe       = ipc.Pipe
-	FIFO       = ipc.FIFO
-	PosixQueue = ipc.PosixQueue
-)
+// UnixSocket is the IPC layer's default mechanism and the paper's choice
+// (Figure 6).
+const UnixSocket = ipc.UnixSocket
 
 // Deployment is a built set of database instances on a simulated machine.
 type Deployment = core.Deployment
@@ -163,12 +146,8 @@ type (
 	InstanceID    = engine.InstanceID
 )
 
-// Operation kinds.
-const (
-	OpRead   = engine.OpRead
-	OpUpdate = engine.OpUpdate
-	OpInsert = engine.OpInsert
-)
+// OpRead is the operation kind that reads one row.
+const OpRead = engine.OpRead
 
 // Time is virtual time in nanoseconds.
 type Time = sim.Time
@@ -177,7 +156,6 @@ type Time = sim.Time
 const (
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
-	Second      = sim.Second
 )
 
 // DefaultConfig returns the paper's standard single-table microbenchmark
@@ -219,8 +197,6 @@ var (
 	// StandardMix is the specification mix: 45% NewOrder, 43% Payment, 4%
 	// each of OrderStatus, Delivery, StockLevel.
 	StandardMix = workload.StandardMix
-	// PaymentOnlyMix is the historical single-transaction mix.
-	PaymentOnlyMix = workload.PaymentOnly
 	// SpecTPCCSizing returns the specification table cardinalities.
 	SpecTPCCSizing = workload.SpecSizing
 )
@@ -259,24 +235,13 @@ type FaultPlan = fault.Plan
 // FaultEvent is one scheduled fault.
 type FaultEvent = fault.Event
 
-// Fault event types: a fail-stop island crash (volatile state lost, WAL
-// replayed on restart, recovery time charged as downtime), a one-direction
-// island-to-island link slowdown, a machine-wide message-drop window, and a
-// WAL-device stall on one island.
-type (
-	IslandCrash = fault.IslandCrash
-	LinkDegrade = fault.LinkDegrade
-	MsgDrop     = fault.MsgDrop
-	WALStall    = fault.WALStall
-)
+// IslandCrash is a fail-stop island crash: volatile state is lost, the WAL
+// is replayed on restart, and recovery time is charged as downtime.
+type IslandCrash = fault.IslandCrash
 
 // Advice is the advisor's ranked recommendation: Best, every Candidate in
 // Ranked order, and the underlying study Result.
 type Advice = harness.Advice
-
-// Candidate is one island size on one machine geometry, with the
-// throughput (±σ) and multisite fraction an advisor sweep measured for it.
-type Candidate = harness.Candidate
 
 // Advise ranks island size × machine geometry candidates (sizes nil = every
 // size dividing each geometry's cores) for a generated microbenchmark of
@@ -329,10 +294,6 @@ type Cell = harness.Cell
 // Tables[Table].Values[Row][Col] = Metric(metrics).
 type Emit = harness.Emit
 
-// Metrics is what one cell's simulation produced: a full deployment
-// Measurement (M) or a bare scalar (Value).
-type Metrics = harness.Metrics
-
 // Table is one printable result grid of a study.
 type Table = harness.Table
 
@@ -348,16 +309,10 @@ type StudyOptions = harness.Options
 // constructor, instance count, dataset, workload mix, seed delta.
 type MicroCellSpec = harness.MicroSpec
 
-// TPCCCellSpec declares a TPC-C deployment cell: machine constructor,
-// instance count, warehouses, transaction-mix weights, remote
+// TPCCCellSpec declares the TPC-C deployment RecordTPCCTrace runs: machine
+// constructor, instance count, warehouses, transaction-mix weights, remote
 // probabilities, sizing.
 type TPCCCellSpec = harness.TPCCSpec
-
-// FaultCellSpec declares a fault-injection microbenchmark cell: a standard
-// deployment plus a FaultPlan builder phrased in the cell's window
-// geometry. The cell measures a window series (Metrics.Series) instead of
-// one steady-state window.
-type FaultCellSpec = harness.FaultSpec
 
 // Geometry describes a hypothetical machine for a machine-geometry sweep
 // (the knobs of CustomMachine). Its Machine method builds a fresh
@@ -372,24 +327,6 @@ func NewTable(name, unit, rowHead string, rows []string, colHead string, cols []
 // MicroCell builds a microbenchmark cell from its spec.
 func MicroCell(name string, s MicroCellSpec, emits ...Emit) Cell {
 	return harness.MicroCell(name, s, emits...)
-}
-
-// TPCCCell builds a TPC-C transaction-mix cell from its spec.
-func TPCCCell(name string, s TPCCCellSpec, emits ...Emit) Cell {
-	return harness.TPCCCell(name, s, emits...)
-}
-
-// FaultCell builds a fault-injection cell from its spec: it runs the
-// windowed measurement and fills Metrics.Series with the per-window
-// Measurements plus a whole-run aggregate in M.
-func FaultCell(name string, s FaultCellSpec, emits ...Emit) Cell {
-	return harness.FaultCell(name, s, emits...)
-}
-
-// ScalarCell builds a cell around a custom measurement returning one
-// value; run must construct all simulation state it touches.
-func ScalarCell(name string, run func(opt StudyOptions) float64, emits ...Emit) Cell {
-	return harness.ScalarCell(name, run, emits...)
 }
 
 // Grid builds one cell per point of the cross product of the axis
@@ -421,23 +358,6 @@ func LatencyScales(base Geometry, scales ...float64) []Geometry {
 // TPSEmit emits a cell's throughput in KTps at the given coordinates.
 func TPSEmit(table, row, col int) Emit { return harness.TPSEmit(table, row, col) }
 
-// ValueEmit emits a scalar cell's value verbatim at the given coordinates.
-func ValueEmit(table, row, col int) Emit { return harness.ValueEmit(table, row, col) }
-
-// SourceCellSpec declares a deployment cell driven by a user-defined
-// request source — the open end of the cell-spec family. The Source
-// factory runs against the freshly built deployment and must return a
-// source safe for concurrent workers (the engine calls Next from every
-// worker stream, and the executor may run cells concurrently).
-type SourceCellSpec = harness.SourceSpec
-
-// SourceCell builds a deployment cell around a user-defined request
-// source: trace replayers, custom closed-loop clients, adversarial
-// streams — any experiment, not just this repo's generators.
-func SourceCell(name string, s SourceCellSpec, emits ...Emit) Cell {
-	return harness.SourceCell(name, s, emits...)
-}
-
 // ParseGeometry parses one "sockets:coresPerSocket:LLC-MB[:fabric]" spec
 // (e.g. "4:6:8:ring") — the -geometry flag language of `islands probe`
 // and `islands advise`. The optional fabric is full, ring, mesh, torus or
@@ -452,16 +372,6 @@ func ParseGeometry(s string) (Geometry, error) { return harness.ParseGeometry(s)
 // advisor. Encode/WriteFile persist the compact versioned binary form;
 // Dump renders text.
 type Trace = trace.Trace
-
-// TraceStream identifies one recorded (instance, worker) request stream.
-type TraceStream = trace.Stream
-
-// TraceRecord is one recorded transaction.
-type TraceRecord = trace.Record
-
-// TraceKindGeneric marks trace records whose source reported no
-// transaction kind (microbenchmarks, custom sources).
-const TraceKindGeneric = trace.KindGeneric
 
 // TraceRecorder wraps any RequestSource and tees every request into an
 // in-memory trace; Finish assembles the canonical Trace. Recording is a
@@ -535,10 +445,6 @@ func TraceAdvise(t *Trace, geos []Geometry, sizes []int, seeds int, opt StudyOpt
 // process; sequential and parallel runs share one store.
 type ResultStore = resultstore.Store
 
-// CellKeyHasher accumulates a cell's semantic identity for the result
-// store — the hasher passed to SourceCellSpec.Key implementations.
-type CellKeyHasher = resultstore.Hasher
-
 // OpenResultStore opens (creating if needed) a result store for study cell
 // results under dir.
 func OpenResultStore(dir string) (*ResultStore, error) { return harness.OpenStore(dir) }
@@ -551,27 +457,9 @@ type WalOptions = wal.Options
 // memory-mapped log device).
 func DefaultWalOptions() WalOptions { return wal.DefaultOptions() }
 
-// TableID identifies a table.
-type TableID = storage.TableID
-
-// Breakdown buckets per-transaction time by component (Figure 11).
-type Breakdown = exec.Breakdown
-
-// Bucket names one breakdown component.
+// Bucket names one component of the per-transaction time breakdown
+// (Figure 11).
 type Bucket = exec.Bucket
 
-// Breakdown components.
-const (
-	BucketExecution     = exec.BExec
-	BucketXctManagement = exec.BXct
-	BucketLocking       = exec.BLock
-	BucketLatching      = exec.BLatch
-	BucketLogging       = exec.BLog
-	BucketCommunication = exec.BComm
-	BucketIO            = exec.BIO
-	BucketScheduling    = exec.BSched
-	// BucketTimeout bills fault-mode deadline handling: coordinator 2PC
-	// timeout aborts (detection, teardown, retry backoff) and participant
-	// orphan expiry. Always zero in healthy runs.
-	BucketTimeout = exec.BTimeout
-)
+// BucketExecution is the breakdown's execution component.
+const BucketExecution = exec.BExec

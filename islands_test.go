@@ -195,7 +195,7 @@ func TestPublicAPIInterconnectRoundTrip(t *testing.T) {
 }
 
 // TestPublicStudyAPI drives the exported study surface end to end the way
-// examples/custom_study does: a Grid of MicroCells on a Machines-built
+// examples/study does: a Grid of MicroCells on a Machines-built
 // custom geometry, seed-replicated with Seeds, run at two parallelism
 // settings, with identical mean ±σ tables both times.
 func TestPublicStudyAPI(t *testing.T) {
